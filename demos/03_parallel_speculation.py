@@ -1,9 +1,10 @@
 """Run the optimistic parallel kernel and verify serial equivalence.
 
-Partitions the default 50-node scenario four ways, runs it speculatively on
-one thread per partition, and shows that the per-packet records match the
-sequential run exactly even though thousands of events were rolled back along
-the way. Also prints the tail of the GVT progression.
+Partitions the default 50-node scenario four ways, runs it speculatively with
+the deterministic stepper (one batch per partition per round), and shows that
+the per-packet records match the sequential run exactly even though thousands
+of events were rolled back along the way. Also prints the tail of the GVT
+progression.
 """
 
 from dsnetsim.kernel import Knobs, run_optimistic, run_sequential
@@ -21,7 +22,7 @@ def main():
     plan = partition_balanced(build_topology(cfg), 4)
     rep = run_optimistic(
         build_scenario_model(cfg, mode=MODE_SEQUENTIAL), plan,
-        Knobs(runtime="threads", gvt_interval=256, batch_size=8))
+        Knobs(gvt_interval=256, batch_size=8))
 
     diff = compare_reports(seq, rep)
     print(f"sequential: {seq.committed_events} events in "

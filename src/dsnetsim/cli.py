@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import partition as partition_mod
-from .kernel import WatchdogError
+from .kernel import RUNTIMES, WatchdogError
 from .metrics import SUMMARY_FIELDS
 from .scenario import (
     MODE_BASELINE, MODE_OPTIMISTIC, MODE_SEQUENTIAL,
@@ -81,7 +81,7 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--plan", help="partition plan file to import")
     p.add_argument("--gvt-interval", type=int, dest="gvt_interval")
     p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--runtime", choices=["threads", "stepped"])
+    p.add_argument("--runtime", choices=RUNTIMES)
     p.add_argument("--watchdog-s", type=float, dest="watchdog_s")
     p.add_argument("--out", help="output directory")
 

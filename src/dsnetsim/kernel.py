@@ -8,24 +8,22 @@ partitioning. Events are totally ordered by ``(recv_time, target, sender,
 seq)``; the sender sequence counter is part of each LP's snapshot so a
 rolled-back LP re-emits byte-identical events.
 
-Two drivers share the same partition core: a deterministic single-thread
-stepper (used for audits and fuzzing, with optional seeded transport
-jitter) and a threaded runtime with one worker per partition and ordered
-in-memory channels. GVT uses a coordinator-driven two-phase cut: workers
-pause, channels are drained until global sent == received, and the minimum
-pending event time becomes the new GVT.
+One driver runs the partitions: a deterministic single-thread stepper that
+gives each partition one batch per round, over per-channel FIFO queues
+with optional seeded transport jitter and a shuffled schedule. GVT is a
+stop-the-world cut: every channel is drained until nothing is in flight
+(global sent == received), and the minimum pending event time becomes the
+new GVT.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import queue
 import random
-import threading
 import time as _time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import events
 from .metrics import RunReport, finalize
@@ -33,6 +31,7 @@ from .model import Model
 from .router import dispatch
 
 INF = math.inf
+RUNTIMES = ("stepped",)  # valid values of Knobs.runtime
 
 
 class KernelError(Exception):
@@ -53,9 +52,9 @@ class Knobs:
 
     gvt_interval: int = 1024  # processed events per partition between cuts
     batch_size: int = 16  # events per scheduling quantum
-    runtime: str = "threads"  # "threads" or "stepped"
-    schedule_seed: int | None = None  # stepped runtime: shuffle order per round
-    jitter: int = 0  # stepped runtime: max extra hold per channel message
+    runtime: str = "stepped"  # one of RUNTIMES
+    schedule_seed: int | None = None  # shuffle the partition order per round
+    jitter: int = 0  # max extra hold per channel message, in rounds
     watchdog_s: float = 60.0
     debug_audit: bool = False
 
@@ -367,39 +366,8 @@ def _merge_reports(model: Model, parts: list[Partition], gvt_rounds: int,
     return finalize(model.scenario_id, records, generated, counters, wall_clock_s)
 
 
-def _drain_until_cut(parts: list[Partition], deliver_all) -> None:
-    """Second phase of the GVT cut: bounce messages (including the antis a
-    drain-triggered rollback produces) until nothing is in flight."""
-    while True:
-        moved = deliver_all()
-        if not moved and sum(p.sent for p in parts) == sum(p.recv for p in parts):
-            return
-
-
 def _compute_gvt(parts: list[Partition]):
     return min(p.min_pending_time() for p in parts)
-
-
-class _GvtTracker:
-    def __init__(self):
-        self.gvt = 0
-        self.rounds = 0
-        self.series: list = []
-
-    def advance(self, parts: list[Partition], new_gvt) -> None:
-        assert new_gvt >= self.gvt or new_gvt is INF, "GVT regressed"
-        self.rounds += 1
-        for p in parts:
-            p.fossil_collect(new_gvt)
-        if new_gvt is not INF:
-            self.gvt = new_gvt
-        self.series.append((
-            self.rounds,
-            -1 if new_gvt is INF else new_gvt,
-            sum(p.committed_events for p in parts),
-            sum(p.rolled_back for p in parts),
-            sum(p.sent for p in parts),
-        ))
 
 
 def run_stepped(model: Model, assignment: dict[int, int], k: int,
@@ -411,7 +379,8 @@ def run_stepped(model: Model, assignment: dict[int, int], k: int,
     parts = _make_partitions(model, assignment, k, knobs.debug_audit)
     channels: dict[tuple[int, int], deque] = {}
     rnd = random.Random(knobs.schedule_seed)
-    tracker = _GvtTracker()
+    gvt = 0
+    gvt_series: list = []  # (round, gvt, committed, rolled back, sent)
     since_gvt = 0
     last_progress = _time.perf_counter()
 
@@ -461,154 +430,37 @@ def run_stepped(model: Model, assignment: dict[int, int], k: int,
             if n or got:
                 any_work = True
         if since_gvt >= knobs.gvt_interval * k or not any_work:
+            # GVT cut: bounce messages (including the antis a drain-triggered
+            # rollback produces) until nothing is in flight
             for p in parts:
                 flush(p, with_jitter=False)
-            _drain_until_cut(parts, deliver_all)
-            new_gvt = _compute_gvt(parts)
-            if new_gvt is INF or new_gvt > model.end_time_ns:
-                tracker.advance(parts, INF)
-                break
-            if new_gvt > tracker.gvt:
-                last_progress = _time.perf_counter()
-            tracker.advance(parts, new_gvt)
-            since_gvt = 0
-            if _time.perf_counter() - last_progress > knobs.watchdog_s:
-                raise WatchdogError(
-                    f"no GVT progress past {tracker.gvt} ns for {knobs.watchdog_s}s")
-    return _merge_reports(model, parts, tracker.rounds, tracker.series,
-                          _time.perf_counter() - t0)
-
-
-class _ThreadController:
-    def __init__(self, k: int):
-        self.pause = threading.Event()
-        self.gvt_wanted = threading.Event()
-        self.stop = False
-        self.barrier_in = threading.Barrier(k + 1)
-        self.barrier_out = threading.Barrier(k + 1)
-        self.idle = [False] * k
-
-
-def run_threaded(model: Model, assignment: dict[int, int], k: int,
-                 knobs: Knobs) -> RunReport:
-    """One worker thread per partition; inter-partition events travel over
-    thread-safe FIFO inboxes. GVT is a stop-the-world two-phase cut run by
-    the coordinator while all workers are parked."""
-    t0 = _time.perf_counter()
-    parts = _make_partitions(model, assignment, k, knobs.debug_audit)
-    inboxes = [queue.SimpleQueue() for _ in range(k)]
-    ctl = _ThreadController(k)
-    errors: list[BaseException] = []
-
-    def drain_inbox(p: Partition) -> bool:
-        got = False
-        while True:
-            try:
-                msg = inboxes[p.pid].get_nowait()
-            except queue.Empty:
-                return got
-            p.receive_remote(msg)
-            got = True
-
-    def flush(p: Partition):
-        for dst, msgs in p.take_outboxes().items():
-            for m in msgs:
-                inboxes[dst].put(m)
-
-    def worker(pid: int):
-        p = parts[pid]
-        since = 0
-        try:
-            while True:
-                if ctl.pause.is_set():
-                    ctl.barrier_in.wait()
-                    ctl.barrier_out.wait()
-                    if ctl.stop:
-                        return
-                    continue
-                got = drain_inbox(p)
-                n = p.step(knobs.batch_size)
-                flush(p)
-                since += n
-                if since >= knobs.gvt_interval:
-                    since = 0
-                    ctl.gvt_wanted.set()
-                if n == 0 and not got:
-                    ctl.idle[pid] = True
-                    _time.sleep(0.0002)
-                else:
-                    ctl.idle[pid] = False
-        except threading.BrokenBarrierError:
-            return  # shutdown signal
-        except BaseException as e:  # surfaced by the coordinator
-            errors.append(e)
-            ctl.idle[pid] = True
-            ctl.barrier_in.abort()
-            ctl.barrier_out.abort()
-
-    threads = [threading.Thread(target=worker, args=(pid,), daemon=True)
-               for pid in range(k)]
-    for t in threads:
-        t.start()
-
-    tracker = _GvtTracker()
-    last_progress = _time.perf_counter()
-    try:
-        while True:
-            while not ctl.gvt_wanted.is_set() and not all(ctl.idle):
-                if errors:
-                    raise errors[0]
-                if _time.perf_counter() - last_progress > knobs.watchdog_s:
-                    raise WatchdogError(
-                        f"no GVT progress past {tracker.gvt} ns "
-                        f"for {knobs.watchdog_s}s")
-                _time.sleep(0.0002)
-            if errors:
-                raise errors[0]
-            ctl.pause.set()
-            ctl.barrier_in.wait()
-            # workers parked: drain every channel until the cut is consistent
-            def deliver_all() -> bool:
-                moved = False
-                for p in parts:
-                    if drain_inbox(p):
-                        moved = True
-                    if p.outboxes:
-                        flush(p)
-                        moved = True
-                return moved
-
-            _drain_until_cut(parts, deliver_all)
+            while deliver_all():
+                pass
             new_gvt = _compute_gvt(parts)
             done = new_gvt is INF or new_gvt > model.end_time_ns
             if done:
-                tracker.advance(parts, INF)
-                ctl.stop = True
+                new_gvt = INF
+            elif new_gvt > gvt:
+                gvt = new_gvt
+                last_progress = _time.perf_counter()
             else:
-                if new_gvt > tracker.gvt:
-                    last_progress = _time.perf_counter()
-                tracker.advance(parts, new_gvt)
-            ctl.gvt_wanted.clear()
-            for i in range(k):
-                ctl.idle[i] = False
-            ctl.pause.clear()
-            ctl.barrier_out.wait()
+                assert new_gvt == gvt, "GVT regressed"
+            for p in parts:
+                p.fossil_collect(new_gvt)
+            gvt_series.append((
+                len(gvt_series) + 1,
+                -1 if done else new_gvt,
+                sum(p.committed_events for p in parts),
+                sum(p.rolled_back for p in parts),
+                sum(p.sent for p in parts),
+            ))
             if done:
                 break
-    except threading.BrokenBarrierError:
-        if errors:
-            raise errors[0]
-        raise
-    finally:
-        ctl.stop = True
-        ctl.pause.set()
-        ctl.barrier_in.abort()
-        ctl.barrier_out.abort()
-        for t in threads:
-            t.join(timeout=5.0)
-    if errors:
-        raise errors[0]
-    return _merge_reports(model, parts, tracker.rounds, tracker.series,
+            since_gvt = 0
+            if _time.perf_counter() - last_progress > knobs.watchdog_s:
+                raise WatchdogError(
+                    f"no GVT progress past {gvt} ns for {knobs.watchdog_s}s")
+    return _merge_reports(model, parts, len(gvt_series), gvt_series,
                           _time.perf_counter() - t0)
 
 
@@ -621,8 +473,6 @@ def run_optimistic(model: Model, plan, knobs: Knobs | None = None) -> RunReport:
     missing = set(model.lps) - set(assignment)
     if missing:
         raise KernelError(f"partition plan misses LPs {sorted(missing)[:5]}")
-    if knobs.runtime == "stepped":
-        return run_stepped(model, assignment, k, knobs)
-    if knobs.runtime == "threads":
-        return run_threaded(model, assignment, k, knobs)
-    raise KernelError(f"unknown runtime {knobs.runtime!r}")
+    if knobs.runtime not in RUNTIMES:
+        raise KernelError(f"unknown runtime {knobs.runtime!r}")
+    return run_stepped(model, assignment, k, knobs)

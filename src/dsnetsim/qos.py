@@ -236,13 +236,12 @@ DROP = "drop"
 class RedState:
     """EWMA average and drop bookkeeping for one (class, color) dropper."""
 
-    __slots__ = ("params", "avg", "count", "last_decision_ns")
+    __slots__ = ("params", "avg", "count")
 
     def __init__(self, params: RedParams):
         self.params = params
         self.avg = 0.0
         self.count = 0
-        self.last_decision_ns = 0
 
     def decide(self, queue: ClassQueue, pkt_size: int, now_ns: int, rand: float) -> str:
         """Early-drop decision for one arriving packet.
@@ -261,7 +260,6 @@ class RedState:
             m = idle / p.mean_pkt_time_ns
             self.avg *= (1.0 - p.weight) ** m
         self.avg = (1.0 - p.weight) * self.avg + p.weight * queue.byte_length
-        self.last_decision_ns = now_ns
         if self.avg < p.min_th_bytes:
             self.count = 0
             return ENQUEUE
@@ -282,7 +280,6 @@ class RedState:
         r.params = self.params
         r.avg = self.avg
         r.count = self.count
-        r.last_decision_ns = self.last_decision_ns
         return r
 
 
@@ -349,7 +346,7 @@ def default_red_params(queue_capacity: int, color: Color,
 
 def make_profile(
     classifier_map: dict[int, int] | None = None,
-    default_class: int = 2,
+    default_class: int | None = None,
     num_classes: int = 3,
     srtcm: list[SrtcmParams] | None = None,
     queue_capacity_bytes: int = DEFAULT_QUEUE_CAPACITY,
@@ -357,7 +354,10 @@ def make_profile(
     shaper_burst_bytes: int = 16 * 1024,
     red: list[list[RedParams]] | None = None,
 ) -> QosProfile:
-    """Assemble a profile, filling unspecified pieces with defaults."""
+    """Assemble a profile, filling unspecified pieces with defaults. The
+    default class is the lowest-priority one, ``num_classes - 1``."""
+    if default_class is None:
+        default_class = num_classes - 1
     if classifier_map is None:
         # EF-style -> 0, AF-style -> 1, best effort -> 2
         classifier_map = {46: 0, 26: 1, 0: 2}

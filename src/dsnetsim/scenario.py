@@ -6,6 +6,7 @@ from its own artefacts."""
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import os
 
@@ -88,6 +89,18 @@ def _validate(cfg: dict):
         raise ScenarioError("token_interval_ns is only valid in baseline mode")
     if mode == MODE_OPTIMISTIC and cfg["run"]["partitions"]["k"] < 1:
         raise ScenarioError("optimistic mode requires k >= 1")
+    knobs = cfg["run"].get("knobs") or {}
+    if not isinstance(knobs, dict):
+        raise ScenarioError("run.knobs: expected a mapping")
+    fields = sorted(f.name for f in dataclasses.fields(Knobs))
+    for key in knobs:
+        if key not in fields:
+            raise ScenarioError(
+                f"run.knobs.{key}: unknown knob (valid: {', '.join(fields)})")
+    if "runtime" in knobs and knobs["runtime"] not in kernel.RUNTIMES:
+        raise ScenarioError(
+            f"run.knobs.runtime: unknown runtime {knobs['runtime']!r} "
+            f"(valid: {', '.join(kernel.RUNTIMES)})")
 
 
 def scenario_identity(cfg: dict) -> str:
@@ -136,42 +149,36 @@ def build_traffic_spec(cfg: dict) -> TrafficSpec:
     )
 
 
+# scalar keys of a qos block that pass straight through to make_profile
+_PROFILE_KEYS = ("num_classes", "default_class", "queue_capacity_bytes",
+                 "shaper_rate_bps", "shaper_burst_bytes")
+
+
 def _profile_from(block: dict) -> QosProfile:
-    num_classes = block.get("num_classes", 3)
-    queue_cap = block.get("queue_capacity_bytes", 64 * 1024)
-    shaper_rate = block.get("shaper_rate_bps", 1_250_000_000)
-    shaper_burst = block.get("shaper_burst_bytes", 16 * 1024)
-    classifier = {int(k): int(v) for k, v in block.get("classifier", {46: 0, 26: 1, 0: 2}).items()}
+    """Profile for one merged qos block. Keys the block leaves out take
+    :func:`make_profile`'s defaults."""
+    kwargs = {key: block[key] for key in _PROFILE_KEYS if key in block}
+    if "classifier" in block:
+        kwargs["classifier_map"] = {int(k): int(v) for k, v in block["classifier"].items()}
     srtcm_cfg = block.get("srtcm")
     if srtcm_cfg:
-        srtcm = [SrtcmParams(s["cir_bps"], s["cbs_bytes"], s["ebs_bytes"]) for s in srtcm_cfg]
-        if len(srtcm) != num_classes:
-            raise ScenarioError("srtcm list must have one entry per class")
-    else:
-        srtcm = None
+        kwargs["srtcm"] = [SrtcmParams(s["cir_bps"], s["cbs_bytes"], s["ebs_bytes"])
+                           for s in srtcm_cfg]
+    profile = make_profile(**kwargs)
+    if srtcm_cfg and len(srtcm_cfg) != profile.classifier.num_classes:
+        raise ScenarioError("srtcm list must have one entry per class")
     red_cfg = block.get("red")
-    red = None
     if red_cfg:
-        per_color = {}
+        row = []
         for color in Color:
             trip = red_cfg.get(color.name.lower())
             if trip:
-                per_color[color] = RedParams(
-                    int(trip[0]), int(trip[1]), float(trip[2]),
-                    weight=float(trip[3]) if len(trip) > 3 else 0.002)
+                weight = {"weight": float(trip[3])} if len(trip) > 3 else {}
+                row.append(RedParams(int(trip[0]), int(trip[1]), float(trip[2]), **weight))
             else:
-                per_color[color] = default_red_params(queue_cap, color)
-        red = [[per_color[c] for c in Color] for _ in range(num_classes)]
-    return make_profile(
-        classifier_map=classifier,
-        default_class=block.get("default_class", num_classes - 1),
-        num_classes=num_classes,
-        srtcm=srtcm,
-        queue_capacity_bytes=queue_cap,
-        shaper_rate_bps=shaper_rate,
-        shaper_burst_bytes=shaper_burst,
-        red=red,
-    )
+                row.append(default_red_params(profile.queue_capacity_bytes, color))
+        profile = dataclasses.replace(profile, red=(tuple(row),) * profile.num_classes)
+    return profile
 
 
 def build_profiles(cfg: dict) -> dict[NodeTier, QosProfile]:

@@ -133,7 +133,7 @@ def test_A4_serial_equivalence_byte_identical_records(tmp_path):
         plan = partition_balanced(topo, k)
         rep = run_optimistic(
             build_scenario_model(_scenario_cfg(), mode=MODE_SEQUENTIAL), plan,
-            Knobs(runtime="threads", gvt_interval=256, batch_size=8,
+            Knobs(runtime="stepped", gvt_interval=256, batch_size=8,
                   watchdog_s=300))
         path = tmp_path / f"optimistic-k{k}.csv"
         write_records_csv(str(path), rep.records)

@@ -162,3 +162,17 @@ def test_config_errors_exit_with_code_1(tmp_path):
     cfg_path = _write_cfg(tmp_path)
     # baseline without a token interval is a config error
     assert main(["run", "--config", cfg_path, "--mode", "baseline"]) == EXIT_CONFIG
+
+
+def test_unknown_knob_is_a_config_error(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, {"run": {
+        **SMALL["run"], "mode": "optimistic", "knobs": {"gvt_intervall": 64}}})
+    assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
+    assert "run.knobs.gvt_intervall" in capsys.readouterr().err
+
+
+def test_unknown_runtime_is_a_config_error(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, {"run": {
+        **SMALL["run"], "mode": "optimistic", "knobs": {"runtime": "threads"}}})
+    assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
+    assert "run.knobs.runtime" in capsys.readouterr().err

@@ -183,22 +183,20 @@ def test_k1_matches_sequential_exactly():
     model, topo = _fresh_model()
     seq = run_sequential(_fresh_model()[0])
     plan = partition_balanced(topo, 1)
-    for runtime in ("stepped", "threads"):
-        rep = run_optimistic(_fresh_model()[0], plan, Knobs(runtime=runtime))
-        assert compare_reports(seq, rep)["record_diff_count"] == 0
-        assert rep.committed_events == seq.committed_events
-        assert rep.rolled_back_events == 0
+    rep = run_optimistic(_fresh_model()[0], plan, Knobs())
+    assert compare_reports(seq, rep)["record_diff_count"] == 0
+    assert rep.committed_events == seq.committed_events
+    assert rep.rolled_back_events == 0
 
 
 @pytest.mark.parametrize("k", [2, 4])
-@pytest.mark.parametrize("runtime", ["stepped", "threads"])
+@pytest.mark.parametrize("runtime", ["stepped"])
 def test_serial_equivalence_small(k, runtime):
     seq = run_sequential(_fresh_model()[0])
     _, topo = _fresh_model()
     plan = partition_balanced(topo, k)
     knobs = Knobs(runtime=runtime, gvt_interval=128, batch_size=8,
-                  schedule_seed=3 if runtime == "stepped" else None,
-                  jitter=2 if runtime == "stepped" else 0, watchdog_s=60)
+                  schedule_seed=3, jitter=2, watchdog_s=60)
     rep = run_optimistic(_fresh_model()[0], plan, knobs)
     assert compare_reports(seq, rep)["record_diff_count"] == 0
     # committed event counts are identical across partition counts

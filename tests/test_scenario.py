@@ -1,12 +1,13 @@
 """Scenario configs: defaults, overrides, validation, identity, outputs."""
 
+import dataclasses
 import os
 
 import pytest
 import yaml
 
 from dsnetsim.metrics import read_records_csv
-from dsnetsim.qos import Color
+from dsnetsim.qos import Color, make_profile
 from dsnetsim.scenario import (
     MODE_BASELINE, MODE_OPTIMISTIC, MODE_SEQUENTIAL, ScenarioError,
     build_profiles, build_scenario_model, build_topology, load_scenario,
@@ -76,6 +77,19 @@ def test_per_tier_qos_overrides():
     assert profiles[NodeTier.ACCESS].shaper_rate_bps == 1_250_000_000
     assert profiles[NodeTier.KERNEL].shaper_rate_bps == 999
     assert profiles[NodeTier.KERNEL].queue_capacity_bytes == 10_000
+
+
+def test_empty_qos_block_gives_make_profile_defaults():
+    cfg = load_scenario(None, {"qos": {"default": {}, "tiers": {}}})
+    want = make_profile()
+    for tier, got in build_profiles(cfg).items():
+        for f in dataclasses.fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if f.name == "classifier":
+                assert (a.mapping, a.default_class, a.num_classes) == \
+                    (b.mapping, b.default_class, b.num_classes), tier
+            else:
+                assert a == b, (tier, f.name)
 
 
 def test_explicit_red_and_srtcm_blocks():
