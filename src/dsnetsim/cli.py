@@ -166,10 +166,6 @@ def _deep(overrides: dict, args) -> dict:
 
 def cmd_partition(args) -> int:
     cfg = load_scenario(args.config, _scenario_overrides(args))
-    if args.strategy:
-        cfg["run"]["partitions"]["strategy"] = args.strategy
-    if args.k is not None:
-        cfg["run"]["partitions"]["k"] = args.k
     strategy = cfg["run"]["partitions"]["strategy"]
     if strategy == partition_mod.WeightModel.VERTEX_EVENT.value and not args.allow_profiling:
         print("vertex-event weights need a profiling trace; run "

@@ -6,13 +6,15 @@ per-node expected ingress throughput derived statically from routes, and
 the combination of vertex weights with edge-cut refinement.
 
 The balanced planner grows regions from farthest-point seeds toward the
-lightest partition; the min-cut planner refines a balanced plan with
-Kernighan-Lin-style moves. Both are deterministic for fixed inputs.
+lightest partition. The min-cut and vertex+edge planners refine a balanced
+plan with one shared pass of greedy single-node moves that lower the
+weighted cut, each under its own cap on partition weight. All planners are
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .routing import RoutingTable, walk_route
@@ -36,8 +38,6 @@ class PartitionPlan:
     k: int
     assignment: dict[int, int]
     strategy: WeightModel
-    vertex_weights: dict[int, int] = field(default_factory=dict)
-    edge_weights: dict[tuple[int, int], int] = field(default_factory=dict)
     imbalance: float = 1.0
     cut_weight: int = 0
     degraded: bool = False  # True when the balance target was not met
@@ -208,10 +208,6 @@ def partition_balanced(topo: Topology, k: int,
         raise PartitionError("k must be >= 1")
     if k > n:
         raise PartitionError(f"k={k} exceeds node count {n}")
-    if k == 1:
-        assignment = {node: 0 for node in topo.node_ids()}
-        return PartitionPlan(1, assignment, strategy,
-                             vertex_weights=dict(weights or {}), imbalance=1.0)
     seeds = _farthest_point_seeds(topo, k)
     assignment: dict[int, int] = {}
     acc = [0] * k
@@ -222,32 +218,22 @@ def partition_balanced(topo: Topology, k: int,
         frontiers[pid] = sorted(v for v in topo.neighbors(s) if v not in assignment)
     remaining = set(topo.node_ids()) - set(seeds)
     while remaining:
-        order = sorted(range(k), key=lambda p: (acc[p], p))
-        placed = False
-        for pid in order:
+        # the lightest partition with an unassigned neighbour grows; one
+        # always exists, because a Topology is connected
+        for pid in sorted(range(k), key=lambda p: (acc[p], p)):
             front = [v for v in frontiers[pid] if v in remaining]
-            if not front:
-                continue
-            node = front[0]
-            assignment[node] = pid
-            acc[pid] += _node_weight(weights, node)
-            remaining.discard(node)
-            frontiers[pid] = sorted(set(front[1:]) | {
-                v for v in topo.neighbors(node) if v in remaining})
-            placed = True
-            break
-        if not placed:
-            # disconnected leftovers: dump into the lightest partition
-            node = min(remaining)
-            pid = order[0]
-            assignment[node] = pid
-            acc[pid] += _node_weight(weights, node)
-            remaining.discard(node)
+            if front:
+                break
+        node = front[0]
+        assignment[node] = pid
+        acc[pid] += _node_weight(weights, node)
+        remaining.discard(node)
+        frontiers[pid] = sorted(set(front[1:]) | {
+            v for v in topo.neighbors(node) if v in remaining})
     _rebalance(topo, assignment, k, weights, eps)
     imb = compute_imbalance(assignment, k, weights)
     return PartitionPlan(
         k, assignment, strategy,
-        vertex_weights=dict(weights or {}),
         imbalance=imb,
         cut_weight=cut_weight(topo, assignment, None),
         degraded=imb > 1.0 + eps,
@@ -258,65 +244,64 @@ def partition_balanced(topo: Topology, k: int,
 # edge-cut minimisation
 
 
-def partition_min_edgecut(topo: Topology, k: int,
-                          edge_weights: dict[tuple[int, int], int],
-                          strategy: WeightModel = WeightModel.EDGE_THROUGHPUT,
-                          size_eps: float = 0.30,
-                          max_passes: int = 10) -> PartitionPlan:
-    """Balanced start, then greedy node moves that reduce the weighted cut
-    while keeping partition node counts within ``size_eps`` of even."""
-    base = partition_balanced(topo, k, None, strategy)
-    assignment = dict(base.assignment)
-    if k == 1:
-        base.strategy = strategy
-        base.edge_weights = dict(edge_weights)
-        return base
-    n = topo.num_nodes
-    max_size = max(1, int(-(-n // k) * (1.0 + size_eps)))
+def _refine_cut(topo: Topology, assignment: dict[int, int], k: int,
+                edge_weights: dict[tuple[int, int], int],
+                vertex_weights: dict[int, int] | None, cap: float) -> None:
+    """Greedy cut refinement shared by the edge-aware planners. Each of at
+    most 10 passes moves every node, in id order, to the neighbouring
+    partition of largest positive cut gain (ties: lowest id) that stays
+    within ``cap`` vertex weight. A partition's last node never moves."""
+    acc = [0] * k
     sizes = [0] * k
-    for pid in assignment.values():
+    for n, pid in assignment.items():
+        acc[pid] += _node_weight(vertex_weights, n)
         sizes[pid] += 1
-
-    def ew(a: int, b: int) -> int:
-        return edge_weights.get((min(a, b), max(a, b)), 0)
-
-    for _ in range(max_passes):
+    for _ in range(10):
         improved = False
         for node in topo.node_ids():
             cur = assignment[node]
             if sizes[cur] <= 1:
                 continue
+            w = _node_weight(vertex_weights, node)
             # cut change of moving node to each neighbouring partition
-            gain_by_pid: dict[int, int] = {}
+            external: dict[int, int] = {}
             internal = 0
             for v in topo.neighbors(node):
-                w = ew(node, v)
+                we = edge_weights.get((min(node, v), max(node, v)), 0)
                 pid = assignment[v]
                 if pid != cur:
-                    gain_by_pid[pid] = gain_by_pid.get(pid, 0) + w
+                    external[pid] = external.get(pid, 0) + we
                 else:
-                    internal += w
+                    internal += we
             best = None
-            for pid in sorted(gain_by_pid):
-                if sizes[pid] >= max_size:
-                    continue
-                gain = gain_by_pid[pid] - internal
-                if gain > 0 and (best is None or gain > best[0]):
+            for pid in sorted(external):
+                gain = external[pid] - internal
+                if gain > 0 and acc[pid] + w <= cap and (not best or gain > best[0]):
                     best = (gain, pid)
             if best:
+                acc[cur] -= w
                 sizes[cur] -= 1
+                acc[best[1]] += w
                 sizes[best[1]] += 1
                 assignment[node] = best[1]
                 improved = True
         if not improved:
             break
-    imb = compute_imbalance(assignment, k, None)
+
+
+def partition_min_edgecut(topo: Topology, k: int,
+                          edge_weights: dict[tuple[int, int], int],
+                          strategy: WeightModel = WeightModel.EDGE_THROUGHPUT,
+                          size_eps: float = 0.30) -> PartitionPlan:
+    """Balanced start, then cut refinement that keeps partition node counts
+    within ``size_eps`` of even."""
+    assignment = partition_balanced(topo, k, None, strategy).assignment
+    max_size = max(1, int(-(-topo.num_nodes // k) * (1.0 + size_eps)))
+    _refine_cut(topo, assignment, k, edge_weights, None, max_size)
     return PartitionPlan(
         k, assignment, strategy,
-        edge_weights=dict(edge_weights),
-        imbalance=imb,
+        imbalance=compute_imbalance(assignment, k, None),
         cut_weight=cut_weight(topo, assignment, edge_weights),
-        degraded=False,
     )
 
 
@@ -324,50 +309,16 @@ def partition_vertex_plus_edge(topo: Topology, k: int,
                                vertex_weights: dict[int, int],
                                edge_weights: dict[tuple[int, int], int],
                                eps: float = 0.10) -> PartitionPlan:
-    """Balanced vertex weights refined by cut-reducing moves that stay
-    within the balance tolerance."""
-    base = partition_balanced(topo, k, vertex_weights,
-                              WeightModel.VERTEX_PLUS_EDGE, eps)
-    assignment = dict(base.assignment)
-    if k == 1:
-        base.edge_weights = dict(edge_weights)
-        return base
-    acc = [0] * k
-    for n, pid in assignment.items():
-        acc[pid] += _node_weight(vertex_weights, n)
-    total = sum(acc)
-    cap = (total / k) * (1.0 + eps)
-
-    def ew(a: int, b: int) -> int:
-        return edge_weights.get((min(a, b), max(a, b)), 0)
-
-    for _ in range(6):
-        improved = False
-        for node in topo.node_ids():
-            cur = assignment[node]
-            w = _node_weight(vertex_weights, node)
-            external: dict[int, int] = {}
-            internal = 0
-            for v in topo.neighbors(node):
-                we = ew(node, v)
-                if assignment[v] == cur:
-                    internal += we
-                else:
-                    external[assignment[v]] = external.get(assignment[v], 0) + we
-            for pid in sorted(external):
-                if external[pid] - internal > 0 and acc[pid] + w <= cap:
-                    acc[cur] -= w
-                    acc[pid] += w
-                    assignment[node] = pid
-                    improved = True
-                    break
-        if not improved:
-            break
+    """Balanced vertex weights, then cut refinement that keeps every
+    partition within ``eps`` of the mean vertex weight."""
+    assignment = partition_balanced(topo, k, vertex_weights,
+                                    WeightModel.VERTEX_PLUS_EDGE, eps).assignment
+    total = sum(_node_weight(vertex_weights, n) for n in assignment)
+    _refine_cut(topo, assignment, k, edge_weights, vertex_weights,
+                (total / k) * (1.0 + eps))
     imb = compute_imbalance(assignment, k, vertex_weights)
     return PartitionPlan(
         k, assignment, WeightModel.VERTEX_PLUS_EDGE,
-        vertex_weights=dict(vertex_weights),
-        edge_weights=dict(edge_weights),
         imbalance=imb,
         cut_weight=cut_weight(topo, assignment, edge_weights),
         degraded=imb > 1.0 + eps,
@@ -410,7 +361,6 @@ def import_plan(path: str, topo: Topology,
         assignment[node] = pid
     return PartitionPlan(
         k, assignment, WeightModel.NO_WEIGHTS,
-        vertex_weights=dict(weights or {}),
         imbalance=compute_imbalance(assignment, k, weights),
         cut_weight=cut_weight(topo, assignment, None),
     )

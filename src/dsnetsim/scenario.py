@@ -15,7 +15,10 @@ import yaml
 from . import kernel, metrics, partition as partition_mod, traffic as traffic_mod
 from .kernel import Knobs, run_optimistic, run_sequential
 from .model import MODE_LAZY, MODE_PERIODIC, Model, build_model
-from .qos import QosProfile, SrtcmParams, RedParams, make_profile, default_red_params, Color
+from .partition import WeightModel
+from .qos import (
+    Color, QosConfigError, QosProfile, RedParams, SrtcmParams, default_red_params, make_profile,
+)
 from .routing import RouteMetric, compute_routes
 from .topology import NodeTier, Topology, generate_synthetic_topology, load_topology
 from .traffic import Flow, TrafficSpec
@@ -79,6 +82,22 @@ def load_scenario(path: str | None = None, overrides: dict | None = None) -> dic
     return cfg
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# value check and its description for each typed Knobs field
+_KNOB_CHECKS = {
+    "gvt_interval": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "batch_size": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "jitter": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "schedule_seed": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "watchdog_s": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "debug_audit": (lambda v: isinstance(v, bool), "true or false"),
+    "runtime": (lambda v: v in kernel.RUNTIMES, f"one of {', '.join(kernel.RUNTIMES)}"),
+}
+
+
 def _validate(cfg: dict):
     mode = cfg["run"]["mode"]
     if mode not in (MODE_SEQUENTIAL, MODE_OPTIMISTIC, MODE_BASELINE):
@@ -89,6 +108,10 @@ def _validate(cfg: dict):
         raise ScenarioError("token_interval_ns is only valid in baseline mode")
     if mode == MODE_OPTIMISTIC and cfg["run"]["partitions"]["k"] < 1:
         raise ScenarioError("optimistic mode requires k >= 1")
+    route_metrics = [m.value for m in RouteMetric]
+    if cfg["routing"].get("metric") not in route_metrics:
+        raise ScenarioError(f"routing.metric: expected one of {', '.join(route_metrics)}, "
+                            f"got {cfg['routing'].get('metric')!r}")
     knobs = cfg["run"].get("knobs") or {}
     if not isinstance(knobs, dict):
         raise ScenarioError("run.knobs: expected a mapping")
@@ -97,10 +120,11 @@ def _validate(cfg: dict):
         if key not in fields:
             raise ScenarioError(
                 f"run.knobs.{key}: unknown knob (valid: {', '.join(fields)})")
-    if "runtime" in knobs and knobs["runtime"] not in kernel.RUNTIMES:
-        raise ScenarioError(
-            f"run.knobs.runtime: unknown runtime {knobs['runtime']!r} "
-            f"(valid: {', '.join(kernel.RUNTIMES)})")
+        if key in _KNOB_CHECKS and not _KNOB_CHECKS[key][0](knobs[key]):
+            raise ScenarioError(
+                f"run.knobs.{key}: expected {_KNOB_CHECKS[key][1]}, "
+                f"got {knobs[key]!r}")
+    build_profiles(cfg)
 
 
 def scenario_identity(cfg: dict) -> str:
@@ -152,43 +176,77 @@ def build_traffic_spec(cfg: dict) -> TrafficSpec:
 # scalar keys of a qos block that pass straight through to make_profile
 _PROFILE_KEYS = ("num_classes", "default_class", "queue_capacity_bytes",
                  "shaper_rate_bps", "shaper_burst_bytes")
+_BLOCK_KEYS = _PROFILE_KEYS + ("classifier", "srtcm", "red")
 
 
-def _profile_from(block: dict) -> QosProfile:
+def _check_block_keys(block, where: str):
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{where}: expected a mapping")
+    for key in block:
+        if key not in _BLOCK_KEYS:
+            raise ScenarioError(
+                f"{where}.{key}: unknown key (valid: {', '.join(sorted(_BLOCK_KEYS))})")
+    red = block.get("red") or {}
+    if not isinstance(red, dict):
+        raise ScenarioError(f"{where}.red: expected a mapping")
+    colors = [c.name.lower() for c in Color]
+    for key in red:
+        if key not in colors:
+            raise ScenarioError(f"{where}.red.{key}: unknown color (valid: {', '.join(colors)})")
+
+
+def _profile_from(block: dict, where: str) -> QosProfile:
     """Profile for one merged qos block. Keys the block leaves out take
-    :func:`make_profile`'s defaults."""
-    kwargs = {key: block[key] for key in _PROFILE_KEYS if key in block}
-    if "classifier" in block:
-        kwargs["classifier_map"] = {int(k): int(v) for k, v in block["classifier"].items()}
-    srtcm_cfg = block.get("srtcm")
-    if srtcm_cfg:
-        kwargs["srtcm"] = [SrtcmParams(s["cir_bps"], s["cbs_bytes"], s["ebs_bytes"])
-                           for s in srtcm_cfg]
-    profile = make_profile(**kwargs)
-    if srtcm_cfg and len(srtcm_cfg) != profile.classifier.num_classes:
-        raise ScenarioError("srtcm list must have one entry per class")
-    red_cfg = block.get("red")
-    if red_cfg:
-        row = []
-        for color in Color:
-            trip = red_cfg.get(color.name.lower())
-            if trip:
-                weight = {"weight": float(trip[3])} if len(trip) > 3 else {}
-                row.append(RedParams(int(trip[0]), int(trip[1]), float(trip[2]), **weight))
-            else:
-                row.append(default_red_params(profile.queue_capacity_bytes, color))
-        profile = dataclasses.replace(profile, red=(tuple(row),) * profile.num_classes)
+    :func:`make_profile`'s defaults. A bad value is a ScenarioError that
+    names the block, ``where``."""
+    try:
+        kwargs = {key: block[key] for key in _PROFILE_KEYS if key in block}
+        if "classifier" in block:
+            kwargs["classifier_map"] = {int(k): int(v) for k, v in block["classifier"].items()}
+        srtcm_cfg = block.get("srtcm")
+        if srtcm_cfg:
+            kwargs["srtcm"] = [SrtcmParams(s["cir_bps"], s["cbs_bytes"], s["ebs_bytes"])
+                               for s in srtcm_cfg]
+        profile = make_profile(**kwargs)
+        if srtcm_cfg and len(srtcm_cfg) != profile.classifier.num_classes:
+            raise QosConfigError("srtcm list must have one entry per class")
+        red_cfg = block.get("red")
+        if red_cfg:
+            row = []
+            for color in Color:
+                trip = red_cfg.get(color.name.lower())
+                if trip:
+                    weight = {"weight": float(trip[3])} if len(trip) > 3 else {}
+                    row.append(RedParams(int(trip[0]), int(trip[1]), float(trip[2]), **weight))
+                else:
+                    row.append(default_red_params(profile.queue_capacity_bytes, color))
+            profile = dataclasses.replace(profile, red=(tuple(row),) * profile.num_classes)
+    except (QosConfigError, KeyError, TypeError, ValueError, IndexError) as e:
+        raise ScenarioError(f"{where}: {e}") from e
     return profile
 
 
 def build_profiles(cfg: dict) -> dict[NodeTier, QosProfile]:
     qcfg = cfg["qos"]
-    default_block = qcfg.get("default", {}) or {}
+    default_block = qcfg.get("default") or {}
+    tier_blocks = qcfg.get("tiers") or {}
+    _check_block_keys(default_block, "qos.default")
+    tiers = [t.value for t in NodeTier]
+    for name, block in tier_blocks.items():
+        if name not in tiers:
+            raise ScenarioError(f"qos.tiers.{name}: unknown tier (valid: {', '.join(tiers)})")
+        _check_block_keys(block or {}, f"qos.tiers.{name}")
     profiles = {}
     for tier in NodeTier:
-        block = _deep_merge(default_block, (qcfg.get("tiers", {}) or {}).get(tier.value, {}) or {})
-        profiles[tier] = _profile_from(block)
+        block = tier_blocks.get(tier.value) or {}
+        # a tier without its own block is exactly qos.default
+        where = f"qos.tiers.{tier.value}" if block else "qos.default"
+        profiles[tier] = _profile_from(_deep_merge(default_block, block), where)
     return profiles
+
+
+def _route_metric(cfg: dict) -> RouteMetric:
+    return RouteMetric(cfg["routing"]["metric"])
 
 
 def build_scenario_model(cfg: dict, mode: str | None = None,
@@ -197,10 +255,7 @@ def build_scenario_model(cfg: dict, mode: str | None = None,
     state, so build a new one per run."""
     mode = mode or cfg["run"]["mode"]
     topo = build_topology(cfg)
-    routes = compute_routes(
-        topo,
-        RouteMetric.LATENCY if cfg["routing"]["metric"] == "latency" else RouteMetric.HOP_COUNT,
-    )
+    routes = compute_routes(topo, _route_metric(cfg))
     spec = build_traffic_spec(cfg)
     kernel_mode = MODE_PERIODIC if mode == MODE_BASELINE else MODE_LAZY
     interval = token_interval_ns if token_interval_ns is not None \
@@ -218,32 +273,26 @@ def build_scenario_model(cfg: dict, mode: str | None = None,
 
 def build_plan(cfg: dict, topo: Topology) -> partition_mod.PartitionPlan:
     pcfg = cfg["run"]["partitions"]
-    k = pcfg["k"]
-    eps = pcfg.get("eps", 0.10)
     if pcfg.get("plan_path"):
         return partition_mod.import_plan(pcfg["plan_path"], topo)
-    strategy = partition_mod.WeightModel(pcfg.get("strategy", "no-weights"))
-    spec = build_traffic_spec(cfg)
-    routes = compute_routes(topo)
-    flows = traffic_mod.resolve_flows(spec, topo)
-    if strategy is partition_mod.WeightModel.NO_WEIGHTS:
-        return partition_mod.partition_balanced(topo, k, None, strategy, eps)
-    if strategy is partition_mod.WeightModel.VERTEX_THROUGHPUT:
-        w = partition_mod.derive_vertex_throughput_weights(flows, routes, topo)
-        return partition_mod.partition_balanced(topo, k, w, strategy, eps)
-    if strategy is partition_mod.WeightModel.EDGE_THROUGHPUT:
-        ew = partition_mod.derive_edge_throughput_weights(flows, routes, topo)
-        return partition_mod.partition_min_edgecut(topo, k, ew)
-    if strategy is partition_mod.WeightModel.VERTEX_PLUS_EDGE:
-        w = partition_mod.derive_vertex_throughput_weights(flows, routes, topo)
-        ew = partition_mod.derive_edge_throughput_weights(flows, routes, topo)
-        return partition_mod.partition_vertex_plus_edge(topo, k, w, ew, eps)
-    if strategy is partition_mod.WeightModel.VERTEX_EVENT:
+    k = pcfg["k"]
+    eps = pcfg.get("eps", 0.10)
+    strategy = WeightModel(pcfg.get("strategy", "no-weights"))
+    routes = compute_routes(topo, _route_metric(cfg))
+    flows = traffic_mod.resolve_flows(build_traffic_spec(cfg), topo)
+    weights = None
+    if strategy is WeightModel.VERTEX_EVENT:
         # needs a profiling trace; run one sequentially on the fly
         profiling = run_sequential(build_scenario_model(cfg, mode=MODE_SEQUENTIAL))
-        w = partition_mod.derive_vertex_event_weights(profiling)
-        return partition_mod.partition_balanced(topo, k, w, strategy, eps)
-    raise ScenarioError(f"unsupported strategy {strategy}")
+        weights = partition_mod.derive_vertex_event_weights(profiling)
+    elif strategy in (WeightModel.VERTEX_THROUGHPUT, WeightModel.VERTEX_PLUS_EDGE):
+        weights = partition_mod.derive_vertex_throughput_weights(flows, routes, topo)
+    if strategy in (WeightModel.EDGE_THROUGHPUT, WeightModel.VERTEX_PLUS_EDGE):
+        ew = partition_mod.derive_edge_throughput_weights(flows, routes, topo)
+        if strategy is WeightModel.EDGE_THROUGHPUT:
+            return partition_mod.partition_min_edgecut(topo, k, ew)
+        return partition_mod.partition_vertex_plus_edge(topo, k, weights, ew, eps)
+    return partition_mod.partition_balanced(topo, k, weights, strategy, eps)
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import csv
 
+import pytest
 import yaml
 
 from dsnetsim.cli import EXIT_CONFIG, EXIT_OK, main
@@ -176,3 +177,35 @@ def test_unknown_runtime_is_a_config_error(tmp_path, capsys):
         **SMALL["run"], "mode": "optimistic", "knobs": {"runtime": "threads"}}})
     assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
     assert "run.knobs.runtime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block, key", [
+    ({"default": {"red": {"green": [200, 100, 0.5]}}}, "qos.default"),
+    ({"tiers": {"kernel": {"red": {"green": [200, 100, 0.5]}}}}, "qos.tiers.kernel"),
+    ({"default": {"shaper_rate_bsp": 1000}}, "qos.default.shaper_rate_bsp"),
+    ({"tiers": {"mixed": {"shaper_rate_bsp": 1000}}}, "qos.tiers.mixed.shaper_rate_bsp"),
+    ({"tiers": {"core": {"shaper_rate_bps": 1000}}}, "qos.tiers.core"),
+    ({"default": {"red": {"gren": [100, 200, 0.5]}}}, "qos.default.red.gren"),
+], ids=["bad-red-default", "bad-red-tier", "unknown-key-default", "unknown-key-tier",
+        "unknown-tier", "unknown-color"])
+def test_bad_qos_block_is_a_config_error(tmp_path, capsys, block, key):
+    cfg_path = _write_cfg(tmp_path, {"qos": block})
+    assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
+    assert f"{key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("gvt_interval", "64"),
+    ("gvt_interval", 0),
+    ("batch_size", 0),
+    ("batch_size", 2.5),
+    ("jitter", -1),
+    ("schedule_seed", "3"),
+    ("watchdog_s", "60"),
+    ("debug_audit", "yes"),
+])
+def test_bad_knob_value_is_a_config_error(tmp_path, capsys, key, value):
+    cfg_path = _write_cfg(tmp_path, {"run": {
+        **SMALL["run"], "mode": "optimistic", "knobs": {key: value}}})
+    assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
+    assert f"run.knobs.{key}:" in capsys.readouterr().err

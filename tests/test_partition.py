@@ -12,7 +12,7 @@ from dsnetsim.partition import (
 )
 from dsnetsim.routing import compute_routes
 from dsnetsim.topology import NodeTier, Topology, generate_synthetic_topology
-from dsnetsim.traffic import Flow, TrafficSpec
+from dsnetsim.traffic import Flow, TrafficSpec, resolve_flows
 from conftest import bidirectional, line_topology
 
 
@@ -59,15 +59,6 @@ def test_edge_throughput_weights_sum_flow_rates():
 
 # --------------------------------------------------------------------------
 # balanced planner
-
-def test_k1_is_trivial():
-    topo = line_topology(5)
-    plan = partition_balanced(topo, 1)
-    assert plan.k == 1
-    assert set(plan.assignment.values()) == {0}
-    assert plan.imbalance == 1.0
-    assert plan.cut_weight == 0
-
 
 def test_uniform_line_splits_evenly():
     topo = line_topology(10)
@@ -140,10 +131,19 @@ def test_min_cut_finds_the_bridge():
     assert plan.assignment[3] == plan.assignment[4] == plan.assignment[5]
 
 
-def test_min_cut_k1_has_zero_cut():
+@pytest.mark.parametrize("planner", [
+    lambda topo, ew: partition_balanced(topo, 1),
+    lambda topo, ew: partition_min_edgecut(topo, 1, ew),
+    lambda topo, ew: partition_vertex_plus_edge(topo, 1, {n: n for n in range(6)}, ew),
+], ids=["balanced", "min-edgecut", "vertex-plus-edge"])
+def test_k1_plan_is_trivial(planner):
     topo = _two_cliques()
-    plan = partition_min_edgecut(topo, 1, {})
+    plan = planner(topo, {(0, 1): 10, (2, 3): 1, (4, 5): 10})
+    assert plan.k == 1
+    assert plan.assignment == {n: 0 for n in range(6)}
+    assert plan.imbalance == 1.0
     assert plan.cut_weight == 0
+    assert not plan.degraded
 
 
 def test_min_cut_never_worse_than_balanced_start():
@@ -169,6 +169,46 @@ def test_vertex_plus_edge_keeps_balance_while_cutting():
     balanced_only = partition_balanced(topo, 4, vw)
     assert cut_weight(topo, plan.assignment, ew) <= \
         cut_weight(topo, balanced_only.assignment, ew)
+
+
+def test_vertex_plus_edge_never_empties_a_partition():
+    topo = generate_synthetic_topology(3, 3, 1, seed=2)
+    routes = compute_routes(topo)
+    flows = resolve_flows(TrafficSpec(seed=0), topo)
+    vw = derive_vertex_throughput_weights(flows, routes, topo)
+    ew = derive_edge_throughput_weights(flows, routes, topo)
+    plan = partition_vertex_plus_edge(topo, 6, vw, ew)
+    assert all(plan.partitions()), plan.partitions()
+
+
+def _three_way_fork():
+    # 0-1-2-3-4 with a branch 2-5-6: the balanced start puts {0, 1, 2},
+    # {3, 4} and {5, 6} in partitions 0, 1 and 2
+    nodes = [(0, NodeTier.ACCESS, 1), (1, NodeTier.ACCESS, 2),
+             (2, NodeTier.ACCESS, 3), (3, NodeTier.ACCESS, 2),
+             (4, NodeTier.ACCESS, 1), (5, NodeTier.ACCESS, 2),
+             (6, NodeTier.ACCESS, 1)]
+    links = []
+    links += bidirectional(0, 1, 0, 0)
+    links += bidirectional(1, 2, 1, 0)
+    links += bidirectional(2, 3, 1, 0)
+    links += bidirectional(3, 4, 1, 0)
+    links += bidirectional(2, 5, 2, 0)
+    links += bidirectional(5, 6, 1, 0)
+    return Topology(nodes, links)
+
+
+def test_refinement_takes_the_largest_gain():
+    topo = _three_way_fork()
+    # node 2 gains 5 - 1 = 4 by joining partition 1 and 10 - 1 = 9 by
+    # joining partition 2
+    ew = {(0, 1): 20, (1, 2): 1, (2, 3): 5, (3, 4): 20, (2, 5): 10, (5, 6): 1}
+    vw = {n: 1 for n in range(7)}
+    assert partition_balanced(topo, 3, vw, eps=1.0).partitions() == \
+        [[0, 1, 2], [3, 4], [5, 6]]
+    plan = partition_vertex_plus_edge(topo, 3, vw, ew, eps=1.0)
+    assert plan.partitions() == [[0, 1], [3, 4], [2, 5, 6]]
+    assert plan.cut_weight == 1 + 5
 
 
 # --------------------------------------------------------------------------

@@ -7,13 +7,18 @@ import pytest
 import yaml
 
 from dsnetsim.metrics import read_records_csv
+from dsnetsim.partition import (
+    WeightModel, derive_vertex_throughput_weights, partition_balanced,
+)
 from dsnetsim.qos import Color, make_profile
 from dsnetsim.scenario import (
     MODE_BASELINE, MODE_OPTIMISTIC, MODE_SEQUENTIAL, ScenarioError,
-    build_profiles, build_scenario_model, build_topology, load_scenario,
-    run_scenario, scenario_identity,
+    build_plan, build_profiles, build_scenario_model, build_topology,
+    load_scenario, run_scenario, scenario_identity,
 )
-from dsnetsim.topology import NodeTier
+from dsnetsim.routing import RouteMetric, compute_routes
+from dsnetsim.topology import Link, NodeTier, Topology, save_topology
+from dsnetsim.traffic import Flow
 
 SMALL = {
     "name": "small",
@@ -47,6 +52,12 @@ def test_mode_validation():
         load_scenario(None, {"run": {"mode": MODE_BASELINE}})
     with pytest.raises(ScenarioError, match="only valid in baseline"):
         load_scenario(None, {"run": {"token_interval_ns": 100}})
+
+
+def test_unknown_routing_metric_is_rejected():
+    assert load_scenario(None, {"routing": {"metric": "latency"}})
+    with pytest.raises(ScenarioError, match="routing.metric"):
+        load_scenario(None, {"routing": {"metric": "latnecy"}})
 
 
 def test_identity_ignores_execution_choices():
@@ -154,3 +165,34 @@ def test_topology_file_beats_synthetic(tmp_path):
                                    "seed": 0}},
     })
     assert build_topology(cfg2).num_nodes == topo.num_nodes
+
+
+def test_build_plan_weights_follow_the_routing_metric(tmp_path):
+    # line 0-1-2-3-4-5 plus a 100 us shortcut 0-5: hop routes between 0 and
+    # 5 take the shortcut, latency routes take the line
+    def both(a, b, pa, pb, delay):
+        return [Link(a, b, pa, pb, 25_000_000_000, delay),
+                Link(b, a, pb, pa, 25_000_000_000, delay)]
+    links = both(0, 5, 1, 1, 100_000)
+    for i in range(5):
+        links += both(i, i + 1, 0 if i == 0 else 1, 0, 1_000)
+    topo = Topology([(i, NodeTier.ACCESS, 2) for i in range(6)], links)
+    path = tmp_path / "t.yaml"
+    save_topology(topo, str(path))
+    cfg = load_scenario(None, {
+        "topology": {"path": str(path)},
+        "routing": {"metric": "latency"},
+        "traffic": {"pattern": "explicit", "flows": [
+            {"src": 0, "dst": 5, "rate_pps": 1000},
+            {"src": 5, "dst": 0, "rate_pps": 1000}]},
+        "run": {"partitions": {"k": 2, "strategy": "vertex-throughput"}},
+    })
+    flows = [Flow(0, 5, 1000), Flow(5, 0, 1000)]
+
+    def plan_on(metric):
+        w = derive_vertex_throughput_weights(flows, compute_routes(topo, metric), topo)
+        return partition_balanced(topo, 2, w, WeightModel.VERTEX_THROUGHPUT)
+
+    want = plan_on(RouteMetric.LATENCY)
+    assert want.assignment != plan_on(RouteMetric.HOP_COUNT).assignment
+    assert build_plan(cfg, build_topology(cfg)) == want
