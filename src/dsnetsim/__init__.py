@@ -1,7 +1,7 @@
 """Packet-level DiffServ network simulator with an optimistic parallel
 kernel: two-event router model (lazy token refill), Time-Warp-style
-rollback with snapshot histories and anti-messages, GVT-driven fossil
-collection, and workload-aware graph partitioning."""
+rollback with incremental state saving and anti-messages, GVT-driven
+fossil collection, and workload-aware graph partitioning."""
 
 from .kernel import Knobs, run_optimistic, run_sequential
 from .metrics import RunReport, compare_reports, finalize

@@ -1,12 +1,19 @@
 """Simulation kernel: sequential scheduler and the optimistic parallel
-engine (speculative execution, snapshot rollback, anti-messages, global
-virtual time, fossil collection).
+engine (speculative execution, rollback by incremental state saving,
+anti-messages, global virtual time, fossil collection).
 
 Correctness contract: for a fixed seed the optimistic engine commits
 exactly the per-packet records the sequential scheduler produces, for any
 partitioning. Events are totally ordered by ``(recv_time, target, sender,
-seq)``; the sender sequence counter is part of each LP's snapshot so a
+seq)``; the sender sequence counter is part of each LP's saved state so a
 rolled-back LP re-emits byte-identical events.
+
+Before each event the engine saves only what that event can change: the
+pipeline of the one port it touches (``router.touched_port``), the RNG
+cursors, ``seq`` and the flows' ``pkt_seq`` (``RouterLp.clone``). A
+rollback restores the undone events' saves newest first, so for every
+port the earliest save wins and the LP is back where it was before the
+first undone event.
 
 One driver runs the partitions: a deterministic single-thread stepper that
 gives each partition one batch per round, over per-channel FIFO queues
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 from . import events
 from .metrics import RunReport, finalize
 from .model import Model
-from .router import dispatch
+from .router import dispatch, touched_port
 
 INF = math.inf
 RUNTIMES = ("stepped",)  # valid values of Knobs.runtime
@@ -123,11 +130,11 @@ def _state_counters(lps: dict) -> dict:
 class _Entry:
     """One processed event with everything needed to undo it."""
 
-    __slots__ = ("event", "snapshot", "emitted", "records", "generated")
+    __slots__ = ("event", "saved", "emitted", "records", "generated")
 
-    def __init__(self, event, snapshot, emitted, records, generated):
+    def __init__(self, event, saved, emitted, records, generated):
         self.event = event
-        self.snapshot = snapshot
+        self.saved = saved
         self.emitted = emitted
         self.records = records
         self.generated = generated
@@ -226,7 +233,9 @@ class Partition:
                 f"below GVT {self.gvt} (fossil-collected state)")
         del hist[idx:]
         self.hist_size -= len(undone)
-        self.lps[lp_id] = undone[0].snapshot
+        lp = self.lps[lp_id]
+        for entry in reversed(undone):
+            lp.restore(entry.saved)
         self.rolled_back += len(undone)
         local_cancels = deque()
         for entry in undone:
@@ -265,10 +274,10 @@ class Partition:
             if self.live.get(ev.eid) is ev:
                 del self.live[ev.eid]
             lp = self.lps[ev.target]
-            snapshot = lp.clone()
+            saved = lp.clone(touched_port(lp, ev))
             fx = dispatch(lp, ev, self.ctx)
             self.histories[ev.target].append(
-                _Entry(ev, snapshot, fx.emitted, fx.records, fx.generated))
+                _Entry(ev, saved, fx.emitted, fx.records, fx.generated))
             self.hist_size += 1
             if self.hist_size > self.peak_history:
                 self.peak_history = self.hist_size

@@ -6,8 +6,12 @@ whether a try-to-send is pending or in progress, so queued packets never
 schedule redundant retries; one SEND may drain several packets.
 
 All handler effects are appended to an :class:`Effects` value and all state
-mutation stays inside this LP, which is what lets the optimistic kernel
-snapshot and roll back a router wholesale.
+mutation stays inside this LP. One event changes at most one egress
+pipeline, the one :func:`touched_port` names before the event runs, plus
+the RNG cursors, the ``seq`` counter and a flow's ``pkt_seq``. The
+optimistic kernel saves only that state before each event
+(:meth:`RouterLp.clone`) and puts it back on rollback
+(:meth:`RouterLp.restore`).
 """
 
 from __future__ import annotations
@@ -125,12 +129,6 @@ class FlowGen:
         self.poisson = poisson
         self.pkt_seq = 0
 
-    def clone(self) -> "FlowGen":
-        f = FlowGen(self.dst, self.interarrival_ns, self.size, self.ds,
-                    self.poisson, self.pid_base)
-        f.pkt_seq = self.pkt_seq
-        return f
-
 
 class RouterLp:
     """Full mutable state of one node: egress pipelines, routing row, RNG
@@ -147,16 +145,24 @@ class RouterLp:
         self.seq = 0
         self.flows: list[FlowGen] = []
 
-    def clone(self) -> "RouterLp":
-        lp = RouterLp.__new__(RouterLp)
-        lp.node = self.node
-        lp.tier = self.tier
-        lp.pipelines = [p.clone() if p is not None else None for p in self.pipelines]
-        lp.route_row = self.route_row  # immutable, shared
-        lp.rng = self.rng.clone()
-        lp.seq = self.seq
-        lp.flows = [f.clone() for f in self.flows]
-        return lp
+    def clone(self, port: int | None) -> tuple:
+        """Save the state one event can change: the pipeline of ``port``
+        (the event's :func:`touched_port`; None saves no pipeline), the
+        RNG cursors, ``seq`` and every flow's ``pkt_seq``."""
+        pipe = self.pipelines[port].clone() if port is not None else None
+        return (port, pipe, self.rng.clone(), self.seq,
+                [f.pkt_seq for f in self.flows])
+
+    def restore(self, saved: tuple):
+        """Put back a save from :meth:`clone`. The saved objects become
+        live state, so each save is restored at most once."""
+        port, pipe, cursor_rng, seq, pkt_seqs = saved
+        if pipe is not None:
+            self.pipelines[port] = pipe
+        self.rng = cursor_rng
+        self.seq = seq
+        for flow, pkt_seq in zip(self.flows, pkt_seqs):
+            flow.pkt_seq = pkt_seq
 
     def emit(self, fx: Effects, time, target, kind, payload):
         fx.emitted.append(events.Event(time, target, kind, payload, self.node, self.seq))
@@ -274,6 +280,22 @@ def handle_generate(lp: RouterLp, flow_idx: int, now: int, fx: Effects, ctx):
     nxt = now + gap
     if nxt <= ctx.end_time_ns:
         lp.emit(fx, nxt, lp.node, events.GENERATE, flow_idx)
+
+
+def touched_port(lp: RouterLp, ev) -> int | None:
+    """The egress port whose pipeline ``dispatch(lp, ev, ...)`` can change,
+    or None when the event changes no pipeline (the packet is for this node
+    or has no route)."""
+    kind = ev.kind
+    if kind == events.ARRIVE:
+        dst = ev.payload.dst
+    elif kind == events.GENERATE:
+        dst = lp.flows[ev.payload].dst
+    else:
+        return ev.payload  # SEND and REFILL carry their port
+    if dst == lp.node:
+        return None
+    return lp.route_row.get(dst)
 
 
 def dispatch(lp: RouterLp, ev, ctx) -> Effects:

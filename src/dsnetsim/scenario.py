@@ -98,7 +98,26 @@ _KNOB_CHECKS = {
 }
 
 
+def _check_keys(block, valid, where: str):
+    """Reject a block that is not a mapping or has a key outside ``valid``."""
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{where}: expected a mapping")
+    for key in block:
+        if key not in valid:
+            raise ScenarioError(
+                f"{where}.{key}: unknown key (valid: {', '.join(sorted(valid))})")
+
+
 def _validate(cfg: dict):
+    _check_keys(cfg["traffic"], DEFAULT_CONFIG["traffic"], "traffic")
+    _check_keys(cfg["run"], DEFAULT_CONFIG["run"], "run")
+    _check_keys(cfg["run"]["partitions"], DEFAULT_CONFIG["run"]["partitions"],
+                "run.partitions")
+    strategies = [m.value for m in WeightModel]
+    if cfg["run"]["partitions"]["strategy"] not in strategies:
+        raise ScenarioError(
+            f"run.partitions.strategy: expected one of {', '.join(strategies)}, "
+            f"got {cfg['run']['partitions']['strategy']!r}")
     mode = cfg["run"]["mode"]
     if mode not in (MODE_SEQUENTIAL, MODE_OPTIMISTIC, MODE_BASELINE):
         raise ScenarioError(f"unknown run mode {mode!r}")
@@ -180,12 +199,7 @@ _BLOCK_KEYS = _PROFILE_KEYS + ("classifier", "srtcm", "red")
 
 
 def _check_block_keys(block, where: str):
-    if not isinstance(block, dict):
-        raise ScenarioError(f"{where}: expected a mapping")
-    for key in block:
-        if key not in _BLOCK_KEYS:
-            raise ScenarioError(
-                f"{where}.{key}: unknown key (valid: {', '.join(sorted(_BLOCK_KEYS))})")
+    _check_keys(block, _BLOCK_KEYS, where)
     red = block.get("red") or {}
     if not isinstance(red, dict):
         raise ScenarioError(f"{where}.red: expected a mapping")
@@ -276,8 +290,8 @@ def build_plan(cfg: dict, topo: Topology) -> partition_mod.PartitionPlan:
     if pcfg.get("plan_path"):
         return partition_mod.import_plan(pcfg["plan_path"], topo)
     k = pcfg["k"]
-    eps = pcfg.get("eps", 0.10)
-    strategy = WeightModel(pcfg.get("strategy", "no-weights"))
+    eps = pcfg["eps"]
+    strategy = WeightModel(pcfg["strategy"])
     routes = compute_routes(topo, _route_metric(cfg))
     flows = traffic_mod.resolve_flows(build_traffic_spec(cfg), topo)
     weights = None

@@ -57,3 +57,8 @@ def single_flow_model(topo, src, dst, rate_pps=1_000_000, end_ns=100_000,
 
 def tier_profiles(**kwargs):
     return {tier: make_profile(**kwargs) for tier in NodeTier}
+
+
+def tight_shaper_profiles():
+    """A shaper tight enough to block on the default traffic, as in A7."""
+    return tier_profiles(shaper_rate_bps=40_000_000, shaper_burst_bytes=4_096)

@@ -209,3 +209,25 @@ def test_bad_knob_value_is_a_config_error(tmp_path, capsys, key, value):
         **SMALL["run"], "mode": "optimistic", "knobs": {key: value}}})
     assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
     assert f"run.knobs.{key}:" in capsys.readouterr().err
+
+
+def test_bad_partition_strategy_is_a_config_error(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, {"run": {
+        **SMALL["run"], "mode": "optimistic",
+        "partitions": {"k": 2, "strategy": "vertex-thruput"}}})
+    assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "run.partitions.strategy:" in err
+    assert "vertex-throughput" in err and "no-weights" in err
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"traffic": {"rate_ps": 10}}, "traffic.rate_ps"),
+    ({"run": {**SMALL["run"], "partitons": {"k": 2}}}, "run.partitons"),
+    ({"run": {**SMALL["run"], "partitions": {"k": 2, "stratgy": "edge"}}},
+     "run.partitions.stratgy"),
+], ids=["traffic", "run", "run-partitions"])
+def test_unknown_key_is_a_config_error(tmp_path, capsys, doc, key):
+    cfg_path = _write_cfg(tmp_path, doc)
+    assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
+    assert f"{key}: unknown key" in capsys.readouterr().err

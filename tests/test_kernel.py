@@ -14,16 +14,17 @@ from dsnetsim.metrics import compare_reports
 from dsnetsim.partition import partition_balanced
 from dsnetsim.router import Packet
 from dsnetsim.routing import compute_routes
-from dsnetsim.model import build_model
+from dsnetsim.model import MODE_PERIODIC, build_model
 from dsnetsim.topology import generate_synthetic_topology
 from dsnetsim.traffic import TrafficSpec
-from conftest import line_topology, single_flow_model
+from conftest import line_topology, single_flow_model, tight_shaper_profiles
 
 
-def _fresh_model(end_ns=1_000_000, seed=42):
+def _fresh_model(end_ns=1_000_000, seed=42, **model_kwargs):
     topo = generate_synthetic_topology(10, 3, 2, seed=1)
     spec = TrafficSpec(rate_pps=100_000, seed=5)
-    return build_model(topo, compute_routes(topo), spec, end_ns, seed), topo
+    return build_model(topo, compute_routes(topo), spec, end_ns, seed,
+                       **model_kwargs), topo
 
 
 # --------------------------------------------------------------------------
@@ -201,6 +202,30 @@ def test_serial_equivalence_small(k, runtime):
     assert compare_reports(seq, rep)["record_diff_count"] == 0
     # committed event counts are identical across partition counts
     assert rep.committed_events == seq.committed_events
+
+
+# a tight shaper blocks, so lazy mode runs SEND events and periodic mode
+# runs REFILL events that release queued packets: rollbacks must restore the
+# shaper and queue state these events change
+SHAPER_SCENARIOS = {
+    "tight-shaper": dict(profiles=tight_shaper_profiles()),
+    "periodic-refill": dict(profiles=tight_shaper_profiles(),
+                            mode=MODE_PERIODIC, token_interval_ns=5_000),
+}
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("scenario", sorted(SHAPER_SCENARIOS))
+def test_serial_equivalence_with_send_and_refill(scenario, k):
+    kwargs = SHAPER_SCENARIOS[scenario]
+    seq = run_sequential(_fresh_model(**kwargs)[0])
+    model, topo = _fresh_model(**kwargs)
+    knobs = Knobs(gvt_interval=128, batch_size=8, schedule_seed=3, jitter=2,
+                  watchdog_s=60)
+    rep = run_optimistic(model, partition_balanced(topo, k), knobs)
+    assert compare_reports(seq, rep)["record_diff_count"] == 0
+    assert rep.committed_events == seq.committed_events
+    assert rep.rolled_back_events > 0
 
 
 def test_records_invariant_under_transport_jitter():

@@ -1,13 +1,19 @@
-"""Router handler behaviour: two-event model, send-flag economy, timing."""
+"""Router handler behaviour: two-event model, send-flag economy, timing,
+and the one-port rule that incremental state saving relies on."""
+
+import heapq
+
+import pytest
 
 from dsnetsim import events
 from dsnetsim.kernel import run_sequential
 from dsnetsim.model import MODE_PERIODIC, build_model
-from dsnetsim.router import Packet, dispatch, transmission_ns
+from dsnetsim.router import Packet, dispatch, touched_port, transmission_ns
 from dsnetsim.routing import compute_routes
 from dsnetsim.qos import TOKEN_SCALE
+from dsnetsim.topology import generate_synthetic_topology
 from dsnetsim.traffic import TrafficSpec, Flow
-from conftest import line_topology, single_flow_model
+from conftest import line_topology, single_flow_model, tight_shaper_profiles
 
 
 def _arrive(pkt, target, t=0, sender=99, seq=0):
@@ -194,3 +200,59 @@ def test_refill_tick_count_doubles_when_interval_halves():
     assert events_at(10_000) == lazy_events + ticks(10_000)
     assert events_at(5_000) == lazy_events + ticks(5_000)
     assert ticks(5_000) == 2 * ticks(10_000)
+
+
+def _state(obj):
+    """Copy of an object's mutable state as nested tuples and dicts, for
+    equality checks; the shared, immutable link, profile and parameter
+    objects are left out."""
+    if isinstance(obj, list):
+        return tuple(_state(x) for x in obj)
+    if isinstance(obj, dict):
+        return {k: _state(v) for k, v in obj.items()}
+    slots = getattr(type(obj), "__slots__", None)
+    if slots is None:
+        return obj
+    return tuple(_state(getattr(obj, name)) for name in slots
+                 if name not in ("link", "profile", "params"))
+
+
+@pytest.mark.parametrize("model_kwargs", [
+    dict(),
+    dict(mode=MODE_PERIODIC, token_interval_ns=5_000),
+], ids=["tight-shaper", "periodic-refill"])
+def test_event_changes_only_its_touched_port_and_restore_undoes_it(model_kwargs):
+    """The incremental save is complete: an event leaves every pipeline but
+    its touched port alone, and restoring the save before it gives back the
+    whole LP state."""
+    topo = generate_synthetic_topology(10, 3, 2, seed=1)
+    model = build_model(topo, compute_routes(topo),
+                        TrafficSpec(rate_pps=100_000, seed=5),
+                        end_time_ns=300_000, seed=42,
+                        profiles=tight_shaper_profiles(), **model_kwargs)
+    heap = [(ev.key, ev) for ev in model.bootstrap]
+    heapq.heapify(heap)
+    kinds = set()
+    while heap:
+        _, ev = heapq.heappop(heap)
+        if ev.time > model.end_time_ns:
+            break
+        lp = model.lps[ev.target]
+        port = touched_port(lp, ev)
+        before = _state(lp)
+        others = {p.port: _state(p) for p in lp.pipelines
+                  if p is not None and p.port != port}
+        saved = lp.clone(port)
+        dispatch(lp, ev, model.ctx)
+        assert others == {p.port: _state(p) for p in lp.pipelines
+                          if p is not None and p.port != port}, \
+            f"{ev} changed a port other than {port}"
+        lp.restore(saved)
+        assert _state(lp) == before, f"restore did not undo {ev}"
+        fx = dispatch(lp, ev, model.ctx)
+        kinds.add(ev.kind)
+        for em in fx.emitted:
+            heapq.heappush(heap, (em.key, em))
+    expected = {events.ARRIVE, events.GENERATE,
+                events.REFILL if "mode" in model_kwargs else events.SEND}
+    assert expected <= kinds
