@@ -93,8 +93,11 @@ def cmd_run(args) -> int:
           f"dropped={report.dropped} drop_rate={report.drop_rate:.4f}")
     if report.mean_delay_ns is not None:
         print(f"mean_delay_ns={report.mean_delay_ns:.1f} jitter_ns={report.jitter_ns:.1f}")
+    processed = report.committed_events + report.rolled_back_events
+    efficiency = report.committed_events / processed if processed else 1.0
     print(f"committed_events={report.committed_events} "
           f"rolled_back_events={report.rolled_back_events} "
+          f"efficiency={efficiency:.4f} "
           f"wall_clock_s={report.wall_clock_s:.2f}")
     return EXIT_OK
 

@@ -9,11 +9,12 @@ seq)``; the sender sequence counter is part of each LP's saved state so a
 rolled-back LP re-emits byte-identical events.
 
 Before each event the engine saves only what that event can change: the
-pipeline of the one port it touches (``router.touched_port``), the RNG
+pipeline of the one port it touches (``router.touched_port``), as a copy
+of its flat state list and of its per-class packet lists, plus the RNG
 cursors, ``seq`` and the flows' ``pkt_seq`` (``RouterLp.clone``). A
-rollback restores the undone events' saves newest first, so for every
-port the earliest save wins and the LP is back where it was before the
-first undone event.
+rollback writes the undone events' saves back newest first
+(``RouterLp.restore``), so for every port the earliest save wins and the
+LP is back where it was before the first undone event.
 
 One driver runs the partitions: a deterministic single-thread stepper that
 gives each partition one batch per round, over per-channel FIFO queues

@@ -7,6 +7,15 @@ with integer rates in bytes/second and integer timestamps in nanoseconds,
 ``rate * dt_ns`` is exact, so lazy on-demand refill matches a brute-force
 1 ns ticking bucket bit for bit. That exactness is what makes parallel and
 sequential runs byte-identical.
+
+Each stateful element (:class:`TokenBucket`, :class:`SrtcmMeter`,
+:class:`ClassQueue`, :class:`RedState`) keeps its mutable numbers in a flat
+list ``st`` from offset ``i`` on; the object itself holds only its
+configuration, plus the packet list of a queue. A standalone element owns a
+private list. An egress pipeline passes one shared list to all its
+elements, which append their numbers to it, so the whole pipeline state is
+one list of numbers plus one packet list per class, and saving it is a
+list copy (see ``router.EgressPipeline``).
 """
 
 from __future__ import annotations
@@ -27,21 +36,48 @@ class Color(IntEnum):
     RED = 2
 
 
+def st_field(offset: int, doc: str) -> property:
+    """Read/write view of the number at ``st[i + offset]`` of an object
+    whose numbers start at offset ``i`` of its state list ``st``."""
+
+    def get(self):
+        return self.st[self.i + offset]
+
+    def set(self, value):
+        self.st[self.i + offset] = value
+
+    return property(get, set, doc=doc)
+
+
+def _place(element, st: list | None, values: list):
+    """Append an element's initial numbers to ``st`` (a new private list
+    when None) and remember where they start."""
+    element.st = st = [] if st is None else st
+    element.i = len(st)
+    st.extend(values)
+
+
 # --------------------------------------------------------------------------
 # token bucket
 
 class TokenBucket:
-    """Bucket with capacity C bytes, fill rate r bytes/second, lazy refill."""
+    """Bucket with capacity C bytes, fill rate r bytes/second, lazy refill.
 
-    __slots__ = ("capacity_bytes", "rate_bps", "tokens_scaled", "last_update_ns")
+    State: ``st[i]`` tokens (scaled), ``st[i + 1]`` time of the last refill.
+    """
 
-    def __init__(self, capacity_bytes: int, rate_bps: int, start_full: bool = True):
+    __slots__ = ("capacity_bytes", "rate_bps", "st", "i")
+
+    tokens_scaled = st_field(0, "tokens, in units of 1e-9 byte")
+    last_update_ns = st_field(1, "time of the last lazy refill")
+
+    def __init__(self, capacity_bytes: int, rate_bps: int, start_full: bool = True,
+                 st: list | None = None):
         if capacity_bytes <= 0 or rate_bps <= 0:
             raise QosConfigError("bucket capacity and rate must be positive")
         self.capacity_bytes = capacity_bytes
         self.rate_bps = rate_bps  # bytes per second
-        self.tokens_scaled = capacity_bytes * TOKEN_SCALE if start_full else 0
-        self.last_update_ns = 0
+        _place(self, st, [capacity_bytes * TOKEN_SCALE if start_full else 0, 0])
 
     @property
     def tokens(self) -> float:
@@ -53,20 +89,23 @@ class TokenBucket:
 
     def refill(self, now_ns: int):
         """Lazy refill to ``now_ns``; overflow is discarded."""
-        dt = now_ns - self.last_update_ns
-        assert dt >= 0, f"time regression in bucket refill ({now_ns} < {self.last_update_ns})"
+        st, i = self.st, self.i
+        dt = now_ns - st[i + 1]
+        assert dt >= 0, f"time regression in bucket refill ({now_ns} < {st[i + 1]})"
         if dt:
-            self.tokens_scaled = min(self.cap_scaled, self.tokens_scaled + self.rate_bps * dt)
-            self.last_update_ns = now_ns
+            st[i] = min(self.cap_scaled, st[i] + self.rate_bps * dt)
+            st[i + 1] = now_ns
 
     def add_scaled(self, amount_scaled: int):
         """Periodic-tick refill path: add a fixed quantum, cap at capacity."""
-        self.tokens_scaled = min(self.cap_scaled, self.tokens_scaled + amount_scaled)
+        st, i = self.st, self.i
+        st[i] = min(self.cap_scaled, st[i] + amount_scaled)
 
     def take(self, size_bytes: int) -> bool:
+        st, i = self.st, self.i
         need = size_bytes * TOKEN_SCALE
-        if self.tokens_scaled >= need:
-            self.tokens_scaled -= need
+        if st[i] >= need:
+            st[i] -= need
             return True
         return False
 
@@ -76,18 +115,10 @@ class TokenBucket:
             raise QosConfigError(
                 f"packet of {size_bytes} B can never pass a {self.capacity_bytes} B bucket"
             )
-        deficit = size_bytes * TOKEN_SCALE - self.tokens_scaled
+        deficit = size_bytes * TOKEN_SCALE - self.st[self.i]
         if deficit <= 0:
             return now_ns
         return now_ns + -(-deficit // self.rate_bps)
-
-    def clone(self) -> "TokenBucket":
-        b = TokenBucket.__new__(TokenBucket)
-        b.capacity_bytes = self.capacity_bytes
-        b.rate_bps = self.rate_bps
-        b.tokens_scaled = self.tokens_scaled
-        b.last_update_ns = self.last_update_ns
-        return b
 
 
 def periodic_refill_amount_scaled(rate_bps: int, interval_ns: int) -> int:
@@ -109,94 +140,91 @@ class SrtcmMeter:
     """Single-rate three-color meter, color-blind mode.
 
     One rate feeds the committed bucket first; overflow spills into the
-    excess bucket. Both buckets start full.
+    excess bucket. Both buckets start full. State: ``st[i]`` committed
+    tokens, ``st[i + 1]`` excess tokens (both scaled), ``st[i + 2]`` time
+    of the last refill.
     """
 
-    __slots__ = ("params", "tc_scaled", "te_scaled", "last_update_ns")
+    __slots__ = ("params", "st", "i")
 
-    def __init__(self, params: SrtcmParams):
+    tc_scaled = st_field(0, "committed-bucket tokens, in units of 1e-9 byte")
+    te_scaled = st_field(1, "excess-bucket tokens, in units of 1e-9 byte")
+    last_update_ns = st_field(2, "time of the last lazy refill")
+
+    def __init__(self, params: SrtcmParams, st: list | None = None):
         if params.cbs_bytes <= 0 and params.ebs_bytes <= 0:
             raise QosConfigError("srTCM needs cbs > 0 or ebs > 0")
         self.params = params
-        self.tc_scaled = params.cbs_bytes * TOKEN_SCALE
-        self.te_scaled = params.ebs_bytes * TOKEN_SCALE
-        self.last_update_ns = 0
+        _place(self, st, [params.cbs_bytes * TOKEN_SCALE, params.ebs_bytes * TOKEN_SCALE, 0])
 
     def refill(self, now_ns: int):
-        dt = now_ns - self.last_update_ns
+        st, i = self.st, self.i
+        dt = now_ns - st[i + 2]
         assert dt >= 0, "time regression in srTCM refill"
         if not dt:
             return
         added = self.params.cir_bps * dt
         cbs_s = self.params.cbs_bytes * TOKEN_SCALE
         ebs_s = self.params.ebs_bytes * TOKEN_SCALE
-        new_tc = min(cbs_s, self.tc_scaled + added)
-        spill = added - (new_tc - self.tc_scaled)
-        self.tc_scaled = new_tc
-        self.te_scaled = min(ebs_s, self.te_scaled + spill)
-        self.last_update_ns = now_ns
+        tc = st[i]
+        new_tc = min(cbs_s, tc + added)
+        spill = added - (new_tc - tc)
+        st[i] = new_tc
+        st[i + 1] = min(ebs_s, st[i + 1] + spill)
+        st[i + 2] = now_ns
 
     def mark(self, size_bytes: int, now_ns: int) -> Color:
         assert size_bytes > 0
         self.refill(now_ns)
+        st, i = self.st, self.i
         need = size_bytes * TOKEN_SCALE
-        if self.tc_scaled >= need:
-            self.tc_scaled -= need
+        if st[i] >= need:
+            st[i] -= need
             return Color.GREEN
-        if self.te_scaled >= need:
-            self.te_scaled -= need
+        if st[i + 1] >= need:
+            st[i + 1] -= need
             return Color.YELLOW
         return Color.RED
-
-    def clone(self) -> "SrtcmMeter":
-        m = SrtcmMeter.__new__(SrtcmMeter)
-        m.params = self.params
-        m.tc_scaled = self.tc_scaled
-        m.te_scaled = self.te_scaled
-        m.last_update_ns = self.last_update_ns
-        return m
 
 
 # --------------------------------------------------------------------------
 # class queues
 
 class ClassQueue:
-    """Byte-bounded FIFO for one priority class (0 = highest priority)."""
+    """Byte-bounded FIFO for one priority class (0 = highest priority).
 
-    __slots__ = ("class_index", "capacity_bytes", "packets", "byte_length", "empty_since_ns")
+    State: ``packets``, ``st[i]`` queued bytes, ``st[i + 1]`` virtual time
+    the queue last became empty.
+    """
 
-    def __init__(self, class_index: int, capacity_bytes: int):
+    __slots__ = ("class_index", "capacity_bytes", "packets", "st", "i")
+
+    byte_length = st_field(0, "bytes queued")
+    empty_since_ns = st_field(1, "virtual time the queue last became empty")
+
+    def __init__(self, class_index: int, capacity_bytes: int, st: list | None = None):
         self.class_index = class_index
         self.capacity_bytes = capacity_bytes
         self.packets: list = []
-        self.byte_length = 0
-        self.empty_since_ns = 0  # virtual time the queue last became empty
+        _place(self, st, [0, 0])
 
     def fits(self, size_bytes: int) -> bool:
-        return self.byte_length + size_bytes <= self.capacity_bytes
+        return self.st[self.i] + size_bytes <= self.capacity_bytes
 
     def push(self, pkt):
         self.packets.append(pkt)
-        self.byte_length += pkt.size
+        self.st[self.i] += pkt.size
 
     def head(self):
         return self.packets[0] if self.packets else None
 
     def pop(self, now_ns: int):
+        st, i = self.st, self.i
         pkt = self.packets.pop(0)
-        self.byte_length -= pkt.size
+        st[i] -= pkt.size
         if not self.packets:
-            self.empty_since_ns = now_ns
+            st[i + 1] = now_ns
         return pkt
-
-    def clone(self) -> "ClassQueue":
-        q = ClassQueue.__new__(ClassQueue)
-        q.class_index = self.class_index
-        q.capacity_bytes = self.capacity_bytes
-        q.packets = list(self.packets)
-        q.byte_length = self.byte_length
-        q.empty_since_ns = self.empty_since_ns
-        return q
 
 
 def strict_priority_select(queues: list[ClassQueue]) -> int | None:
@@ -234,14 +262,20 @@ DROP = "drop"
 
 
 class RedState:
-    """EWMA average and drop bookkeeping for one (class, color) dropper."""
+    """EWMA average and drop bookkeeping for one (class, color) dropper.
 
-    __slots__ = ("params", "avg", "count")
+    State: ``st[i]`` average queue length in bytes (float), ``st[i + 1]``
+    packets enqueued since the last drop.
+    """
 
-    def __init__(self, params: RedParams):
+    __slots__ = ("params", "st", "i")
+
+    avg = st_field(0, "EWMA of the queue length, bytes")
+    count = st_field(1, "packets enqueued since the last drop")
+
+    def __init__(self, params: RedParams, st: list | None = None):
         self.params = params
-        self.avg = 0.0
-        self.count = 0
+        _place(self, st, [0.0, 0])
 
     def decide(self, queue: ClassQueue, pkt_size: int, now_ns: int, rand: float) -> str:
         """Early-drop decision for one arriving packet.
@@ -251,36 +285,34 @@ class RedState:
         between the enqueue / probabilistic / forced-drop regions.
         """
         p = self.params
+        st, i = self.st, self.i
         if not queue.fits(pkt_size):
             # tail drop: the dropper cannot admit what the queue cannot hold
-            self.count = 0
+            st[i + 1] = 0
             return DROP
-        if queue.byte_length == 0 and now_ns > queue.empty_since_ns:
-            idle = now_ns - queue.empty_since_ns
+        qst, qi = queue.st, queue.i
+        byte_length = qst[qi]
+        avg = st[i]
+        if byte_length == 0 and now_ns > qst[qi + 1]:
+            idle = now_ns - qst[qi + 1]
             m = idle / p.mean_pkt_time_ns
-            self.avg *= (1.0 - p.weight) ** m
-        self.avg = (1.0 - p.weight) * self.avg + p.weight * queue.byte_length
-        if self.avg < p.min_th_bytes:
-            self.count = 0
+            avg *= (1.0 - p.weight) ** m
+        avg = (1.0 - p.weight) * avg + p.weight * byte_length
+        st[i] = avg
+        if avg < p.min_th_bytes:
+            st[i + 1] = 0
             return ENQUEUE
-        if self.avg >= p.max_th_bytes:
-            self.count = 0
+        if avg >= p.max_th_bytes:
+            st[i + 1] = 0
             return DROP
-        p_b = p.max_p * (self.avg - p.min_th_bytes) / (p.max_th_bytes - p.min_th_bytes)
-        denom = 1.0 - self.count * p_b
+        p_b = p.max_p * (avg - p.min_th_bytes) / (p.max_th_bytes - p.min_th_bytes)
+        denom = 1.0 - st[i + 1] * p_b
         p_a = 1.0 if denom <= 0.0 else min(1.0, p_b / denom)
         if rand < p_a:
-            self.count = 0
+            st[i + 1] = 0
             return DROP
-        self.count += 1
+        st[i + 1] += 1
         return ENQUEUE
-
-    def clone(self) -> "RedState":
-        r = RedState.__new__(RedState)
-        r.params = self.params
-        r.avg = self.avg
-        r.count = self.count
-        return r
 
 
 # --------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Every draw is a pure function of (master seed, lp id, purpose, cursor), so an
 LP that is rolled back and re-executed consumes exactly the same stream as
-long as its cursors are part of the snapshotted state.
+long as its cursors are part of the saved state.
 """
 
 MASK64 = (1 << 64) - 1
@@ -20,12 +20,16 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def draw_u64(seed: int, lp_id: int, purpose: int, cursor: int) -> int:
-    """64-bit value for the given counter position."""
+def _prefix(seed: int, lp_id: int, purpose: int) -> int:
+    """The part of a draw that does not depend on the cursor."""
     x = _splitmix64(seed & MASK64)
     x = _splitmix64(x ^ (lp_id & MASK64))
-    x = _splitmix64(x ^ (purpose & MASK64))
-    return _splitmix64(x ^ (cursor & MASK64))
+    return _splitmix64(x ^ (purpose & MASK64))
+
+
+def draw_u64(seed: int, lp_id: int, purpose: int, cursor: int) -> int:
+    """64-bit value for the given counter position."""
+    return _splitmix64(_prefix(seed, lp_id, purpose) ^ (cursor & MASK64))
 
 
 def draw_uniform(seed: int, lp_id: int, purpose: int, cursor: int) -> float:
@@ -34,19 +38,31 @@ def draw_uniform(seed: int, lp_id: int, purpose: int, cursor: int) -> float:
 
 
 class CursorRng:
-    """Per-LP view over the counter RNG; cursors live in LP state."""
+    """Per-LP view over the counter RNG; cursors live in LP state.
 
-    __slots__ = ("seed", "lp_id", "cursors")
+    ``prefixes`` caches :func:`_prefix` per purpose, so a draw costs one
+    splitmix step. It is derived from the seed and the LP id, not state:
+    a save needs only the cursors.
+    """
+
+    __slots__ = ("seed", "lp_id", "cursors", "prefixes")
 
     def __init__(self, seed: int, lp_id: int, cursors: dict | None = None):
         self.seed = seed
         self.lp_id = lp_id
         self.cursors = cursors if cursors is not None else {}
+        self.prefixes: dict[int, int] = {}
 
     def uniform(self, purpose: int) -> float:
+        """The draw at ``purpose``'s cursor, equal to ``draw_uniform``;
+        advances the cursor."""
         c = self.cursors.get(purpose, 0)
         self.cursors[purpose] = c + 1
-        return draw_uniform(self.seed, self.lp_id, purpose, c)
+        try:
+            x = self.prefixes[purpose]
+        except KeyError:
+            x = self.prefixes[purpose] = _prefix(self.seed, self.lp_id, purpose)
+        return (_splitmix64(x ^ (c & MASK64)) >> 11) * (1.0 / (1 << 53))
 
     def clone(self) -> "CursorRng":
         return CursorRng(self.seed, self.lp_id, dict(self.cursors))

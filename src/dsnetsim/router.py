@@ -8,10 +8,11 @@ schedule redundant retries; one SEND may drain several packets.
 All handler effects are appended to an :class:`Effects` value and all state
 mutation stays inside this LP. One event changes at most one egress
 pipeline, the one :func:`touched_port` names before the event runs, plus
-the RNG cursors, the ``seq`` counter and a flow's ``pkt_seq``. The
-optimistic kernel saves only that state before each event
-(:meth:`RouterLp.clone`) and puts it back on rollback
-(:meth:`RouterLp.restore`).
+the RNG cursors, the ``seq`` counter and a flow's ``pkt_seq``. A
+pipeline's mutable state is one flat list of numbers and one packet list
+per class (:class:`EgressPipeline`), so the optimistic kernel's save before
+each event (:meth:`RouterLp.clone`) is a few list copies, and a rollback
+writes them back (:meth:`RouterLp.restore`).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import math
 
 from . import events, rng
 from .metrics import PacketRecord
-from .qos import TOKEN_SCALE, QosProfile, ClassQueue, RedState, SrtcmMeter, TokenBucket, \
-    strict_priority_select, ENQUEUE, periodic_refill_amount_scaled
+from .qos import QosProfile, ClassQueue, RedState, SrtcmMeter, TokenBucket, \
+    strict_priority_select, st_field, ENQUEUE, periodic_refill_amount_scaled
 
 PKT_ID_STRIDE = 10**7
 
@@ -66,51 +67,48 @@ class Effects:
         self.generated = 0
 
 
-class EgressPipeline:
-    """QoS pipeline and shaper of one egress port, plus audit counters."""
+# offsets into EgressPipeline.st; the QoS elements' numbers follow
+SEND_FLAG, ARRIVE_COUNT, SEND_COUNT, BLOCKED_EPISODES, STALE_SENDS, REDUNDANT_SENDS = range(6)
 
-    __slots__ = (
-        "port", "link", "profile", "srtcm", "red", "queues", "shaper",
-        "send_flag", "arrive_count", "send_count", "blocked_episodes",
-        "stale_sends", "redundant_sends",
-    )
+
+class EgressPipeline:
+    """QoS pipeline and shaper of one egress port, plus audit counters.
+
+    All mutable state is ``st``, one flat list of numbers (the send flag,
+    the five audit counters, then the shaper's, and per class the queue's,
+    the meter's and each colour's RED numbers), and ``pkts``, the packet
+    list of each class queue. The QoS element objects are views into them
+    at fixed offsets and hold only configuration, so a copy of ``st`` and
+    of each list in ``pkts`` is a complete save of the pipeline.
+    """
+
+    __slots__ = ("port", "link", "profile", "shaper", "queues", "srtcm", "red",
+                 "st", "pkts")
+
+    i = 0  # the pipeline's own numbers start st, ahead of its elements'
+
+    send_flag = st_field(SEND_FLAG, "a try-to-send is pending or in progress")
+    arrive_count = st_field(ARRIVE_COUNT, "packets routed to this port")
+    send_count = st_field(SEND_COUNT, "SEND events acted on")
+    blocked_episodes = st_field(BLOCKED_EPISODES, "shaper shortfalls that scheduled a retry")
+    stale_sends = st_field(STALE_SENDS, "SEND events found with the flag clear")
+    redundant_sends = st_field(REDUNDANT_SENDS, "SEND events found with empty queues")
 
     def __init__(self, port: int, link, profile: QosProfile):
         self.port = port
         self.link = link
         self.profile = profile
-        self.srtcm = [SrtcmMeter(p) for p in profile.srtcm]
-        self.red = [
-            [RedState(p) for p in per_class] for per_class in profile.red
-        ]
+        st = self.st = [False, 0, 0, 0, 0, 0]
+        self.shaper = TokenBucket(profile.shaper_burst_bytes, profile.shaper_rate_bps, st=st)
         self.queues = [
-            ClassQueue(i, profile.queue_capacity_bytes)
+            ClassQueue(i, profile.queue_capacity_bytes, st)
             for i in range(profile.num_classes)
         ]
-        self.shaper = TokenBucket(profile.shaper_burst_bytes, profile.shaper_rate_bps)
-        self.send_flag = False
-        self.arrive_count = 0
-        self.send_count = 0
-        self.blocked_episodes = 0
-        self.stale_sends = 0
-        self.redundant_sends = 0
-
-    def clone(self) -> "EgressPipeline":
-        p = EgressPipeline.__new__(EgressPipeline)
-        p.port = self.port
-        p.link = self.link
-        p.profile = self.profile
-        p.srtcm = [m.clone() for m in self.srtcm]
-        p.red = [[r.clone() for r in per_class] for per_class in self.red]
-        p.queues = [q.clone() for q in self.queues]
-        p.shaper = self.shaper.clone()
-        p.send_flag = self.send_flag
-        p.arrive_count = self.arrive_count
-        p.send_count = self.send_count
-        p.blocked_episodes = self.blocked_episodes
-        p.stale_sends = self.stale_sends
-        p.redundant_sends = self.redundant_sends
-        return p
+        self.srtcm = [SrtcmMeter(p, st) for p in profile.srtcm]
+        self.red = [
+            [RedState(p, st) for p in per_class] for per_class in profile.red
+        ]
+        self.pkts = [q.packets for q in self.queues]
 
 
 class FlowGen:
@@ -147,19 +145,28 @@ class RouterLp:
 
     def clone(self, port: int | None) -> tuple:
         """Save the state one event can change: the pipeline of ``port``
-        (the event's :func:`touched_port`; None saves no pipeline), the
-        RNG cursors, ``seq`` and every flow's ``pkt_seq``."""
-        pipe = self.pipelines[port].clone() if port is not None else None
-        return (port, pipe, self.rng.clone(), self.seq,
+        (the event's :func:`touched_port`; None saves no pipeline) as a
+        copy of its ``st`` and of its packet lists, the RNG cursors,
+        ``seq`` and every flow's ``pkt_seq``."""
+        if port is None:
+            st = pkts = None
+        else:
+            pipe = self.pipelines[port]
+            st = pipe.st[:]
+            pkts = [packets[:] for packets in pipe.pkts]
+        return (port, st, pkts, dict(self.rng.cursors), self.seq,
                 [f.pkt_seq for f in self.flows])
 
     def restore(self, saved: tuple):
-        """Put back a save from :meth:`clone`. The saved objects become
-        live state, so each save is restored at most once."""
-        port, pipe, cursor_rng, seq, pkt_seqs = saved
-        if pipe is not None:
-            self.pipelines[port] = pipe
-        self.rng = cursor_rng
+        """Write a save from :meth:`clone` back into the live state. The
+        save itself is left as it was."""
+        port, st, pkts, cursors, seq, pkt_seqs = saved
+        if port is not None:
+            pipe = self.pipelines[port]
+            pipe.st[:] = st
+            for packets, saved_packets in zip(pipe.pkts, pkts):
+                packets[:] = saved_packets
+        self.rng.cursors = dict(cursors)
         self.seq = seq
         for flow, pkt_seq in zip(self.flows, pkt_seqs):
             flow.pkt_seq = pkt_seq
@@ -190,7 +197,8 @@ def handle_arrive(lp: RouterLp, pkt: Packet, now: int, fx: Effects, ctx):
             pkt.created_ns, None, lp.node, DROP_ROUTING))
         return
     pipe = lp.pipelines[port]
-    pipe.arrive_count += 1
+    st = pipe.st
+    st[ARRIVE_COUNT] += 1
     cls = pipe.profile.classifier.classify(pkt.ds)
     pkt.class_index = cls
     pkt.color = int(pipe.srtcm[cls].mark(pkt.size, now))
@@ -204,20 +212,21 @@ def handle_arrive(lp: RouterLp, pkt: Packet, now: int, fx: Effects, ctx):
             pkt.created_ns, None, lp.node, DROP_QUEUE if full else DROP_RED))
         return
     queue.push(pkt)
-    if not pipe.send_flag:
-        pipe.send_flag = True
+    if not st[SEND_FLAG]:
+        st[SEND_FLAG] = True
         try_to_send(lp, pipe, now, fx, ctx)
 
 
 def handle_send(lp: RouterLp, port: int, now: int, fx: Effects, ctx):
     pipe = lp.pipelines[port]
-    if not pipe.send_flag:
+    st = pipe.st
+    if not st[SEND_FLAG]:
         # a SEND whose cause was undone by a rollback; ignore it
-        pipe.stale_sends += 1
+        st[STALE_SENDS] += 1
         return
-    pipe.send_count += 1
+    st[SEND_COUNT] += 1
     if strict_priority_select(pipe.queues) is None:
-        pipe.redundant_sends += 1
+        st[REDUNDANT_SENDS] += 1
     try_to_send(lp, pipe, now, fx, ctx)
 
 
@@ -226,24 +235,24 @@ def try_to_send(lp: RouterLp, pipe: EgressPipeline, now: int, fx: Effects, ctx):
     schedule one retry at the earliest sufficiency time (lazy mode) or wait
     for the next periodic refill (baseline mode). The send flag stays set
     until the port goes idle."""
+    shaper = pipe.shaper
     while True:
         cls = strict_priority_select(pipe.queues)
         if cls is None:
-            pipe.send_flag = False
+            pipe.st[SEND_FLAG] = False
             return
         if ctx.lazy_shaper:
-            pipe.shaper.refill(now)
+            shaper.refill(now)
         head = pipe.queues[cls].head()
-        if pipe.shaper.tokens_scaled >= head.size * TOKEN_SCALE:
-            pipe.shaper.take(head.size)
+        if shaper.take(head.size):
             pkt = pipe.queues[cls].pop(now)
             link = pipe.link
             t_arrive = now + transmission_ns(pkt.size, link.bandwidth_bps) + link.delay_ns
             lp.emit(fx, t_arrive, link.dst, events.ARRIVE, pkt.copy())
             continue
         if ctx.lazy_shaper:
-            retry = pipe.shaper.earliest_ready_ns(head.size, now)
-            pipe.blocked_episodes += 1
+            retry = shaper.earliest_ready_ns(head.size, now)
+            pipe.st[BLOCKED_EPISODES] += 1
             lp.emit(fx, retry, lp.node, events.SEND, pipe.port)
         # baseline mode: the next REFILL tick re-runs try_to_send
         return
@@ -256,7 +265,7 @@ def handle_refill(lp: RouterLp, port: int, now: int, fx: Effects, ctx):
     nxt = now + ctx.token_interval_ns
     if nxt <= ctx.end_time_ns:
         lp.emit(fx, nxt, lp.node, events.REFILL, port)
-    if pipe.send_flag:
+    if pipe.st[SEND_FLAG]:
         try_to_send(lp, pipe, now, fx, ctx)
 
 

@@ -98,18 +98,42 @@ _KNOB_CHECKS = {
 }
 
 
+# required keys of one traffic.flows entry; "ds" is optional
+_FLOW_KEYS = ("src", "dst", "rate_pps")
+
+
 def _check_keys(block, valid, where: str):
-    """Reject a block that is not a mapping or has a key outside ``valid``."""
+    """Reject a block that is not a mapping or has a key outside ``valid``.
+    ``where`` is the block's dotted path, empty for the top level."""
     if not isinstance(block, dict):
         raise ScenarioError(f"{where}: expected a mapping")
     for key in block:
         if key not in valid:
             raise ScenarioError(
-                f"{where}.{key}: unknown key (valid: {', '.join(sorted(valid))})")
+                f"{where + '.' if where else ''}{key}: unknown key "
+                f"(valid: {', '.join(sorted(valid))})")
+
+
+def _check_flows(flows):
+    if not isinstance(flows, list):
+        raise ScenarioError("traffic.flows: expected a list")
+    for i, flow in enumerate(flows):
+        where = f"traffic.flows[{i}]"
+        _check_keys(flow, _FLOW_KEYS + ("ds",), where)
+        for key in _FLOW_KEYS:
+            if key not in flow:
+                raise ScenarioError(f"{where}.{key}: missing")
 
 
 def _validate(cfg: dict):
+    _check_keys(cfg, DEFAULT_CONFIG, "")
+    _check_keys(cfg["topology"], ("path", "synthetic"), "topology")
+    _check_keys(cfg["topology"]["synthetic"], DEFAULT_CONFIG["topology"]["synthetic"],
+                "topology.synthetic")
+    _check_keys(cfg["routing"], DEFAULT_CONFIG["routing"], "routing")
+    _check_keys(cfg["qos"], DEFAULT_CONFIG["qos"], "qos")
     _check_keys(cfg["traffic"], DEFAULT_CONFIG["traffic"], "traffic")
+    _check_flows(cfg["traffic"]["flows"] or [])
     _check_keys(cfg["run"], DEFAULT_CONFIG["run"], "run")
     _check_keys(cfg["run"]["partitions"], DEFAULT_CONFIG["run"]["partitions"],
                 "run.partitions")

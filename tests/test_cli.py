@@ -57,6 +57,18 @@ def test_run_optimistic_k1_record_file_identical_to_sequential(tmp_path):
     assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
 
 
+def test_run_prints_efficiency(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path)
+    assert main(["run", "--config", cfg_path, "--mode", "optimistic", "-k", "2"]) == EXIT_OK
+    line = [ln for ln in capsys.readouterr().out.splitlines()
+            if ln.startswith("committed_events=")][0]
+    fields = dict(f.split("=") for f in line.split())
+    committed = int(fields["committed_events"])
+    rolled_back = int(fields["rolled_back_events"])
+    assert rolled_back > 0
+    assert fields["efficiency"] == f"{committed / (committed + rolled_back):.4f}"
+
+
 def test_run_baseline_refill_event_count(tmp_path):
     cfg_path = _write_cfg(tmp_path)
     seq_out = tmp_path / "seq"
@@ -226,8 +238,26 @@ def test_bad_partition_strategy_is_a_config_error(tmp_path, capsys):
     ({"run": {**SMALL["run"], "partitons": {"k": 2}}}, "run.partitons"),
     ({"run": {**SMALL["run"], "partitions": {"k": 2, "stratgy": "edge"}}},
      "run.partitions.stratgy"),
-], ids=["traffic", "run", "run-partitions"])
+    ({"traffic": {"pattern": "explicit",
+                  "flows": [{"src": 0, "dst": 5, "rate_pps": 10},
+                            {"src": 0, "dst": 5, "rate_ps": 1000}]}},
+     "traffic.flows[1].rate_ps"),
+    ({"rn": {"end_ns": 100_000}}, "rn"),
+    ({"topology": {**SMALL["topology"], "pth": "x"}}, "topology.pth"),
+    ({"topology": {"synthetic": {**SMALL["topology"]["synthetic"], "n_acess": 4}}},
+     "topology.synthetic.n_acess"),
+    ({"routing": {"metrc": "latency"}}, "routing.metrc"),
+    ({"qos": {"defualt": {}}}, "qos.defualt"),
+], ids=["traffic", "run", "run-partitions", "traffic-flows", "top-level", "topology",
+        "topology-synthetic", "routing", "qos"])
 def test_unknown_key_is_a_config_error(tmp_path, capsys, doc, key):
     cfg_path = _write_cfg(tmp_path, doc)
     assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
     assert f"{key}: unknown key" in capsys.readouterr().err
+
+
+def test_flow_without_a_rate_is_a_config_error(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, {"traffic": {
+        "pattern": "explicit", "flows": [{"src": 0, "dst": 5}]}})
+    assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
+    assert "traffic.flows[0].rate_pps: missing" in capsys.readouterr().err

@@ -263,15 +263,14 @@ def test_red_count_raises_drop_probability():
     p = RedParams(5000, 15000, 0.1, weight=0.002)
     probs = []
     for count in (0, 5, 9):
-        s = RedState(p)
-        s.avg = 10000.0
-        s.count = count
         q = _queue_with_bytes(10000)
         # find the decision boundary by bisection on rand
         lo, hi = 0.0, 1.0
         for _ in range(40):
             mid = (lo + hi) / 2
-            t = s.clone()
+            t = RedState(p)
+            t.avg = 10000.0
+            t.count = count
             if t.decide(q, 100, now_ns=1, rand=mid) == DROP:
                 lo = mid
             else:

@@ -8,9 +8,9 @@ import pytest
 from dsnetsim import events
 from dsnetsim.kernel import run_sequential
 from dsnetsim.model import MODE_PERIODIC, build_model
-from dsnetsim.router import Packet, dispatch, touched_port, transmission_ns
+from dsnetsim.router import EgressPipeline, Packet, dispatch, touched_port, transmission_ns
 from dsnetsim.routing import compute_routes
-from dsnetsim.qos import TOKEN_SCALE
+from dsnetsim.qos import TOKEN_SCALE, ClassQueue, RedState, SrtcmMeter, TokenBucket
 from dsnetsim.topology import generate_synthetic_topology
 from dsnetsim.traffic import TrafficSpec, Flow
 from conftest import line_topology, single_flow_model, tight_shaper_profiles
@@ -202,11 +202,16 @@ def test_refill_tick_count_doubles_when_interval_halves():
     assert ticks(5_000) == 2 * ticks(10_000)
 
 
+# left out of _state: shared immutable configuration, the RNG's prefix cache
+# (derived from the seed and the LP id) and the QoS element views, whose
+# numbers and packets are the pipeline's st and pkts
+_NOT_STATE = ("link", "profile", "params", "prefixes", "shaper", "queues", "srtcm", "red")
+
+
 def _state(obj):
     """Copy of an object's mutable state as nested tuples and dicts, for
-    equality checks; the shared, immutable link, profile and parameter
-    objects are left out."""
-    if isinstance(obj, list):
+    equality checks."""
+    if isinstance(obj, (list, tuple)):
         return tuple(_state(x) for x in obj)
     if isinstance(obj, dict):
         return {k: _state(v) for k, v in obj.items()}
@@ -214,7 +219,7 @@ def _state(obj):
     if slots is None:
         return obj
     return tuple(_state(getattr(obj, name)) for name in slots
-                 if name not in ("link", "profile", "params"))
+                 if name not in _NOT_STATE)
 
 
 @pytest.mark.parametrize("model_kwargs", [
@@ -222,9 +227,9 @@ def _state(obj):
     dict(mode=MODE_PERIODIC, token_interval_ns=5_000),
 ], ids=["tight-shaper", "periodic-refill"])
 def test_event_changes_only_its_touched_port_and_restore_undoes_it(model_kwargs):
-    """The incremental save is complete: an event leaves every pipeline but
-    its touched port alone, and restoring the save before it gives back the
-    whole LP state."""
+    """The incremental save is complete and isolated: an event leaves every
+    pipeline but its touched port alone and shares no live object with its
+    save, and restoring the save gives back the whole LP state."""
     topo = generate_synthetic_topology(10, 3, 2, seed=1)
     model = build_model(topo, compute_routes(topo),
                         TrafficSpec(rate_pps=100_000, seed=5),
@@ -243,7 +248,9 @@ def test_event_changes_only_its_touched_port_and_restore_undoes_it(model_kwargs)
         others = {p.port: _state(p) for p in lp.pipelines
                   if p is not None and p.port != port}
         saved = lp.clone(port)
+        saved_state = _state(saved)
         dispatch(lp, ev, model.ctx)
+        assert _state(saved) == saved_state, f"{ev} changed its own save"
         assert others == {p.port: _state(p) for p in lp.pipelines
                           if p is not None and p.port != port}, \
             f"{ev} changed a port other than {port}"
@@ -256,3 +263,31 @@ def test_event_changes_only_its_touched_port_and_restore_undoes_it(model_kwargs)
     expected = {events.ARRIVE, events.GENERATE,
                 events.REFILL if "mode" in model_kwargs else events.SEND}
     assert expected <= kinds
+
+
+# EgressPipeline fields that never change after construction: the port's
+# identity and configuration, and the QoS element views into st and pkts
+PIPELINE_CONFIG = {"port", "link", "profile", "shaper", "queues", "srtcm", "red"}
+# what RouterLp.clone copies of a pipeline
+PIPELINE_SAVED = {"st", "pkts"}
+
+
+def test_pipeline_state_is_what_the_save_copies():
+    """A pipeline field is either configuration or in the save, and the QoS
+    elements keep their numbers in the pipeline's st, so a new mutable
+    field cannot escape the save."""
+    assert set(EgressPipeline.__slots__) == PIPELINE_CONFIG | PIPELINE_SAVED
+    config = {"params", "capacity_bytes", "rate_bps", "class_index"}
+    for cls in (TokenBucket, SrtcmMeter, ClassQueue, RedState):
+        # st and i place the element's numbers; packets is one of pkts
+        assert set(cls.__slots__) <= config | {"st", "i", "packets"}, cls
+    model = single_flow_model(line_topology(2), 0, 1)
+    lp = model.lps[0]
+    pipe = lp.pipelines[0]
+    views = [pipe.shaper, *pipe.queues, *pipe.srtcm, *(r for row in pipe.red for r in row)]
+    assert all(v.st is pipe.st for v in views)
+    assert [id(q.packets) for q in pipe.queues] == [id(p) for p in pipe.pkts]
+    port, st, pkts, *_ = lp.clone(0)
+    assert port == 0
+    assert st == pipe.st and st is not pipe.st
+    assert pkts == pipe.pkts and all(a is not b for a, b in zip(pkts, pipe.pkts))
