@@ -23,6 +23,7 @@ from .scenario import (
 )
 from .topology import TopologyError, convert_external_topology, \
     generate_synthetic_topology, save_topology
+from .traffic import TrafficError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -249,7 +250,7 @@ def main(argv=None) -> int:
     except WatchdogError as e:
         print(f"watchdog abort: {e}", file=sys.stderr)
         return EXIT_WATCHDOG
-    except (ScenarioError, TopologyError, partition_mod.PartitionError,
+    except (ScenarioError, TopologyError, TrafficError, partition_mod.PartitionError,
             FileNotFoundError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

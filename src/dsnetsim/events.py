@@ -19,7 +19,8 @@ class Event:
     for anti-message matching; the full key adds a deterministic total order
     over simultaneous events."""
 
-    __slots__ = ("time", "target", "kind", "payload", "sender", "seq", "sign", "dead")
+    __slots__ = ("time", "target", "kind", "payload", "sender", "seq", "sign", "dead",
+                 "key", "eid")
 
     def __init__(self, time, target, kind, payload, sender, seq, sign=POSITIVE):
         self.time = time
@@ -32,14 +33,8 @@ class Event:
         # set when an anti-message annihilates this event while it is still
         # queued; the scheduler skips dead events lazily
         self.dead = False
-
-    @property
-    def key(self):
-        return (self.time, self.target, self.sender, self.seq)
-
-    @property
-    def eid(self):
-        return (self.sender, self.seq)
+        self.key = (time, target, sender, seq)
+        self.eid = (sender, seq)
 
     def as_anti(self) -> "Event":
         return Event(self.time, self.target, self.kind, None, self.sender, self.seq, ANTI)

@@ -277,8 +277,9 @@ class RedState:
         self.params = params
         _place(self, st, [0.0, 0])
 
-    def decide(self, queue: ClassQueue, pkt_size: int, now_ns: int, rand: float) -> str:
-        """Early-drop decision for one arriving packet.
+    def decide(self, queue: ClassQueue, fits: bool, now_ns: int, rand: float) -> str:
+        """Early-drop decision for one arriving packet; ``fits`` is
+        ``queue.fits(size)`` of that packet, which the caller also needs.
 
         The queue-full check overrides everything; otherwise the EWMA
         average (with idle-period decay while the queue sat empty) selects
@@ -286,7 +287,7 @@ class RedState:
         """
         p = self.params
         st, i = self.st, self.i
-        if not queue.fits(pkt_size):
+        if not fits:
             # tail drop: the dropper cannot admit what the queue cannot hold
             st[i + 1] = 0
             return DROP

@@ -47,10 +47,10 @@ class CursorRng:
 
     __slots__ = ("seed", "lp_id", "cursors", "prefixes")
 
-    def __init__(self, seed: int, lp_id: int, cursors: dict | None = None):
+    def __init__(self, seed: int, lp_id: int):
         self.seed = seed
         self.lp_id = lp_id
-        self.cursors = cursors if cursors is not None else {}
+        self.cursors: dict[int, int] = {}
         self.prefixes: dict[int, int] = {}
 
     def uniform(self, purpose: int) -> float:
@@ -63,6 +63,3 @@ class CursorRng:
         except KeyError:
             x = self.prefixes[purpose] = _prefix(self.seed, self.lp_id, purpose)
         return (_splitmix64(x ^ (c & MASK64)) >> 11) * (1.0 / (1 << 53))
-
-    def clone(self) -> "CursorRng":
-        return CursorRng(self.seed, self.lp_id, dict(self.cursors))

@@ -203,13 +203,13 @@ def handle_arrive(lp: RouterLp, pkt: Packet, now: int, fx: Effects, ctx):
     pkt.class_index = cls
     pkt.color = int(pipe.srtcm[cls].mark(pkt.size, now))
     queue = pipe.queues[cls]
-    full = not queue.fits(pkt.size)
+    fits = queue.fits(pkt.size)
     rand = lp.rng.uniform(rng.PURPOSE_RED)
-    decision = pipe.red[cls][pkt.color].decide(queue, pkt.size, now, rand)
+    decision = pipe.red[cls][pkt.color].decide(queue, fits, now, rand)
     if decision != ENQUEUE:
         fx.records.append(PacketRecord(
             pkt.pid, pkt.src, pkt.dst, pkt.class_index, pkt.color,
-            pkt.created_ns, None, lp.node, DROP_QUEUE if full else DROP_RED))
+            pkt.created_ns, None, lp.node, DROP_RED if fits else DROP_QUEUE))
         return
     queue.push(pkt)
     if not st[SEND_FLAG]:

@@ -16,12 +16,10 @@ from . import kernel, metrics, partition as partition_mod, traffic as traffic_mo
 from .kernel import Knobs, run_optimistic, run_sequential
 from .model import MODE_LAZY, MODE_PERIODIC, Model, build_model
 from .partition import WeightModel
-from .qos import (
-    Color, QosConfigError, QosProfile, RedParams, SrtcmParams, default_red_params, make_profile,
-)
+from .qos import Color, QosConfigError, QosProfile, RedParams, SrtcmParams, make_profile
 from .routing import RouteMetric, compute_routes
 from .topology import NodeTier, Topology, generate_synthetic_topology, load_topology
-from .traffic import Flow, TrafficSpec
+from .traffic import Flow, TrafficError, TrafficSpec
 
 MODE_SEQUENTIAL = "sequential"
 MODE_OPTIMISTIC = "optimistic"
@@ -32,30 +30,139 @@ class ScenarioError(Exception):
     pass
 
 
-DEFAULT_CONFIG = {
-    "name": "scenario",
-    "topology": {"synthetic": {"n_access": 40, "n_mixed": 8, "n_kernel": 2, "seed": 1}},
-    "routing": {"metric": "hop"},
-    "traffic": {
-        "pattern": "access_to_core",
-        "packet_size": 1400,
-        "rate_pps": 25_000,
-        "ds_probs": dict(traffic_mod.DEFAULT_DS_PROBS),
-        "seed": 7,
-        "poisson": False,
-        "flows": [],
+# --------------------------------------------------------------------------
+# schema: one table of every key. A dict is a block; a (default, check) pair
+# is one value. A check is (predicate, description), a sub-table the value
+# must match, or [sub-table] for a list of entries. _ABSENT marks a key
+# whose absence means "use the library default".
+
+_ABSENT = object()
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_num(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+def _int(lo=None):
+    if lo is None:
+        return _is_int, "an integer"
+    return (lambda v: _is_int(v) and v >= lo), f"an integer >= {lo}"
+
+
+def _one_of(values):
+    return (lambda v: v in values), f"one of {', '.join(values)}"
+
+
+def _or_null(check):
+    return (lambda v: v is None or check[0](v)), f"{check[1]} or null"
+
+
+def _is_ds(v) -> bool:
+    return _is_int(v) and 0 <= v <= 63
+
+
+def _mapping(key_ok, val_ok, desc):
+    return (lambda v: isinstance(v, dict)
+            and all(key_ok(k) and val_ok(x) for k, x in v.items())), desc
+
+
+_STR = (lambda v: isinstance(v, str)), "a string"
+_BOOL = (lambda v: isinstance(v, bool)), "true or false"
+_NUM = (lambda v: _is_num(v) and v >= 0), "a number >= 0"
+_RED = ((lambda v: isinstance(v, list) and len(v) in (3, 4) and _is_int(v[0])
+         and _is_int(v[1]) and all(_is_num(x) for x in v[2:])),
+        "[min_th_bytes, max_th_bytes, max_p] or [..., weight]")
+
+# one qos block; every key left out takes make_profile's default
+_QOS_BLOCK = {
+    "num_classes": (_ABSENT, _int(1)),
+    "default_class": (_ABSENT, _int(0)),
+    "queue_capacity_bytes": (_ABSENT, _int(1)),
+    "shaper_rate_bps": (_ABSENT, _int(1)),
+    "shaper_burst_bytes": (_ABSENT, _int(1)),
+    "classifier": (_ABSENT, _mapping(_is_ds, _int(0)[0], "a mapping DS 0..63 -> class")),
+    "srtcm": (_ABSENT, [{f.name: (_ABSENT, _int(0)) for f in dataclasses.fields(SrtcmParams)}]),
+    "red": (_ABSENT, {c.name.lower(): (_ABSENT, _RED) for c in Color}),
+}
+_TRAFFIC = TrafficSpec()  # library defaults of the traffic block
+
+_SCHEMA = {
+    "name": ("scenario", _STR),
+    "topology": {
+        "path": (_ABSENT, _STR),
+        "synthetic": {"n_access": (40, _int(1)), "n_mixed": (8, _int(1)),
+                      "n_kernel": (2, _int(1)), "seed": (1, _int())},
     },
-    "qos": {"default": {}, "tiers": {}},
+    "routing": {"metric": (RouteMetric.HOP_COUNT.value, _one_of([m.value for m in RouteMetric]))},
+    "traffic": {
+        "pattern": (_TRAFFIC.pattern, _one_of(
+            (traffic_mod.PATTERN_ACCESS_TO_CORE, traffic_mod.PATTERN_EXPLICIT))),
+        "packet_size": (_TRAFFIC.packet_size, _int(1)),
+        "rate_pps": (_TRAFFIC.rate_pps, _int(1)),
+        "ds_probs": (_TRAFFIC.ds_probs, _mapping(
+            _is_ds, _NUM[0], "a mapping DS 0..63 -> probability")),
+        "seed": (7, _int()),
+        "poisson": (_TRAFFIC.poisson, _BOOL),
+        "flows": ([], [{"src": (_ABSENT, _int(0)), "dst": (_ABSENT, _int(0)),
+                        "rate_pps": (_ABSENT, _int(1)),
+                        "ds": (_ABSENT, (_is_ds, "an integer in 0..63"))}]),
+    },
+    "qos": {"default": _QOS_BLOCK,
+            "tiers": {t.value: (_ABSENT, _QOS_BLOCK) for t in NodeTier}},
     "run": {
-        "end_ns": 10_000_000,
-        "mode": MODE_SEQUENTIAL,
-        "token_interval_ns": 0,
-        "seed": 42,
-        "partitions": {"k": 1, "strategy": "no-weights", "plan_path": None, "eps": 0.10},
-        "knobs": {},
-        "output_dir": None,
+        "end_ns": (10_000_000, _int(1)),
+        "mode": (MODE_SEQUENTIAL, _one_of((MODE_SEQUENTIAL, MODE_OPTIMISTIC, MODE_BASELINE))),
+        "token_interval_ns": (0, _int(0)),
+        "seed": (42, _int()),
+        "partitions": {
+            "k": (1, _int(1)),
+            "strategy": (WeightModel.NO_WEIGHTS.value, _one_of([m.value for m in WeightModel])),
+            "plan_path": (None, _or_null(_STR)),
+            "eps": (0.10, _NUM),
+        },
+        # every knob left out takes its Knobs default
+        "knobs": {
+            "gvt_interval": (_ABSENT, _int(1)),
+            "batch_size": (_ABSENT, _int(1)),
+            "runtime": (_ABSENT, _one_of(kernel.RUNTIMES)),
+            "schedule_seed": (_ABSENT, _or_null(_int())),
+            "jitter": (_ABSENT, _int(0)),
+            "watchdog_s": (_ABSENT, _NUM),
+            "debug_audit": (_ABSENT, _BOOL),
+        },
+        "output_dir": (None, _or_null(_STR)),
     },
 }
+
+
+def _walk(table: dict, block, where: str):
+    """Check ``block`` against ``table``; ``where`` is its dotted path."""
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{where}: expected a mapping, got {block!r}")
+    for key, value in block.items():
+        path = f"{where}.{key}" if where else str(key)
+        if key not in table:
+            raise ScenarioError(f"{path}: unknown key (valid: {', '.join(sorted(table))})")
+        check = table[key] if isinstance(table[key], dict) else table[key][1]
+        if isinstance(check, dict):
+            _walk(check, value, path)
+        elif isinstance(check, list):
+            if not isinstance(value, list):
+                raise ScenarioError(f"{path}: expected a list, got {value!r}")
+            for i, entry in enumerate(value):
+                _walk(check[0], entry, f"{path}[{i}]")
+        elif not check[0](value):
+            raise ScenarioError(f"{path}: expected {check[1]}, got {value!r}")
+
+
+def _defaults(table: dict) -> dict:
+    return {key: _defaults(spec) if isinstance(spec, dict) else copy.deepcopy(spec[0])
+            for key, spec in table.items()
+            if isinstance(spec, dict) or spec[0] is not _ABSENT}
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -69,7 +176,7 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def load_scenario(path: str | None = None, overrides: dict | None = None) -> dict:
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    cfg = _defaults(_SCHEMA)
     if path is not None:
         with open(path) as fh:
             doc = yaml.safe_load(fh) or {}
@@ -82,91 +189,22 @@ def load_scenario(path: str | None = None, overrides: dict | None = None) -> dic
     return cfg
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-# value check and its description for each typed Knobs field
-_KNOB_CHECKS = {
-    "gvt_interval": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "batch_size": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "jitter": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "schedule_seed": (lambda v: v is None or _is_int(v), "an integer or null"),
-    "watchdog_s": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
-    "debug_audit": (lambda v: isinstance(v, bool), "true or false"),
-    "runtime": (lambda v: v in kernel.RUNTIMES, f"one of {', '.join(kernel.RUNTIMES)}"),
-}
-
-
-# required keys of one traffic.flows entry; "ds" is optional
-_FLOW_KEYS = ("src", "dst", "rate_pps")
-
-
-def _check_keys(block, valid, where: str):
-    """Reject a block that is not a mapping or has a key outside ``valid``.
-    ``where`` is the block's dotted path, empty for the top level."""
-    if not isinstance(block, dict):
-        raise ScenarioError(f"{where}: expected a mapping")
-    for key in block:
-        if key not in valid:
-            raise ScenarioError(
-                f"{where + '.' if where else ''}{key}: unknown key "
-                f"(valid: {', '.join(sorted(valid))})")
-
-
-def _check_flows(flows):
-    if not isinstance(flows, list):
-        raise ScenarioError("traffic.flows: expected a list")
-    for i, flow in enumerate(flows):
-        where = f"traffic.flows[{i}]"
-        _check_keys(flow, _FLOW_KEYS + ("ds",), where)
-        for key in _FLOW_KEYS:
-            if key not in flow:
-                raise ScenarioError(f"{where}.{key}: missing")
-
-
 def _validate(cfg: dict):
-    _check_keys(cfg, DEFAULT_CONFIG, "")
-    _check_keys(cfg["topology"], ("path", "synthetic"), "topology")
-    _check_keys(cfg["topology"]["synthetic"], DEFAULT_CONFIG["topology"]["synthetic"],
-                "topology.synthetic")
-    _check_keys(cfg["routing"], DEFAULT_CONFIG["routing"], "routing")
-    _check_keys(cfg["qos"], DEFAULT_CONFIG["qos"], "qos")
-    _check_keys(cfg["traffic"], DEFAULT_CONFIG["traffic"], "traffic")
-    _check_flows(cfg["traffic"]["flows"] or [])
-    _check_keys(cfg["run"], DEFAULT_CONFIG["run"], "run")
-    _check_keys(cfg["run"]["partitions"], DEFAULT_CONFIG["run"]["partitions"],
-                "run.partitions")
-    strategies = [m.value for m in WeightModel]
-    if cfg["run"]["partitions"]["strategy"] not in strategies:
-        raise ScenarioError(
-            f"run.partitions.strategy: expected one of {', '.join(strategies)}, "
-            f"got {cfg['run']['partitions']['strategy']!r}")
-    mode = cfg["run"]["mode"]
-    if mode not in (MODE_SEQUENTIAL, MODE_OPTIMISTIC, MODE_BASELINE):
-        raise ScenarioError(f"unknown run mode {mode!r}")
-    if mode == MODE_BASELINE and cfg["run"]["token_interval_ns"] <= 0:
-        raise ScenarioError("baseline mode requires token_interval_ns > 0")
-    if mode != MODE_BASELINE and cfg["run"].get("token_interval_ns"):
-        raise ScenarioError("token_interval_ns is only valid in baseline mode")
-    if mode == MODE_OPTIMISTIC and cfg["run"]["partitions"]["k"] < 1:
-        raise ScenarioError("optimistic mode requires k >= 1")
-    route_metrics = [m.value for m in RouteMetric]
-    if cfg["routing"].get("metric") not in route_metrics:
-        raise ScenarioError(f"routing.metric: expected one of {', '.join(route_metrics)}, "
-                            f"got {cfg['routing'].get('metric')!r}")
-    knobs = cfg["run"].get("knobs") or {}
-    if not isinstance(knobs, dict):
-        raise ScenarioError("run.knobs: expected a mapping")
-    fields = sorted(f.name for f in dataclasses.fields(Knobs))
-    for key in knobs:
-        if key not in fields:
-            raise ScenarioError(
-                f"run.knobs.{key}: unknown knob (valid: {', '.join(fields)})")
-        if key in _KNOB_CHECKS and not _KNOB_CHECKS[key][0](knobs[key]):
-            raise ScenarioError(
-                f"run.knobs.{key}: expected {_KNOB_CHECKS[key][1]}, "
-                f"got {knobs[key]!r}")
+    """Every value against the table, then the rules that span keys."""
+    _walk(_SCHEMA, cfg, "")
+    run = cfg["run"]
+    if run["mode"] == MODE_BASELINE and run["token_interval_ns"] == 0:
+        raise ScenarioError("run.token_interval_ns: baseline mode requires token_interval_ns > 0")
+    if run["mode"] != MODE_BASELINE and run["token_interval_ns"]:
+        raise ScenarioError("run.token_interval_ns: only valid in baseline mode")
+    for i, flow in enumerate(cfg["traffic"]["flows"]):
+        for key in ("src", "dst", "rate_pps"):
+            if key not in flow:
+                raise ScenarioError(f"traffic.flows[{i}].{key}: missing")
+    try:
+        build_traffic_spec(cfg)
+    except TrafficError as e:
+        raise ScenarioError(f"traffic: {e}") from e
     build_profiles(cfg)
 
 
@@ -192,94 +230,56 @@ def scenario_identity(cfg: dict) -> str:
 
 def build_topology(cfg: dict) -> Topology:
     tcfg = cfg["topology"]
-    if "path" in tcfg and tcfg["path"]:
+    if "path" in tcfg:
         return load_topology(tcfg["path"])
     s = tcfg["synthetic"]
-    return generate_synthetic_topology(
-        s["n_access"], s["n_mixed"], s["n_kernel"], s.get("seed", 0))
+    return generate_synthetic_topology(s["n_access"], s["n_mixed"], s["n_kernel"], s["seed"])
 
 
 def build_traffic_spec(cfg: dict) -> TrafficSpec:
     t = cfg["traffic"]
-    flows = tuple(
-        Flow(f["src"], f["dst"], f["rate_pps"], f.get("ds"))
-        for f in (t.get("flows") or [])
-    )
     return TrafficSpec(
         pattern=t["pattern"],
         packet_size=t["packet_size"],
         rate_pps=t["rate_pps"],
-        ds_probs={int(k): float(v) for k, v in t["ds_probs"].items()},
+        ds_probs=dict(t["ds_probs"]),
         seed=t["seed"],
-        poisson=t.get("poisson", False),
-        flows=flows,
+        poisson=t["poisson"],
+        flows=tuple(Flow(f["src"], f["dst"], f["rate_pps"], f.get("ds")) for f in t["flows"]),
     )
-
-
-# scalar keys of a qos block that pass straight through to make_profile
-_PROFILE_KEYS = ("num_classes", "default_class", "queue_capacity_bytes",
-                 "shaper_rate_bps", "shaper_burst_bytes")
-_BLOCK_KEYS = _PROFILE_KEYS + ("classifier", "srtcm", "red")
-
-
-def _check_block_keys(block, where: str):
-    _check_keys(block, _BLOCK_KEYS, where)
-    red = block.get("red") or {}
-    if not isinstance(red, dict):
-        raise ScenarioError(f"{where}.red: expected a mapping")
-    colors = [c.name.lower() for c in Color]
-    for key in red:
-        if key not in colors:
-            raise ScenarioError(f"{where}.red.{key}: unknown color (valid: {', '.join(colors)})")
 
 
 def _profile_from(block: dict, where: str) -> QosProfile:
     """Profile for one merged qos block. Keys the block leaves out take
     :func:`make_profile`'s defaults. A bad value is a ScenarioError that
     names the block, ``where``."""
+    kwargs = dict(block)
+    if "classifier" in kwargs:
+        kwargs["classifier_map"] = kwargs.pop("classifier")
+    red = kwargs.pop("red", None)
     try:
-        kwargs = {key: block[key] for key in _PROFILE_KEYS if key in block}
-        if "classifier" in block:
-            kwargs["classifier_map"] = {int(k): int(v) for k, v in block["classifier"].items()}
-        srtcm_cfg = block.get("srtcm")
-        if srtcm_cfg:
-            kwargs["srtcm"] = [SrtcmParams(s["cir_bps"], s["cbs_bytes"], s["ebs_bytes"])
-                               for s in srtcm_cfg]
+        if "srtcm" in kwargs:
+            kwargs["srtcm"] = [SrtcmParams(**s) for s in kwargs["srtcm"]]
         profile = make_profile(**kwargs)
-        if srtcm_cfg and len(srtcm_cfg) != profile.classifier.num_classes:
+        if "srtcm" in kwargs and len(kwargs["srtcm"]) != profile.num_classes:
             raise QosConfigError("srtcm list must have one entry per class")
-        red_cfg = block.get("red")
-        if red_cfg:
-            row = []
-            for color in Color:
-                trip = red_cfg.get(color.name.lower())
-                if trip:
-                    weight = {"weight": float(trip[3])} if len(trip) > 3 else {}
-                    row.append(RedParams(int(trip[0]), int(trip[1]), float(trip[2]), **weight))
-                else:
-                    row.append(default_red_params(profile.queue_capacity_bytes, color))
-            profile = dataclasses.replace(profile, red=(tuple(row),) * profile.num_classes)
-    except (QosConfigError, KeyError, TypeError, ValueError, IndexError) as e:
+        if red is not None:
+            row = tuple(RedParams(*red[color.name.lower()]) if color.name.lower() in red
+                        else profile.red[0][color] for color in Color)
+            profile = dataclasses.replace(profile, red=(row,) * profile.num_classes)
+    except (QosConfigError, TypeError) as e:
         raise ScenarioError(f"{where}: {e}") from e
     return profile
 
 
 def build_profiles(cfg: dict) -> dict[NodeTier, QosProfile]:
     qcfg = cfg["qos"]
-    default_block = qcfg.get("default") or {}
-    tier_blocks = qcfg.get("tiers") or {}
-    _check_block_keys(default_block, "qos.default")
-    tiers = [t.value for t in NodeTier]
-    for name, block in tier_blocks.items():
-        if name not in tiers:
-            raise ScenarioError(f"qos.tiers.{name}: unknown tier (valid: {', '.join(tiers)})")
-        _check_block_keys(block or {}, f"qos.tiers.{name}")
     profiles = {}
     for tier in NodeTier:
-        block = tier_blocks.get(tier.value) or {}
+        block = qcfg["tiers"].get(tier.value, {})
         # a tier without its own block is exactly qos.default
         where = f"qos.tiers.{tier.value}" if block else "qos.default"
-        profiles[tier] = _profile_from(_deep_merge(default_block, block), where)
+        profiles[tier] = _profile_from(_deep_merge(qcfg["default"], block), where)
     return profiles
 
 
@@ -297,7 +297,7 @@ def build_scenario_model(cfg: dict, mode: str | None = None,
     spec = build_traffic_spec(cfg)
     kernel_mode = MODE_PERIODIC if mode == MODE_BASELINE else MODE_LAZY
     interval = token_interval_ns if token_interval_ns is not None \
-        else cfg["run"].get("token_interval_ns", 0)
+        else cfg["run"]["token_interval_ns"]
     return build_model(
         topo, routes, spec,
         end_time_ns=cfg["run"]["end_ns"],
@@ -311,7 +311,7 @@ def build_scenario_model(cfg: dict, mode: str | None = None,
 
 def build_plan(cfg: dict, topo: Topology) -> partition_mod.PartitionPlan:
     pcfg = cfg["run"]["partitions"]
-    if pcfg.get("plan_path"):
+    if pcfg["plan_path"]:
         return partition_mod.import_plan(pcfg["plan_path"], topo)
     k = pcfg["k"]
     eps = pcfg["eps"]
@@ -344,11 +344,10 @@ def run_scenario(cfg: dict, output_dir: str | None = None) -> metrics.RunReport:
     model = build_scenario_model(cfg)
     if mode == MODE_OPTIMISTIC:
         plan = build_plan(cfg, model.topology)
-        knobs = Knobs(**(cfg["run"].get("knobs") or {}))
-        report = run_optimistic(model, plan, knobs)
+        report = run_optimistic(model, plan, Knobs(**cfg["run"]["knobs"]))
     else:
         report = run_sequential(model)
-    out = output_dir or cfg["run"].get("output_dir")
+    out = output_dir or cfg["run"]["output_dir"]
     if out:
         write_outputs(cfg, report, out)
     return report

@@ -46,7 +46,7 @@ class TrafficSpec:
     def __post_init__(self):
         total = sum(self.ds_probs.values())
         if abs(total - 1.0) > 1e-9:
-            raise TrafficError(f"DS probabilities sum to {total}, expected 1")
+            raise TrafficError(f"ds_probs sum to {total}, expected 1")
         if self.pattern not in (PATTERN_ACCESS_TO_CORE, PATTERN_EXPLICIT):
             raise TrafficError(f"unknown traffic pattern {self.pattern!r}")
         if self.pattern == PATTERN_ACCESS_TO_CORE and self.rate_pps <= 0:
@@ -79,9 +79,12 @@ def resolve_flows(spec: TrafficSpec, topo: Topology) -> list[Flow]:
     from ``spec.seed`` and stay fixed for the whole run."""
     if spec.pattern == PATTERN_EXPLICIT:
         flows = [f if isinstance(f, Flow) else Flow(*f) for f in spec.flows]
-        for f in flows:
+        for i, f in enumerate(flows):
             if f.src == f.dst:
-                raise TrafficError(f"flow {f} has src == dst")
+                raise TrafficError(f"flows[{i}]: {f} has src == dst")
+            for node in (f.src, f.dst):
+                if node not in topo.tiers:
+                    raise TrafficError(f"flows[{i}]: node {node} is not in the topology")
         return flows
     core = topo.nodes_in_tier(NodeTier.MIXED) + topo.nodes_in_tier(NodeTier.KERNEL)
     core.sort()

@@ -231,13 +231,13 @@ def test_A6_qos_conformance_against_tick_oracle():
         s = RedState(p)
         q = ClassQueue(0, 64 * 1024)
         s.avg = rnd.uniform(0, 1999)
-        if s.decide(q, 100, 1, rnd.random()) != ENQUEUE:
+        if s.decide(q, q.fits(100), 1, rnd.random()) != ENQUEUE:
             red_violations += 1
         s2 = RedState(p)
         q2 = ClassQueue(0, 64 * 1024)
         q2.push(type("P", (), {"size": 8000})())
         s2.avg = rnd.uniform(8100, 20000)
-        if s2.decide(q2, 100, 1, rnd.random()) != DROP:
+        if s2.decide(q2, q2.fits(100), 1, rnd.random()) != DROP:
             red_violations += 1
     ok = mismatches == 0 and cap_violations == 0 and red_violations == 0
     _verdict(

@@ -1,13 +1,14 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
 import csv
+import re
 
 import pytest
 import yaml
 
 from dsnetsim.cli import EXIT_CONFIG, EXIT_OK, main
 from dsnetsim.topology import load_topology
-from dsnetsim.scenario import build_topology, build_traffic_spec, load_scenario
+from dsnetsim.scenario import ScenarioError, build_topology, build_traffic_spec, load_scenario
 from dsnetsim.traffic import expected_generated
 
 SMALL = {
@@ -261,3 +262,36 @@ def test_flow_without_a_rate_is_a_config_error(tmp_path, capsys):
         "pattern": "explicit", "flows": [{"src": 0, "dst": 5}]}})
     assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
     assert "traffic.flows[0].rate_pps: missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"run": {"end_ns": "abc"}}, "run.end_ns"),
+    ({"run": {**SMALL["run"], "mode": "optimistic", "partitions": {"k": "2"}}},
+     "run.partitions.k"),
+    ({"traffic": {"pattern": "explicti"}}, "traffic.pattern"),
+    ({"traffic": {"packet_size": 0}}, "traffic.packet_size"),
+    ({"traffic": {"pattern": "explicit",
+                  "flows": [{"src": 0, "dst": 5, "rate_pps": 0}]}},
+     "traffic.flows[0].rate_pps"),
+    ({"traffic": {"ds_probs": {46: 0.5, 26: 0.3, 0: 0.1}}}, "traffic"),
+    ({"qos": {"default": {"srtcm": [
+        {"cir_bps": 1000, "cbs_bytes": 2000, "ebs_bytes": 3000, "bogus": 1}] * 3}}},
+     "qos.default.srtcm[0].bogus"),
+], ids=["end-ns", "k", "pattern", "packet-size", "flow-rate", "ds-probs-sum",
+        "srtcm-entry"])
+def test_bad_value_is_a_config_error_at_load_time(tmp_path, capsys, doc, key):
+    cfg_path = _write_cfg(tmp_path, doc)
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(key)}: "):
+        load_scenario(cfg_path)
+    assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
+    assert f"{key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flow, message", [
+    ({"src": 0, "dst": 999, "rate_pps": 10}, "flows[0]: node 999 is not in the topology"),
+    ({"src": 5, "dst": 5, "rate_pps": 10}, "has src == dst"),
+], ids=["unknown-node", "src-is-dst"])
+def test_bad_flow_endpoint_is_a_config_error(tmp_path, capsys, flow, message):
+    cfg_path = _write_cfg(tmp_path, {"traffic": {"pattern": "explicit", "flows": [flow]}})
+    assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err

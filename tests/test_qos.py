@@ -227,7 +227,7 @@ def test_red_below_min_always_enqueues():
     s = RedState(RedParams(5000, 15000, 0.1))
     q = _queue_with_bytes(100)
     for i in range(50):
-        assert s.decide(q, 100, now_ns=i + 1, rand=0.0) == ENQUEUE
+        assert s.decide(q, q.fits(100), now_ns=i + 1, rand=0.0) == ENQUEUE
     assert s.count == 0
 
 
@@ -236,7 +236,7 @@ def test_red_at_or_above_max_always_drops():
     s.avg = 20000.0
     q = _queue_with_bytes(20000, capacity=64 * 1024)
     for i in range(50):
-        assert s.decide(q, 100, now_ns=i + 1, rand=0.999) == DROP
+        assert s.decide(q, q.fits(100), now_ns=i + 1, rand=0.999) == DROP
 
 
 def test_red_worked_example_drops():
@@ -247,7 +247,7 @@ def test_red_worked_example_drops():
     s = RedState(RedParams(5000, 15000, 0.1, weight=w))
     s.avg = 10000.0
     q = _queue_with_bytes(10000)  # EWMA fixpoint keeps avg' = 10000
-    assert s.decide(q, 100, now_ns=10, rand=0.04) == DROP
+    assert s.decide(q, q.fits(100), now_ns=10, rand=0.04) == DROP
     assert s.avg == pytest.approx(10000.0)
     assert s.count == 0
 
@@ -255,7 +255,7 @@ def test_red_worked_example_drops():
 def test_red_full_queue_forces_drop():
     s = RedState(RedParams(5000, 15000, 0.1))
     q = _queue_with_bytes(900, capacity=1000)
-    assert s.decide(q, 200, now_ns=1, rand=0.999) == DROP
+    assert s.decide(q, q.fits(200), now_ns=1, rand=0.999) == DROP
 
 
 def test_red_count_raises_drop_probability():
@@ -271,7 +271,7 @@ def test_red_count_raises_drop_probability():
             t = RedState(p)
             t.avg = 10000.0
             t.count = count
-            if t.decide(q, 100, now_ns=1, rand=mid) == DROP:
+            if t.decide(q, q.fits(100), now_ns=1, rand=mid) == DROP:
                 lo = mid
             else:
                 hi = mid
@@ -312,7 +312,7 @@ def test_red_matches_formula_oracle():
                     expect, count = DROP, 0
                 else:
                     expect, count = ENQUEUE, count + 1
-        got = s.decide(q, size, now, rand)
+        got = s.decide(q, q.fits(size), now, rand)
         assert got == expect
         assert s.avg == pytest.approx(avg, abs=1e-9)
         assert s.count == count

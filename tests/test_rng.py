@@ -1,6 +1,8 @@
 """Counter RNG: pure, reproducible, rollback-safe."""
 
 from dsnetsim import rng
+from dsnetsim.router import RouterLp
+from dsnetsim.topology import NodeTier
 
 
 def test_draws_are_pure_functions():
@@ -36,10 +38,13 @@ def test_cursor_rng_advances_per_purpose():
 
 
 def test_clone_isolates_cursor_state():
-    r = rng.CursorRng(5, 11)
-    r.uniform(rng.PURPOSE_RED)
-    snap = r.clone()
-    ahead = r.uniform(rng.PURPOSE_RED)
-    # the clone replays exactly the draw the original consumed after the split
-    assert snap.uniform(rng.PURPOSE_RED) == ahead
-    assert snap.cursors == r.cursors
+    # the cursors are saved and restored with the LP: after a restore the
+    # next draw repeats the one consumed after the save
+    lp = RouterLp(11, NodeTier.ACCESS, [], {}, 5)
+    lp.rng.uniform(rng.PURPOSE_RED)
+    saved = lp.clone(None)
+    ahead = lp.rng.uniform(rng.PURPOSE_RED)
+    for _ in range(2):  # later draws leave the save as it was
+        lp.restore(saved)
+        assert lp.rng.uniform(rng.PURPOSE_RED) == ahead
+        assert lp.rng.cursors == {rng.PURPOSE_RED: 2}

@@ -13,7 +13,7 @@ from dsnetsim.routing import compute_routes
 from dsnetsim.qos import TOKEN_SCALE, ClassQueue, RedState, SrtcmMeter, TokenBucket
 from dsnetsim.topology import generate_synthetic_topology
 from dsnetsim.traffic import TrafficSpec, Flow
-from conftest import line_topology, single_flow_model, tight_shaper_profiles
+from conftest import line_topology, single_flow_model, tier_profiles, tight_shaper_profiles
 
 
 def _arrive(pkt, target, t=0, sender=99, seq=0):
@@ -73,6 +73,23 @@ def test_no_route_drops_with_routing_stage():
     assert fx.emitted == []
     assert fx.records[0].drop_stage == "routing"
     assert fx.records[0].drop_node == 0
+
+
+def test_drop_stage_tells_a_full_queue_from_red():
+    model = single_flow_model(line_topology(2), 0, 1,
+                              profiles=tier_profiles(queue_capacity_bytes=2_000))
+    lp = model.lps[0]
+    pipe = lp.pipelines[0]
+    pipe.send_flag = True  # keep arrivals queued
+    stages = []
+    for pid, size in enumerate((1400, 1400, 500)):
+        if pid == 2:  # the 500 B packet fits, but RED's average is far above max_th
+            for red in pipe.red[2]:
+                red.avg = 1e9
+        fx = dispatch(lp, _arrive(Packet(pid, 0, 1, size, 0, created_ns=0), 0, t=100 + pid),
+                      model.ctx)
+        stages.append(fx.records[0].drop_stage if fx.records else None)
+    assert stages == [None, "queue", "red"]
 
 
 def test_one_send_drains_multiple_packets():

@@ -2,10 +2,12 @@
 
 import dataclasses
 import os
+import re
 
 import pytest
 import yaml
 
+from dsnetsim.kernel import Knobs
 from dsnetsim.metrics import read_records_csv
 from dsnetsim.partition import (
     WeightModel, derive_vertex_throughput_weights, partition_balanced,
@@ -13,7 +15,7 @@ from dsnetsim.partition import (
 from dsnetsim.qos import Color, make_profile
 from dsnetsim.scenario import (
     MODE_BASELINE, MODE_OPTIMISTIC, MODE_SEQUENTIAL, ScenarioError,
-    build_plan, build_profiles, build_scenario_model, build_topology,
+    _SCHEMA, build_plan, build_profiles, build_scenario_model, build_topology,
     load_scenario, run_scenario, scenario_identity,
 )
 from dsnetsim.routing import RouteMetric, compute_routes
@@ -46,12 +48,51 @@ def test_file_and_overrides_merge_deeply(tmp_path):
 
 
 def test_mode_validation():
-    with pytest.raises(ScenarioError, match="unknown run mode"):
+    with pytest.raises(ScenarioError, match="run.mode: expected one of"):
         load_scenario(None, {"run": {"mode": "speculative"}})
     with pytest.raises(ScenarioError, match="requires token_interval"):
         load_scenario(None, {"run": {"mode": MODE_BASELINE}})
     with pytest.raises(ScenarioError, match="only valid in baseline"):
         load_scenario(None, {"run": {"token_interval_ns": 100}})
+
+
+def _leaves(table, path=()):
+    """(path, check) of every value in the schema table, blocks excluded;
+    a list of entries also yields the leaves of its first entry."""
+    for key, spec in table.items():
+        if isinstance(spec, dict):
+            yield from _leaves(spec, path + (key,))
+            continue
+        check = spec[1]
+        yield path + (key,), check
+        if isinstance(check, dict):
+            yield from _leaves(check, path + (key,))
+        elif isinstance(check, list):
+            yield from _leaves(check[0], path + (key, 0))
+
+
+def _dotted(path):
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
+
+
+def _nest(path, value):
+    for p in reversed(path):
+        value = [value] if isinstance(p, int) else {p: value}
+    return value
+
+
+LEAVES = list(_leaves(_SCHEMA))
+
+
+@pytest.mark.parametrize("path, check", LEAVES, ids=[_dotted(p) for p, _ in LEAVES])
+def test_every_leaf_rejects_a_wrong_type(path, check):
+    bad = "wrong type" if isinstance(check, (dict, list)) else {"wrong": "type"}
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(_dotted(path))}: "):
+        load_scenario(None, _nest(path, bad))
+
+
+def test_schema_knobs_are_the_knobs_fields():
+    assert list(_SCHEMA["run"]["knobs"]) == [f.name for f in dataclasses.fields(Knobs)]
 
 
 def test_unknown_routing_metric_is_rejected():
@@ -136,6 +177,24 @@ def test_run_scenario_writes_artifacts(tmp_path):
     assert loaded == sorted(report.records, key=lambda r: r.pid)
     echoed = yaml.safe_load((out / "effective_config.yaml").read_text())
     assert echoed["run"]["end_ns"] == 200_000
+
+
+def test_effective_config_loads_back_to_the_same_cfg(tmp_path):
+    cfg = load_scenario(None, {
+        **SMALL,
+        "traffic": {"pattern": "explicit", "ds_probs": {46: 0.5, 26: 0.0},
+                    "flows": [{"src": 3, "dst": 0, "rate_pps": 20_000, "ds": 46},
+                              {"src": 4, "dst": 1, "rate_pps": 20_000}]},
+        "qos": {"default": {"queue_capacity_bytes": 30_000},
+                "tiers": {"kernel": {
+                    "srtcm": [{"cir_bps": 10**6, "cbs_bytes": 4_000, "ebs_bytes": 8_000}] * 3,
+                    "red": {"green": [1_000, 20_000, 0.1, 0.01]}}}},
+        "run": {"end_ns": 200_000, "mode": MODE_OPTIMISTIC, "partitions": {"k": 2},
+                "knobs": {"gvt_interval": 64, "schedule_seed": 3}},
+    })
+    out = tmp_path / "out"
+    run_scenario(cfg, str(out))
+    assert load_scenario(str(out / "effective_config.yaml")) == cfg
 
 
 def test_optimistic_scenario_end_to_end(tmp_path):
