@@ -33,10 +33,10 @@ class ScenarioError(Exception):
 # --------------------------------------------------------------------------
 # schema: one table of every key. A dict is a block; a (default, check) pair
 # is one value. A check is (predicate, description), a sub-table the value
-# must match, or [sub-table] for a list of entries. _ABSENT marks a key
-# whose absence means "use the library default".
+# must match, or [sub-table] for a list of entries. _ABSENT marks a key whose
+# absence means "use the library default"; _REQUIRED, a key that must be given.
 
-_ABSENT = object()
+_ABSENT, _REQUIRED = object(), object()
 
 
 def _is_int(v) -> bool:
@@ -85,7 +85,7 @@ _QOS_BLOCK = {
     "shaper_rate_bps": (_ABSENT, _int(1)),
     "shaper_burst_bytes": (_ABSENT, _int(1)),
     "classifier": (_ABSENT, _mapping(_is_ds, _int(0)[0], "a mapping DS 0..63 -> class")),
-    "srtcm": (_ABSENT, [{f.name: (_ABSENT, _int(0)) for f in dataclasses.fields(SrtcmParams)}]),
+    "srtcm": (_ABSENT, [{f.name: (_REQUIRED, _int(0)) for f in dataclasses.fields(SrtcmParams)}]),
     "red": (_ABSENT, {c.name.lower(): (_ABSENT, _RED) for c in Color}),
 }
 _TRAFFIC = TrafficSpec()  # library defaults of the traffic block
@@ -107,8 +107,8 @@ _SCHEMA = {
             _is_ds, _NUM[0], "a mapping DS 0..63 -> probability")),
         "seed": (7, _int()),
         "poisson": (_TRAFFIC.poisson, _BOOL),
-        "flows": ([], [{"src": (_ABSENT, _int(0)), "dst": (_ABSENT, _int(0)),
-                        "rate_pps": (_ABSENT, _int(1)),
+        "flows": ([], [{"src": (_REQUIRED, _int(0)), "dst": (_REQUIRED, _int(0)),
+                        "rate_pps": (_REQUIRED, _int(1)),
                         "ds": (_ABSENT, (_is_ds, "an integer in 0..63"))}]),
     },
     "qos": {"default": _QOS_BLOCK,
@@ -157,12 +157,15 @@ def _walk(table: dict, block, where: str):
                 _walk(check[0], entry, f"{path}[{i}]")
         elif not check[0](value):
             raise ScenarioError(f"{path}: expected {check[1]}, got {value!r}")
+    for key, spec in table.items():
+        if not isinstance(spec, dict) and spec[0] is _REQUIRED and key not in block:
+            raise ScenarioError(f"{where}.{key}: missing")
 
 
 def _defaults(table: dict) -> dict:
     return {key: _defaults(spec) if isinstance(spec, dict) else copy.deepcopy(spec[0])
             for key, spec in table.items()
-            if isinstance(spec, dict) or spec[0] is not _ABSENT}
+            if isinstance(spec, dict) or spec[0] not in (_ABSENT, _REQUIRED)}
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -197,10 +200,6 @@ def _validate(cfg: dict):
         raise ScenarioError("run.token_interval_ns: baseline mode requires token_interval_ns > 0")
     if run["mode"] != MODE_BASELINE and run["token_interval_ns"]:
         raise ScenarioError("run.token_interval_ns: only valid in baseline mode")
-    for i, flow in enumerate(cfg["traffic"]["flows"]):
-        for key in ("src", "dst", "rate_pps"):
-            if key not in flow:
-                raise ScenarioError(f"traffic.flows[{i}].{key}: missing")
     try:
         build_traffic_spec(cfg)
     except TrafficError as e:
@@ -261,13 +260,13 @@ def _profile_from(block: dict, where: str) -> QosProfile:
         if "srtcm" in kwargs:
             kwargs["srtcm"] = [SrtcmParams(**s) for s in kwargs["srtcm"]]
         profile = make_profile(**kwargs)
-        if "srtcm" in kwargs and len(kwargs["srtcm"]) != profile.num_classes:
+        if "srtcm" in kwargs and len(kwargs["srtcm"]) != profile.classifier.num_classes:
             raise QosConfigError("srtcm list must have one entry per class")
         if red is not None:
             row = tuple(RedParams(*red[color.name.lower()]) if color.name.lower() in red
                         else profile.red[0][color] for color in Color)
             profile = dataclasses.replace(profile, red=(row,) * profile.num_classes)
-    except (QosConfigError, TypeError) as e:
+    except QosConfigError as e:
         raise ScenarioError(f"{where}: {e}") from e
     return profile
 

@@ -277,14 +277,27 @@ def test_flow_without_a_rate_is_a_config_error(tmp_path, capsys):
     ({"qos": {"default": {"srtcm": [
         {"cir_bps": 1000, "cbs_bytes": 2000, "ebs_bytes": 3000, "bogus": 1}] * 3}}},
      "qos.default.srtcm[0].bogus"),
+    ({"qos": {"default": {"srtcm": [{"cir_bps": 1000, "cbs_bytes": 2000}] * 3}}},
+     "qos.default.srtcm[0].ebs_bytes"),
 ], ids=["end-ns", "k", "pattern", "packet-size", "flow-rate", "ds-probs-sum",
-        "srtcm-entry"])
+        "srtcm-entry", "srtcm-entry-missing-key"])
 def test_bad_value_is_a_config_error_at_load_time(tmp_path, capsys, doc, key):
     cfg_path = _write_cfg(tmp_path, doc)
     with pytest.raises(ScenarioError, match=rf"^{re.escape(key)}: "):
         load_scenario(cfg_path)
     assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
     assert f"{key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_srtcm_list_needs_one_entry_per_class(tmp_path, capsys, n):
+    entry = {"cir_bps": 1000, "cbs_bytes": 2000, "ebs_bytes": 3000}
+    cfg_path = _write_cfg(tmp_path, {"qos": {"default": {"srtcm": [entry] * n}}})
+    message = "qos.default: srtcm list must have one entry per class"
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(message)}$"):
+        load_scenario(cfg_path)
+    assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flow, message", [
