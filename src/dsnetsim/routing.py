@@ -1,9 +1,13 @@
 """Static shortest-path routing tables.
 
-Routes are precomputed for every (src, dst) pair before the simulation
-starts. Ties between equal-cost paths are broken by smallest next-hop node
-id (then smallest egress port) so every run, sequential or parallel, uses
-identical routes.
+Routes are computed before the simulation starts, for the (src, dst) pairs
+of the run's flows: one Dijkstra per flow destination, then a walk from
+each flow's source that fills the next hop of every node on its path. A
+packet only visits the nodes on its own flow's path, so that is every entry
+the run reads. Without flows the table holds every (src, dst) pair. Ties
+between equal-cost paths are broken by smallest next-hop node id (then
+smallest egress port) so every run, sequential or parallel, uses identical
+routes.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ import heapq
 from enum import Enum
 
 from .topology import Topology, TopologyError
+
+_INF = 1 << 62
 
 
 class RouteMetric(Enum):
@@ -37,43 +43,55 @@ def _link_cost(link, metric: RouteMetric) -> int:
     return 1 if metric is RouteMetric.HOP_COUNT else link.delay_ns
 
 
-def _dists_to(topo: Topology, dst: int, metric: RouteMetric) -> dict[int, int]:
+def _dists_to(in_links: list[list[tuple[int, int]]], dst: int) -> list[int]:
     # Dijkstra over the reversed graph; link costs are symmetric because
     # links always come in bidirectional pairs with equal attributes.
-    in_links: dict[int, list] = {n: [] for n in topo.tiers}
-    for l in topo.links:
-        in_links[l.dst].append(l)
-    dist = {dst: 0}
+    dist = [_INF] * len(in_links)
+    dist[dst] = 0
     heap = [(0, dst)]
     while heap:
         d, u = heapq.heappop(heap)
-        if d > dist.get(u, 1 << 62):
+        if d > dist[u]:
             continue
-        for l in in_links[u]:
-            nd = d + _link_cost(l, metric)
-            if nd < dist.get(l.src, 1 << 62):
-                dist[l.src] = nd
-                heapq.heappush(heap, (nd, l.src))
+        for src, cost in in_links[u]:
+            nd = d + cost
+            if nd < dist[src]:
+                dist[src] = nd
+                heapq.heappush(heap, (nd, src))
     return dist
 
 
-def compute_routes(topo: Topology, metric: RouteMetric = RouteMetric.HOP_COUNT) -> RoutingTable:
-    """All-pairs next-hop table under the chosen metric."""
+def compute_routes(topo: Topology, metric: RouteMetric = RouteMetric.HOP_COUNT,
+                   flows=None) -> RoutingTable:
+    """Next-hop table under the chosen metric for every node on the path of
+    each flow (anything with ``src`` and ``dst``); ``None`` means every
+    (src, dst) pair."""
+    in_links: list[list[tuple[int, int]]] = [[] for _ in range(topo.num_nodes)]
+    for l in topo.links:
+        in_links[l.dst].append((l.src, _link_cost(l, metric)))
+    # (cost, next hop id, port) per out-link; min() is the tie-break
+    out = [[(_link_cost(l, metric), l.dst, l.src_port) for l in topo.out_links[n]]
+           for n in range(topo.num_nodes)]
+    if flows is None:
+        nodes = topo.node_ids()
+        sources = {dst: [s for s in nodes if s != dst] for dst in nodes}
+    else:
+        sources = {}
+        for f in flows:
+            sources.setdefault(f.dst, []).append(f.src)
+
     ports: dict[int, dict[int, int]] = {n: {} for n in topo.tiers}
-    for dst in topo.node_ids():
-        dist = _dists_to(topo, dst, metric)
-        if len(dist) != topo.num_nodes:
+    for dst, srcs in sources.items():
+        dist = _dists_to(in_links, dst)
+        if _INF in dist:
             raise TopologyError(f"destination {dst} unreachable from some nodes")
-        for src in topo.node_ids():
-            if src == dst:
-                continue
-            best = None  # (total cost, next hop id, port)
-            for l in topo.out_links[src]:
-                cand = (_link_cost(l, metric) + dist[l.dst], l.dst, l.src_port)
-                if best is None or cand < best:
-                    best = cand
-            assert best is not None and best[0] == dist[src]
-            ports[src][dst] = best[2]
+        for node in srcs:
+            # stop at the first node a walk toward dst already filled
+            while node != dst and dst not in ports[node]:
+                cost, nxt, port = min((c + dist[d], d, p) for c, d, p in out[node])
+                assert cost == dist[node]
+                ports[node][dst] = port
+                node = nxt
     return RoutingTable(ports, metric)
 
 

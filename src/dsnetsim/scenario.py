@@ -290,10 +290,15 @@ def build_scenario_model(cfg: dict, mode: str | None = None,
                          token_interval_ns: int | None = None) -> Model:
     """Fresh model for one run. Models are single-use: running mutates LP
     state, so build a new one per run."""
-    mode = mode or cfg["run"]["mode"]
     topo = build_topology(cfg)
-    routes = compute_routes(topo, _route_metric(cfg))
     spec = build_traffic_spec(cfg)
+    routes = compute_routes(topo, _route_metric(cfg), traffic_mod.resolve_flows(spec, topo))
+    return _assemble_model(cfg, topo, routes, spec, mode or cfg["run"]["mode"],
+                           token_interval_ns, scenario_identity(cfg))
+
+
+def _assemble_model(cfg: dict, topo: Topology, routes, spec: TrafficSpec, mode: str,
+                    token_interval_ns: int | None, scenario_id: str) -> Model:
     kernel_mode = MODE_PERIODIC if mode == MODE_BASELINE else MODE_LAZY
     interval = token_interval_ns if token_interval_ns is not None \
         else cfg["run"]["token_interval_ns"]
@@ -304,7 +309,7 @@ def build_scenario_model(cfg: dict, mode: str | None = None,
         profiles=build_profiles(cfg),
         mode=kernel_mode,
         token_interval_ns=interval,
-        scenario_id=scenario_identity(cfg),
+        scenario_id=scenario_id,
     )
 
 
@@ -315,12 +320,15 @@ def build_plan(cfg: dict, topo: Topology) -> partition_mod.PartitionPlan:
     k = pcfg["k"]
     eps = pcfg["eps"]
     strategy = WeightModel(pcfg["strategy"])
-    routes = compute_routes(topo, _route_metric(cfg))
-    flows = traffic_mod.resolve_flows(build_traffic_spec(cfg), topo)
+    spec = build_traffic_spec(cfg)
+    flows = traffic_mod.resolve_flows(spec, topo)
+    routes = compute_routes(topo, _route_metric(cfg), flows)
     weights = None
     if strategy is WeightModel.VERTEX_EVENT:
-        # needs a profiling trace; run one sequentially on the fly
-        profiling = run_sequential(build_scenario_model(cfg, mode=MODE_SEQUENTIAL))
+        # needs a profiling trace: run the same scenario sequentially, on
+        # this topology and these routes
+        profiling = run_sequential(_assemble_model(
+            cfg, topo, routes, spec, MODE_SEQUENTIAL, None, f"{cfg['name']}-profile"))
         weights = partition_mod.derive_vertex_event_weights(profiling)
     elif strategy in (WeightModel.VERTEX_THROUGHPUT, WeightModel.VERTEX_PLUS_EDGE):
         weights = partition_mod.derive_vertex_throughput_weights(flows, routes, topo)

@@ -51,6 +51,8 @@ class TrafficSpec:
             raise TrafficError(f"unknown traffic pattern {self.pattern!r}")
         if self.pattern == PATTERN_ACCESS_TO_CORE and self.rate_pps <= 0:
             raise TrafficError("rate_pps must be positive")
+        if self.packet_size <= 0:
+            raise TrafficError("packet_size must be positive")
 
 
 def interarrival_ns(rate_pps: int) -> int:
@@ -82,6 +84,8 @@ def resolve_flows(spec: TrafficSpec, topo: Topology) -> list[Flow]:
         for i, f in enumerate(flows):
             if f.src == f.dst:
                 raise TrafficError(f"flows[{i}]: {f} has src == dst")
+            if f.rate_pps <= 0:
+                raise TrafficError(f"flows[{i}]: rate_pps must be positive")
             for node in (f.src, f.dst):
                 if node not in topo.tiers:
                     raise TrafficError(f"flows[{i}]: node {node} is not in the topology")

@@ -21,7 +21,7 @@ from dsnetsim.partition import (
 from dsnetsim.qos import TOKEN_SCALE, SrtcmMeter, SrtcmParams, TokenBucket
 from dsnetsim.routing import compute_routes
 from dsnetsim.scenario import (
-    MODE_BASELINE, MODE_SEQUENTIAL, build_scenario_model, build_topology,
+    MODE_BASELINE, MODE_SEQUENTIAL, build_plan, build_scenario_model, build_topology,
     build_traffic_spec, load_scenario,
 )
 from dsnetsim.topology import generate_synthetic_topology
@@ -169,9 +169,16 @@ def _skewed_cfg():
     })
 
 
+def _skewed_seq_run():
+    if "skewed" not in _cache:
+        _cache["skewed"] = run_sequential(build_scenario_model(_skewed_cfg(),
+                                                               mode=MODE_SEQUENTIAL))
+    return _cache["skewed"]
+
+
 def test_A5_partitioning_quality_limits_rollbacks():
     cfg = _skewed_cfg()
-    seq = run_sequential(build_scenario_model(cfg, mode=MODE_SEQUENTIAL))
+    seq = _skewed_seq_run()
     topo = build_topology(cfg)
     routes = compute_routes(topo)
     flows = resolve_flows(build_traffic_spec(cfg), topo)
@@ -195,6 +202,17 @@ def test_A5_partitioning_quality_limits_rollbacks():
         f"k=4 skewed traffic: vertex-event rollbacks {rb['vertex-event']} < "
         f"edge-throughput {rb['edge']}, records identical to sequential: "
         f"{identical}")
+
+
+def test_vertex_event_plan_profiles_the_scenario_itself():
+    # build_plan profiles on its own topology and routes; the plan must be
+    # the one a fresh sequential run of the whole scenario gives
+    cfg = _skewed_cfg()
+    cfg["run"]["partitions"].update(k=4, strategy=WeightModel.VERTEX_EVENT.value)
+    topo = build_topology(cfg)
+    expected = partition_balanced(
+        topo, 4, derive_vertex_event_weights(_skewed_seq_run()), WeightModel.VERTEX_EVENT)
+    assert build_plan(cfg, topo).assignment == expected.assignment
 
 
 def test_A6_qos_conformance_against_tick_oracle():

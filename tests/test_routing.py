@@ -1,11 +1,14 @@
-"""Routing tables against hand examples and an independent all-pairs oracle."""
+"""Routing tables against hand examples, an independent all-pairs oracle,
+and the full table for tables built along the flows' paths."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsnetsim.routing import RouteMetric, compute_routes, walk_route
-from dsnetsim.topology import TopologyError
-from conftest import line_topology, square_topology
+from dsnetsim.topology import NodeTier, Topology, TopologyError
+from dsnetsim.traffic import Flow, TrafficSpec, resolve_flows
+from conftest import bidirectional, line_topology, square_topology
 
 
 def test_line_routes_through_middle():
@@ -69,3 +72,62 @@ def test_walk_route_rejects_missing_route():
     table.row(0).pop(2)
     with pytest.raises(TopologyError, match="no route"):
         walk_route(topo, table, 0, 2)
+
+
+def _held(topo, table):
+    return {(n, dst): port for n in topo.node_ids() for dst, port in table.row(n).items()}
+
+
+def _check_flow_table(topo, metric, flows):
+    """The flows' table agrees with the full one on every pair it holds,
+    and holds exactly the pairs on the flows' paths."""
+    full = _held(topo, compute_routes(topo, metric))
+    table = compute_routes(topo, metric, flows)
+    held = _held(topo, table)
+    assert all(full[pair] == port for pair, port in held.items())
+    on_paths = {(node, f.dst) for f in flows
+                for node in walk_route(topo, table, f.src, f.dst)[:-1]}
+    assert set(held) == on_paths
+
+
+def _explicit_flows():
+    # several flows per destination, sources inside other flows' paths, and
+    # flows out of the core
+    return [Flow(10, 0, 1), Flow(11, 0, 1), Flow(5, 0, 1), Flow(0, 45, 1),
+            Flow(49, 3, 1), Flow(3, 49, 1), Flow(20, 30, 1), Flow(30, 20, 1)]
+
+
+@pytest.mark.parametrize("metric", [RouteMetric.HOP_COUNT, RouteMetric.LATENCY])
+@pytest.mark.parametrize("flow_set", ["default", "explicit"])
+def test_flow_table_is_the_full_table_on_the_flows_paths(synthetic50, metric, flow_set):
+    flows = (resolve_flows(TrafficSpec(seed=7), synthetic50) if flow_set == "default"
+             else _explicit_flows())
+    _check_flow_table(synthetic50, metric, flows)
+
+
+@st.composite
+def _topologies_with_flows(draw):
+    """Small connected graphs with cycles (so equal-cost ties) and a few flows."""
+    n = draw(st.integers(2, 7))
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}  # spanning tree
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=6))
+    pairs |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    ports = [0] * n
+    links = []
+    for a, b in sorted(pairs):
+        delay = draw(st.sampled_from([1_000, 2_000]))
+        links.extend(bidirectional(a, b, ports[a], ports[b], delay=delay))
+        ports[a] += 1
+        ports[b] += 1
+    topo = Topology([(i, NodeTier.ACCESS, ports[i]) for i in range(n)], links)
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    flows = [Flow(s, d, 1) for s, d in draw(st.lists(ends, min_size=1, max_size=5))]
+    return topo, flows
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_topologies_with_flows(), st.sampled_from(list(RouteMetric)))
+def test_flow_table_property_on_random_topologies(case, metric):
+    topo, flows = case
+    _check_flow_table(topo, metric, flows)

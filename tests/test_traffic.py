@@ -107,3 +107,15 @@ def test_ds_sampler_distribution_converges():
     assert counts[0] / n == pytest.approx(0.5, abs=0.02)
     assert counts[26] / n == pytest.approx(0.3, abs=0.02)
     assert counts[46] / n == pytest.approx(0.2, abs=0.02)
+
+
+def test_zero_packet_size_fails_before_the_run():
+    with pytest.raises(TrafficError, match="packet_size"):
+        TrafficSpec(packet_size=0)
+
+
+def test_zero_rate_flow_fails_before_the_run():
+    topo = generate_synthetic_topology(4, 2, 1, seed=0)
+    spec = TrafficSpec(pattern="explicit", flows=(Flow(3, 1, 100), Flow(4, 0, 0)))
+    with pytest.raises(TrafficError, match=r"flows\[1\]: rate_pps"):
+        build_model(topo, compute_routes(topo), spec, 100_000, seed=1)
