@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: ``run``, ``sweep``, ``partition``, ``topo-gen``,
-``topo-convert``. Every flag mirrors a scenario-config field; the effective
-config is echoed into the output directory. Exit codes: 0 success, 1 config
-error, 2 runtime error, 3 watchdog abort.
+``topo-convert``. Every run flag sets one scenario key (``RUN_FLAGS``); the
+effective config is echoed into the output directory. Exit codes: 0 success,
+1 config error, 2 runtime error, 3 watchdog abort.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ import csv
 import os
 import sys
 
+import yaml
+
 from . import partition as partition_mod
-from .kernel import RUNTIMES, WatchdogError
+from .kernel import WatchdogError
 from .metrics import SUMMARY_FIELDS
 from .scenario import (
-    MODE_BASELINE, MODE_OPTIMISTIC, MODE_SEQUENTIAL,
-    ScenarioError, build_plan, build_scenario_model, build_topology,
+    MODE_BASELINE, MODE_OPTIMISTIC, ScenarioError, build_plan, build_topology,
     load_scenario, run_scenario,
 )
 from .topology import TopologyError, convert_external_topology, \
@@ -42,48 +43,57 @@ def _output_dir(args_dir: str | None, name: str) -> str | None:
     return None
 
 
+# each run flag and the scenario key it sets; the scenario table checks the
+# value, which is read as a YAML scalar like the key in a scenario file
+RUN_FLAGS = {
+    "--mode": "run.mode",
+    "--end-ns": "run.end_ns",
+    "--seed": "run.seed",
+    "--token-interval-ns": "run.token_interval_ns",
+    "-k": "run.partitions.k",
+    "--strategy": "run.partitions.strategy",
+    "--plan": "run.partitions.plan_path",
+    "--gvt-interval": "run.knobs.gvt_interval",
+    "--batch-size": "run.knobs.batch_size",
+    "--runtime": "run.knobs.runtime",
+    "--watchdog-s": "run.knobs.watchdog_s",
+}
+
+# sweep variable -> (the key it sets, the mode it runs in)
+SWEEP_VARIABLES = {
+    "token_interval": ("run.token_interval_ns", MODE_BASELINE),
+    "k": ("run.partitions.k", MODE_OPTIMISTIC),
+    "strategy": ("run.partitions.strategy", MODE_OPTIMISTIC),
+}
+
+
+def _set_key(overrides: dict, key: str, value):
+    *blocks, leaf = key.split(".")
+    for block in blocks:
+        overrides = overrides.setdefault(block, {})
+    overrides[leaf] = value
+
+
+def _yaml_scalar(key: str, text: str):
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as e:
+        raise ScenarioError(f"{key}: cannot parse {text!r} as a YAML value") from e
+
+
 def _scenario_overrides(args) -> dict:
-    run: dict = {}
-    if args.mode:
-        run["mode"] = args.mode
-    if args.end_ns is not None:
-        run["end_ns"] = args.end_ns
-    if args.seed is not None:
-        run["seed"] = args.seed
-    if args.token_interval_ns is not None:
-        run["token_interval_ns"] = args.token_interval_ns
-    parts: dict = {}
-    if args.k is not None:
-        parts["k"] = args.k
-    if args.strategy:
-        parts["strategy"] = args.strategy
-    if getattr(args, "plan", None):
-        parts["plan_path"] = args.plan
-    if parts:
-        run["partitions"] = parts
-    knobs: dict = {}
-    for name in ("gvt_interval", "batch_size", "runtime", "watchdog_s"):
-        val = getattr(args, name, None)
-        if val is not None:
-            knobs[name] = val
-    if knobs:
-        run["knobs"] = knobs
-    return {"run": run} if run else {}
+    overrides: dict = {}
+    for flag, key in RUN_FLAGS.items():
+        text = getattr(args, key)
+        if text is not None:
+            _set_key(overrides, key, text if flag == "--plan" else _yaml_scalar(key, text))
+    return overrides
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="scenario YAML file")
-    p.add_argument("--mode", choices=[MODE_SEQUENTIAL, MODE_OPTIMISTIC, MODE_BASELINE])
-    p.add_argument("--end-ns", type=int, dest="end_ns")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--token-interval-ns", type=int, dest="token_interval_ns")
-    p.add_argument("-k", type=int, dest="k", help="partition count")
-    p.add_argument("--strategy", choices=[m.value for m in partition_mod.WeightModel])
-    p.add_argument("--plan", help="partition plan file to import")
-    p.add_argument("--gvt-interval", type=int, dest="gvt_interval")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--runtime", choices=RUNTIMES)
-    p.add_argument("--watchdog-s", type=float, dest="watchdog_s")
+    for flag, key in RUN_FLAGS.items():
+        p.add_argument(flag, dest=key, metavar=key)
     p.add_argument("--out", help="output directory")
 
 
@@ -105,26 +115,19 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_scenario(args.config, _scenario_overrides(args))
-    values = [int(v) if v.isdigit() else v for v in args.values.split(",")]
+    key, mode = SWEEP_VARIABLES[args.variable]
+    values = [_yaml_scalar(key, v) for v in args.values.split(",")]
     out_dir = _output_dir(args.out, f"{cfg['name']}-sweep") or "."
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     failures = 0
     for value in values:
         for rep in range(args.repetitions):
-            overrides: dict = {"run": {"seed": cfg["run"]["seed"] + rep}}
-            if args.variable == "token_interval":
-                overrides["run"]["mode"] = MODE_BASELINE
-                overrides["run"]["token_interval_ns"] = int(value)
-            elif args.variable == "k":
-                overrides["run"]["mode"] = MODE_OPTIMISTIC
-                overrides["run"]["partitions"] = {"k": int(value)}
-            elif args.variable == "strategy":
-                overrides["run"]["mode"] = MODE_OPTIMISTIC
-                overrides["run"]["partitions"] = {"strategy": str(value)}
-            else:
-                raise ScenarioError(f"unknown sweep variable {args.variable}")
-            run_cfg = load_scenario(args.config, _deep(overrides, args))
+            overrides = _scenario_overrides(args)
+            _set_key(overrides, "run.seed", cfg["run"]["seed"] + rep)
+            _set_key(overrides, "run.mode", mode)
+            _set_key(overrides, key, value)
+            run_cfg = load_scenario(args.config, overrides)
             try:
                 report = run_scenario(run_cfg)
                 rows.append({
@@ -160,12 +163,6 @@ def cmd_sweep(args) -> int:
         w.writerows(rows)
     print(f"wrote {path} ({len(rows)} rows, {failures} failures)")
     return EXIT_RUNTIME if failures else EXIT_OK
-
-
-def _deep(overrides: dict, args) -> dict:
-    base = _scenario_overrides(args)
-    from .scenario import _deep_merge
-    return _deep_merge(base, overrides)
 
 
 def cmd_partition(args) -> int:
@@ -212,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a parameter sweep")
     _add_run_flags(p)
-    p.add_argument("--variable", required=True,
-                   choices=["token_interval", "k", "strategy"])
+    p.add_argument("--variable", required=True, choices=SWEEP_VARIABLES)
     p.add_argument("--values", required=True,
                    help="comma-separated sweep values")
     p.add_argument("--repetitions", type=int, default=1)

@@ -64,7 +64,6 @@ class Knobs:
     schedule_seed: int | None = None  # shuffle the partition order per round
     jitter: int = 0  # max extra hold per channel message, in rounds
     watchdog_s: float = 60.0
-    debug_audit: bool = False
 
 
 # --------------------------------------------------------------------------
@@ -146,18 +145,16 @@ class Partition:
     histories, and outboxes toward other partitions."""
 
     def __init__(self, pid: int, lps: dict, lp_pid: dict[int, int], ctx,
-                 end_time_ns: int, debug_audit: bool = False):
+                 end_time_ns: int):
         self.pid = pid
         self.lps = lps
         self.lp_pid = lp_pid  # node -> owning partition, shared read-only
         self.ctx = ctx
         self.end = end_time_ns
-        self.debug_audit = debug_audit
 
         self.pending: list = []  # heap of (key, serial, Event)
         self._serial = 0  # heap tiebreaker: a dead copy can share its key
         self.live: dict = {}  # eid -> the live pending Event with that identity
-        self.orphan_antis: set = set()
         self.histories: dict[int, list[_Entry]] = {n: [] for n in lps}
         self.outboxes: dict[int, list] = {}
 
@@ -191,11 +188,7 @@ class Partition:
         self.live[ev.eid] = ev
 
     def _insert_positive(self, ev):
-        if ev.eid in self.orphan_antis:
-            # an anti overtook its positive (non-FIFO transport); annihilate
-            self.orphan_antis.discard(ev.eid)
-            return
-        if self.debug_audit and ev.time < self.gvt:
+        if ev.time < self.gvt:
             raise CausalityError(
                 f"positive event below GVT {self.gvt}: {ev}")
         hist = self.histories[ev.target]
@@ -216,7 +209,10 @@ class Partition:
             if hist[i].event.eid == eid:
                 self._rollback(target, hist[i].event.key, annihilate_eid=eid)
                 return
-        self.orphan_antis.add(eid)
+        # channels are FIFO per sender, so an anti never overtakes its
+        # positive; one that matches nothing targets fossil-collected state
+        raise CausalityError(f"anti-message {eid} for LP {target} at {time_ns} ns "
+                             f"matches no pending or processed event")
 
     # -- rollback ----------------------------------------------------------
 
@@ -334,13 +330,11 @@ class Partition:
 # drivers
 
 
-def _make_partitions(model: Model, assignment: dict[int, int], k: int,
-                     debug_audit: bool) -> list[Partition]:
+def _make_partitions(model: Model, assignment: dict[int, int], k: int) -> list[Partition]:
     parts = []
     for pid in range(k):
         lps = {n: lp for n, lp in model.lps.items() if assignment[n] == pid}
-        parts.append(Partition(pid, lps, assignment, model.ctx,
-                               model.end_time_ns, debug_audit))
+        parts.append(Partition(pid, lps, assignment, model.ctx, model.end_time_ns))
     for ev in model.bootstrap:
         parts[assignment[ev.target]].seed_events([ev])
     return parts
@@ -386,7 +380,7 @@ def run_stepped(model: Model, assignment: dict[int, int], k: int,
     a time in (optionally shuffled) order, with optional per-channel message
     holds that preserve per-sender FIFO order."""
     t0 = _time.perf_counter()
-    parts = _make_partitions(model, assignment, k, knobs.debug_audit)
+    parts = _make_partitions(model, assignment, k)
     channels: dict[tuple[int, int], deque] = {}
     rnd = random.Random(knobs.schedule_seed)
     gvt = 0

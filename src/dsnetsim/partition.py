@@ -154,16 +154,16 @@ def _farthest_point_seeds(topo: Topology, k: int) -> list[int]:
 
 
 def _rebalance(topo: Topology, assignment: dict[int, int], k: int,
-               weights: dict[int, int] | None, eps: float,
-               max_passes: int = 32) -> None:
-    """Move boundary nodes from the heaviest to lighter partitions while the
-    move strictly reduces the maximum partition weight."""
+               weights: dict[int, int] | None, eps: float) -> None:
+    """Move boundary nodes from the heaviest to lighter partitions, in at
+    most 32 passes, while the move strictly reduces the maximum partition
+    weight."""
     acc = [0] * k
     sizes = [0] * k
     for n, pid in assignment.items():
         acc[pid] += _node_weight(weights, n)
         sizes[pid] += 1
-    for _ in range(max_passes):
+    for _ in range(32):
         improved = False
         heaviest = max(range(k), key=lambda p: (acc[p], p))
         lightest = min(range(k), key=lambda p: (acc[p], p))
@@ -290,16 +290,14 @@ def _refine_cut(topo: Topology, assignment: dict[int, int], k: int,
 
 
 def partition_min_edgecut(topo: Topology, k: int,
-                          edge_weights: dict[tuple[int, int], int],
-                          strategy: WeightModel = WeightModel.EDGE_THROUGHPUT,
-                          size_eps: float = 0.30) -> PartitionPlan:
+                          edge_weights: dict[tuple[int, int], int]) -> PartitionPlan:
     """Balanced start, then cut refinement that keeps partition node counts
-    within ``size_eps`` of even."""
-    assignment = partition_balanced(topo, k, None, strategy).assignment
-    max_size = max(1, int(-(-topo.num_nodes // k) * (1.0 + size_eps)))
+    within 30 % of even."""
+    assignment = partition_balanced(topo, k, None, WeightModel.EDGE_THROUGHPUT).assignment
+    max_size = max(1, int(-(-topo.num_nodes // k) * 1.30))
     _refine_cut(topo, assignment, k, edge_weights, None, max_size)
     return PartitionPlan(
-        k, assignment, strategy,
+        k, assignment, WeightModel.EDGE_THROUGHPUT,
         imbalance=compute_imbalance(assignment, k, None),
         cut_weight=cut_weight(topo, assignment, edge_weights),
     )
@@ -336,8 +334,7 @@ def export_plan(plan: PartitionPlan, path: str):
             fh.write(f"{plan.assignment[node]}\n")
 
 
-def import_plan(path: str, topo: Topology,
-                weights: dict[int, int] | None = None) -> PartitionPlan:
+def import_plan(path: str, topo: Topology) -> PartitionPlan:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("k="):
@@ -361,6 +358,6 @@ def import_plan(path: str, topo: Topology,
         assignment[node] = pid
     return PartitionPlan(
         k, assignment, WeightModel.NO_WEIGHTS,
-        imbalance=compute_imbalance(assignment, k, weights),
+        imbalance=compute_imbalance(assignment, k, None),
         cut_weight=cut_weight(topo, assignment, None),
     )

@@ -369,12 +369,11 @@ class QosProfile:
         return len(self.srtcm)
 
 
-def default_red_params(queue_capacity: int, color: Color,
-                       mean_pkt_time_ns: int = 1_000) -> RedParams:
+def default_red_params(queue_capacity: int, color: Color) -> RedParams:
     lo, hi, max_p = RED_DEFAULTS[color]
     min_th = max(1, int(lo * queue_capacity)) if lo > 0 else 1
     max_th = int(hi * queue_capacity)
-    return RedParams(min_th, max_th, max_p, mean_pkt_time_ns=mean_pkt_time_ns)
+    return RedParams(min_th, max_th, max_p)
 
 
 def make_profile(

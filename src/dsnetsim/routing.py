@@ -7,7 +7,8 @@ packet only visits the nodes on its own flow's path, so that is every entry
 the run reads. Without flows the table holds every (src, dst) pair. Ties
 between equal-cost paths are broken by smallest next-hop node id (then
 smallest egress port) so every run, sequential or parallel, uses identical
-routes.
+routes. Under the latency metric, equal-latency paths are first told apart
+by hop count.
 """
 
 from __future__ import annotations
@@ -39,8 +40,11 @@ class RoutingTable:
         return self._ports[node]
 
 
-def _link_cost(link, metric: RouteMetric) -> int:
-    return 1 if metric is RouteMetric.HOP_COUNT else link.delay_ns
+def _link_cost(link, metric: RouteMetric, num_nodes: int) -> int:
+    # latency ties go to the path of fewer hops: a path has fewer than
+    # num_nodes hops, so the +1 per hop never outweighs 1 ns of delay, and
+    # zero-delay links cannot form an equal-cost loop
+    return 1 if metric is RouteMetric.HOP_COUNT else link.delay_ns * num_nodes + 1
 
 
 def _dists_to(in_links: list[list[tuple[int, int]]], dst: int) -> list[int]:
@@ -66,12 +70,13 @@ def compute_routes(topo: Topology, metric: RouteMetric = RouteMetric.HOP_COUNT,
     """Next-hop table under the chosen metric for every node on the path of
     each flow (anything with ``src`` and ``dst``); ``None`` means every
     (src, dst) pair."""
-    in_links: list[list[tuple[int, int]]] = [[] for _ in range(topo.num_nodes)]
+    n = topo.num_nodes
+    in_links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for l in topo.links:
-        in_links[l.dst].append((l.src, _link_cost(l, metric)))
+        in_links[l.dst].append((l.src, _link_cost(l, metric, n)))
     # (cost, next hop id, port) per out-link; min() is the tie-break
-    out = [[(_link_cost(l, metric), l.dst, l.src_port) for l in topo.out_links[n]]
-           for n in range(topo.num_nodes)]
+    out = [[(_link_cost(l, metric, n), l.dst, l.src_port) for l in topo.out_links[u]]
+           for u in range(n)]
     if flows is None:
         nodes = topo.node_ids()
         sources = {dst: [s for s in nodes if s != dst] for dst in nodes}

@@ -132,7 +132,6 @@ _SCHEMA = {
             "schedule_seed": (_ABSENT, _or_null(_int())),
             "jitter": (_ABSENT, _int(0)),
             "watchdog_s": (_ABSENT, _NUM),
-            "debug_audit": (_ABSENT, _BOOL),
         },
         "output_dir": (None, _or_null(_STR)),
     },
@@ -204,7 +203,14 @@ def _validate(cfg: dict):
         build_traffic_spec(cfg)
     except TrafficError as e:
         raise ScenarioError(f"traffic: {e}") from e
-    build_profiles(cfg)
+    size = cfg["traffic"]["packet_size"]
+    for tier, profile in build_profiles(cfg).items():
+        if size > profile.shaper_burst_bytes:
+            tier_block = cfg["qos"]["tiers"].get(tier.value, {})
+            block = f"tiers.{tier.value}" if "shaper_burst_bytes" in tier_block else "default"
+            raise ScenarioError(
+                f"traffic.packet_size: {size} B exceeds qos.{block}.shaper_burst_bytes "
+                f"= {profile.shaper_burst_bytes} B, so no packet could pass the shaper")
 
 
 def scenario_identity(cfg: dict) -> str:

@@ -126,24 +126,18 @@ class Topology:
             raise TopologyError(f"graph is disconnected (e.g. nodes {missing})")
 
 
-def _expand_bidirectional(entry) -> tuple[Link, Link]:
-    fwd = Link(
-        src=int(entry["src"]),
-        dst=int(entry["dst"]),
-        src_port=int(entry["src_port"]),
-        dst_port=int(entry["dst_port"]),
-        bandwidth_bps=int(entry["bandwidth_bps"]),
-        delay_ns=int(entry.get("delay_ns", DEFAULT_DELAY_NS)),
-    )
-    rev = Link(
-        src=fwd.dst,
-        dst=fwd.src,
-        src_port=fwd.dst_port,
-        dst_port=fwd.src_port,
-        bandwidth_bps=fwd.bandwidth_bps,
-        delay_ns=fwd.delay_ns,
-    )
-    return fwd, rev
+def _from_pairs(tiers, pairs) -> Topology:
+    """Topology from (node id, NodeTier) entries and undirected
+    (a, b, bandwidth_bps, delay_ns) pairs; each node's ports are numbered in
+    pair order."""
+    ports = {nid: 0 for nid, _ in tiers}
+    links = []
+    for a, b, bw, delay in pairs:
+        pa, pb = ports[a], ports[b]
+        ports[a] += 1
+        ports[b] += 1
+        links += (Link(a, b, pa, pb, bw, delay), Link(b, a, pb, pa, bw, delay))
+    return Topology([(nid, tier, max(ports[nid], 1)) for nid, tier in tiers], links)
 
 
 def load_topology(path: str) -> Topology:
@@ -164,7 +158,11 @@ def load_topology(path: str) -> Topology:
     links = []
     for entry in doc["links"]:
         try:
-            links.extend(_expand_bidirectional(entry))
+            a, b = int(entry["src"]), int(entry["dst"])
+            pa, pb = int(entry["src_port"]), int(entry["dst_port"])
+            bw = int(entry["bandwidth_bps"])
+            delay = int(entry.get("delay_ns", DEFAULT_DELAY_NS))
+            links += (Link(a, b, pa, pb, bw, delay), Link(b, a, pb, pa, bw, delay))
         except (KeyError, ValueError) as e:
             raise TopologyError(f"bad link entry {entry}: {e}") from e
     return Topology(nodes, links)
@@ -201,21 +199,11 @@ def generate_synthetic_topology(
     if n_access < 1 or n_mixed < 1 or n_kernel < 1:
         raise TopologyError("all tier counts must be >= 1")
     rnd = random.Random(seed)
-    node_defs = []
-    nid = 0
-    kernel_ids, mixed_ids, access_ids = [], [], []
-    for _ in range(n_kernel):
-        kernel_ids.append(nid)
-        node_defs.append([nid, NodeTier.KERNEL])
-        nid += 1
-    for _ in range(n_mixed):
-        mixed_ids.append(nid)
-        node_defs.append([nid, NodeTier.MIXED])
-        nid += 1
-    for _ in range(n_access):
-        access_ids.append(nid)
-        node_defs.append([nid, NodeTier.ACCESS])
-        nid += 1
+    kernel_ids = list(range(n_kernel))
+    mixed_ids = list(range(n_kernel, n_kernel + n_mixed))
+    access_ids = list(range(n_kernel + n_mixed, n_kernel + n_mixed + n_access))
+    tiers = [(n, NodeTier.KERNEL) for n in kernel_ids] + \
+        [(n, NodeTier.MIXED) for n in mixed_ids] + [(n, NodeTier.ACCESS) for n in access_ids]
 
     pairs = []  # undirected (a, b, bandwidth)
     if n_kernel > 1:
@@ -235,31 +223,14 @@ def generate_synthetic_topology(
         m = rnd.choice(mixed_ids)
         pairs.append((a, m, ACCESS_BW))
 
-    next_port = {i: 0 for i in range(nid)}
-    links = []
-    for a, b, bw in pairs:
-        pa, pb = next_port[a], next_port[b]
-        next_port[a] += 1
-        next_port[b] += 1
-        links.extend(
-            _expand_bidirectional(
-                {
-                    "src": a,
-                    "src_port": pa,
-                    "dst": b,
-                    "dst_port": pb,
-                    "bandwidth_bps": bw,
-                    "delay_ns": DEFAULT_DELAY_NS,
-                }
-            )
-        )
-    nodes = [(i, tier, max(next_port[i], 1)) for i, tier in node_defs]
-    return Topology(nodes, links)
+    return _from_pairs(tiers, [(a, b, bw, DEFAULT_DELAY_NS) for a, b, bw in pairs])
 
 
 def convert_external_topology(in_path: str, out_path: str):
     """Convert a published topology dump (JSON/YAML with ``nodes`` and
-    ``links``/``edges`` lists, flexible key names) to the native format."""
+    ``links``/``edges`` lists, flexible key names) to the native format.
+    Ports are numbered in link order; a dump that is not a valid
+    :class:`Topology` raises :class:`TopologyError` and writes nothing."""
     with open(in_path) as fh:
         doc = yaml.safe_load(fh)  # YAML is a superset of JSON
     if not isinstance(doc, dict):
@@ -279,34 +250,20 @@ def convert_external_topology(in_path: str, out_path: str):
 
     ids = [int(pick(n, "id", "node_id", "name")) for n in raw_nodes]
     remap = {old: new for new, old in enumerate(sorted(ids))}
-    nodes = []
-    for n in raw_nodes:
-        old = int(pick(n, "id", "node_id", "name"))
-        tier = str(pick(n, "tier", "type", "role", default="access")).lower()
-        if tier not in ("access", "mixed", "kernel"):
-            tier = "access"
-        nodes.append({"id": remap[old], "tier": tier, "ports": 0})
-    next_port = {n["id"]: 0 for n in nodes}
-    links = []
-    for e in raw_links:
-        a = remap[int(pick(e, "src", "source", "from"))]
-        b = remap[int(pick(e, "dst", "target", "to"))]
-        bw = int(pick(e, "bandwidth_bps", "bandwidth", "bw", default=ACCESS_BW))
-        delay = int(pick(e, "delay_ns", "delay", "latency_ns", default=DEFAULT_DELAY_NS))
-        pa, pb = next_port[a], next_port[b]
-        next_port[a] += 1
-        next_port[b] += 1
-        links.append(
-            {
-                "src": a,
-                "src_port": pa,
-                "dst": b,
-                "dst_port": pb,
-                "bandwidth_bps": bw,
-                "delay_ns": delay,
-            }
-        )
-    for n in nodes:
-        n["ports"] = max(next_port[n["id"]], 1)
-    with open(out_path, "w") as fh:
-        yaml.safe_dump({"nodes": nodes, "links": links}, fh, sort_keys=False)
+    tiers = []
+    for old, n in zip(ids, raw_nodes):
+        name = str(pick(n, "tier", "type", "role", default="access")).lower()
+        tier = NodeTier(name) if name in {t.value for t in NodeTier} else NodeTier.ACCESS
+        tiers.append((remap[old], tier))
+
+    def node(e, *names):
+        old = int(pick(e, *names))
+        if old not in remap:
+            raise TopologyError(f"link {e} references unknown node {old}")
+        return remap[old]
+
+    pairs = [(node(e, "src", "source", "from"), node(e, "dst", "target", "to"),
+              int(pick(e, "bandwidth_bps", "bandwidth", "bw", default=ACCESS_BW)),
+              int(pick(e, "delay_ns", "delay", "latency_ns", default=DEFAULT_DELAY_NS)))
+             for e in raw_links]
+    save_topology(_from_pairs(tiers, pairs), out_path)

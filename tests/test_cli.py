@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
 import csv
+import json
 import re
 
 import pytest
@@ -215,7 +216,7 @@ def test_bad_qos_block_is_a_config_error(tmp_path, capsys, block, key):
     ("jitter", -1),
     ("schedule_seed", "3"),
     ("watchdog_s", "60"),
-    ("debug_audit", "yes"),
+    ("watchdog_s", -1),
 ])
 def test_bad_knob_value_is_a_config_error(tmp_path, capsys, key, value):
     cfg_path = _write_cfg(tmp_path, {"run": {
@@ -249,8 +250,9 @@ def test_bad_partition_strategy_is_a_config_error(tmp_path, capsys):
      "topology.synthetic.n_acess"),
     ({"routing": {"metrc": "latency"}}, "routing.metrc"),
     ({"qos": {"defualt": {}}}, "qos.defualt"),
+    ({"run": {**SMALL["run"], "knobs": {"debug_audit": True}}}, "run.knobs.debug_audit"),
 ], ids=["traffic", "run", "run-partitions", "traffic-flows", "top-level", "topology",
-        "topology-synthetic", "routing", "qos"])
+        "topology-synthetic", "routing", "qos", "run-knobs"])
 def test_unknown_key_is_a_config_error(tmp_path, capsys, doc, key):
     cfg_path = _write_cfg(tmp_path, doc)
     assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
@@ -308,3 +310,47 @@ def test_bad_flow_endpoint_is_a_config_error(tmp_path, capsys, flow, message):
     cfg_path = _write_cfg(tmp_path, {"traffic": {"pattern": "explicit", "flows": [flow]}})
     assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["run", "--mode", "bogus"], "run.mode"),
+    (["run", "--end-ns", "abc"], "run.end_ns"),
+    (["run", "--end-ns", "[1"], "run.end_ns"),
+    (["run", "--runtime", "fibers"], "run.knobs.runtime"),
+    (["run", "--strategy", "foo"], "run.partitions.strategy"),
+    (["partition", "-k", "0", "--plan-out", "plan.txt"], "run.partitions.k"),
+    (["sweep", "--variable", "k", "--values", "0"], "run.partitions.k"),
+], ids=["mode", "end-ns", "end-ns-not-yaml", "runtime", "strategy", "partition-k", "sweep-k"])
+def test_bad_flag_value_is_a_config_error(tmp_path, capsys, argv, key):
+    cfg_path = _write_cfg(tmp_path)
+    assert main(argv + ["--config", cfg_path]) == EXIT_CONFIG
+    assert f"{key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("qos, key", [
+    ({}, "qos.default.shaper_burst_bytes"),
+    ({"tiers": {"kernel": {"shaper_burst_bytes": 1500}}}, "qos.tiers.kernel.shaper_burst_bytes"),
+], ids=["default", "tier"])
+def test_packet_larger_than_shaper_burst_is_a_config_error(tmp_path, capsys, qos, key):
+    size = 20_000 if not qos else 2_000
+    cfg_path = _write_cfg(tmp_path, {"traffic": {"packet_size": size}, "qos": qos})
+    assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "traffic.packet_size:" in err and key in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"nodes": [{"id": 0}, {"id": 1}], "links": [{"src": 0, "dst": 1}, {"src": 1, "dst": 1}]},
+     "self-loop at node 1"),
+    ({"nodes": [{"id": 0}, {"id": 1}, {"id": 2}], "links": [{"src": 0, "dst": 1}]},
+     "graph is disconnected"),
+    ({"nodes": [{"id": 0}, {"id": 1}], "links": [{"src": 0, "dst": 7}]}, "unknown node 7"),
+    ({"nodes": [{"id": 0}, {"id": 0}], "links": [{"src": 0, "dst": 0}]}, "duplicate node id"),
+], ids=["self-loop", "unconnected-node", "unknown-node", "duplicate-id"])
+def test_topo_convert_rejects_an_invalid_topology(tmp_path, capsys, doc, message):
+    dump = tmp_path / "dump.json"
+    dump.write_text(json.dumps(doc))
+    out = tmp_path / "native.yaml"
+    assert main(["topo-convert", "--in-file", str(dump), "--out-file", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()

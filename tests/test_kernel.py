@@ -67,12 +67,11 @@ def test_every_record_is_delivered_or_dropped():
 # --------------------------------------------------------------------------
 # scripted partition mechanics
 
-def _middle_partition(end_ns=10_000_000, debug_audit=False):
+def _middle_partition(end_ns=10_000_000):
     """Partition owning only node 1 of a 0-1-2 line; 0 and 2 are remote."""
     model = single_flow_model(line_topology(3), 0, 2, end_ns=end_ns)
     assignment = {0: 0, 1: 1, 2: 0}
-    part = Partition(1, {1: model.lps[1]}, assignment, model.ctx, end_ns,
-                     debug_audit)
+    part = Partition(1, {1: model.lps[1]}, assignment, model.ctx, end_ns)
     return part, model
 
 
@@ -130,12 +129,12 @@ def test_anti_for_processed_event_rolls_back_and_discards_it():
     assert part.histories[1][0].event.eid == (0, 1)
 
 
-def test_orphan_anti_annihilates_late_positive():
+def test_unmatched_anti_is_a_causality_error():
+    from dsnetsim.kernel import CausalityError
     part, _ = _middle_partition()
     pos = _arrive_at_1(1_000, seq=0)
-    part.receive_remote(pos.as_anti())  # anti overtakes its positive
-    part.receive_remote(pos)
-    assert part.step(10) == 0
+    with pytest.raises(CausalityError, match="matches no pending or processed event"):
+        part.receive_remote(pos.as_anti())
 
 
 def test_fossil_collect_commits_and_reclaims():
@@ -154,7 +153,7 @@ def test_fossil_collect_commits_and_reclaims():
 
 def test_rollback_below_gvt_is_a_causality_error():
     from dsnetsim.kernel import CausalityError
-    part, _ = _middle_partition(debug_audit=True)
+    part, _ = _middle_partition()
     part.receive_remote(_arrive_at_1(1_000, seq=0))
     part.step(10)
     part.fossil_collect(5_000)

@@ -28,6 +28,19 @@ def test_square_tie_breaks_to_smallest_next_hop():
     assert topo.port_link[(0, port)].dst == 1
 
 
+def test_latency_ties_go_to_fewer_hops_over_zero_delay_links():
+    # 1 and 2 are both 2,000 ns from 0 and joined by a 0 ns link; by latency
+    # and next-hop id alone each would route through the other
+    nodes = [(0, NodeTier.ACCESS, 2), (1, NodeTier.ACCESS, 2), (2, NodeTier.ACCESS, 2),
+             (3, NodeTier.ACCESS, 2), (4, NodeTier.ACCESS, 2)]
+    links = (bidirectional(1, 2, 0, 0, delay=0) + bidirectional(1, 3, 1, 0)
+             + bidirectional(3, 0, 1, 0) + bidirectional(2, 4, 1, 0) + bidirectional(4, 0, 1, 1))
+    topo = Topology(nodes, links)
+    table = compute_routes(topo, RouteMetric.LATENCY)
+    assert walk_route(topo, table, 1, 0) == [1, 3, 0]
+    assert walk_route(topo, table, 2, 0) == [2, 4, 0]
+
+
 def _floyd_warshall(topo, metric):
     n = topo.num_nodes
     dist = np.full((n, n), np.inf)
@@ -116,7 +129,7 @@ def _topologies_with_flows(draw):
     ports = [0] * n
     links = []
     for a, b in sorted(pairs):
-        delay = draw(st.sampled_from([1_000, 2_000]))
+        delay = draw(st.sampled_from([0, 1_000, 2_000]))
         links.extend(bidirectional(a, b, ports[a], ports[b], delay=delay))
         ports[a] += 1
         ports[b] += 1
