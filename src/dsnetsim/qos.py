@@ -36,6 +36,12 @@ class Color(IntEnum):
     RED = 2
 
 
+# the meter returns the colors as plain ints: a packet's color is an int
+# field of its record, and reading an enum member costs more than the
+# meter's arithmetic
+_GREEN, _YELLOW, _RED = map(int, Color)
+
+
 def st_field(offset: int, doc: str) -> property:
     """Read/write view of the number at ``st[i + offset]`` of an object
     whose numbers start at offset ``i`` of its state list ``st``."""
@@ -93,13 +99,13 @@ class TokenBucket:
         dt = now_ns - st[i + 1]
         assert dt >= 0, f"time regression in bucket refill ({now_ns} < {st[i + 1]})"
         if dt:
-            st[i] = min(self.cap_scaled, st[i] + self.rate_bps * dt)
+            st[i] = min(self.capacity_bytes * TOKEN_SCALE, st[i] + self.rate_bps * dt)
             st[i + 1] = now_ns
 
     def add_scaled(self, amount_scaled: int):
         """Periodic-tick refill path: add a fixed quantum, cap at capacity."""
         st, i = self.st, self.i
-        st[i] = min(self.cap_scaled, st[i] + amount_scaled)
+        st[i] = min(self.capacity_bytes * TOKEN_SCALE, st[i] + amount_scaled)
 
     def take(self, size_bytes: int) -> bool:
         st, i = self.st, self.i
@@ -157,34 +163,29 @@ class SrtcmMeter:
         self.params = params
         _place(self, st, [params.cbs_bytes * TOKEN_SCALE, params.ebs_bytes * TOKEN_SCALE, 0])
 
-    def refill(self, now_ns: int):
+    def mark(self, size_bytes: int, now_ns: int) -> int:
+        """Refill both buckets to ``now_ns``, then color a packet of
+        ``size_bytes``; returns the :class:`Color` value as a plain int."""
+        assert size_bytes > 0
         st, i = self.st, self.i
         dt = now_ns - st[i + 2]
         assert dt >= 0, "time regression in srTCM refill"
-        if not dt:
-            return
-        added = self.params.cir_bps * dt
-        cbs_s = self.params.cbs_bytes * TOKEN_SCALE
-        ebs_s = self.params.ebs_bytes * TOKEN_SCALE
-        tc = st[i]
-        new_tc = min(cbs_s, tc + added)
-        spill = added - (new_tc - tc)
-        st[i] = new_tc
-        st[i + 1] = min(ebs_s, st[i + 1] + spill)
-        st[i + 2] = now_ns
-
-    def mark(self, size_bytes: int, now_ns: int) -> Color:
-        assert size_bytes > 0
-        self.refill(now_ns)
-        st, i = self.st, self.i
+        if dt:
+            p = self.params
+            added = p.cir_bps * dt
+            tc = st[i]
+            new_tc = min(p.cbs_bytes * TOKEN_SCALE, tc + added)
+            st[i] = new_tc
+            st[i + 1] = min(p.ebs_bytes * TOKEN_SCALE, st[i + 1] + added - (new_tc - tc))
+            st[i + 2] = now_ns
         need = size_bytes * TOKEN_SCALE
         if st[i] >= need:
             st[i] -= need
-            return Color.GREEN
+            return _GREEN
         if st[i + 1] >= need:
             st[i + 1] -= need
-            return Color.YELLOW
-        return Color.RED
+            return _YELLOW
+        return _RED
 
 
 # --------------------------------------------------------------------------
@@ -277,13 +278,15 @@ class RedState:
         self.params = params
         _place(self, st, [0.0, 0])
 
-    def decide(self, queue: ClassQueue, fits: bool, now_ns: int, rand: float) -> str:
+    def decide(self, queue: ClassQueue, fits: bool, now_ns: int, draw) -> str:
         """Early-drop decision for one arriving packet; ``fits`` is
         ``queue.fits(size)`` of that packet, which the caller also needs.
 
         The queue-full check overrides everything; otherwise the EWMA
         average (with idle-period decay while the queue sat empty) selects
         between the enqueue / probabilistic / forced-drop regions.
+        ``draw()`` gives the packet's uniform random value in [0, 1); it is
+        called only in the probabilistic region, where the decision needs it.
         """
         p = self.params
         st, i = self.st, self.i
@@ -309,7 +312,7 @@ class RedState:
         p_b = p.max_p * (avg - p.min_th_bytes) / (p.max_th_bytes - p.min_th_bytes)
         denom = 1.0 - st[i + 1] * p_b
         p_a = 1.0 if denom <= 0.0 else min(1.0, p_b / denom)
-        if rand < p_a:
+        if draw() < p_a:
             st[i + 1] = 0
             return DROP
         st[i + 1] += 1

@@ -53,13 +53,21 @@ class CursorRng:
         self.cursors: dict[int, int] = {}
         self.prefixes: dict[int, int] = {}
 
-    def uniform(self, purpose: int) -> float:
-        """The draw at ``purpose``'s cursor, equal to ``draw_uniform``;
-        advances the cursor."""
+    def advance(self, purpose: int) -> int:
+        """The cursor of ``purpose``'s next draw; moves the cursor past it."""
         c = self.cursors.get(purpose, 0)
         self.cursors[purpose] = c + 1
+        return c
+
+    def uniform_at(self, purpose: int, cursor: int) -> float:
+        """The draw at ``cursor``, equal to ``draw_uniform``; moves no
+        cursor."""
         try:
             x = self.prefixes[purpose]
         except KeyError:
             x = self.prefixes[purpose] = _prefix(self.seed, self.lp_id, purpose)
-        return (_splitmix64(x ^ (c & MASK64)) >> 11) * (1.0 / (1 << 53))
+        return (_splitmix64(x ^ (cursor & MASK64)) >> 11) * (1.0 / (1 << 53))
+
+    def uniform(self, purpose: int) -> float:
+        """The draw at ``purpose``'s cursor; advances the cursor."""
+        return self.uniform_at(purpose, self.advance(purpose))

@@ -232,13 +232,23 @@ def convert_external_topology(in_path: str, out_path: str):
     Ports are numbered in link order; a dump that is not a valid
     :class:`Topology` raises :class:`TopologyError` and writes nothing."""
     with open(in_path) as fh:
-        doc = yaml.safe_load(fh)  # YAML is a superset of JSON
+        try:
+            doc = yaml.safe_load(fh)  # YAML is a superset of JSON
+        except yaml.YAMLError as e:
+            raise TopologyError(f"cannot parse {in_path}: {e}") from e
     if not isinstance(doc, dict):
         raise TopologyError(f"{in_path}: expected a mapping at top level")
+    links_key = "links" if "links" in doc else "edges"
     raw_nodes = doc.get("nodes")
-    raw_links = doc.get("links", doc.get("edges"))
+    raw_links = doc.get(links_key)
     if raw_nodes is None or raw_links is None:
         raise TopologyError(f"{in_path}: missing nodes/links sections")
+    for key, entries in (("nodes", raw_nodes), (links_key, raw_links)):
+        if not isinstance(entries, list):
+            raise TopologyError(f"{in_path}: {key} must be a list")
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise TopologyError(f"{in_path}: {key}[{i}] must be a mapping, not {entry!r}")
 
     def pick(d, *names, default=None):
         for n in names:

@@ -231,7 +231,7 @@ def test_A6_qos_conformance_against_tick_oracle():
         oracle.advance_to(now)
         bucket_oracle.advance_to(now)
         size = rnd.randint(1, 3000)
-        if meter.mark(size, now) is not oracle.mark(size):
+        if meter.mark(size, now) != oracle.mark(size):
             mismatches += 1
         bucket.refill(now)
         if bucket.take(min(size, 5000)) != bucket_oracle.take(min(size, 5000)):
@@ -249,13 +249,15 @@ def test_A6_qos_conformance_against_tick_oracle():
         s = RedState(p)
         q = ClassQueue(0, 64 * 1024)
         s.avg = rnd.uniform(0, 1999)
-        if s.decide(q, q.fits(100), 1, rnd.random()) != ENQUEUE:
+        u = rnd.random()
+        if s.decide(q, q.fits(100), 1, lambda: u) != ENQUEUE:
             red_violations += 1
         s2 = RedState(p)
         q2 = ClassQueue(0, 64 * 1024)
         q2.push(type("P", (), {"size": 8000})())
         s2.avg = rnd.uniform(8100, 20000)
-        if s2.decide(q2, q2.fits(100), 1, rnd.random()) != DROP:
+        u = rnd.random()
+        if s2.decide(q2, q2.fits(100), 1, lambda: u) != DROP:
             red_violations += 1
     ok = mismatches == 0 and cap_violations == 0 and red_violations == 0
     _verdict(

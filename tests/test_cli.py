@@ -346,11 +346,28 @@ def test_packet_larger_than_shaper_burst_is_a_config_error(tmp_path, capsys, qos
      "graph is disconnected"),
     ({"nodes": [{"id": 0}, {"id": 1}], "links": [{"src": 0, "dst": 7}]}, "unknown node 7"),
     ({"nodes": [{"id": 0}, {"id": 0}], "links": [{"src": 0, "dst": 0}]}, "duplicate node id"),
-], ids=["self-loop", "unconnected-node", "unknown-node", "duplicate-id"])
+    ({"nodes": [0, 1], "links": [{"src": 0, "dst": 1}]}, "nodes[0] must be a mapping"),
+    ({"nodes": [{"id": 0}, {"id": 1}], "edges": [{"src": 0, "dst": 1}, [0, 1]]},
+     "edges[1] must be a mapping"),
+], ids=["self-loop", "unconnected-node", "unknown-node", "duplicate-id", "non-mapping-node",
+        "non-mapping-link"])
 def test_topo_convert_rejects_an_invalid_topology(tmp_path, capsys, doc, message):
     dump = tmp_path / "dump.json"
     dump.write_text(json.dumps(doc))
     out = tmp_path / "native.yaml"
     assert main(["topo-convert", "--in-file", str(dump), "--out-file", str(out)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "topo-convert"])
+def test_broken_yaml_is_a_config_error(tmp_path, capsys, command):
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("run: {end_ns: [1\n")
+    out = tmp_path / "native.yaml"
+    argv = (["run", "--config", str(broken)] if command == "run"
+            else ["topo-convert", "--in-file", str(broken), "--out-file", str(out)])
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot parse") and str(broken) in err
     assert not out.exists()

@@ -119,13 +119,13 @@ def test_lazy_refill_matches_tick_oracle_bit_for_bit():
 def test_srtcm_green_consumes_committed():
     m = SrtcmMeter(SrtcmParams(100, 2000, 2000))
     m.te_scaled = 0
-    assert m.mark(1400, 0) is Color.GREEN
+    assert m.mark(1400, 0) == Color.GREEN
     assert m.tc_scaled == 600 * TOKEN_SCALE
 
 
 def test_srtcm_yellow_consumes_excess():
     m = SrtcmMeter(SrtcmParams(100, 1000, 1500))
-    assert m.mark(1400, 0) is Color.YELLOW
+    assert m.mark(1400, 0) == Color.YELLOW
     assert m.tc_scaled == 1000 * TOKEN_SCALE
     assert m.te_scaled == 100 * TOKEN_SCALE
 
@@ -135,7 +135,7 @@ def test_srtcm_red_leaves_buckets_unchanged():
     m.tc_scaled = 0
     m.te_scaled = 0
     m.last_update_ns = 5
-    assert m.mark(1, 5) is Color.RED
+    assert m.mark(1, 5) == Color.RED
     assert m.tc_scaled == 0 and m.te_scaled == 0
 
 
@@ -179,7 +179,7 @@ def test_srtcm_matches_tick_oracle():
         now += rnd.randint(0, 40)
         oracle.advance_to(now)
         size = rnd.randint(1, 2500)
-        assert lazy.mark(size, now) is oracle.mark(size)
+        assert lazy.mark(size, now) == oracle.mark(size)
         assert lazy.tc_scaled == oracle.tc
         assert lazy.te_scaled == oracle.te
 
@@ -227,7 +227,7 @@ def test_red_below_min_always_enqueues():
     s = RedState(RedParams(5000, 15000, 0.1))
     q = _queue_with_bytes(100)
     for i in range(50):
-        assert s.decide(q, q.fits(100), now_ns=i + 1, rand=0.0) == ENQUEUE
+        assert s.decide(q, q.fits(100), now_ns=i + 1, draw=lambda: 0.0) == ENQUEUE
     assert s.count == 0
 
 
@@ -236,7 +236,7 @@ def test_red_at_or_above_max_always_drops():
     s.avg = 20000.0
     q = _queue_with_bytes(20000, capacity=64 * 1024)
     for i in range(50):
-        assert s.decide(q, q.fits(100), now_ns=i + 1, rand=0.999) == DROP
+        assert s.decide(q, q.fits(100), now_ns=i + 1, draw=lambda: 0.999) == DROP
 
 
 def test_red_worked_example_drops():
@@ -247,7 +247,7 @@ def test_red_worked_example_drops():
     s = RedState(RedParams(5000, 15000, 0.1, weight=w))
     s.avg = 10000.0
     q = _queue_with_bytes(10000)  # EWMA fixpoint keeps avg' = 10000
-    assert s.decide(q, q.fits(100), now_ns=10, rand=0.04) == DROP
+    assert s.decide(q, q.fits(100), now_ns=10, draw=lambda: 0.04) == DROP
     assert s.avg == pytest.approx(10000.0)
     assert s.count == 0
 
@@ -255,7 +255,7 @@ def test_red_worked_example_drops():
 def test_red_full_queue_forces_drop():
     s = RedState(RedParams(5000, 15000, 0.1))
     q = _queue_with_bytes(900, capacity=1000)
-    assert s.decide(q, q.fits(200), now_ns=1, rand=0.999) == DROP
+    assert s.decide(q, q.fits(200), now_ns=1, draw=lambda: 0.999) == DROP
 
 
 def test_red_count_raises_drop_probability():
@@ -271,7 +271,7 @@ def test_red_count_raises_drop_probability():
             t = RedState(p)
             t.avg = 10000.0
             t.count = count
-            if t.decide(q, q.fits(100), now_ns=1, rand=mid) == DROP:
+            if t.decide(q, q.fits(100), now_ns=1, draw=lambda: mid) == DROP:
                 lo = mid
             else:
                 hi = mid
@@ -312,7 +312,7 @@ def test_red_matches_formula_oracle():
                     expect, count = DROP, 0
                 else:
                     expect, count = ENQUEUE, count + 1
-        got = s.decide(q, q.fits(size), now, rand)
+        got = s.decide(q, q.fits(size), now, lambda: rand)
         assert got == expect
         assert s.avg == pytest.approx(avg, abs=1e-9)
         assert s.count == count

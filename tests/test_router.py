@@ -5,12 +5,12 @@ import heapq
 
 import pytest
 
-from dsnetsim import events
+from dsnetsim import events, rng
 from dsnetsim.kernel import run_sequential
-from dsnetsim.model import MODE_PERIODIC, build_model
+from dsnetsim.model import MODE_LAZY, MODE_PERIODIC, build_model
 from dsnetsim.router import EgressPipeline, Packet, dispatch, touched_port, transmission_ns
 from dsnetsim.routing import compute_routes
-from dsnetsim.qos import TOKEN_SCALE, ClassQueue, RedState, SrtcmMeter, TokenBucket
+from dsnetsim.qos import TOKEN_SCALE, ClassQueue, RedParams, RedState, SrtcmMeter, TokenBucket
 from dsnetsim.topology import generate_synthetic_topology
 from dsnetsim.traffic import TrafficSpec, Flow
 from conftest import line_topology, single_flow_model, tier_profiles, tight_shaper_profiles
@@ -39,8 +39,11 @@ def test_delivery_at_sink_emits_nothing():
     assert fx.emitted == []
 
 
-def test_forward_on_idle_port_schedules_neighbor_arrival():
-    model = single_flow_model(line_topology(2), 0, 1)
+@pytest.mark.parametrize("mode", [MODE_LAZY, MODE_PERIODIC])
+def test_forward_on_idle_port_schedules_neighbor_arrival(mode):
+    model = single_flow_model(line_topology(2), 0, 1, mode=mode,
+                              token_interval_ns=1_000 if mode == MODE_PERIODIC else 0)
+    pipe = model.lps[0].pipelines[0]
     pkt = Packet(7, 0, 1, 1400, 0, created_ns=0)
     fx = dispatch(model.lps[0], _arrive(pkt, 0, t=100), model.ctx)
     assert len(fx.emitted) == 1
@@ -50,8 +53,13 @@ def test_forward_on_idle_port_schedules_neighbor_arrival():
     assert em.target == 1
     assert em.time == 100 + transmission_ns(1400, 25_000_000_000) + 1_000
     assert em.time == 100 + 448 + 1_000
-    # the forwarded packet is a copy, not the enqueued object
+    # the forwarded packet is a copy, not the arriving object
     assert em.payload is not pkt
+    # the port is left as a push and pop at t=100 leave it
+    queue = pipe.queues[2]
+    assert queue.byte_length == 0 and queue.packets == []
+    assert queue.empty_since_ns == 100
+    assert not pipe.send_flag
 
 
 def test_arrive_with_flag_set_queues_without_new_events():
@@ -92,6 +100,41 @@ def test_drop_stage_tells_a_full_queue_from_red():
     assert stages == [None, "queue", "red"]
 
 
+@pytest.mark.parametrize("nudge", [1 + 1e-9, 1 - 1e-9], ids=["drop", "enqueue"])
+def test_red_decides_on_the_draw_at_its_arrivals_cursor(nudge):
+    """Every routed arrival takes one RED cursor, although RED computes the
+    random value only when it decides by chance; so that value is the draw
+    at the arrival's cursor, also when the arrival re-runs after a restore."""
+    n = 5
+    u = rng.draw_uniform(42, 0, rng.PURPOSE_RED, n)
+    assert u < 0.5  # so that max_p = 2u is a probability
+    # weight 1 makes the average the queue length; 2,000 B queued is halfway
+    # from min_th to max_th, where the drop probability is max_p / 2, just
+    # above or below u
+    red = RedParams(1_000, 3_000, 2 * u * nudge, weight=1.0)
+    model = single_flow_model(line_topology(2), 0, 1, seed=42,
+                              profiles=tier_profiles(red=[[red] * 3] * 3))
+    lp = model.lps[0]
+    pipe = lp.pipelines[0]
+    for pid in range(n):
+        fx = dispatch(lp, _arrive(Packet(pid, 0, 1, 1400, 0, created_ns=0), 0, t=100 + pid),
+                      model.ctx)
+        assert fx.records == [] and len(fx.emitted) == 1
+    assert all(r.avg < red.min_th_bytes for row in pipe.red for r in row)
+    assert lp.rng.cursors[rng.PURPOSE_RED] == n
+    pipe.queues[2].push(Packet(99, 0, 1, 2_000, 0, created_ns=0))
+    pipe.send_flag = True
+    saved = lp.clone(0)
+    for _ in range(2):
+        fx = dispatch(lp, _arrive(Packet(n, 0, 1, 1400, 0, created_ns=0), 0, t=200),
+                      model.ctx)
+        assert [r.drop_stage for r in fx.records] == (["red"] if nudge > 1 else [])
+        assert lp.rng.cursors[rng.PURPOSE_RED] == n + 1
+        lp.restore(saved)
+    assert lp.rng.cursors[rng.PURPOSE_RED] == n
+    assert lp.rng.uniform(rng.PURPOSE_RED) == u
+
+
 def test_one_send_drains_multiple_packets():
     model = single_flow_model(line_topology(2), 0, 1)
     lp = model.lps[0]
@@ -108,24 +151,45 @@ def test_one_send_drains_multiple_packets():
     assert pipe.send_count == 1
 
 
-def test_tokens_for_first_packet_only_blocks_with_retry():
-    model = single_flow_model(line_topology(2), 0, 1)
+@pytest.mark.parametrize("mode", [MODE_LAZY, MODE_PERIODIC])
+@pytest.mark.parametrize("cause", ["send", "idle-arrival"])
+def test_tokens_for_first_packet_only_blocks_with_retry(cause, mode):
+    """A shaper shortfall leaves the packet queued and the flag set. Lazy
+    mode schedules one retry at the earliest sufficiency time; periodic
+    mode emits nothing and waits for the next REFILL. On a SEND, the
+    packet the tokens cover leaves first; a packet arriving at an idle
+    port that the tokens do not cover is queued, not passed through."""
+    model = single_flow_model(line_topology(2), 0, 1, mode=mode,
+                              token_interval_ns=1_000 if mode == MODE_PERIODIC else 0)
     lp = model.lps[0]
     pipe = lp.pipelines[0]
-    for i in range(2):
-        pkt = Packet(i, 0, 1, 1400, 0, created_ns=0, class_index=2, color=0)
-        pipe.queues[2].push(pkt)
-    pipe.send_flag = True
-    pipe.shaper.tokens_scaled = 1400 * TOKEN_SCALE
     pipe.shaper.last_update_ns = 500
     pipe.shaper.rate_bps = 1000  # slow refill so the retry is in the future
-    fx = dispatch(lp, _send(0, 0, t=500), model.ctx)
+    if cause == "send":
+        for i in range(2):
+            pkt = Packet(i, 0, 1, 1400, 0, created_ns=0, class_index=2, color=0)
+            pipe.queues[2].push(pkt)
+        pipe.send_flag = True
+        pipe.shaper.tokens_scaled = 1400 * TOKEN_SCALE
+        fx = dispatch(lp, _send(0, 0, t=500), model.ctx)
+        sent = [events.ARRIVE]
+    else:
+        pipe.shaper.tokens_scaled = 700 * TOKEN_SCALE
+        fx = dispatch(lp, _arrive(Packet(0, 0, 1, 1400, 0, created_ns=0), 0, t=500),
+                      model.ctx)
+        sent = []
     kinds = [em.kind for em in fx.emitted]
-    assert kinds == [events.ARRIVE, events.SEND]
-    retry = fx.emitted[1]
+    assert [p.pid for p in pipe.queues[2].packets] == [1 if cause == "send" else 0]
+    assert pipe.queues[2].byte_length == 1400
+    assert pipe.send_flag  # stays set while the packet waits for tokens
+    if mode == MODE_PERIODIC:
+        assert kinds == sent
+        assert pipe.blocked_episodes == 0
+        return
+    assert kinds == sent + [events.SEND]
+    retry = fx.emitted[-1]
     assert retry.target == 0 and retry.payload == 0
     assert retry.time == pipe.shaper.earliest_ready_ns(1400, 500)
-    assert pipe.send_flag  # stays set while a retry is pending
     assert pipe.blocked_episodes == 1
 
 

@@ -16,7 +16,7 @@ from dsnetsim.qos import Color, make_profile
 from dsnetsim.scenario import (
     MODE_BASELINE, MODE_OPTIMISTIC, MODE_SEQUENTIAL, ScenarioError,
     _SCHEMA, build_plan, build_profiles, build_scenario_model, build_topology,
-    load_scenario, run_scenario, scenario_identity,
+    dump_yaml, load_scenario, run_scenario, scenario_identity,
 )
 from dsnetsim.routing import RouteMetric, compute_routes
 from dsnetsim.topology import Link, NodeTier, Topology, save_topology
@@ -115,6 +115,19 @@ def test_identity_ignores_execution_choices():
     assert scenario_identity(base) == scenario_identity(baseline)
     other = load_scenario(None, {"name": "x", "traffic": {"rate_pps": 1}})
     assert scenario_identity(base) != scenario_identity(other)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {**SMALL, "traffic": {"pattern": "explicit", "ds_probs": {46: 0.5, 26: 0.0},
+                          "flows": [{"src": 3, "dst": 0, "rate_pps": 20_000, "ds": 46},
+                                    {"src": 4, "dst": 1, "rate_pps": 20_000}]}},
+], ids=["defaults", "explicit-flows"])
+@pytest.mark.parametrize("sort_keys", [True, False])
+def test_dump_yaml_writes_what_safe_dump_writes(overrides, sort_keys):
+    """The identity hash and effective_config.yaml depend on these bytes."""
+    cfg = load_scenario(None, overrides)
+    assert dump_yaml(cfg, sort_keys=sort_keys) == yaml.safe_dump(cfg, sort_keys=sort_keys)
 
 
 def test_per_tier_qos_overrides():
