@@ -22,6 +22,23 @@ with optional seeded transport jitter and a shuffled schedule. GVT is a
 stop-the-world cut: every channel is drained until nothing is in flight
 (global sent == received), and the minimum pending event time becomes the
 new GVT.
+
+A time window bounds the speculation: a partition runs no event later than
+GVT + L - 1, where L is the plan's lookahead (``model.lookahead_ns``): 1 ns
+plus the smallest delay of a link whose ends lie in different partitions
+(a plan that cuts no link runs unbounded). That is safe because only ARRIVE
+crosses LPs, always through ``router.transmit``, which schedules it a
+transmission time (at least 1 ns, as packets are never empty) plus the link
+delay after the event that sends it; GENERATE, SEND and REFILL target their
+own LP. Every pending or in-flight event at a cut
+is at or after GVT, so any event a partition receives later is at GVT + L
+or after, behind nothing it has run: no straggler, so no rollback and no
+anti-message. Each partition then idles until the next cut moves GVT, so
+the run takes more, cheaper GVT rounds. The per-event saves, rollback and
+fossil collection run unchanged, so a wrong lookahead costs rollbacks,
+never records. ``run_optimistic(..., unbounded=True)`` lifts the window, so
+that every partition runs as far ahead as its pending events go; the tests
+and demos use it to exercise rollback and anti-messages.
 """
 
 from __future__ import annotations
@@ -35,7 +52,7 @@ from dataclasses import dataclass
 
 from . import events
 from .metrics import RunReport, finalize
-from .model import Model
+from .model import Model, lookahead_ns
 from .router import dispatch, touched_port
 
 INF = math.inf
@@ -145,12 +162,13 @@ class Partition:
     histories, and outboxes toward other partitions."""
 
     def __init__(self, pid: int, lps: dict, lp_pid: dict[int, int], ctx,
-                 end_time_ns: int):
+                 end_time_ns: int, window: float = INF):
         self.pid = pid
         self.lps = lps
         self.lp_pid = lp_pid  # node -> owning partition, shared read-only
         self.ctx = ctx
         self.end = end_time_ns
+        self.window = window  # run no event later than gvt + window
 
         self.pending: list = []  # heap of (key, serial, Event)
         self._serial = 0  # heap tiebreaker: a dead copy can share its key
@@ -261,11 +279,13 @@ class Partition:
         return None
 
     def step(self, max_events: int) -> int:
-        """Process up to ``max_events`` pending events in key order."""
+        """Process up to ``max_events`` pending events in key order, none
+        later than the horizon or ``gvt + window``."""
         done = 0
+        limit = min(self.end, self.gvt + self.window)
         while done < max_events:
             ev = self._clean_top()
-            if ev is None or ev.time > self.end:
+            if ev is None or ev.time > limit:
                 break
             heapq.heappop(self.pending)
             if self.live.get(ev.eid) is ev:
@@ -330,11 +350,13 @@ class Partition:
 # drivers
 
 
-def _make_partitions(model: Model, assignment: dict[int, int], k: int) -> list[Partition]:
+def _make_partitions(model: Model, assignment: dict[int, int], k: int,
+                     window: float) -> list[Partition]:
     parts = []
     for pid in range(k):
         lps = {n: lp for n, lp in model.lps.items() if assignment[n] == pid}
-        parts.append(Partition(pid, lps, assignment, model.ctx, model.end_time_ns))
+        parts.append(Partition(pid, lps, assignment, model.ctx, model.end_time_ns,
+                               window))
     for ev in model.bootstrap:
         parts[assignment[ev.target]].seed_events([ev])
     return parts
@@ -375,12 +397,15 @@ def _compute_gvt(parts: list[Partition]):
 
 
 def run_stepped(model: Model, assignment: dict[int, int], k: int,
-                knobs: Knobs) -> RunReport:
+                knobs: Knobs, unbounded: bool = False) -> RunReport:
     """Deterministic cooperative driver: partitions are stepped one batch at
     a time in (optionally shuffled) order, with optional per-channel message
-    holds that preserve per-sender FIFO order."""
+    holds that preserve per-sender FIFO order. A partition runs no event
+    later than GVT + L - 1 (L from :func:`model.lookahead_ns`) unless
+    ``unbounded``."""
     t0 = _time.perf_counter()
-    parts = _make_partitions(model, assignment, k)
+    window = INF if unbounded else lookahead_ns(model.topology, assignment) - 1
+    parts = _make_partitions(model, assignment, k, window)
     channels: dict[tuple[int, int], deque] = {}
     rnd = random.Random(knobs.schedule_seed)
     gvt = 0
@@ -468,9 +493,12 @@ def run_stepped(model: Model, assignment: dict[int, int], k: int,
                           _time.perf_counter() - t0)
 
 
-def run_optimistic(model: Model, plan, knobs: Knobs | None = None) -> RunReport:
+def run_optimistic(model: Model, plan, knobs: Knobs | None = None, *,
+                   unbounded: bool = False) -> RunReport:
     """Speculative parallel run over a partition plan. Per-packet records
-    are identical to :func:`run_sequential` for the same model and seed."""
+    are identical to :func:`run_sequential` for the same model and seed.
+    ``unbounded`` lifts the lookahead window, so partitions speculate and
+    roll back."""
     knobs = knobs or Knobs()
     assignment = plan.assignment if hasattr(plan, "assignment") else dict(plan)
     k = (plan.k if hasattr(plan, "k") else max(assignment.values()) + 1)
@@ -479,4 +507,4 @@ def run_optimistic(model: Model, plan, knobs: Knobs | None = None) -> RunReport:
         raise KernelError(f"partition plan misses LPs {sorted(missing)[:5]}")
     if knobs.runtime not in RUNTIMES:
         raise KernelError(f"unknown runtime {knobs.runtime!r}")
-    return run_stepped(model, assignment, k, knobs)
+    return run_stepped(model, assignment, k, knobs, unbounded)

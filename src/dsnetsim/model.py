@@ -4,6 +4,7 @@ bootstrap events that start the run."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import events
@@ -45,6 +46,15 @@ class Model:
     bootstrap: list[events.Event]
     ctx: ModelContext
     end_time_ns: int
+
+
+def lookahead_ns(topo: Topology, assignment: dict[int, int]) -> float:
+    """The least virtual time an event takes to reach another partition
+    under ``assignment``: 1 ns, the shortest transmission (packets are
+    never empty), plus the smallest ``delay_ns`` of a link whose ends lie
+    in different partitions; ``math.inf`` when no link is cut."""
+    return 1 + min((l.delay_ns for l in topo.links
+                    if assignment[l.src] != assignment[l.dst]), default=math.inf)
 
 
 def build_model(

@@ -140,6 +140,21 @@ def _from_pairs(tiers, pairs) -> Topology:
     return Topology([(nid, tier, max(ports[nid], 1)) for nid, tier in tiers], links)
 
 
+def _entry_lists(path: str, doc: dict, keys) -> list[list[dict]]:
+    """The lists of mappings under ``keys``; anything else is an error
+    that names the section or the entry."""
+    sections = []
+    for key in keys:
+        entries = doc[key]
+        if not isinstance(entries, list):
+            raise TopologyError(f"{path}: {key} must be a list, not {entries!r}")
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise TopologyError(f"{path}: {key}[{i}] must be a mapping, not {entry!r}")
+        sections.append(entries)
+    return sections
+
+
 def load_topology(path: str) -> Topology:
     """Load and validate a topology file."""
     try:
@@ -149,22 +164,23 @@ def load_topology(path: str) -> Topology:
         raise TopologyError(f"cannot parse {path}: {e}") from e
     if not isinstance(doc, dict) or "nodes" not in doc or "links" not in doc:
         raise TopologyError(f"{path}: expected 'nodes' and 'links' sections")
+    raw_nodes, raw_links = _entry_lists(path, doc, ("nodes", "links"))
     nodes = []
-    for n in doc["nodes"]:
+    for i, n in enumerate(raw_nodes):
         try:
             nodes.append((int(n["id"]), NodeTier(n["tier"]), int(n["ports"])))
-        except (KeyError, ValueError) as e:
-            raise TopologyError(f"bad node entry {n}: {e}") from e
+        except (KeyError, TypeError, ValueError) as e:
+            raise TopologyError(f"{path}: nodes[{i}]: bad node entry {n}: {e}") from e
     links = []
-    for entry in doc["links"]:
+    for i, entry in enumerate(raw_links):
         try:
             a, b = int(entry["src"]), int(entry["dst"])
             pa, pb = int(entry["src_port"]), int(entry["dst_port"])
             bw = int(entry["bandwidth_bps"])
             delay = int(entry.get("delay_ns", DEFAULT_DELAY_NS))
             links += (Link(a, b, pa, pb, bw, delay), Link(b, a, pb, pa, bw, delay))
-        except (KeyError, ValueError) as e:
-            raise TopologyError(f"bad link entry {entry}: {e}") from e
+        except (KeyError, TypeError, ValueError) as e:
+            raise TopologyError(f"{path}: links[{i}]: bad link entry {entry}: {e}") from e
     return Topology(nodes, links)
 
 
@@ -239,41 +255,41 @@ def convert_external_topology(in_path: str, out_path: str):
     if not isinstance(doc, dict):
         raise TopologyError(f"{in_path}: expected a mapping at top level")
     links_key = "links" if "links" in doc else "edges"
-    raw_nodes = doc.get("nodes")
-    raw_links = doc.get(links_key)
-    if raw_nodes is None or raw_links is None:
+    if doc.get("nodes") is None or doc.get(links_key) is None:
         raise TopologyError(f"{in_path}: missing nodes/links sections")
-    for key, entries in (("nodes", raw_nodes), (links_key, raw_links)):
-        if not isinstance(entries, list):
-            raise TopologyError(f"{in_path}: {key} must be a list")
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise TopologyError(f"{in_path}: {key}[{i}] must be a mapping, not {entry!r}")
+    raw_nodes, raw_links = _entry_lists(in_path, doc, ("nodes", links_key))
 
-    def pick(d, *names, default=None):
-        for n in names:
-            if n in d:
-                return d[n]
+    def pick(where, d, *names, default=None):
+        """The integer under the first of ``names`` that ``d`` has."""
+        for name in names:
+            if name in d:
+                try:
+                    return int(d[name])
+                except (TypeError, ValueError):
+                    raise TopologyError(f"{in_path}: {where}.{name}: expected an integer, "
+                                        f"got {d[name]!r}") from None
         if default is not None:
             return default
-        raise TopologyError(f"entry {d} missing one of {names}")
+        raise TopologyError(f"{in_path}: {where}: missing one of {names}")
 
-    ids = [int(pick(n, "id", "node_id", "name")) for n in raw_nodes]
+    ids = [pick(f"nodes[{i}]", n, "id", "node_id", "name") for i, n in enumerate(raw_nodes)]
     remap = {old: new for new, old in enumerate(sorted(ids))}
     tiers = []
     for old, n in zip(ids, raw_nodes):
-        name = str(pick(n, "tier", "type", "role", default="access")).lower()
+        name = str(next((n[k] for k in ("tier", "type", "role") if k in n), "access")).lower()
         tier = NodeTier(name) if name in {t.value for t in NodeTier} else NodeTier.ACCESS
         tiers.append((remap[old], tier))
 
-    def node(e, *names):
-        old = int(pick(e, *names))
+    def node(where, e, *names):
+        old = pick(where, e, *names)
         if old not in remap:
-            raise TopologyError(f"link {e} references unknown node {old}")
+            raise TopologyError(f"{in_path}: {where}: link {e} references unknown node {old}")
         return remap[old]
 
-    pairs = [(node(e, "src", "source", "from"), node(e, "dst", "target", "to"),
-              int(pick(e, "bandwidth_bps", "bandwidth", "bw", default=ACCESS_BW)),
-              int(pick(e, "delay_ns", "delay", "latency_ns", default=DEFAULT_DELAY_NS)))
-             for e in raw_links]
+    pairs = []
+    for i, e in enumerate(raw_links):
+        where = f"{links_key}[{i}]"
+        pairs.append((node(where, e, "src", "source", "from"), node(where, e, "dst", "target", "to"),
+                      pick(where, e, "bandwidth_bps", "bandwidth", "bw", default=ACCESS_BW),
+                      pick(where, e, "delay_ns", "delay", "latency_ns", default=DEFAULT_DELAY_NS)))
     save_topology(_from_pairs(tiers, pairs), out_path)

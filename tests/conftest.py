@@ -8,6 +8,10 @@ from dsnetsim.topology import Link, NodeTier, Topology, generate_synthetic_topol
 from dsnetsim.traffic import TrafficSpec, Flow
 from dsnetsim.model import build_model
 
+# ids of the two speculation regimes: the default lookahead window, and
+# run_optimistic(..., unbounded=True), which speculates and rolls back
+WINDOWS = ("lookahead", "unbounded")
+
 
 def bidirectional(a, b, pa, pb, bw=25_000_000_000, delay=1_000):
     return [

@@ -26,6 +26,7 @@ from dsnetsim.scenario import (
 )
 from dsnetsim.topology import generate_synthetic_topology
 from dsnetsim.traffic import resolve_flows
+from conftest import WINDOWS
 from test_qos import TickBucket, TickSrtcm
 
 _cache = {}
@@ -123,7 +124,8 @@ def test_A3_event_economy_across_token_intervals():
         f"{ratio:.1f}x (tol >=10x), lazy interval-invariant={invariant}")
 
 
-def test_A4_serial_equivalence_byte_identical_records(tmp_path):
+@pytest.mark.parametrize("window", WINDOWS)
+def test_A4_serial_equivalence_byte_identical_records(tmp_path, window):
     lazy, _ = _lazy_run()
     ref = tmp_path / "sequential.csv"
     write_records_csv(str(ref), lazy.records)
@@ -134,14 +136,14 @@ def test_A4_serial_equivalence_byte_identical_records(tmp_path):
         rep = run_optimistic(
             build_scenario_model(_scenario_cfg(), mode=MODE_SEQUENTIAL), plan,
             Knobs(runtime="stepped", gvt_interval=256, batch_size=8,
-                  watchdog_s=300))
+                  watchdog_s=300), unbounded=window == "unbounded")
         path = tmp_path / f"optimistic-k{k}.csv"
         write_records_csv(str(path), rep.records)
         identical = path.read_bytes() == ref.read_bytes()
         results.append((k, identical, rep.rolled_back_events))
     ok = all(r[1] for r in results)
     _verdict(
-        "A4 serial equivalence",
+        f"A4 serial equivalence ({window} window)",
         ok,
         "record files byte-identical to sequential for " +
         ", ".join(f"k={k} ({'yes' if ident else 'NO'}, rb={rb})"
@@ -191,8 +193,9 @@ def test_A5_partitioning_quality_limits_rollbacks():
     rb = {}
     identical = {}
     for name, plan in (("vertex-event", plan_event), ("edge", plan_edge)):
+        # unbounded, so that the plans' rollbacks show
         rep = run_optimistic(build_scenario_model(cfg, mode=MODE_SEQUENTIAL),
-                             plan, knobs)
+                             plan, knobs, unbounded=True)
         rb[name] = rep.rolled_back_events
         identical[name] = compare_reports(seq, rep)["record_diff_count"] == 0
     ok = rb["vertex-event"] < rb["edge"] and all(identical.values())
@@ -321,7 +324,7 @@ def test_A8_gvt_and_fossil_safety_fuzz():
             watchdog_s=120,
         )
         rep = run_optimistic(build_scenario_model(cfg, mode=MODE_SEQUENTIAL),
-                             plan, knobs)
+                             plan, knobs, unbounded=True)
         runs += 1
         rounds += rep.gvt_rounds
         gvts = [row[1] for row in rep.gvt_series if row[1] >= 0]

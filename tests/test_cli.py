@@ -1,12 +1,14 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
 import csv
+import functools
 import json
 import re
 
 import pytest
 import yaml
 
+from dsnetsim import kernel, scenario
 from dsnetsim.cli import EXIT_CONFIG, EXIT_OK, main
 from dsnetsim.topology import load_topology
 from dsnetsim.scenario import ScenarioError, build_topology, build_traffic_spec, load_scenario
@@ -59,16 +61,31 @@ def test_run_optimistic_k1_record_file_identical_to_sequential(tmp_path):
     assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
 
 
-def test_run_prints_efficiency(tmp_path, capsys):
-    cfg_path = _write_cfg(tmp_path)
-    assert main(["run", "--config", cfg_path, "--mode", "optimistic", "-k", "2"]) == EXIT_OK
+def _efficiency_fields(capsys) -> dict:
     line = [ln for ln in capsys.readouterr().out.splitlines()
             if ln.startswith("committed_events=")][0]
-    fields = dict(f.split("=") for f in line.split())
+    return dict(f.split("=") for f in line.split())
+
+
+def test_run_prints_efficiency(tmp_path, capsys, monkeypatch):
+    # lift the lookahead window, so that the run rolls back
+    monkeypatch.setattr(scenario, "run_optimistic",
+                        functools.partial(kernel.run_optimistic, unbounded=True))
+    cfg_path = _write_cfg(tmp_path)
+    assert main(["run", "--config", cfg_path, "--mode", "optimistic", "-k", "2"]) == EXIT_OK
+    fields = _efficiency_fields(capsys)
     committed = int(fields["committed_events"])
     rolled_back = int(fields["rolled_back_events"])
     assert rolled_back > 0
     assert fields["efficiency"] == f"{committed / (committed + rolled_back):.4f}"
+
+
+def test_run_on_the_default_window_rolls_nothing_back(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path)
+    assert main(["run", "--config", cfg_path, "--mode", "optimistic", "-k", "2"]) == EXIT_OK
+    fields = _efficiency_fields(capsys)
+    assert int(fields["committed_events"]) > 0
+    assert (fields["rolled_back_events"], fields["efficiency"]) == ("0", "1.0000")
 
 
 def test_run_baseline_refill_event_count(tmp_path):
@@ -349,8 +366,13 @@ def test_packet_larger_than_shaper_burst_is_a_config_error(tmp_path, capsys, qos
     ({"nodes": [0, 1], "links": [{"src": 0, "dst": 1}]}, "nodes[0] must be a mapping"),
     ({"nodes": [{"id": 0}, {"id": 1}], "edges": [{"src": 0, "dst": 1}, [0, 1]]},
      "edges[1] must be a mapping"),
+    ({"nodes": {"id": 0}, "links": []}, "nodes must be a list"),
+    ({"nodes": [{"id": 0}, {"id": "r1"}], "links": [{"src": 0, "dst": 1}]},
+     "nodes[1].id: expected an integer, got 'r1'"),
+    ({"nodes": [{"id": 0}, {"id": 1}], "links": [{"src": 0, "dst": 1, "bw": "fast"}]},
+     "links[0].bw: expected an integer"),
 ], ids=["self-loop", "unconnected-node", "unknown-node", "duplicate-id", "non-mapping-node",
-        "non-mapping-link"])
+        "non-mapping-link", "non-list-section", "named-node-id", "non-integer-bandwidth"])
 def test_topo_convert_rejects_an_invalid_topology(tmp_path, capsys, doc, message):
     dump = tmp_path / "dump.json"
     dump.write_text(json.dumps(doc))
@@ -371,3 +393,23 @@ def test_broken_yaml_is_a_config_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot parse") and str(broken) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"nodes": [0, 1], "links": []}, "nodes[0] must be a mapping"),
+    ({"nodes": [{"id": 0, "tier": "access", "ports": 1}], "links": [7]},
+     "links[0] must be a mapping"),
+    ({"nodes": 3, "links": []}, "nodes must be a list"),
+    ({"nodes": [{"id": 0, "tier": "access", "ports": 1}, {"id": 1, "tier": "access"}],
+      "links": []}, "nodes[1]: bad node entry"),
+    ({"nodes": [{"id": 0, "tier": "access", "ports": 1}],
+      "links": [{"src": 0, "dst": [1], "src_port": 0, "dst_port": 0, "bandwidth_bps": 1}]},
+     "links[0]: bad link entry"),
+], ids=["non-mapping-node", "non-mapping-link", "non-list-section", "node-missing-key",
+        "non-integer-endpoint"])
+def test_run_rejects_an_invalid_topology_file(tmp_path, capsys, doc, message):
+    topo = tmp_path / "topo.yaml"
+    topo.write_text(yaml.safe_dump(doc))
+    cfg_path = _write_cfg(tmp_path, {"topology": {"path": str(topo)}})
+    assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err

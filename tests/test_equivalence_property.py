@@ -1,0 +1,77 @@
+"""Generated serial-equivalence test: for a drawn topology, flows, plan and
+knobs, with and without the lookahead window, the optimistic kernel
+commits exactly the sequential records, and under the window it never
+rolls back."""
+
+import dataclasses
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from dsnetsim.kernel import Knobs, run_optimistic, run_sequential
+from dsnetsim.metrics import compare_reports
+from dsnetsim.model import MODE_LAZY, MODE_PERIODIC, build_model
+from dsnetsim.qos import make_profile
+from dsnetsim.routing import compute_routes
+from dsnetsim.topology import NodeTier, Topology, generate_synthetic_topology
+from dsnetsim.traffic import Flow, TrafficSpec
+
+END_NS = 100_000
+# a shaper this tight blocks under a few flows, so lazy runs take SEND events
+TIGHT = dict(shaper_rate_bps=40_000_000, shaper_burst_bytes=4_096)
+
+
+@st.composite
+def cases(draw):
+    base = generate_synthetic_topology(
+        draw(st.integers(2, 8)), draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 1_000)))
+    # one delay per bidirectional link, 0 ns included
+    delays = {}
+    for l in base.links:
+        pair = (min(l.src, l.dst), max(l.src, l.dst))
+        if pair not in delays:
+            delays[pair] = draw(st.sampled_from((0, 1, 300, 1_000)))
+    topo = Topology(
+        [(n, base.tiers[n], base.port_counts[n]) for n in base.node_ids()],
+        [dataclasses.replace(l, delay_ns=delays[min(l.src, l.dst), max(l.src, l.dst)])
+         for l in base.links])
+    n = topo.num_nodes
+    flows = []
+    for _ in range(draw(st.integers(1, 5))):
+        src = draw(st.integers(0, n - 1))
+        flows.append(Flow(src, (src + draw(st.integers(1, n - 1))) % n,
+                          draw(st.integers(20_000, 300_000)), draw(st.sampled_from((0, 26, 46)))))
+    tight = draw(st.sampled_from(list(NodeTier)))
+    profiles = {t: make_profile(**(TIGHT if t is tight else {})) for t in NodeTier}
+    k = draw(st.integers(2, 4))
+    assignment = {n: draw(st.integers(0, k - 1)) for n in topo.node_ids()}
+    mode = draw(st.sampled_from((MODE_LAZY, MODE_PERIODIC)))
+    # a 1 B packet takes the shortest transmission, 1 ns, so it can land
+    # exactly one lookahead after the event that sends it
+    size = draw(st.sampled_from((1400, 1)))
+    knobs = Knobs(batch_size=draw(st.integers(1, 16)),
+                  gvt_interval=draw(st.integers(1, 256)),
+                  jitter=draw(st.integers(0, 4)),
+                  schedule_seed=draw(st.one_of(st.none(), st.integers(0, 1_000))))
+    return topo, flows, size, profiles, mode, assignment, knobs, draw(st.booleans())
+
+
+def _model(topo, flows, size, profiles, mode):
+    spec = TrafficSpec(pattern="explicit", flows=tuple(flows), packet_size=size)
+    return build_model(topo, compute_routes(topo), spec, END_NS, seed=42,
+                       profiles=profiles, mode=mode,
+                       token_interval_ns=5_000 if mode == MODE_PERIODIC else 0)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cases())
+def test_stepped_records_equal_sequential(case):
+    topo, flows, size, profiles, mode, assignment, knobs, unbounded = case
+    seq = run_sequential(_model(topo, flows, size, profiles, mode))
+    rep = run_optimistic(_model(topo, flows, size, profiles, mode), assignment, knobs,
+                         unbounded=unbounded)
+    assert compare_reports(seq, rep)["record_diff_count"] == 0
+    assert rep.committed_events == seq.committed_events
+    if not unbounded:
+        assert rep.rolled_back_events == 0

@@ -14,10 +14,10 @@ from dsnetsim.metrics import compare_reports
 from dsnetsim.partition import partition_balanced
 from dsnetsim.router import Packet
 from dsnetsim.routing import compute_routes
-from dsnetsim.model import MODE_PERIODIC, build_model
-from dsnetsim.topology import generate_synthetic_topology
-from dsnetsim.traffic import TrafficSpec
-from conftest import line_topology, single_flow_model, tight_shaper_profiles
+from dsnetsim.model import MODE_PERIODIC, build_model, lookahead_ns
+from dsnetsim.topology import NodeTier, Topology, generate_synthetic_topology
+from dsnetsim.traffic import Flow, TrafficSpec
+from conftest import WINDOWS, bidirectional, line_topology, single_flow_model, tight_shaper_profiles
 
 
 def _fresh_model(end_ns=1_000_000, seed=42, **model_kwargs):
@@ -189,15 +189,16 @@ def test_k1_matches_sequential_exactly():
     assert rep.rolled_back_events == 0
 
 
+@pytest.mark.parametrize("window", WINDOWS)
 @pytest.mark.parametrize("k", [2, 4])
 @pytest.mark.parametrize("runtime", ["stepped"])
-def test_serial_equivalence_small(k, runtime):
+def test_serial_equivalence_small(k, runtime, window):
     seq = run_sequential(_fresh_model()[0])
     _, topo = _fresh_model()
     plan = partition_balanced(topo, k)
     knobs = Knobs(runtime=runtime, gvt_interval=128, batch_size=8,
                   schedule_seed=3, jitter=2, watchdog_s=60)
-    rep = run_optimistic(_fresh_model()[0], plan, knobs)
+    rep = run_optimistic(_fresh_model()[0], plan, knobs, unbounded=window == "unbounded")
     assert compare_reports(seq, rep)["record_diff_count"] == 0
     # committed event counts are identical across partition counts
     assert rep.committed_events == seq.committed_events
@@ -221,25 +222,109 @@ def test_serial_equivalence_with_send_and_refill(scenario, k):
     model, topo = _fresh_model(**kwargs)
     knobs = Knobs(gvt_interval=128, batch_size=8, schedule_seed=3, jitter=2,
                   watchdog_s=60)
-    rep = run_optimistic(model, partition_balanced(topo, k), knobs)
+    rep = run_optimistic(model, partition_balanced(topo, k), knobs, unbounded=True)
     assert compare_reports(seq, rep)["record_diff_count"] == 0
     assert rep.committed_events == seq.committed_events
     assert rep.rolled_back_events > 0
+
+
+def _count_antis(monkeypatch) -> list:
+    """Patch Partition.receive_remote to count the anti-messages received."""
+    antis = []
+    receive = Partition.receive_remote
+
+    def counting(self, ev):
+        if ev.sign == events.ANTI:
+            antis.append(ev)
+        return receive(self, ev)
+
+    monkeypatch.setattr(Partition, "receive_remote", counting)
+    return antis
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+@pytest.mark.parametrize("scenario", ["default"] + sorted(SHAPER_SCENARIOS))
+def test_lookahead_window_never_rolls_back(scenario, k, monkeypatch):
+    kwargs = SHAPER_SCENARIOS.get(scenario, {})
+    seq = run_sequential(_fresh_model(**kwargs)[0])
+    model, topo = _fresh_model(**kwargs)
+    antis = _count_antis(monkeypatch)
+    rep = run_optimistic(model, partition_balanced(topo, k),
+                         Knobs(gvt_interval=128, batch_size=8, schedule_seed=3, jitter=2))
+    assert compare_reports(seq, rep)["record_diff_count"] == 0
+    assert rep.rolled_back_events == 0
+    assert antis == []
+
+
+def test_lookahead_counts_only_cut_links():
+    topo = Topology([(i, NodeTier.ACCESS, 2) for i in range(4)],
+                    bidirectional(0, 1, 0, 0, delay=30) + bidirectional(1, 2, 1, 0, delay=700)
+                    + bidirectional(2, 3, 1, 0, delay=500) + bidirectional(3, 0, 1, 1, delay=80))
+    # 0-1 (30 ns) and 3-0 (80 ns) stay inside a partition
+    assert lookahead_ns(topo, {0: 0, 1: 0, 2: 1, 3: 0}) == 1 + 500
+    # every link cut: the smallest delay wins
+    assert lookahead_ns(topo, {0: 0, 1: 1, 2: 0, 3: 1}) == 1 + 30
+    assert lookahead_ns(topo, {n: 0 for n in range(4)}) == INF
+
+
+def test_lookahead_window_stops_one_ns_short_of_the_lookahead():
+    # a 1 B packet takes 1 ns on a 25 Gb/s link, so node 0's packet sent at
+    # t reaches node 1 at t + 999 + 1 = t + L, the time of node 1's next
+    # GENERATE; node 1's partition steps first, and a window of L instead
+    # of L - 1 would run that GENERATE before the ARRIVE that precedes it
+    topo = line_topology(2, delay=999)
+
+    def model():
+        spec = TrafficSpec(pattern="explicit", packet_size=1,
+                           flows=(Flow(0, 1, 1_000_000), Flow(1, 0, 1_000_000)))
+        return build_model(topo, compute_routes(topo), spec, 20_000, 42)
+
+    seq = run_sequential(model())
+    rep = run_optimistic(model(), {0: 1, 1: 0}, Knobs())
+    assert seq.delivered > 0
+    assert compare_reports(seq, rep)["record_diff_count"] == 0
+    assert rep.rolled_back_events == 0
+
+
+def test_zero_delay_cut_link_gives_window_zero():
+    # 0 -1000 ns- 1 -0 ns- 2 -1000 ns- 3, cut at the zero-delay link
+    topo = Topology([(0, NodeTier.ACCESS, 1), (1, NodeTier.ACCESS, 2),
+                     (2, NodeTier.ACCESS, 2), (3, NodeTier.ACCESS, 1)],
+                    bidirectional(0, 1, 0, 0) + bidirectional(1, 2, 1, 0, delay=0)
+                    + bidirectional(2, 3, 1, 0))
+    assignment = {0: 0, 1: 0, 2: 1, 3: 1}
+    assert lookahead_ns(topo, assignment) - 1 == 0
+
+    def model():
+        spec = TrafficSpec(pattern="explicit", packet_size=1400,
+                           flows=(Flow(0, 3, 200_000), Flow(3, 0, 150_000), Flow(2, 1, 100_000)))
+        return build_model(topo, compute_routes(topo), spec, 200_000, 42,
+                           profiles=tight_shaper_profiles())
+
+    seq = run_sequential(model())
+    rep = run_optimistic(model(), assignment, Knobs(batch_size=4, schedule_seed=1, jitter=1))
+    assert seq.delivered > 0
+    assert compare_reports(seq, rep)["record_diff_count"] == 0
+    assert rep.committed_events == seq.committed_events
+    assert rep.rolled_back_events == 0
 
 
 def test_records_invariant_under_transport_jitter():
     _, topo = _fresh_model()
     plan = partition_balanced(topo, 4)
     base = None
-    for schedule_seed, jitter in ((0, 0), (1, 3), (7, 9)):
-        knobs = Knobs(runtime="stepped", gvt_interval=128, batch_size=4,
-                      schedule_seed=schedule_seed, jitter=jitter, watchdog_s=60)
-        rep = run_optimistic(_fresh_model()[0], plan, knobs)
-        rec = sorted(rep.records, key=lambda r: r.pid)
-        if base is None:
-            base = rec
-        else:
-            assert rec == base
+    # unbounded, the heavy jitter makes stragglers and reorders anti-messages
+    for window in WINDOWS:
+        for schedule_seed, jitter in ((0, 0), (1, 3), (7, 9)):
+            knobs = Knobs(runtime="stepped", gvt_interval=128, batch_size=4,
+                          schedule_seed=schedule_seed, jitter=jitter, watchdog_s=60)
+            rep = run_optimistic(_fresh_model()[0], plan, knobs,
+                                 unbounded=window == "unbounded")
+            rec = sorted(rep.records, key=lambda r: r.pid)
+            if base is None:
+                base = rec
+            else:
+                assert rec == base
 
 
 def test_fossil_collection_bounds_history_memory():
@@ -247,11 +332,12 @@ def test_fossil_collection_bounds_history_memory():
     plan = partition_balanced(topo, 2)
     frequent = run_optimistic(
         _fresh_model()[0], plan,
-        Knobs(runtime="stepped", gvt_interval=32, batch_size=8, watchdog_s=60))
+        Knobs(runtime="stepped", gvt_interval=32, batch_size=8, watchdog_s=60),
+        unbounded=True)
     rare = run_optimistic(
         _fresh_model()[0], plan,
-        Knobs(runtime="stepped", gvt_interval=100_000, batch_size=8,
-              watchdog_s=60))
+        Knobs(runtime="stepped", gvt_interval=100_000, batch_size=8, watchdog_s=60),
+        unbounded=True)
     assert frequent.peak_history_entries < rare.peak_history_entries
     assert sorted(frequent.records, key=lambda r: r.pid) == \
         sorted(rare.records, key=lambda r: r.pid)
@@ -260,12 +346,14 @@ def test_fossil_collection_bounds_history_memory():
 def test_gvt_series_is_monotone():
     _, topo = _fresh_model()
     plan = partition_balanced(topo, 2)
-    rep = run_optimistic(
-        _fresh_model()[0], plan,
-        Knobs(runtime="stepped", gvt_interval=64, batch_size=8, watchdog_s=60))
-    gvts = [row[1] for row in rep.gvt_series if row[1] >= 0]
-    assert gvts == sorted(gvts)
-    assert rep.gvt_rounds == len(rep.gvt_series)
+    for window in WINDOWS:
+        rep = run_optimistic(
+            _fresh_model()[0], plan,
+            Knobs(runtime="stepped", gvt_interval=64, batch_size=8, watchdog_s=60),
+            unbounded=window == "unbounded")
+        gvts = [row[1] for row in rep.gvt_series if row[1] >= 0]
+        assert gvts == sorted(gvts)
+        assert rep.gvt_rounds == len(rep.gvt_series)
 
 
 def test_unknown_runtime_rejected():
