@@ -16,12 +16,10 @@ rollback writes the undone events' saves back newest first
 (``RouterLp.restore``), so for every port the earliest save wins and the
 LP is back where it was before the first undone event.
 
-One driver runs the partitions: a deterministic single-thread stepper that
-gives each partition one batch per round, over per-channel FIFO queues
-with optional seeded transport jitter and a shuffled schedule. GVT is a
-stop-the-world cut: every channel is drained until nothing is in flight
-(global sent == received), and the minimum pending event time becomes the
-new GVT.
+One driver runs the partitions: a deterministic single-thread stepper over
+per-channel FIFO queues. GVT is a stop-the-world cut: every channel is
+drained until nothing is in flight (global sent == received), and the
+minimum pending event time becomes the new GVT.
 
 A time window bounds the speculation: a partition runs no event later than
 GVT + L - 1, where L is the plan's lookahead (``model.lookahead_ns``): 1 ns
@@ -33,12 +31,15 @@ delay after the event that sends it; GENERATE, SEND and REFILL target their
 own LP. Every pending or in-flight event at a cut
 is at or after GVT, so any event a partition receives later is at GVT + L
 or after, behind nothing it has run: no straggler, so no rollback and no
-anti-message. Each partition then idles until the next cut moves GVT, so
-the run takes more, cheaper GVT rounds. The per-event saves, rollback and
-fossil collection run unchanged, so a wrong lookahead costs rollbacks,
-never records. ``run_optimistic(..., unbounded=True)`` lifts the window, so
-that every partition runs as far ahead as its pending events go; the tests
-and demos use it to exercise rollback and anti-messages.
+anti-message. Each GVT epoch is then one round: every partition runs in one
+step up to its limit (or ``Knobs.gvt_interval`` events, which bounds the
+history when no link is cut), and the round ends in a cut. The per-event
+saves, rollback and fossil collection run unchanged, so a wrong lookahead
+costs rollbacks, never records. ``run_optimistic(..., unbounded=True)``
+lifts the window, so that every partition runs as far ahead as its pending
+events go, one ``batch_size`` batch per round in an optionally shuffled
+order with seeded transport jitter; the tests and demos use it to exercise
+rollback and anti-messages.
 """
 
 from __future__ import annotations
@@ -76,11 +77,23 @@ class Knobs:
     """Runtime tuning for the optimistic engine."""
 
     gvt_interval: int = 1024  # processed events per partition between cuts
+    # batch_size, schedule_seed and jitter act only on unbounded runs: under
+    # the window every round ends in a cut that drains every channel
     batch_size: int = 16  # events per scheduling quantum
     runtime: str = "stepped"  # one of RUNTIMES
     schedule_seed: int | None = None  # shuffle the partition order per round
     jitter: int = 0  # max extra hold per channel message, in rounds
     watchdog_s: float = 60.0
+
+    def __post_init__(self):
+        for name, bad, need in (
+                ("gvt_interval", self.gvt_interval < 1, ">= 1"),
+                ("batch_size", self.batch_size < 1, ">= 1"),
+                ("jitter", self.jitter < 0, ">= 0"),
+                ("watchdog_s", self.watchdog_s <= 0, "> 0"),
+                ("runtime", self.runtime not in RUNTIMES, f"one of {RUNTIMES}")):
+            if bad:
+                raise KernelError(f"Knobs.{name}: {getattr(self, name)!r} is not {need}")
 
 
 # --------------------------------------------------------------------------
@@ -281,32 +294,41 @@ class Partition:
     def step(self, max_events: int) -> int:
         """Process up to ``max_events`` pending events in key order, none
         later than the horizon or ``gvt + window``."""
+        pending = self.pending
+        live = self.live
+        lps = self.lps
+        histories = self.histories
+        lp_pid = self.lp_pid
+        outboxes = self.outboxes
+        heappop = heapq.heappop
+        pid = self.pid
+        ctx = self.ctx
         done = 0
         limit = min(self.end, self.gvt + self.window)
         while done < max_events:
             ev = self._clean_top()
             if ev is None or ev.time > limit:
                 break
-            heapq.heappop(self.pending)
-            if self.live.get(ev.eid) is ev:
-                del self.live[ev.eid]
-            lp = self.lps[ev.target]
+            heappop(pending)
+            if live.get(ev.eid) is ev:
+                del live[ev.eid]
+            lp = lps[ev.target]
             saved = lp.clone(touched_port(lp, ev))
-            fx = dispatch(lp, ev, self.ctx)
-            self.histories[ev.target].append(
+            fx = dispatch(lp, ev, ctx)
+            histories[ev.target].append(
                 _Entry(ev, saved, fx.emitted, fx.records, fx.generated))
             self.hist_size += 1
             if self.hist_size > self.peak_history:
                 self.peak_history = self.hist_size
             for em in fx.emitted:
-                tgt = self.lp_pid[em.target]
-                if tgt == self.pid:
+                tgt = lp_pid[em.target]
+                if tgt == pid:
                     # local delivery still needs the straggler check: after a
                     # rollback this LP re-executes old events and its
                     # emissions can land behind a local neighbour's progress
                     self._insert_positive(em)
                 else:
-                    self.outboxes.setdefault(tgt, []).append(em)
+                    outboxes.setdefault(tgt, []).append(em)
             done += 1
         return done
 
@@ -326,20 +348,29 @@ class Partition:
     def fossil_collect(self, gvt) -> int:
         """Commit and discard history strictly below ``gvt``."""
         reclaimed = 0
+        generated = 0
+        records = self.committed_records
+        per_lp = self.per_lp_committed
         for lp_id, hist in self.histories.items():
-            i = 0
-            while i < len(hist) and hist[i].event.time < gvt:
-                i += 1
-            if i:
-                for entry in hist[:i]:
-                    self.committed_events += 1
-                    self.committed_generated += entry.generated
-                    if entry.records:
-                        self.committed_records.extend(entry.records)
-                    self.per_lp_committed[lp_id] = (
-                        self.per_lp_committed.get(lp_id, 0) + 1)
-                del hist[:i]
-                reclaimed += i
+            if not hist:
+                continue
+            if hist[-1].event.time < gvt:
+                i = len(hist)
+            else:
+                i = 0
+                while hist[i].event.time < gvt:
+                    i += 1
+                if not i:
+                    continue
+            for entry in hist[:i]:
+                generated += entry.generated
+                if entry.records:
+                    records.extend(entry.records)
+            per_lp[lp_id] = per_lp.get(lp_id, 0) + i
+            del hist[:i]
+            reclaimed += i
+        self.committed_events += reclaimed
+        self.committed_generated += generated
         self.hist_size -= reclaimed
         if gvt is not INF:
             self.gvt = gvt
@@ -398,11 +429,14 @@ def _compute_gvt(parts: list[Partition]):
 
 def run_stepped(model: Model, assignment: dict[int, int], k: int,
                 knobs: Knobs, unbounded: bool = False) -> RunReport:
-    """Deterministic cooperative driver: partitions are stepped one batch at
-    a time in (optionally shuffled) order, with optional per-channel message
-    holds that preserve per-sender FIFO order. A partition runs no event
-    later than GVT + L - 1 (L from :func:`model.lookahead_ns`) unless
-    ``unbounded``."""
+    """Deterministic cooperative driver. A partition runs no event later
+    than GVT + L - 1 (L from :func:`model.lookahead_ns`), so each round
+    steps every partition once, up to that limit or ``gvt_interval``
+    events, and ends in a GVT cut. With ``unbounded`` there is no limit:
+    partitions are stepped one batch at a time in (optionally shuffled)
+    order, with optional per-channel message holds that preserve per-sender
+    FIFO order, and a cut follows every ``gvt_interval`` events per
+    partition or a round in which nothing moved."""
     t0 = _time.perf_counter()
     window = INF if unbounded else lookahead_ns(model.topology, assignment) - 1
     parts = _make_partitions(model, assignment, k, window)
@@ -446,49 +480,56 @@ def run_stepped(model: Model, assignment: dict[int, int], k: int,
         return moved
 
     while True:
-        order = list(range(k))
-        if knobs.schedule_seed is not None:
-            rnd.shuffle(order)
-        any_work = False
-        for pid in order:
-            p = parts[pid]
-            got = deliver_due(p)
-            n = p.step(knobs.batch_size)
-            flush(p, with_jitter=True)
-            since_gvt += n
-            if n or got:
-                any_work = True
-        if since_gvt >= knobs.gvt_interval * k or not any_work:
-            # GVT cut: bounce messages (including the antis a drain-triggered
-            # rollback produces) until nothing is in flight
-            for p in parts:
-                flush(p, with_jitter=False)
-            while deliver_all():
-                pass
-            new_gvt = _compute_gvt(parts)
-            done = new_gvt is INF or new_gvt > model.end_time_ns
-            if done:
-                new_gvt = INF
-            elif new_gvt > gvt:
-                gvt = new_gvt
-                last_progress = _time.perf_counter()
-            else:
-                assert new_gvt == gvt, "GVT regressed"
-            for p in parts:
-                p.fossil_collect(new_gvt)
-            gvt_series.append((
-                len(gvt_series) + 1,
-                -1 if done else new_gvt,
-                sum(p.committed_events for p in parts),
-                sum(p.rolled_back for p in parts),
-                sum(p.sent for p in parts),
-            ))
-            if done:
-                break
+        if unbounded:
+            order = list(range(k))
+            if knobs.schedule_seed is not None:
+                rnd.shuffle(order)
+            any_work = False
+            for pid in order:
+                p = parts[pid]
+                got = deliver_due(p)
+                n = p.step(knobs.batch_size)
+                flush(p, with_jitter=True)
+                since_gvt += n
+                if n or got:
+                    any_work = True
+            if since_gvt < knobs.gvt_interval * k and any_work:
+                continue
             since_gvt = 0
-            if _time.perf_counter() - last_progress > knobs.watchdog_s:
-                raise WatchdogError(
-                    f"no GVT progress past {gvt} ns for {knobs.watchdog_s}s")
+        else:
+            # one epoch: whatever a partition receives during it is at GVT + L
+            # or later, past its limit, so it runs to that limit in one step
+            for p in parts:
+                p.step(knobs.gvt_interval)
+        # GVT cut: bounce messages (including the antis a drain-triggered
+        # rollback produces) until nothing is in flight
+        for p in parts:
+            flush(p, with_jitter=False)
+        while deliver_all():
+            pass
+        new_gvt = _compute_gvt(parts)
+        done = new_gvt is INF or new_gvt > model.end_time_ns
+        if done:
+            new_gvt = INF
+        elif new_gvt > gvt:
+            gvt = new_gvt
+            last_progress = _time.perf_counter()
+        else:
+            assert new_gvt == gvt, "GVT regressed"
+        for p in parts:
+            p.fossil_collect(new_gvt)
+        gvt_series.append((
+            len(gvt_series) + 1,
+            -1 if done else new_gvt,
+            sum(p.committed_events for p in parts),
+            sum(p.rolled_back for p in parts),
+            sum(p.sent for p in parts),
+        ))
+        if done:
+            break
+        if _time.perf_counter() - last_progress > knobs.watchdog_s:
+            raise WatchdogError(
+                f"no GVT progress past {gvt} ns for {knobs.watchdog_s}s")
     return _merge_reports(model, parts, len(gvt_series), gvt_series,
                           _time.perf_counter() - t0)
 
@@ -505,6 +546,4 @@ def run_optimistic(model: Model, plan, knobs: Knobs | None = None, *,
     missing = set(model.lps) - set(assignment)
     if missing:
         raise KernelError(f"partition plan misses LPs {sorted(missing)[:5]}")
-    if knobs.runtime not in RUNTIMES:
-        raise KernelError(f"unknown runtime {knobs.runtime!r}")
     return run_stepped(model, assignment, k, knobs, unbounded)

@@ -73,6 +73,7 @@ def _mapping(key_ok, val_ok, desc):
 _STR = (lambda v: isinstance(v, str)), "a string"
 _BOOL = (lambda v: isinstance(v, bool)), "true or false"
 _NUM = (lambda v: _is_num(v) and v >= 0), "a number >= 0"
+_POS_NUM = (lambda v: _is_num(v) and v > 0), "a number > 0"
 _RED = ((lambda v: isinstance(v, list) and len(v) in (3, 4) and _is_int(v[0])
          and _is_int(v[1]) and all(_is_num(x) for x in v[2:])),
         "[min_th_bytes, max_th_bytes, max_p] or [..., weight]")
@@ -131,7 +132,7 @@ _SCHEMA = {
             "runtime": (_ABSENT, _one_of(kernel.RUNTIMES)),
             "schedule_seed": (_ABSENT, _or_null(_int())),
             "jitter": (_ABSENT, _int(0)),
-            "watchdog_s": (_ABSENT, _NUM),
+            "watchdog_s": (_ABSENT, _POS_NUM),
         },
         "output_dir": (None, _or_null(_STR)),
     },

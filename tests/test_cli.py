@@ -234,6 +234,7 @@ def test_bad_qos_block_is_a_config_error(tmp_path, capsys, block, key):
     ("schedule_seed", "3"),
     ("watchdog_s", "60"),
     ("watchdog_s", -1),
+    ("watchdog_s", 0),
 ])
 def test_bad_knob_value_is_a_config_error(tmp_path, capsys, key, value):
     cfg_path = _write_cfg(tmp_path, {"run": {

@@ -356,11 +356,79 @@ def test_gvt_series_is_monotone():
         assert rep.gvt_rounds == len(rep.gvt_series)
 
 
-def test_unknown_runtime_rejected():
-    _, topo = _fresh_model()
-    plan = partition_balanced(topo, 2)
-    with pytest.raises(KernelError):
-        run_optimistic(_fresh_model()[0], plan, Knobs(runtime="fibers"))
+def _count_steps(monkeypatch) -> list:
+    """Patch Partition.step to log each call's (max_events, events run)."""
+    calls = []
+    step = Partition.step
+
+    def counting(self, max_events):
+        n = step(self, max_events)
+        calls.append((max_events, n))
+        return n
+
+    monkeypatch.setattr(Partition, "step", counting)
+    return calls
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_window_runs_each_epoch_in_one_step_per_partition(k, monkeypatch):
+    model, topo = _fresh_model()
+    calls = _count_steps(monkeypatch)
+    knobs = Knobs(gvt_interval=128, batch_size=8)
+    rep = run_optimistic(model, partition_balanced(topo, k), knobs)
+    # every round ends in a cut, and no round is idle
+    assert len(calls) == k * rep.gvt_rounds
+    assert {m for m, _ in calls} == {knobs.gvt_interval}
+    for r in range(rep.gvt_rounds):
+        assert sum(n for _, n in calls[r * k:(r + 1) * k]) > 0
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_unbounded_runs_one_batch_per_step(k, monkeypatch):
+    model, topo = _fresh_model()
+    calls = _count_steps(monkeypatch)
+    knobs = Knobs(gvt_interval=128, batch_size=8)
+    run_optimistic(model, partition_balanced(topo, k), knobs, unbounded=True)
+    assert calls
+    assert {m for m, _ in calls} == {knobs.batch_size}
+
+
+def test_gvt_interval_bounds_history_when_no_link_is_cut():
+    # a k=1 plan cuts no link, so L is infinite and only gvt_interval ends
+    # an epoch
+    model, topo = _fresh_model()
+    assert lookahead_ns(topo, {n: 0 for n in topo.node_ids()}) == INF
+    knobs = Knobs(gvt_interval=64)
+    seq = run_sequential(_fresh_model()[0])
+    rep = run_optimistic(model, partition_balanced(topo, 1), knobs)
+    assert rep.committed_events >= 10 * knobs.gvt_interval
+    assert rep.peak_history_entries <= 2 * knobs.gvt_interval
+    assert compare_reports(seq, rep)["record_diff_count"] == 0
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize("k", [2, 4])
+def test_commit_counts_match_sequential(k, window):
+    seq = run_sequential(_fresh_model()[0])
+    model, topo = _fresh_model()
+    rep = run_optimistic(model, partition_balanced(topo, k),
+                         Knobs(gvt_interval=128, batch_size=8),
+                         unbounded=window == "unbounded")
+    assert rep.per_lp_events == seq.per_lp_events
+    assert rep.generated == seq.generated
+    assert rep.committed_events == seq.committed_events
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gvt_interval", 0),
+    ("batch_size", 0),
+    ("jitter", -1),
+    ("watchdog_s", 0),
+    ("runtime", "fibers"),
+])
+def test_bad_knob_is_rejected_by_name(field, value):
+    with pytest.raises(KernelError, match=f"Knobs.{field}"):
+        Knobs(**{field: value})
 
 
 def test_incomplete_plan_rejected():
