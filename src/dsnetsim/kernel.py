@@ -11,8 +11,10 @@ rolled-back LP re-emits byte-identical events.
 Before each event the engine saves only what that event can change: the
 pipeline of the one port it touches (``router.touched_port``), as a copy
 of its flat state list and of its per-class packet lists, plus the RNG
-cursors, ``seq`` and the flows' ``pkt_seq`` (``RouterLp.clone``). A
-rollback writes the undone events' saves back newest first
+cursors, ``seq`` and the flows' ``pkt_seq`` (``RouterLp.clone``). The
+``router.Effects`` that ``dispatch`` returns for the event is its history
+entry: the event, that save, and what the event emitted, recorded and
+generated. A rollback writes the undone events' saves back newest first
 (``RouterLp.restore``), so for every port the earliest save wins and the
 LP is back where it was before the first undone event.
 
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 from . import events
 from .metrics import RunReport, finalize
 from .model import Model, lookahead_ns
-from .router import dispatch, touched_port
+from .router import Effects, dispatch, touched_port
 
 INF = math.inf
 RUNTIMES = ("stepped",)  # valid values of Knobs.runtime
@@ -157,19 +159,6 @@ def _state_counters(lps: dict) -> dict:
 # optimistic engine: per-partition core
 
 
-class _Entry:
-    """One processed event with everything needed to undo it."""
-
-    __slots__ = ("event", "saved", "emitted", "records", "generated")
-
-    def __init__(self, event, saved, emitted, records, generated):
-        self.event = event
-        self.saved = saved
-        self.emitted = emitted
-        self.records = records
-        self.generated = generated
-
-
 class Partition:
     """One worker's share of the model: its LPs, pending queue, processed
     histories, and outboxes toward other partitions."""
@@ -186,7 +175,8 @@ class Partition:
         self.pending: list = []  # heap of (key, serial, Event)
         self._serial = 0  # heap tiebreaker: a dead copy can share its key
         self.live: dict = {}  # eid -> the live pending Event with that identity
-        self.histories: dict[int, list[_Entry]] = {n: [] for n in lps}
+        # per LP, the Effects of its processed events in key order
+        self.histories: dict[int, list[Effects]] = {n: [] for n in lps}
         self.outboxes: dict[int, list] = {}
 
         self.sent = 0
@@ -282,18 +272,11 @@ class Partition:
 
     # -- forward progress --------------------------------------------------
 
-    def _clean_top(self):
-        while self.pending:
-            ev = self.pending[0][2]
-            if ev.dead:
-                heapq.heappop(self.pending)
-            else:
-                return ev
-        return None
-
     def step(self, max_events: int) -> int:
         """Process up to ``max_events`` pending events in key order, none
-        later than the horizon or ``gvt + window``."""
+        later than the horizon or ``gvt + window``. The loop keeps
+        ``hist_size``, ``peak_history`` and ``_serial`` in locals and
+        writes them back around every call that reads or changes them."""
         pending = self.pending
         live = self.live
         lps = self.lps
@@ -301,40 +284,63 @@ class Partition:
         lp_pid = self.lp_pid
         outboxes = self.outboxes
         heappop = heapq.heappop
+        heappush = heapq.heappush
         pid = self.pid
         ctx = self.ctx
+        gvt = self.gvt
+        hist_size = self.hist_size
+        peak = self.peak_history
+        serial = self._serial
         done = 0
-        limit = min(self.end, self.gvt + self.window)
-        while done < max_events:
-            ev = self._clean_top()
-            if ev is None or ev.time > limit:
+        limit = min(self.end, gvt + self.window)
+        while done < max_events and pending:
+            ev = pending[0][2]
+            if ev.dead:
+                heappop(pending)
+                continue
+            if ev.time > limit:
                 break
             heappop(pending)
-            if live.get(ev.eid) is ev:
-                del live[ev.eid]
-            lp = lps[ev.target]
+            eid = ev.eid
+            if live.get(eid) is ev:
+                del live[eid]
+            target = ev.target
+            lp = lps[target]
             saved = lp.clone(touched_port(lp, ev))
             fx = dispatch(lp, ev, ctx)
-            histories[ev.target].append(
-                _Entry(ev, saved, fx.emitted, fx.records, fx.generated))
-            self.hist_size += 1
-            if self.hist_size > self.peak_history:
-                self.peak_history = self.hist_size
+            fx.event = ev
+            fx.saved = saved
+            histories[target].append(fx)
+            hist_size += 1
+            if hist_size > peak:
+                peak = hist_size
             for em in fx.emitted:
                 tgt = lp_pid[em.target]
-                if tgt == pid:
-                    # local delivery still needs the straggler check: after a
-                    # rollback this LP re-executes old events and its
-                    # emissions can land behind a local neighbour's progress
-                    self._insert_positive(em)
-                else:
+                if tgt != pid:
                     outboxes.setdefault(tgt, []).append(em)
+                    continue
+                hist = histories[em.target]
+                key = em.key
+                if em.time >= gvt and not (hist and hist[-1].event.key > key):
+                    serial += 1
+                    heappush(pending, (key, serial, em))
+                    live[em.eid] = em
+                else:
+                    # a local straggler: after a rollback this LP re-executes
+                    # old events and its emissions can land behind a local
+                    # neighbour's progress
+                    self.hist_size, self.peak_history, self._serial = hist_size, peak, serial
+                    self._insert_positive(em)
+                    hist_size, serial = self.hist_size, self._serial
             done += 1
+        self.hist_size, self.peak_history, self._serial = hist_size, peak, serial
         return done
 
     def min_pending_time(self) -> float:
-        ev = self._clean_top()
-        return ev.time if ev is not None else INF
+        pending = self.pending
+        while pending and pending[0][2].dead:
+            heapq.heappop(pending)
+        return pending[0][2].time if pending else INF
 
     def take_outboxes(self) -> dict[int, list]:
         out = self.outboxes

@@ -82,9 +82,15 @@ def build_model(
     )
 
     lps: dict[int, RouterLp] = {}
+    # per tier, a pipeline that runs no event: every pipeline of the tier
+    # copies its initial numbers and element offsets
+    templates: dict[NodeTier, EgressPipeline] = {}
     for nid in topo.node_ids():
         tier = topo.tiers[nid]
         profile = profiles[tier]
+        template = templates.get(tier)
+        if template is None:
+            template = templates[tier] = EgressPipeline(-1, None, profile)
         pipelines = []
         for port in range(topo.port_counts[nid]):
             link = topo.port_link.get((nid, port))
@@ -92,7 +98,7 @@ def build_model(
                 continue  # unconnected spare port
             while len(pipelines) < port:
                 pipelines.append(None)  # placeholder, never routed to
-            pipelines.append(EgressPipeline(port, link, profile))
+            pipelines.append(EgressPipeline(port, link, profile, template))
         lps[nid] = RouterLp(nid, tier, pipelines, routes.row(nid), seed)
 
     sources = build_sources(traffic, topo)

@@ -15,7 +15,9 @@ configuration, plus the packet list of a queue. A standalone element owns a
 private list. An egress pipeline passes one shared list to all its
 elements, which append their numbers to it, so the whole pipeline state is
 one list of numbers plus one packet list per class, and saving it is a
-list copy (see ``router.EgressPipeline``).
+list copy (see ``router.EgressPipeline``). An element built with an offset
+``i`` appends nothing: it views the numbers already at ``st[i:]``, where a
+pipeline that copied another's initial list finds them.
 """
 
 from __future__ import annotations
@@ -78,12 +80,16 @@ class TokenBucket:
     last_update_ns = st_field(1, "time of the last lazy refill")
 
     def __init__(self, capacity_bytes: int, rate_bps: int, start_full: bool = True,
-                 st: list | None = None):
+                 st: list | None = None, i: int | None = None):
         if capacity_bytes <= 0 or rate_bps <= 0:
             raise QosConfigError("bucket capacity and rate must be positive")
         self.capacity_bytes = capacity_bytes
         self.rate_bps = rate_bps  # bytes per second
-        _place(self, st, [capacity_bytes * TOKEN_SCALE if start_full else 0, 0])
+        if i is None:
+            _place(self, st, [capacity_bytes * TOKEN_SCALE if start_full else 0, 0])
+        else:
+            self.st = st
+            self.i = i
 
     @property
     def tokens(self) -> float:
@@ -157,11 +163,15 @@ class SrtcmMeter:
     te_scaled = st_field(1, "excess-bucket tokens, in units of 1e-9 byte")
     last_update_ns = st_field(2, "time of the last lazy refill")
 
-    def __init__(self, params: SrtcmParams, st: list | None = None):
+    def __init__(self, params: SrtcmParams, st: list | None = None, i: int | None = None):
         if params.cbs_bytes <= 0 and params.ebs_bytes <= 0:
             raise QosConfigError("srTCM needs cbs > 0 or ebs > 0")
         self.params = params
-        _place(self, st, [params.cbs_bytes * TOKEN_SCALE, params.ebs_bytes * TOKEN_SCALE, 0])
+        if i is None:
+            _place(self, st, [params.cbs_bytes * TOKEN_SCALE, params.ebs_bytes * TOKEN_SCALE, 0])
+        else:
+            self.st = st
+            self.i = i
 
     def mark(self, size_bytes: int, now_ns: int) -> int:
         """Refill both buckets to ``now_ns``, then color a packet of
@@ -203,11 +213,16 @@ class ClassQueue:
     byte_length = st_field(0, "bytes queued")
     empty_since_ns = st_field(1, "virtual time the queue last became empty")
 
-    def __init__(self, class_index: int, capacity_bytes: int, st: list | None = None):
+    def __init__(self, class_index: int, capacity_bytes: int, st: list | None = None,
+                 i: int | None = None):
         self.class_index = class_index
         self.capacity_bytes = capacity_bytes
         self.packets: list = []
-        _place(self, st, [0, 0])
+        if i is None:
+            _place(self, st, [0, 0])
+        else:
+            self.st = st
+            self.i = i
 
     def fits(self, size_bytes: int) -> bool:
         return self.st[self.i] + size_bytes <= self.capacity_bytes
@@ -274,9 +289,13 @@ class RedState:
     avg = st_field(0, "EWMA of the queue length, bytes")
     count = st_field(1, "packets enqueued since the last drop")
 
-    def __init__(self, params: RedParams, st: list | None = None):
+    def __init__(self, params: RedParams, st: list | None = None, i: int | None = None):
         self.params = params
-        _place(self, st, [0.0, 0])
+        if i is None:
+            _place(self, st, [0.0, 0])
+        else:
+            self.st = st
+            self.i = i
 
     def decide(self, queue: ClassQueue, fits: bool, now_ns: int, draw) -> str:
         """Early-drop decision for one arriving packet; ``fits`` is
@@ -287,6 +306,10 @@ class RedState:
         between the enqueue / probabilistic / forced-drop regions.
         ``draw()`` gives the packet's uniform random value in [0, 1); it is
         called only in the probabilistic region, where the decision needs it.
+        An empty queue whose average is 0.0 (it has never held a byte, or
+        the decay has worn the average down to 0.0) enqueues at once when
+        ``min_th_bytes > 0``: the decay and the EWMA would leave 0.0, below
+        the threshold, so the shortcut leaves the state the full path would.
         """
         p = self.params
         st, i = self.st, self.i
@@ -297,10 +320,16 @@ class RedState:
         qst, qi = queue.st, queue.i
         byte_length = qst[qi]
         avg = st[i]
-        if byte_length == 0 and now_ns > qst[qi + 1]:
-            idle = now_ns - qst[qi + 1]
-            m = idle / p.mean_pkt_time_ns
-            avg *= (1.0 - p.weight) ** m
+        if byte_length == 0:
+            if avg == 0.0 and p.min_th_bytes > 0:
+                # idle shortcut: the decay and the EWMA both leave 0.0 at
+                # 0.0, which is below min_th, so the full path would enqueue
+                st[i + 1] = 0
+                return ENQUEUE
+            if now_ns > qst[qi + 1]:
+                idle = now_ns - qst[qi + 1]
+                m = idle / p.mean_pkt_time_ns
+                avg *= (1.0 - p.weight) ** m
         avg = (1.0 - p.weight) * avg + p.weight * byte_length
         st[i] = avg
         if avg < p.min_th_bytes:

@@ -10,20 +10,27 @@ mark, RED decision, then the port. The flag is set when a packet is
 queued on an idle port and cleared only when the port's queues are empty,
 so a clear flag means every class queue is empty. A packet that finds the
 flag clear is therefore the next to leave: if the shaper holds its tokens
-it goes on the wire at once (:func:`transmit`), leaving the queue as a
-push and pop at the same time would; otherwise it is queued and
-:func:`try_to_send` schedules the retry (lazy mode) or waits for the next
-REFILL (periodic mode). A packet that finds the flag set is queued for the
-pending try-to-send.
+it goes on the wire at once, leaving the queue as a push and pop at the
+same time would; otherwise it is queued and :func:`try_to_send` schedules
+the retry (lazy mode) or waits for the next REFILL (periodic mode). A
+packet that finds the flag set is queued for the pending try-to-send.
+
+That cut-through hop is the path nearly every routed packet takes, so
+:func:`handle_arrive` emits its ARRIVE in place, with the arithmetic of
+:func:`transmit` and :meth:`RouterLp.emit` written out, and classifies
+through the pipeline's own ``classify``. RED costs little there too: a
+queue that has never held a byte enqueues without the EWMA arithmetic
+(:meth:`qos.RedState.decide`).
 
 All handler effects are appended to an :class:`Effects` value and all state
-mutation stays inside this LP. One event changes at most one egress
-pipeline, the one :func:`touched_port` names before the event runs, plus
-the RNG cursors, the ``seq`` counter and a flow's ``pkt_seq``. A
-pipeline's mutable state is one flat list of numbers and one packet list
-per class (:class:`EgressPipeline`), so the optimistic kernel's save before
-each event (:meth:`RouterLp.clone`) is a few list copies, and a rollback
-writes them back (:meth:`RouterLp.restore`).
+mutation stays inside this LP; the optimistic kernel keeps that value as
+the event's history entry. One event changes at most one egress pipeline,
+the one :func:`touched_port` names before the event runs, plus the RNG
+cursors, the ``seq`` counter and a flow's ``pkt_seq``. A pipeline's mutable
+state is one flat list of numbers and one packet list per class
+(:class:`EgressPipeline`), so the optimistic kernel's save before each
+event (:meth:`RouterLp.clone`) is a few list copies, and a rollback writes
+them back (:meth:`RouterLp.restore`).
 """
 
 from __future__ import annotations
@@ -71,9 +78,12 @@ class Packet:
 
 class Effects:
     """What one event handler produced: emissions, terminal packet records,
-    and the number of packets generated."""
+    and the number of packets generated. The optimistic kernel keeps it as
+    the history entry of the event: it sets ``event`` and ``saved``, the
+    LP's save from before the event (:meth:`RouterLp.clone`), which undoes
+    it. A sequential run never reads them, so nothing else sets them."""
 
-    __slots__ = ("emitted", "records", "generated")
+    __slots__ = ("event", "saved", "emitted", "records", "generated")
 
     def __init__(self):
         self.emitted: list[events.Event] = []
@@ -94,10 +104,14 @@ class EgressPipeline:
     list of each class queue. The QoS element objects are views into them
     at fixed offsets and hold only configuration, so a copy of ``st`` and
     of each list in ``pkts`` is a complete save of the pipeline.
+
+    ``template`` is a pipeline of the same profile that has run no event:
+    the new pipeline copies its ``st`` and views it at the template's
+    offsets, so a model lays each profile's numbers out once.
     """
 
-    __slots__ = ("port", "link", "profile", "shaper", "queues", "srtcm", "red",
-                 "st", "pkts")
+    __slots__ = ("port", "link", "profile", "classify", "shaper", "queues",
+                 "srtcm", "red", "st", "pkts")
 
     i = 0  # the pipeline's own numbers start st, ahead of its elements'
 
@@ -108,20 +122,32 @@ class EgressPipeline:
     stale_sends = st_field(STALE_SENDS, "SEND events found with the flag clear")
     redundant_sends = st_field(REDUNDANT_SENDS, "SEND events found with empty queues")
 
-    def __init__(self, port: int, link, profile: QosProfile):
+    def __init__(self, port: int, link, profile: QosProfile,
+                 template: "EgressPipeline | None" = None):
         self.port = port
         self.link = link
         self.profile = profile
-        st = self.st = [False, 0, 0, 0, 0, 0]
-        self.shaper = TokenBucket(profile.shaper_burst_bytes, profile.shaper_rate_bps, st=st)
-        self.queues = [
-            ClassQueue(i, profile.queue_capacity_bytes, st)
-            for i in range(profile.num_classes)
-        ]
-        self.srtcm = [SrtcmMeter(p, st) for p in profile.srtcm]
-        self.red = [
-            [RedState(p, st) for p in per_class] for per_class in profile.red
-        ]
+        self.classify = profile.classifier.classify  # DS value -> class
+        if template is None:
+            st = self.st = [False, 0, 0, 0, 0, 0]
+            self.shaper = TokenBucket(profile.shaper_burst_bytes, profile.shaper_rate_bps, st=st)
+            self.queues = [
+                ClassQueue(i, profile.queue_capacity_bytes, st)
+                for i in range(profile.num_classes)
+            ]
+            self.srtcm = [SrtcmMeter(p, st) for p in profile.srtcm]
+            self.red = [
+                [RedState(p, st) for p in per_class] for per_class in profile.red
+            ]
+        else:
+            st = self.st = template.st[:]
+            t = template.shaper
+            self.shaper = TokenBucket(t.capacity_bytes, t.rate_bps, st=st, i=t.i)
+            self.queues = [ClassQueue(q.class_index, q.capacity_bytes, st, q.i)
+                           for q in template.queues]
+            self.srtcm = [SrtcmMeter(m.params, st, m.i) for m in template.srtcm]
+            self.red = [[RedState(r.params, st, r.i) for r in per_class]
+                        for per_class in template.red]
         self.pkts = [q.packets for q in self.queues]
 
 
@@ -160,16 +186,19 @@ class RouterLp:
     def clone(self, port: int | None) -> tuple:
         """Save the state one event can change: the pipeline of ``port``
         (the event's :func:`touched_port`; None saves no pipeline) as a
-        copy of its ``st`` and of its packet lists, the RNG cursors,
-        ``seq`` and every flow's ``pkt_seq``."""
+        copy of its ``st`` and of its packet lists (None when every class
+        queue is empty, as nearly always), the RNG cursors, ``seq`` and
+        every flow's ``pkt_seq`` (an empty tuple when the LP has none)."""
         if port is None:
             st = pkts = None
         else:
             pipe = self.pipelines[port]
             st = pipe.st[:]
-            pkts = [packets[:] for packets in pipe.pkts]
-        return (port, st, pkts, dict(self.rng.cursors), self.seq,
-                [f.pkt_seq for f in self.flows])
+            pkts = pipe.pkts
+            pkts = [packets[:] for packets in pkts] if any(pkts) else None
+        flows = self.flows
+        return (port, st, pkts, self.rng.cursors.copy(), self.seq,
+                [f.pkt_seq for f in flows] if flows else ())
 
     def restore(self, saved: tuple):
         """Write a save from :meth:`clone` back into the live state. The
@@ -178,9 +207,13 @@ class RouterLp:
         if port is not None:
             pipe = self.pipelines[port]
             pipe.st[:] = st
-            for packets, saved_packets in zip(pipe.pkts, pkts):
-                packets[:] = saved_packets
-        self.rng.cursors = dict(cursors)
+            if pkts is None:
+                for packets in pipe.pkts:
+                    packets.clear()
+            else:
+                for packets, saved_packets in zip(pipe.pkts, pkts):
+                    packets[:] = saved_packets
+        self.rng.cursors = cursors.copy()
         self.seq = seq
         for flow, pkt_seq in zip(self.flows, pkt_seqs):
             flow.pkt_seq = pkt_seq
@@ -214,7 +247,7 @@ def handle_arrive(lp: RouterLp, pkt: Packet, now: int, fx: Effects, ctx):
     st = pipe.st
     st[ARRIVE_COUNT] += 1
     size = pkt.size
-    cls = pkt.class_index = pipe.profile.classifier.classify(pkt.ds)
+    cls = pkt.class_index = pipe.classify(pkt.ds)
     color = pkt.color = pipe.srtcm[cls].mark(size, now)
     queue = pipe.queues[cls]
     fits = queue.fits(size)
@@ -236,8 +269,17 @@ def handle_arrive(lp: RouterLp, pkt: Packet, now: int, fx: Effects, ctx):
     if ctx.lazy_shaper:
         shaper.refill(now)
     if shaper.take(size):
-        queue.empty_since_ns = now  # as a push and pop at ``now`` leave it
-        transmit(lp, pipe, pkt, now, fx)
+        # on the wire in place, as transmit() would put it: the queue is
+        # left as a push and pop at ``now`` leave it (empty_since_ns), and
+        # a copy arrives at the far end after its transmission time
+        # (transmission_ns) plus the link's delay
+        st[queue.i + 1] = now
+        link = pipe.link
+        seq = lp.seq
+        lp.seq = seq + 1
+        fx.emitted.append(events.Event(
+            now + -(-size * 8_000_000_000 // link.bandwidth_bps) + link.delay_ns,
+            link.dst, events.ARRIVE, pkt.copy(), lp.node, seq))
         return
     queue.push(pkt)
     st[SEND_FLAG] = True
@@ -259,7 +301,8 @@ def handle_send(lp: RouterLp, port: int, now: int, fx: Effects, ctx):
 
 def transmit(lp: RouterLp, pipe: EgressPipeline, pkt: Packet, now: int, fx: Effects):
     """Put ``pkt`` on the port's link at ``now``: a copy of it arrives at
-    the far end after its transmission time plus the link's delay."""
+    the far end after its transmission time plus the link's delay. The
+    cut-through hop of :func:`handle_arrive` does the same in place."""
     link = pipe.link
     lp.emit(fx, now + transmission_ns(pkt.size, link.bandwidth_bps) + link.delay_ns,
             link.dst, events.ARRIVE, pkt.copy())

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from dsnetsim import events
+from dsnetsim import events, scenario
 from dsnetsim.kernel import (
     INF, KernelError, Knobs, Partition, _compute_gvt, run_optimistic,
     run_sequential,
@@ -97,6 +97,24 @@ def test_straggler_rolls_back_exactly_the_later_events():
     assert all(a.sign == events.ANTI for a in antis)
     # the straggler plus the three re-pended events are pending again
     assert part.step(10) == 4
+
+
+def test_local_emission_behind_a_neighbours_progress_rolls_it_back():
+    # one partition owns nodes 1 and 2 of a 0-1-2 line; node 2 runs ahead,
+    # then node 1 forwards a packet that reaches node 2 before that point
+    model = single_flow_model(line_topology(3), 0, 2)
+    part = Partition(1, {1: model.lps[1], 2: model.lps[2]}, {0: 0, 1: 1, 2: 1},
+                     model.ctx, model.end_time_ns)
+    part.receive_remote(events.Event(5_000, 2, events.ARRIVE,
+                                     Packet(0, 0, 2, 1400, 0, created_ns=0), 0, 0))
+    assert part.step(10) == 1
+    part.receive_remote(_arrive_at_1(1_000, seq=1, pid=1))
+    # node 1's hop, then node 2 runs the forwarded packet (at 1,000 + 448 ns
+    # transmission + 1,000 ns delay) and re-runs the undone 5,000 ns event
+    assert part.step(10) == 3
+    assert part.rolled_back == 1
+    assert [e.event.time for e in part.histories[2]] == [2_448, 5_000]
+    assert part.hist_size == 3 and part.peak_history == 3
 
 
 def test_event_at_frontier_boundary_causes_no_rollback():
@@ -417,6 +435,35 @@ def test_commit_counts_match_sequential(k, window):
     assert rep.per_lp_events == seq.per_lp_events
     assert rep.generated == seq.generated
     assert rep.committed_events == seq.committed_events
+
+
+# the benchmark's opt-k4 scenario (1 ms, k=4 no-weights plan) run without
+# the window: (committed, rolled back, messages, GVT rounds, peak history)
+UNBOUNDED_OPT_K4 = {
+    8: (3_615, 2_507, 5_627, 6, 1_378),
+    9: (3_715, 2_705, 6_045, 7, 1_282),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(UNBOUNDED_OPT_K4))
+def test_unbounded_speculation_counts_are_pinned(seed):
+    """No benchmark workload rolls back, so this pins the rollback path on
+    a real scenario: a change to what a history entry holds or how it is
+    undone shows here as a different count, long before records differ."""
+    cfg = scenario.load_scenario(None, {
+        "traffic": {"seed": seed},
+        "run": {"mode": scenario.MODE_OPTIMISTIC, "seed": seed, "end_ns": 1_000_000,
+                "partitions": {"k": 4, "strategy": "no-weights"},
+                "knobs": {"runtime": "stepped", "gvt_interval": 256, "batch_size": 8}},
+    })
+    model = scenario.build_scenario_model(cfg)
+    plan = scenario.build_plan(cfg, model.topology)
+    rep = run_optimistic(model, plan, Knobs(**cfg["run"]["knobs"]), unbounded=True)
+    assert (rep.committed_events, rep.rolled_back_events, rep.inter_partition_messages,
+            rep.gvt_rounds, rep.peak_history_entries) == UNBOUNDED_OPT_K4[seed]
+    seq = run_sequential(scenario.build_scenario_model(cfg))
+    assert len(rep.records) == len(seq.records)
+    assert compare_reports(seq, rep)["record_diff_count"] == 0
 
 
 @pytest.mark.parametrize("field, value", [

@@ -323,6 +323,61 @@ def test_red_matches_formula_oracle():
             q.pop(now)
 
 
+def _no_draw():
+    raise AssertionError("RED drew a random value")
+
+
+@pytest.mark.parametrize("idle_ns", [0, 1, 250, 10**9])
+def test_red_idle_shortcut_leaves_what_the_full_path_leaves(idle_ns):
+    # a queue that has never held a byte: the average is 0.0, and the decay
+    # and the EWMA, computed here as decide's full path computes them,
+    # leave it at 0.0, below min_th, so the packet is enqueued
+    p = RedParams(1, 15000, 0.1, weight=0.002, mean_pkt_time_ns=1000)
+    s = RedState(p)
+    q = ClassQueue(0, 64 * 1024)
+    q.empty_since_ns = 500
+    now = 500 + idle_ns
+    avg = s.avg
+    if now > q.empty_since_ns:
+        avg *= (1.0 - p.weight) ** (idle_ns / p.mean_pkt_time_ns)
+    avg = (1.0 - p.weight) * avg + p.weight * q.byte_length
+    assert avg == 0.0 and avg < p.min_th_bytes
+    for _ in range(3):
+        assert s.decide(q, q.fits(1400), now, _no_draw) == ENQUEUE
+        assert s.avg == avg and type(s.avg) is float
+        assert s.count == 0
+
+
+def test_red_with_min_th_zero_runs_the_full_path_on_an_idle_queue():
+    # avg 0.0 is not below a min_th of 0, so the decision is by chance
+    # (at p_a = 0): the draw is taken and the enqueue streak grows
+    s = RedState(RedParams(0, 15000, 0.1))
+    q = ClassQueue(0, 64 * 1024)
+    draws = []
+    for n in range(1, 4):
+        assert s.decide(q, q.fits(1400), n * 1000, lambda: draws.append(n) or 0.5) == ENQUEUE
+        assert s.count == n
+    assert draws == [1, 2, 3]
+    assert s.avg == 0.0
+
+
+def test_red_on_a_drained_queue_takes_the_decay_path():
+    p = RedParams(5000, 15000, 0.1, weight=0.002, mean_pkt_time_ns=1000)
+    s = RedState(p)
+    q = ClassQueue(0, 64 * 1024)
+    q.push(type("P", (), {"size": 1400})())
+    assert s.decide(q, q.fits(1400), 100, _no_draw) == ENQUEUE
+    held = s.avg
+    assert held == p.weight * 1400
+    q.pop(200)  # the queue drains at 200 ns
+    now = 5_200
+    decayed = held * (1.0 - p.weight) ** ((now - 200) / p.mean_pkt_time_ns)
+    expect = (1.0 - p.weight) * decayed + p.weight * 0
+    assert s.decide(q, q.fits(1400), now, _no_draw) == ENQUEUE
+    assert s.avg == expect
+    assert 0.0 < s.avg < (1.0 - p.weight) * held
+
+
 def test_red_param_validation():
     with pytest.raises(QosConfigError):
         RedParams(100, 100, 0.1)

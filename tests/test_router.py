@@ -286,7 +286,8 @@ def test_refill_tick_count_doubles_when_interval_halves():
 # left out of _state: shared immutable configuration, the RNG's prefix cache
 # (derived from the seed and the LP id) and the QoS element views, whose
 # numbers and packets are the pipeline's st and pkts
-_NOT_STATE = ("link", "profile", "params", "prefixes", "shaper", "queues", "srtcm", "red")
+_NOT_STATE = ("link", "profile", "classify", "params", "prefixes", "shaper", "queues",
+              "srtcm", "red")
 
 
 def _state(obj):
@@ -348,7 +349,7 @@ def test_event_changes_only_its_touched_port_and_restore_undoes_it(model_kwargs)
 
 # EgressPipeline fields that never change after construction: the port's
 # identity and configuration, and the QoS element views into st and pkts
-PIPELINE_CONFIG = {"port", "link", "profile", "shaper", "queues", "srtcm", "red"}
+PIPELINE_CONFIG = {"port", "link", "profile", "classify", "shaper", "queues", "srtcm", "red"}
 # what RouterLp.clone copies of a pipeline
 PIPELINE_SAVED = {"st", "pkts"}
 
@@ -368,7 +369,78 @@ def test_pipeline_state_is_what_the_save_copies():
     views = [pipe.shaper, *pipe.queues, *pipe.srtcm, *(r for row in pipe.red for r in row)]
     assert all(v.st is pipe.st for v in views)
     assert [id(q.packets) for q in pipe.queues] == [id(p) for p in pipe.pkts]
+    pipe.queues[1].push(Packet(7, 0, 1, 1400, 26, created_ns=0))
     port, st, pkts, *_ = lp.clone(0)
     assert port == 0
     assert st == pipe.st and st is not pipe.st
     assert pkts == pipe.pkts and all(a is not b for a, b in zip(pkts, pipe.pkts))
+    # with every class queue empty the save holds None for the packet lists
+    pipe.queues[1].pop(0)
+    assert lp.clone(0)[2] is None
+
+
+def test_pipelines_of_one_tier_share_a_layout_but_no_state():
+    """build_model lays each profile's numbers out once: every pipeline
+    starts from a copy of the same numbers, with its elements at the same
+    offsets, and shares no mutable list with another pipeline."""
+    model = single_flow_model(line_topology(3), 0, 2)
+    pipes = [p for lp in model.lps.values() for p in lp.pipelines]
+    fresh = EgressPipeline(0, None, pipes[0].profile)
+    for pipe in pipes:
+        assert pipe.st == fresh.st
+        views = [pipe.shaper, *pipe.queues, *pipe.srtcm, *(r for row in pipe.red for r in row)]
+        fresh_views = [fresh.shaper, *fresh.queues, *fresh.srtcm,
+                       *(r for row in fresh.red for r in row)]
+        assert [v.i for v in views] == [v.i for v in fresh_views]
+        assert all(v.st is pipe.st for v in views)
+        assert [id(q.packets) for q in pipe.queues] == [id(p) for p in pipe.pkts]
+    lists = [id(p.st) for p in pipes] + [id(q) for p in pipes for q in p.pkts]
+    assert len(set(lists)) == len(lists)
+
+
+def test_restore_empties_queues_that_were_empty_at_the_save():
+    model = single_flow_model(line_topology(2), 0, 1)
+    lp = model.lps[0]
+    pipe = lp.pipelines[0]
+    saved = lp.clone(0)
+    before = _state(lp)
+    pipe.send_flag = True  # so the arrival is queued
+    dispatch(lp, _arrive(Packet(7, 0, 1, 1400, 0, created_ns=0), 0, t=100), model.ctx)
+    assert any(pipe.pkts)
+    lp.restore(saved)
+    assert pipe.pkts == [[], [], []]
+    assert [q.byte_length for q in pipe.queues] == [0, 0, 0]
+    assert _state(lp) == before
+
+
+def test_restore_gives_back_the_packets_queued_at_the_save():
+    model = single_flow_model(line_topology(2), 0, 1)
+    lp = model.lps[0]
+    pipe = lp.pipelines[0]
+    pipe.send_flag = True
+    ctx = model.ctx
+    dispatch(lp, _arrive(Packet(7, 0, 1, 1400, 0, created_ns=0), 0, t=100), ctx)
+    queued = [list(p) for p in pipe.pkts]
+    saved = lp.clone(0)
+    before = _state(lp)
+    dispatch(lp, _arrive(Packet(8, 0, 1, 1400, 46, created_ns=0), 0, t=200), ctx)
+    dispatch(lp, _send(0, 0, t=300), ctx)
+    assert [list(p) for p in pipe.pkts] != queued
+    lp.restore(saved)
+    assert [list(p) for p in pipe.pkts] == queued
+    assert _state(lp) == before
+
+
+def test_save_of_an_lp_without_flows_restores_its_counters():
+    model = single_flow_model(line_topology(3), 0, 2)
+    relay, source = model.lps[1], model.lps[0]
+    assert relay.flows == [] and source.flows
+    for lp in (relay, source):
+        saved = lp.clone(None)
+        before = _state(lp)
+        lp.seq += 3
+        lp.rng.uniform(rng.PURPOSE_RED)
+        for flow in lp.flows:
+            flow.pkt_seq += 5
+        lp.restore(saved)
+        assert _state(lp) == before
