@@ -54,7 +54,6 @@ RUN_FLAGS = {
     "--strategy": "run.partitions.strategy",
     "--plan": "run.partitions.plan_path",
     "--gvt-interval": "run.knobs.gvt_interval",
-    "--batch-size": "run.knobs.batch_size",
     "--runtime": "run.knobs.runtime",
     "--watchdog-s": "run.knobs.watchdog_s",
 }

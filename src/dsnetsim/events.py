@@ -1,5 +1,6 @@
-"""Kernel messages: timestamped events with a globally unique identity so a
-cancellation (anti-message) can match the exact event it undoes."""
+"""Kernel messages: timestamped events whose key is a globally unique
+identity, so a cancellation (anti-message) can match the exact event it
+undoes."""
 
 from __future__ import annotations
 
@@ -15,12 +16,12 @@ ANTI = 1
 
 
 class Event:
-    """One timestamped message. ``(sender, seq)`` is the unique identity used
-    for anti-message matching; the full key adds a deterministic total order
-    over simultaneous events."""
+    """One timestamped message. Its ``key``, ``(time, target, sender,
+    seq)``, is both its identity, which an anti-message shares, and its place
+    in a deterministic total order over simultaneous events."""
 
     __slots__ = ("time", "target", "kind", "payload", "sender", "seq", "sign", "dead",
-                 "key", "eid")
+                 "key")
 
     def __init__(self, time, target, kind, payload, sender, seq, sign=POSITIVE):
         self.time = time
@@ -34,7 +35,6 @@ class Event:
         # queued; the scheduler skips dead events lazily
         self.dead = False
         self.key = (time, target, sender, seq)
-        self.eid = (sender, seq)
 
     def as_anti(self) -> "Event":
         return Event(self.time, self.target, self.kind, None, self.sender, self.seq, ANTI)
@@ -43,5 +43,5 @@ class Event:
         sign = "-" if self.sign == ANTI else "+"
         return (
             f"Event({sign}{KIND_NAMES[self.kind]} t={self.time} "
-            f"lp={self.target} eid={self.sender}:{self.seq})"
+            f"lp={self.target} from={self.sender} seq={self.seq})"
         )

@@ -4,19 +4,23 @@ anti-messages, global virtual time, fossil collection).
 
 Correctness contract: for a fixed seed the optimistic engine commits
 exactly the per-packet records the sequential scheduler produces, for any
-partitioning. Events are totally ordered by ``(recv_time, target, sender,
-seq)``; the sender sequence counter is part of each LP's saved state so a
-rolled-back LP re-emits byte-identical events.
+partitioning. Events are totally ordered by their key ``(recv_time,
+target, sender, seq)``, which is also their identity: an anti-message
+carries the key of the event it cancels. The sender sequence counter is
+part of each LP's saved state so a rolled-back LP re-emits byte-identical
+events.
 
-Before each event the engine saves only what that event can change: the
-pipeline of the one port it touches (``router.touched_port``), as a copy
-of its flat state list and of its per-class packet lists, plus the RNG
-cursors, ``seq`` and the flows' ``pkt_seq`` (``RouterLp.clone``). The
-``router.Effects`` that ``dispatch`` returns for the event is its history
-entry: the event, that save, and what the event emitted, recorded and
-generated. A rollback writes the undone events' saves back newest first
-(``RouterLp.restore``), so for every port the earliest save wins and the
-LP is back where it was before the first undone event.
+Before each event the engine saves only what that event can change:
+``dispatch(lp, ev, ctx, True)`` resolves the one port the event touches
+and saves its pipeline, as a copy of its flat state list and of its
+per-class packet lists, plus the RNG cursors, ``seq`` and the flows'
+``pkt_seq`` (``RouterLp.clone``). The ``router.Effects`` that ``dispatch``
+returns for the event is its history entry: the event, that save, and what
+the event emitted, recorded and generated. A rollback writes the undone
+events' saves back newest first (``RouterLp.restore``), so for every port
+the earliest save wins and the LP is back where it was before the first
+undone event. The LP objects are the model's own, restored in place, so
+the model's LPs hold the run's final state.
 
 One driver runs the partitions: a deterministic single-thread stepper over
 per-channel FIFO queues. GVT is a stop-the-world cut: every channel is
@@ -56,7 +60,7 @@ from dataclasses import dataclass
 from . import events
 from .metrics import RunReport, finalize
 from .model import Model, lookahead_ns
-from .router import Effects, dispatch, touched_port
+from .router import Effects, dispatch
 
 INF = math.inf
 RUNTIMES = ("stepped",)  # valid values of Knobs.runtime
@@ -102,10 +106,10 @@ class Knobs:
 # sequential scheduler
 
 
-def run_sequential(model: Model, end_time_ns: int | None = None) -> RunReport:
+def run_sequential(model: Model) -> RunReport:
     """Process every event in global key order; the correctness gold
     standard the optimistic engine is diffed against."""
-    end = model.end_time_ns if end_time_ns is None else end_time_ns
+    end = model.end_time_ns
     t0 = _time.perf_counter()
     heap = [(ev.key, ev) for ev in model.bootstrap]
     heapq.heapify(heap)
@@ -130,29 +134,21 @@ def run_sequential(model: Model, end_time_ns: int | None = None) -> RunReport:
         for em in fx.emitted:
             assert em.time >= ev.time, f"event scheduled in the past: {em} from {ev}"
             heapq.heappush(heap, (em.key, em))
-    counters = _state_counters(model.lps)
-    counters["committed_events"] = processed
-    counters["per_lp_events"] = per_lp
-    return finalize(model.scenario_id, records, generated, counters,
-                    _time.perf_counter() - t0)
+    return finalize(model.scenario_id, records, generated, {
+        "committed_events": processed,
+        "per_lp_events": per_lp,
+        "port_audit": _port_audit(model.lps),
+    }, _time.perf_counter() - t0)
 
 
-def _state_counters(lps: dict) -> dict:
-    port_audit = {}
-    stale = 0
-    for nid, lp in sorted(lps.items()):
-        for pipe in lp.pipelines:
-            if pipe is None:
-                continue
-            port_audit[(nid, pipe.port)] = {
-                "arrive": pipe.arrive_count,
-                "send": pipe.send_count,
-                "blocked": pipe.blocked_episodes,
-                "stale": pipe.stale_sends,
-                "redundant": pipe.redundant_sends,
-            }
-            stale += pipe.stale_sends
-    return {"port_audit": port_audit, "stale_sends": stale}
+def _port_audit(lps: dict) -> dict:
+    return {(nid, pipe.port): {
+        "arrive": pipe.arrive_count,
+        "send": pipe.send_count,
+        "blocked": pipe.blocked_episodes,
+        "stale": pipe.stale_sends,
+        "redundant": pipe.redundant_sends,
+    } for nid, lp in sorted(lps.items()) for pipe in lp.pipelines if pipe is not None}
 
 
 # --------------------------------------------------------------------------
@@ -174,39 +170,42 @@ class Partition:
 
         self.pending: list = []  # heap of (key, serial, Event)
         self._serial = 0  # heap tiebreaker: a dead copy can share its key
-        self.live: dict = {}  # eid -> the live pending Event with that identity
+        self.live: dict = {}  # key -> the live pending Event with that key
         # per LP, the Effects of its processed events in key order
         self.histories: dict[int, list[Effects]] = {n: [] for n in lps}
         self.outboxes: dict[int, list] = {}
 
         self.sent = 0
-        self.recv = 0
         self.gvt = 0
-        self.hist_size = 0
-        self.peak_history = 0
+        # history grows by one entry per event and shrinks only in _rollback
+        # and fossil_collect, which record its size here first
+        self._peak = 0
         self.rolled_back = 0
         self.committed_events = 0
         self.committed_generated = 0
         self.committed_records: list = []
         self.per_lp_committed: dict[int, int] = {}
 
+    @property
+    def hist_size(self) -> int:
+        return sum(map(len, self.histories.values()))
+
+    @property
+    def peak_history(self) -> int:
+        return max(self._peak, self.hist_size)
+
     # -- message intake ----------------------------------------------------
 
-    def seed_events(self, evs):
-        for ev in evs:
-            self._push(ev)
-
     def receive_remote(self, ev):
-        self.recv += 1
         if ev.sign == events.ANTI:
-            self._cancel(ev.target, ev.eid, ev.time)
+            self._cancel(ev)
         else:
             self._insert_positive(ev)
 
     def _push(self, ev):
         self._serial += 1
         heapq.heappush(self.pending, (ev.key, self._serial, ev))
-        self.live[ev.eid] = ev
+        self.live[ev.key] = ev
 
     def _insert_positive(self, ev):
         if ev.time < self.gvt:
@@ -214,30 +213,31 @@ class Partition:
                 f"positive event below GVT {self.gvt}: {ev}")
         hist = self.histories[ev.target]
         if hist and hist[-1].event.key > ev.key:
-            self._rollback(ev.target, ev.key, annihilate_eid=None)
+            self._rollback(ev.target, ev.key)
         self._push(ev)
 
-    def _cancel(self, target: int, eid, time_ns: int):
-        victim = self.live.pop(eid, None)
+    def _cancel(self, anti):
+        """Annihilate the event with the key of ``anti`` (an anti-message,
+        or a local emission an undone event made)."""
+        key = anti.key
+        victim = self.live.pop(key, None)
         if victim is not None:
-            # still queued: flag it dead, the scheduler drops it lazily.
-            # Matching by object (not id) matters: after a rollback the
-            # sender legitimately re-emits the same id for a new event.
+            # still queued: flag it dead, the scheduler drops it lazily
             victim.dead = True
             return
-        hist = self.histories[target]
-        for i in range(len(hist) - 1, -1, -1):
-            if hist[i].event.eid == eid:
-                self._rollback(target, hist[i].event.key, annihilate_eid=eid)
-                return
-        # channels are FIFO per sender, so an anti never overtakes its
-        # positive; one that matches nothing targets fossil-collected state
-        raise CausalityError(f"anti-message {eid} for LP {target} at {time_ns} ns "
-                             f"matches no pending or processed event")
+        # channels are FIFO per sender, so an anti reaches its positive
+        # before a re-sent event with the same key does; one that matches
+        # nothing targets fossil-collected state
+        if any(entry.event.key == key for entry in reversed(self.histories[anti.target])):
+            self._rollback(anti.target, key, annihilate=True)
+            return
+        raise CausalityError(f"anti-message {anti} matches no pending or processed event")
 
     # -- rollback ----------------------------------------------------------
 
-    def _rollback(self, lp_id: int, to_key, annihilate_eid):
+    def _rollback(self, lp_id: int, to_key, annihilate: bool = False):
+        """Undo LP ``lp_id``'s events from key ``to_key`` on and pend them
+        again, except the event at ``to_key`` itself when ``annihilate``."""
         hist = self.histories[lp_id]
         idx = len(hist)
         while idx > 0 and hist[idx - 1].event.key >= to_key:
@@ -249,8 +249,8 @@ class Partition:
             raise CausalityError(
                 f"rollback of LP {lp_id} targets time {undone[0].event.time} "
                 f"below GVT {self.gvt} (fossil-collected state)")
+        self._peak = self.peak_history
         del hist[idx:]
-        self.hist_size -= len(undone)
         lp = self.lps[lp_id]
         for entry in reversed(undone):
             lp.restore(entry.saved)
@@ -258,7 +258,7 @@ class Partition:
         local_cancels = deque()
         for entry in undone:
             ev = entry.event
-            if ev.eid != annihilate_eid:
+            if not (annihilate and ev.key == to_key):
                 self._push(ev)
             for em in entry.emitted:
                 tgt = self.lp_pid[em.target]
@@ -267,16 +267,15 @@ class Partition:
                 else:
                     self.outboxes.setdefault(tgt, []).append(em.as_anti())
         while local_cancels:
-            em = local_cancels.popleft()
-            self._cancel(em.target, em.eid, em.time)
+            self._cancel(local_cancels.popleft())
 
     # -- forward progress --------------------------------------------------
 
     def step(self, max_events: int) -> int:
         """Process up to ``max_events`` pending events in key order, none
         later than the horizon or ``gvt + window``. The loop keeps
-        ``hist_size``, ``peak_history`` and ``_serial`` in locals and
-        writes them back around every call that reads or changes them."""
+        ``_serial`` in a local and writes it back around every call that
+        reads or changes it."""
         pending = self.pending
         live = self.live
         lps = self.lps
@@ -288,8 +287,6 @@ class Partition:
         pid = self.pid
         ctx = self.ctx
         gvt = self.gvt
-        hist_size = self.hist_size
-        peak = self.peak_history
         serial = self._serial
         done = 0
         limit = min(self.end, gvt + self.window)
@@ -301,19 +298,13 @@ class Partition:
             if ev.time > limit:
                 break
             heappop(pending)
-            eid = ev.eid
-            if live.get(eid) is ev:
-                del live[eid]
+            key = ev.key
+            if live.get(key) is ev:
+                del live[key]
             target = ev.target
-            lp = lps[target]
-            saved = lp.clone(touched_port(lp, ev))
-            fx = dispatch(lp, ev, ctx)
+            fx = dispatch(lps[target], ev, ctx, True)
             fx.event = ev
-            fx.saved = saved
             histories[target].append(fx)
-            hist_size += 1
-            if hist_size > peak:
-                peak = hist_size
             for em in fx.emitted:
                 tgt = lp_pid[em.target]
                 if tgt != pid:
@@ -324,16 +315,16 @@ class Partition:
                 if em.time >= gvt and not (hist and hist[-1].event.key > key):
                     serial += 1
                     heappush(pending, (key, serial, em))
-                    live[em.eid] = em
+                    live[key] = em
                 else:
                     # a local straggler: after a rollback this LP re-executes
                     # old events and its emissions can land behind a local
                     # neighbour's progress
-                    self.hist_size, self.peak_history, self._serial = hist_size, peak, serial
+                    self._serial = serial
                     self._insert_positive(em)
-                    hist_size, serial = self.hist_size, self._serial
+                    serial = self._serial
             done += 1
-        self.hist_size, self.peak_history, self._serial = hist_size, peak, serial
+        self._serial = serial
         return done
 
     def min_pending_time(self) -> float:
@@ -353,6 +344,7 @@ class Partition:
 
     def fossil_collect(self, gvt) -> int:
         """Commit and discard history strictly below ``gvt``."""
+        self._peak = self.peak_history
         reclaimed = 0
         generated = 0
         records = self.committed_records
@@ -377,7 +369,6 @@ class Partition:
             reclaimed += i
         self.committed_events += reclaimed
         self.committed_generated += generated
-        self.hist_size -= reclaimed
         if gvt is not INF:
             self.gvt = gvt
         return reclaimed
@@ -395,7 +386,7 @@ def _make_partitions(model: Model, assignment: dict[int, int], k: int,
         parts.append(Partition(pid, lps, assignment, model.ctx, model.end_time_ns,
                                window))
     for ev in model.bootstrap:
-        parts[assignment[ev.target]].seed_events([ev])
+        parts[assignment[ev.target]]._push(ev)
     return parts
 
 
@@ -404,29 +395,20 @@ def _merge_reports(model: Model, parts: list[Partition], gvt_rounds: int,
     records = []
     generated = 0
     per_lp: dict[int, int] = {}
-    rolled_back = 0
-    msgs = 0
-    peak = 0
-    final_lps: dict = {}
     for p in parts:
         records.extend(p.committed_records)
         generated += p.committed_generated
-        rolled_back += p.rolled_back
-        msgs += p.sent
-        peak += p.peak_history
         per_lp.update(p.per_lp_committed)
-        final_lps.update(p.lps)
-    counters = _state_counters(final_lps)
-    counters.update({
+    return finalize(model.scenario_id, records, generated, {
         "committed_events": sum(p.committed_events for p in parts),
-        "rolled_back_events": rolled_back,
-        "inter_partition_messages": msgs,
+        "rolled_back_events": sum(p.rolled_back for p in parts),
+        "inter_partition_messages": sum(p.sent for p in parts),
         "gvt_rounds": gvt_rounds,
-        "peak_history_entries": peak,
+        "peak_history_entries": sum(p.peak_history for p in parts),
         "per_lp_events": per_lp,
+        "port_audit": _port_audit(model.lps),
         "gvt_series": gvt_series,
-    })
-    return finalize(model.scenario_id, records, generated, counters, wall_clock_s)
+    }, wall_clock_s)
 
 
 def _compute_gvt(parts: list[Partition]):

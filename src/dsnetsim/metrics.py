@@ -49,22 +49,28 @@ class RunReport:
     drop_rate: float
     delivered: int
     dropped: int
-    committed_events: int
-    rolled_back_events: int
-    inter_partition_messages: int
-    stale_sends: int
-    gvt_rounds: int
     wall_clock_s: float
-    peak_history_entries: int
+    # the kernel's counts; a sequential run has no rollback, message or cut
+    committed_events: int = 0
+    rolled_back_events: int = 0
+    inter_partition_messages: int = 0
+    gvt_rounds: int = 0
+    peak_history_entries: int = 0
     per_lp_events: dict[int, int] = field(default_factory=dict)
     port_audit: dict = field(default_factory=dict)  # (node, port) -> counter dict
     gvt_series: list = field(default_factory=list)  # per-round counter snapshots
 
+    @property
+    def stale_sends(self) -> int:
+        return sum(audit["stale"] for audit in self.port_audit.values())
+
 
 def finalize(scenario_id: str, records: list[PacketRecord], generated: int,
-             counters: dict, wall_clock_s: float) -> RunReport:
-    """Assemble a report; delay and jitter are absent (None) with zero
-    delivered packets rather than reported as zero."""
+             counts: dict, wall_clock_s: float) -> RunReport:
+    """Assemble a report from the records and the kernel's ``counts``, named
+    as :class:`RunReport`'s fields (an unknown name raises ``TypeError``);
+    delay and jitter are absent (None) with zero delivered packets rather
+    than reported as zero."""
     delivered = [r for r in records if r.delivered]
     dropped = len(records) - len(delivered)
     mean_delay = jitter = jitter_rfc = None
@@ -87,16 +93,8 @@ def finalize(scenario_id: str, records: list[PacketRecord], generated: int,
         drop_rate=(dropped / generated) if generated else 0.0,
         delivered=len(delivered),
         dropped=dropped,
-        committed_events=counters.get("committed_events", 0),
-        rolled_back_events=counters.get("rolled_back_events", 0),
-        inter_partition_messages=counters.get("inter_partition_messages", 0),
-        stale_sends=counters.get("stale_sends", 0),
-        gvt_rounds=counters.get("gvt_rounds", 0),
         wall_clock_s=wall_clock_s,
-        peak_history_entries=counters.get("peak_history_entries", 0),
-        per_lp_events=counters.get("per_lp_events", {}),
-        port_audit=counters.get("port_audit", {}),
-        gvt_series=counters.get("gvt_series", []),
+        **counts,
     )
 
 

@@ -99,7 +99,7 @@ def build_model(
             while len(pipelines) < port:
                 pipelines.append(None)  # placeholder, never routed to
             pipelines.append(EgressPipeline(port, link, profile, template))
-        lps[nid] = RouterLp(nid, tier, pipelines, routes.row(nid), seed)
+        lps[nid] = RouterLp(nid, pipelines, routes.row(nid), seed)
 
     sources = build_sources(traffic, topo)
     for nid, flows in sources.items():

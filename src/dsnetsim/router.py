@@ -25,12 +25,14 @@ queue that has never held a byte enqueues without the EWMA arithmetic
 All handler effects are appended to an :class:`Effects` value and all state
 mutation stays inside this LP; the optimistic kernel keeps that value as
 the event's history entry. One event changes at most one egress pipeline,
-the one :func:`touched_port` names before the event runs, plus the RNG
-cursors, the ``seq`` counter and a flow's ``pkt_seq``. A pipeline's mutable
-state is one flat list of numbers and one packet list per class
-(:class:`EgressPipeline`), so the optimistic kernel's save before each
-event (:meth:`RouterLp.clone`) is a few list copies, and a rollback writes
-them back (:meth:`RouterLp.restore`).
+the event's port, plus the RNG cursors, the ``seq`` counter and a flow's
+``pkt_seq``. :func:`dispatch` resolves that port once, from the packet's
+route for ARRIVE and GENERATE or the payload for SEND and REFILL, and
+hands it to the handler; asked to save, it first takes the save of exactly
+that state (:meth:`RouterLp.clone`). A pipeline's mutable state is one flat
+list of numbers and one packet list per class (:class:`EgressPipeline`), so
+a save is a few list copies, and a rollback writes them back
+(:meth:`RouterLp.restore`).
 """
 
 from __future__ import annotations
@@ -79,9 +81,10 @@ class Packet:
 class Effects:
     """What one event handler produced: emissions, terminal packet records,
     and the number of packets generated. The optimistic kernel keeps it as
-    the history entry of the event: it sets ``event`` and ``saved``, the
-    LP's save from before the event (:meth:`RouterLp.clone`), which undoes
-    it. A sequential run never reads them, so nothing else sets them."""
+    the history entry of the event: it sets ``event``, and
+    ``dispatch(..., save=True)`` sets ``saved``, the LP's save from before
+    the event (:meth:`RouterLp.clone`), which undoes it. A sequential run
+    never reads them, so nothing else sets them."""
 
     __slots__ = ("event", "saved", "emitted", "records", "generated")
 
@@ -172,11 +175,10 @@ class RouterLp:
     """Full mutable state of one node: egress pipelines, routing row, RNG
     cursors, event sequence counter, and any traffic sources."""
 
-    __slots__ = ("node", "tier", "pipelines", "route_row", "rng", "seq", "flows")
+    __slots__ = ("node", "pipelines", "route_row", "rng", "seq", "flows")
 
-    def __init__(self, node, tier, pipelines, route_row, seed):
+    def __init__(self, node, pipelines, route_row, seed):
         self.node = node
-        self.tier = tier
         self.pipelines: list[EgressPipeline] = pipelines
         self.route_row: dict[int, int] = route_row
         self.rng = rng.CursorRng(seed, node)
@@ -185,7 +187,7 @@ class RouterLp:
 
     def clone(self, port: int | None) -> tuple:
         """Save the state one event can change: the pipeline of ``port``
-        (the event's :func:`touched_port`; None saves no pipeline) as a
+        (the event's port, see :func:`dispatch`; None saves no pipeline) as a
         copy of its ``st`` and of its packet lists (None when every class
         queue is empty, as nearly always), the RNG cursors, ``seq`` and
         every flow's ``pkt_seq`` (an empty tuple when the LP has none)."""
@@ -231,13 +233,12 @@ def transmission_ns(size_bytes: int, bandwidth_bps: int) -> int:
 # handlers
 
 
-def handle_arrive(lp: RouterLp, pkt: Packet, now: int, fx: Effects, ctx):
+def handle_arrive(lp: RouterLp, pkt: Packet, port: int | None, now: int, fx: Effects, ctx):
     if pkt.dst == lp.node:
         fx.records.append(PacketRecord(
             pkt.pid, pkt.src, pkt.dst, pkt.class_index, pkt.color,
             pkt.created_ns, now, None, None))
         return
-    port = lp.route_row.get(pkt.dst)
     if port is None:
         fx.records.append(PacketRecord(
             pkt.pid, pkt.src, pkt.dst, pkt.class_index, pkt.color,
@@ -286,7 +287,7 @@ def handle_arrive(lp: RouterLp, pkt: Packet, now: int, fx: Effects, ctx):
     try_to_send(lp, pipe, now, fx, ctx)
 
 
-def handle_send(lp: RouterLp, port: int, now: int, fx: Effects, ctx):
+def handle_send(lp: RouterLp, _payload, port: int, now: int, fx: Effects, ctx):
     pipe = lp.pipelines[port]
     st = pipe.st
     if not st[SEND_FLAG]:
@@ -335,7 +336,7 @@ def try_to_send(lp: RouterLp, pipe: EgressPipeline, now: int, fx: Effects, ctx):
         return
 
 
-def handle_refill(lp: RouterLp, port: int, now: int, fx: Effects, ctx):
+def handle_refill(lp: RouterLp, _payload, port: int, now: int, fx: Effects, ctx):
     pipe = lp.pipelines[port]
     shaper = pipe.shaper
     shaper.add_scaled(shaper.rate_bps * ctx.token_interval_ns)
@@ -346,7 +347,8 @@ def handle_refill(lp: RouterLp, port: int, now: int, fx: Effects, ctx):
         try_to_send(lp, pipe, now, fx, ctx)
 
 
-def handle_generate(lp: RouterLp, flow_idx: int, now: int, fx: Effects, ctx):
+def handle_generate(lp: RouterLp, flow_idx: int, port: int | None, now: int,
+                    fx: Effects, ctx):
     flow = lp.flows[flow_idx]
     pid = flow.pid_base + flow.pkt_seq
     flow.pkt_seq += 1
@@ -357,7 +359,7 @@ def handle_generate(lp: RouterLp, flow_idx: int, now: int, fx: Effects, ctx):
         ds = ctx.sample_ds(u)
     pkt = Packet(pid, lp.node, flow.dst, flow.size, ds, created_ns=now)
     fx.generated += 1
-    handle_arrive(lp, pkt, now, fx, ctx)
+    handle_arrive(lp, pkt, port, now, fx, ctx)
     if flow.poisson:
         u = lp.rng.uniform(rng.PURPOSE_GEN)
         gap = max(1, round(-math.log(1.0 - u) * flow.interarrival_ns))
@@ -368,22 +370,6 @@ def handle_generate(lp: RouterLp, flow_idx: int, now: int, fx: Effects, ctx):
         lp.emit(fx, nxt, lp.node, events.GENERATE, flow_idx)
 
 
-def touched_port(lp: RouterLp, ev) -> int | None:
-    """The egress port whose pipeline ``dispatch(lp, ev, ...)`` can change,
-    or None when the event changes no pipeline (the packet is for this node
-    or has no route)."""
-    kind = ev.kind
-    if kind == events.ARRIVE:
-        dst = ev.payload.dst
-    elif kind == events.GENERATE:
-        dst = lp.flows[ev.payload].dst
-    else:
-        return ev.payload  # SEND and REFILL carry their port
-    if dst == lp.node:
-        return None
-    return lp.route_row.get(dst)
-
-
 # the handler of each event kind, indexed by the kind; built from a mapping
 # so that it fails at import if the kinds stop being 0..3
 _HANDLERS = tuple({
@@ -392,8 +378,24 @@ _HANDLERS = tuple({
 }[kind] for kind in range(4))
 
 
-def dispatch(lp: RouterLp, ev, ctx) -> Effects:
-    """Run the handler for one positive event; returns its effects."""
+def dispatch(lp: RouterLp, ev, ctx, save: bool = False) -> Effects:
+    """Run the handler for one positive event; returns its effects.
+
+    The event's port is the only pipeline it can change: the route of its
+    packet's destination for ARRIVE and GENERATE (None when the packet is
+    for this node or has no route), the payload for SEND and REFILL. With
+    ``save``, ``fx.saved`` is :meth:`RouterLp.clone` of that port, taken
+    before the handler runs."""
+    kind = ev.kind
+    payload = ev.payload
+    if kind == events.ARRIVE:
+        port = lp.route_row.get(payload.dst)
+    elif kind == events.GENERATE:
+        port = lp.route_row.get(lp.flows[payload].dst)
+    else:
+        port = payload  # SEND and REFILL carry their port
     fx = Effects()
-    _HANDLERS[ev.kind](lp, ev.payload, ev.time, fx, ctx)
+    if save:
+        fx.saved = lp.clone(port)
+    _HANDLERS[kind](lp, payload, port, ev.time, fx, ctx)
     return fx

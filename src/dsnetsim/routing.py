@@ -29,9 +29,8 @@ class RouteMetric(Enum):
 class RoutingTable:
     """Per-node map destination -> egress port index."""
 
-    def __init__(self, ports: dict[int, dict[int, int]], metric: RouteMetric):
+    def __init__(self, ports: dict[int, dict[int, int]]):
         self._ports = ports
-        self.metric = metric
 
     def egress_port(self, node: int, dst: int) -> int | None:
         return self._ports[node].get(dst)
@@ -97,7 +96,7 @@ def compute_routes(topo: Topology, metric: RouteMetric = RouteMetric.HOP_COUNT,
                 assert cost == dist[node]
                 ports[node][dst] = port
                 node = nxt
-    return RoutingTable(ports, metric)
+    return RoutingTable(ports)
 
 
 def walk_route(topo: Topology, table: RoutingTable, src: int, dst: int) -> list[int]:

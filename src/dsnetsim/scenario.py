@@ -125,13 +125,13 @@ _SCHEMA = {
             "plan_path": (None, _or_null(_STR)),
             "eps": (0.10, _NUM),
         },
-        # every knob left out takes its Knobs default
+        # every knob left out takes its Knobs default; Knobs.schedule_seed
+        # and Knobs.jitter have no key, as they act only on unbounded runs,
+        # which no scenario makes
         "knobs": {
             "gvt_interval": (_ABSENT, _int(1)),
             "batch_size": (_ABSENT, _int(1)),
             "runtime": (_ABSENT, _one_of(kernel.RUNTIMES)),
-            "schedule_seed": (_ABSENT, _or_null(_int())),
-            "jitter": (_ABSENT, _int(0)),
             "watchdog_s": (_ABSENT, _POS_NUM),
         },
         "output_dir": (None, _or_null(_STR)),

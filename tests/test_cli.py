@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from dsnetsim import kernel, scenario
-from dsnetsim.cli import EXIT_CONFIG, EXIT_OK, main
+from dsnetsim.cli import EXIT_CONFIG, EXIT_OK, RUN_FLAGS, main
 from dsnetsim.topology import load_topology
 from dsnetsim.scenario import ScenarioError, build_topology, build_traffic_spec, load_scenario
 from dsnetsim.traffic import expected_generated
@@ -230,8 +230,6 @@ def test_bad_qos_block_is_a_config_error(tmp_path, capsys, block, key):
     ("gvt_interval", 0),
     ("batch_size", 0),
     ("batch_size", 2.5),
-    ("jitter", -1),
-    ("schedule_seed", "3"),
     ("watchdog_s", "60"),
     ("watchdog_s", -1),
     ("watchdog_s", 0),
@@ -269,8 +267,12 @@ def test_bad_partition_strategy_is_a_config_error(tmp_path, capsys):
     ({"routing": {"metrc": "latency"}}, "routing.metrc"),
     ({"qos": {"defualt": {}}}, "qos.defualt"),
     ({"run": {**SMALL["run"], "knobs": {"debug_audit": True}}}, "run.knobs.debug_audit"),
+    # Knobs fields that act only on unbounded runs, which no scenario makes
+    ({"run": {**SMALL["run"], "knobs": {"jitter": 2}}}, "run.knobs.jitter"),
+    ({"run": {**SMALL["run"], "knobs": {"schedule_seed": 3}}}, "run.knobs.schedule_seed"),
 ], ids=["traffic", "run", "run-partitions", "traffic-flows", "top-level", "topology",
-        "topology-synthetic", "routing", "qos", "run-knobs"])
+        "topology-synthetic", "routing", "qos", "run-knobs", "run-knobs-jitter",
+        "run-knobs-schedule-seed"])
 def test_unknown_key_is_a_config_error(tmp_path, capsys, doc, key):
     cfg_path = _write_cfg(tmp_path, doc)
     assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
@@ -343,6 +345,18 @@ def test_bad_flag_value_is_a_config_error(tmp_path, capsys, argv, key):
     cfg_path = _write_cfg(tmp_path)
     assert main(argv + ["--config", cfg_path]) == EXIT_CONFIG
     assert f"{key}:" in capsys.readouterr().err
+
+
+def test_every_run_flag_sets_a_scenario_value():
+    """A flag whose key left the schema would only ever give config errors."""
+    for flag, key in RUN_FLAGS.items():
+        *blocks, leaf = key.split(".")
+        table = scenario._SCHEMA
+        for block in blocks:
+            table = table[block]
+            assert isinstance(table, dict), f"{flag}: {block} is not a block"
+        assert leaf in table and not isinstance(table[leaf], dict), \
+            f"{flag}: {key} is not a scenario value"
 
 
 @pytest.mark.parametrize("qos, key", [

@@ -93,7 +93,7 @@ def test_straggler_rolls_back_exactly_the_later_events():
     assert part.histories[1] == []
     # anti-messages for the union of the undone emissions
     antis = part.take_outboxes()[0]
-    assert sorted(a.eid for a in antis) == sorted(f.eid for f in forwarded)
+    assert sorted(a.key for a in antis) == sorted(f.key for f in forwarded)
     assert all(a.sign == events.ANTI for a in antis)
     # the straggler plus the three re-pended events are pending again
     assert part.step(10) == 4
@@ -144,7 +144,7 @@ def test_anti_for_processed_event_rolls_back_and_discards_it():
     assert part.rolled_back == 2
     # only the later event is re-pended; the annihilated one is gone
     assert part.step(10) == 1
-    assert part.histories[1][0].event.eid == (0, 1)
+    assert part.histories[1][0].event.key == (2_000, 1, 0, 1)
 
 
 def test_unmatched_anti_is_a_causality_error():
@@ -272,6 +272,31 @@ def test_lookahead_window_never_rolls_back(scenario, k, monkeypatch):
     assert compare_reports(seq, rep)["record_diff_count"] == 0
     assert rep.rolled_back_events == 0
     assert antis == []
+
+
+def test_spare_ports_hold_no_pipeline_and_no_audit_row():
+    # node 1 declares 4 ports and links only ports 0 and 2, so build_model
+    # leaves a placeholder at port 1 and nothing at port 3
+    topo = Topology([(0, NodeTier.ACCESS, 1), (1, NodeTier.ACCESS, 4),
+                     (2, NodeTier.ACCESS, 1)],
+                    bidirectional(0, 1, 0, 0) + bidirectional(1, 2, 2, 0))
+
+    def model():
+        spec = TrafficSpec(pattern="explicit",
+                           flows=(Flow(0, 2, 1_000_000), Flow(2, 0, 500_000)))
+        return build_model(topo, compute_routes(topo), spec, 200_000, 42,
+                           profiles=tight_shaper_profiles())
+
+    assert [None if p is None else p.port for p in model().lps[1].pipelines] == [0, None, 2]
+    seq = run_sequential(model())
+    assert seq.delivered > 0
+    assert sorted(seq.port_audit) == [(0, 0), (1, 0), (1, 2), (2, 0)]
+    for window in WINDOWS:
+        for assignment in ({0: 0, 1: 1, 2: 0}, {0: 0, 1: 1, 2: 2}):
+            rep = run_optimistic(model(), assignment, Knobs(gvt_interval=64, batch_size=4),
+                                 unbounded=window == "unbounded")
+            assert compare_reports(seq, rep)["record_diff_count"] == 0
+            assert rep.port_audit == seq.port_audit
 
 
 def test_lookahead_counts_only_cut_links():

@@ -76,6 +76,11 @@ def test_records_csv_round_trip(tmp_path):
     assert loaded == sorted(records, key=lambda r: r.pid)
 
 
+def test_finalize_rejects_an_unknown_count_name():
+    with pytest.raises(TypeError, match="comitted_events"):
+        finalize("s", [], 0, {"comitted_events": 12}, 0.0)
+
+
 def test_summary_file_lists_all_fields(tmp_path):
     rep = finalize("s", [_delivered(0, 0, 4_000)], 1,
                    {"committed_events": 12}, 0.5)

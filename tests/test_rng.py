@@ -2,7 +2,6 @@
 
 from dsnetsim import rng
 from dsnetsim.router import RouterLp
-from dsnetsim.topology import NodeTier
 
 
 def test_draws_are_pure_functions():
@@ -40,7 +39,7 @@ def test_cursor_rng_advances_per_purpose():
 def test_clone_isolates_cursor_state():
     # the cursors are saved and restored with the LP: after a restore the
     # next draw repeats the one consumed after the save
-    lp = RouterLp(11, NodeTier.ACCESS, [], {}, 5)
+    lp = RouterLp(11, [], {}, 5)
     lp.rng.uniform(rng.PURPOSE_RED)
     saved = lp.clone(None)
     ahead = lp.rng.uniform(rng.PURPOSE_RED)

@@ -8,7 +8,7 @@ import pytest
 from dsnetsim import events, rng
 from dsnetsim.kernel import run_sequential
 from dsnetsim.model import MODE_LAZY, MODE_PERIODIC, build_model
-from dsnetsim.router import EgressPipeline, Packet, dispatch, touched_port, transmission_ns
+from dsnetsim.router import EgressPipeline, Packet, dispatch, transmission_ns
 from dsnetsim.routing import compute_routes
 from dsnetsim.qos import TOKEN_SCALE, ClassQueue, RedParams, RedState, SrtcmMeter, TokenBucket
 from dsnetsim.topology import generate_synthetic_topology
@@ -310,8 +310,8 @@ def _state(obj):
 ], ids=["tight-shaper", "periodic-refill"])
 def test_event_changes_only_its_touched_port_and_restore_undoes_it(model_kwargs):
     """The incremental save is complete and isolated: an event leaves every
-    pipeline but its touched port alone and shares no live object with its
-    save, and restoring the save gives back the whole LP state."""
+    pipeline but the port ``dispatch`` saved alone and shares no live object
+    with its save, and restoring the save gives back the whole LP state."""
     topo = generate_synthetic_topology(10, 3, 2, seed=1)
     model = build_model(topo, compute_routes(topo),
                         TrafficSpec(rate_pps=100_000, seed=5),
@@ -325,19 +325,17 @@ def test_event_changes_only_its_touched_port_and_restore_undoes_it(model_kwargs)
         if ev.time > model.end_time_ns:
             break
         lp = model.lps[ev.target]
-        port = touched_port(lp, ev)
         before = _state(lp)
-        others = {p.port: _state(p) for p in lp.pipelines
-                  if p is not None and p.port != port}
-        saved = lp.clone(port)
-        saved_state = _state(saved)
-        dispatch(lp, ev, model.ctx)
-        assert _state(saved) == saved_state, f"{ev} changed its own save"
-        assert others == {p.port: _state(p) for p in lp.pipelines
-                          if p is not None and p.port != port}, \
+        pipes = {p.port: _state(p) for p in lp.pipelines if p is not None}
+        saved = dispatch(lp, ev, model.ctx, True).saved
+        port = saved[0]
+        pipes.pop(port, None)
+        assert pipes == {p.port: _state(p) for p in lp.pipelines
+                         if p is not None and p.port != port}, \
             f"{ev} changed a port other than {port}"
         lp.restore(saved)
         assert _state(lp) == before, f"restore did not undo {ev}"
+        assert _state(saved) == _state(lp.clone(port)), f"{ev} changed its own save"
         fx = dispatch(lp, ev, model.ctx)
         kinds.add(ev.kind)
         for em in fx.emitted:
