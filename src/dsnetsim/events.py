@@ -20,8 +20,7 @@ class Event:
     seq)``, is both its identity, which an anti-message shares, and its place
     in a deterministic total order over simultaneous events."""
 
-    __slots__ = ("time", "target", "kind", "payload", "sender", "seq", "sign", "dead",
-                 "key")
+    __slots__ = ("time", "target", "kind", "payload", "sender", "seq", "sign", "key")
 
     def __init__(self, time, target, kind, payload, sender, seq, sign=POSITIVE):
         self.time = time
@@ -31,9 +30,6 @@ class Event:
         self.sender = sender
         self.seq = seq
         self.sign = sign
-        # set when an anti-message annihilates this event while it is still
-        # queued; the scheduler skips dead events lazily
-        self.dead = False
         self.key = (time, target, sender, seq)
 
     def as_anti(self) -> "Event":

@@ -46,6 +46,11 @@ lifts the window, so that every partition runs as far ahead as its pending
 events go, one ``batch_size`` batch per round in an optionally shuffled
 order with seeded transport jitter; the tests and demos use it to exercise
 rollback and anti-messages.
+
+Each partition's pending set is one heap of ``(key, Event)`` whose keys are
+unique: a cancellation takes its victim out of the heap, and channels are
+FIFO per sender, so an anti-message reaches its positive before a re-sent
+event with the same key does.
 """
 
 from __future__ import annotations
@@ -168,9 +173,7 @@ class Partition:
         self.end = end_time_ns
         self.window = window  # run no event later than gvt + window
 
-        self.pending: list = []  # heap of (key, serial, Event)
-        self._serial = 0  # heap tiebreaker: a dead copy can share its key
-        self.live: dict = {}  # key -> the live pending Event with that key
+        self.pending: list = []  # heap of (key, Event); keys are unique
         # per LP, the Effects of its processed events in key order
         self.histories: dict[int, list[Effects]] = {n: [] for n in lps}
         self.outboxes: dict[int, list] = {}
@@ -202,11 +205,6 @@ class Partition:
         else:
             self._insert_positive(ev)
 
-    def _push(self, ev):
-        self._serial += 1
-        heapq.heappush(self.pending, (ev.key, self._serial, ev))
-        self.live[ev.key] = ev
-
     def _insert_positive(self, ev):
         if ev.time < self.gvt:
             raise CausalityError(
@@ -214,17 +212,24 @@ class Partition:
         hist = self.histories[ev.target]
         if hist and hist[-1].event.key > ev.key:
             self._rollback(ev.target, ev.key)
-        self._push(ev)
+        heapq.heappush(self.pending, (ev.key, ev))
 
     def _cancel(self, anti):
         """Annihilate the event with the key of ``anti`` (an anti-message,
         or a local emission an undone event made)."""
         key = anti.key
-        victim = self.live.pop(key, None)
-        if victim is not None:
-            # still queued: flag it dead, the scheduler drops it lazily
-            victim.dead = True
-            return
+        pending = self.pending
+        for i, entry in enumerate(pending):
+            if entry[0] == key:
+                # still pending: move the entries above it down one slot
+                # each, over it; the slots below the root stay in heap
+                # order, and heappop drops the root's stale copy (in
+                # place, as step holds the list)
+                while i:
+                    pending[i] = pending[(i - 1) // 2]
+                    i = (i - 1) // 2
+                heapq.heappop(pending)
+                return
         # channels are FIFO per sender, so an anti reaches its positive
         # before a re-sent event with the same key does; one that matches
         # nothing targets fossil-collected state
@@ -259,7 +264,7 @@ class Partition:
         for entry in undone:
             ev = entry.event
             if not (annihilate and ev.key == to_key):
-                self._push(ev)
+                heapq.heappush(self.pending, (ev.key, ev))
             for em in entry.emitted:
                 tgt = self.lp_pid[em.target]
                 if tgt == self.pid:
@@ -273,11 +278,8 @@ class Partition:
 
     def step(self, max_events: int) -> int:
         """Process up to ``max_events`` pending events in key order, none
-        later than the horizon or ``gvt + window``. The loop keeps
-        ``_serial`` in a local and writes it back around every call that
-        reads or changes it."""
+        later than the horizon or ``gvt + window``."""
         pending = self.pending
-        live = self.live
         lps = self.lps
         histories = self.histories
         lp_pid = self.lp_pid
@@ -287,20 +289,13 @@ class Partition:
         pid = self.pid
         ctx = self.ctx
         gvt = self.gvt
-        serial = self._serial
         done = 0
         limit = min(self.end, gvt + self.window)
         while done < max_events and pending:
-            ev = pending[0][2]
-            if ev.dead:
-                heappop(pending)
-                continue
+            ev = pending[0][1]
             if ev.time > limit:
                 break
             heappop(pending)
-            key = ev.key
-            if live.get(key) is ev:
-                del live[key]
             target = ev.target
             fx = dispatch(lps[target], ev, ctx, True)
             fx.event = ev
@@ -313,25 +308,17 @@ class Partition:
                 hist = histories[em.target]
                 key = em.key
                 if em.time >= gvt and not (hist and hist[-1].event.key > key):
-                    serial += 1
-                    heappush(pending, (key, serial, em))
-                    live[key] = em
+                    heappush(pending, (key, em))
                 else:
                     # a local straggler: after a rollback this LP re-executes
                     # old events and its emissions can land behind a local
                     # neighbour's progress
-                    self._serial = serial
                     self._insert_positive(em)
-                    serial = self._serial
             done += 1
-        self._serial = serial
         return done
 
     def min_pending_time(self) -> float:
-        pending = self.pending
-        while pending and pending[0][2].dead:
-            heapq.heappop(pending)
-        return pending[0][2].time if pending else INF
+        return self.pending[0][1].time if self.pending else INF
 
     def take_outboxes(self) -> dict[int, list]:
         out = self.outboxes
@@ -386,7 +373,9 @@ def _make_partitions(model: Model, assignment: dict[int, int], k: int,
         parts.append(Partition(pid, lps, assignment, model.ctx, model.end_time_ns,
                                window))
     for ev in model.bootstrap:
-        parts[assignment[ev.target]]._push(ev)
+        parts[assignment[ev.target]].pending.append((ev.key, ev))
+    for p in parts:
+        heapq.heapify(p.pending)
     return parts
 
 
@@ -415,16 +404,26 @@ def _compute_gvt(parts: list[Partition]):
     return min(p.min_pending_time() for p in parts)
 
 
-def run_stepped(model: Model, assignment: dict[int, int], k: int,
-                knobs: Knobs, unbounded: bool = False) -> RunReport:
-    """Deterministic cooperative driver. A partition runs no event later
-    than GVT + L - 1 (L from :func:`model.lookahead_ns`), so each round
-    steps every partition once, up to that limit or ``gvt_interval``
-    events, and ends in a GVT cut. With ``unbounded`` there is no limit:
-    partitions are stepped one batch at a time in (optionally shuffled)
-    order, with optional per-channel message holds that preserve per-sender
-    FIFO order, and a cut follows every ``gvt_interval`` events per
-    partition or a round in which nothing moved."""
+def run_optimistic(model: Model, plan, knobs: Knobs | None = None, *,
+                   unbounded: bool = False) -> RunReport:
+    """Speculative parallel run over a partition plan, by a deterministic
+    cooperative driver. Per-packet records are identical to
+    :func:`run_sequential` for the same model and seed.
+
+    A partition runs no event later than GVT + L - 1 (L from
+    :func:`model.lookahead_ns`), so each round steps every partition once,
+    up to that limit or ``gvt_interval`` events, and ends in a GVT cut.
+    ``unbounded`` lifts that limit, so partitions speculate and roll back:
+    they are stepped one batch at a time in (optionally shuffled) order,
+    with optional per-channel message holds that preserve per-sender FIFO
+    order, and a cut follows every ``gvt_interval`` events per partition or
+    a round in which nothing moved."""
+    knobs = knobs or Knobs()
+    assignment = plan.assignment if hasattr(plan, "assignment") else dict(plan)
+    k = (plan.k if hasattr(plan, "k") else max(assignment.values()) + 1)
+    missing = set(model.lps) - set(assignment)
+    if missing:
+        raise KernelError(f"partition plan misses LPs {sorted(missing)[:5]}")
     t0 = _time.perf_counter()
     window = INF if unbounded else lookahead_ns(model.topology, assignment) - 1
     parts = _make_partitions(model, assignment, k, window)
@@ -520,18 +519,3 @@ def run_stepped(model: Model, assignment: dict[int, int], k: int,
                 f"no GVT progress past {gvt} ns for {knobs.watchdog_s}s")
     return _merge_reports(model, parts, len(gvt_series), gvt_series,
                           _time.perf_counter() - t0)
-
-
-def run_optimistic(model: Model, plan, knobs: Knobs | None = None, *,
-                   unbounded: bool = False) -> RunReport:
-    """Speculative parallel run over a partition plan. Per-packet records
-    are identical to :func:`run_sequential` for the same model and seed.
-    ``unbounded`` lifts the lookahead window, so partitions speculate and
-    roll back."""
-    knobs = knobs or Knobs()
-    assignment = plan.assignment if hasattr(plan, "assignment") else dict(plan)
-    k = (plan.k if hasattr(plan, "k") else max(assignment.values()) + 1)
-    missing = set(model.lps) - set(assignment)
-    if missing:
-        raise KernelError(f"partition plan misses LPs {sorted(missing)[:5]}")
-    return run_stepped(model, assignment, k, knobs, unbounded)

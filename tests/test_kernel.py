@@ -135,6 +135,20 @@ def test_anti_for_pending_event_annihilates_without_rollback():
     assert not part.outboxes
 
 
+def test_anti_for_pending_event_below_the_top_removes_it_and_a_resend_runs_once():
+    part, _ = _middle_partition()
+    sent = [_arrive_at_1(t, seq=i, pid=i) for i, t in enumerate((1_000, 2_000, 3_000))]
+    for ev in sent:
+        part.receive_remote(ev)
+    part.receive_remote(sent[1].as_anti())
+    assert sent[1].key not in [key for key, _ in part.pending]
+    # the sender re-executes and sends an event with the same key
+    part.receive_remote(_arrive_at_1(2_000, seq=1, pid=1))
+    assert part.step(10) == 3
+    assert part.rolled_back == 0
+    assert [e.event.key for e in part.histories[1]] == [ev.key for ev in sent]
+
+
 def test_anti_for_processed_event_rolls_back_and_discards_it():
     part, _ = _middle_partition()
     part.receive_remote(_arrive_at_1(1_000, seq=0))
@@ -183,10 +197,16 @@ def test_rollback_below_gvt_is_a_causality_error():
 def test_gvt_is_min_over_pending():
     a, _ = _middle_partition()
     b, _ = _middle_partition()
-    a.receive_remote(_arrive_at_1(100, seq=0))
+    first = _arrive_at_1(100, seq=0)
+    a.receive_remote(first)
+    a.receive_remote(_arrive_at_1(150, seq=2, pid=2))
     b.receive_remote(_arrive_at_1(200, seq=1, pid=1))
     assert _compute_gvt([a, b]) == 100
     assert a.min_pending_time() == 100
+    # cancelling the earliest pending event leaves the next one's time
+    a.receive_remote(first.as_anti())
+    assert a.min_pending_time() == 150
+    assert _compute_gvt([a, b]) == 150
 
 
 def test_gvt_sentinel_when_everything_drained():
