@@ -22,10 +22,12 @@ the earliest save wins and the LP is back where it was before the first
 undone event. The LP objects are the model's own, restored in place, so
 the model's LPs hold the run's final state.
 
-One driver runs the partitions: a deterministic single-thread stepper over
-per-channel FIFO queues. GVT is a stop-the-world cut: every channel is
-drained until nothing is in flight (global sent == received), and the
-minimum pending event time becomes the new GVT.
+One driver runs the partitions: a deterministic single-thread stepper.
+Each partition keeps one FIFO outbox per destination partition, and that
+outbox is the channel: a remote event is appended to it once and popped
+once, into its receiver. GVT is a stop-the-world cut: the outboxes are
+drained, the antis that drain makes included, until every one is empty,
+and the minimum pending event time becomes the new GVT.
 
 A time window bounds the speculation: a partition runs no event later than
 GVT + L - 1, where L is the plan's lookahead (``model.lookahead_ns``): 1 ns
@@ -48,9 +50,9 @@ order with seeded transport jitter; the tests and demos use it to exercise
 rollback and anti-messages.
 
 Each partition's pending set is one heap of ``(key, Event)`` whose keys are
-unique: a cancellation takes its victim out of the heap, and channels are
-FIFO per sender, so an anti-message reaches its positive before a re-sent
-event with the same key does.
+unique: a cancellation takes its victim out of the heap, and outboxes are
+FIFO, so an anti-message reaches its positive before a re-sent event with
+the same key does.
 """
 
 from __future__ import annotations
@@ -89,11 +91,11 @@ class Knobs:
 
     gvt_interval: int = 1024  # processed events per partition between cuts
     # batch_size, schedule_seed and jitter act only on unbounded runs: under
-    # the window every round ends in a cut that drains every channel
+    # the window every round ends in a cut that drains every outbox
     batch_size: int = 16  # events per scheduling quantum
     runtime: str = "stepped"  # one of RUNTIMES
     schedule_seed: int | None = None  # shuffle the partition order per round
-    jitter: int = 0  # max extra hold per channel message, in rounds
+    jitter: int = 0  # max delivery calls a message waits at its outbox's head
     watchdog_s: float = 60.0
 
     def __post_init__(self):
@@ -164,7 +166,7 @@ class Partition:
     """One worker's share of the model: its LPs, pending queue, processed
     histories, and outboxes toward other partitions."""
 
-    def __init__(self, pid: int, lps: dict, lp_pid: dict[int, int], ctx,
+    def __init__(self, pid: int, lps: dict, lp_pid: dict[int, int], k: int, ctx,
                  end_time_ns: int, window: float = INF):
         self.pid = pid
         self.lps = lps
@@ -176,9 +178,9 @@ class Partition:
         self.pending: list = []  # heap of (key, Event); keys are unique
         # per LP, the Effects of its processed events in key order
         self.histories: dict[int, list[Effects]] = {n: [] for n in lps}
-        self.outboxes: dict[int, list] = {}
+        # per destination partition, the FIFO channel toward it
+        self.outboxes = [deque() for _ in range(k)]
 
-        self.sent = 0
         self.gvt = 0
         # history grows by one entry per event and shrinks only in _rollback
         # and fossil_collect, which record its size here first
@@ -230,8 +232,8 @@ class Partition:
                     i = (i - 1) // 2
                 heapq.heappop(pending)
                 return
-        # channels are FIFO per sender, so an anti reaches its positive
-        # before a re-sent event with the same key does; one that matches
+        # outboxes are FIFO, so an anti reaches its positive before a
+        # re-sent event with the same key does; one that matches
         # nothing targets fossil-collected state
         if any(entry.event.key == key for entry in reversed(self.histories[anti.target])):
             self._rollback(anti.target, key, annihilate=True)
@@ -270,7 +272,7 @@ class Partition:
                 if tgt == self.pid:
                     local_cancels.append(em)
                 else:
-                    self.outboxes.setdefault(tgt, []).append(em.as_anti())
+                    self.outboxes[tgt].append(em.as_anti())
         while local_cancels:
             self._cancel(local_cancels.popleft())
 
@@ -303,7 +305,7 @@ class Partition:
             for em in fx.emitted:
                 tgt = lp_pid[em.target]
                 if tgt != pid:
-                    outboxes.setdefault(tgt, []).append(em)
+                    outboxes[tgt].append(em)
                     continue
                 hist = histories[em.target]
                 key = em.key
@@ -319,13 +321,6 @@ class Partition:
 
     def min_pending_time(self) -> float:
         return self.pending[0][1].time if self.pending else INF
-
-    def take_outboxes(self) -> dict[int, list]:
-        out = self.outboxes
-        self.outboxes = {}
-        for msgs in out.values():
-            self.sent += len(msgs)
-        return out
 
     # -- commitment ----------------------------------------------------------
 
@@ -370,7 +365,7 @@ def _make_partitions(model: Model, assignment: dict[int, int], k: int,
     parts = []
     for pid in range(k):
         lps = {n: lp for n, lp in model.lps.items() if assignment[n] == pid}
-        parts.append(Partition(pid, lps, assignment, model.ctx, model.end_time_ns,
+        parts.append(Partition(pid, lps, assignment, k, model.ctx, model.end_time_ns,
                                window))
     for ev in model.bootstrap:
         parts[assignment[ev.target]].pending.append((ev.key, ev))
@@ -379,7 +374,7 @@ def _make_partitions(model: Model, assignment: dict[int, int], k: int,
     return parts
 
 
-def _merge_reports(model: Model, parts: list[Partition], gvt_rounds: int,
+def _merge_reports(model: Model, parts: list[Partition], messages: int,
                    gvt_series: list, wall_clock_s: float) -> RunReport:
     records = []
     generated = 0
@@ -391,8 +386,8 @@ def _merge_reports(model: Model, parts: list[Partition], gvt_rounds: int,
     return finalize(model.scenario_id, records, generated, {
         "committed_events": sum(p.committed_events for p in parts),
         "rolled_back_events": sum(p.rolled_back for p in parts),
-        "inter_partition_messages": sum(p.sent for p in parts),
-        "gvt_rounds": gvt_rounds,
+        "inter_partition_messages": messages,
+        "gvt_rounds": len(gvt_series),
         "peak_history_entries": sum(p.peak_history for p in parts),
         "per_lp_events": per_lp,
         "port_audit": _port_audit(model.lps),
@@ -414,10 +409,11 @@ def run_optimistic(model: Model, plan, knobs: Knobs | None = None, *,
     :func:`model.lookahead_ns`), so each round steps every partition once,
     up to that limit or ``gvt_interval`` events, and ends in a GVT cut.
     ``unbounded`` lifts that limit, so partitions speculate and roll back:
-    they are stepped one batch at a time in (optionally shuffled) order,
-    with optional per-channel message holds that preserve per-sender FIFO
-    order, and a cut follows every ``gvt_interval`` events per partition or
-    a round in which nothing moved."""
+    each receives what the outboxes hold for it, then runs one batch, in
+    (optionally shuffled) order; with ``jitter`` each outbox's head waits a
+    seeded number of deliveries, and what is behind it waits too, so FIFO
+    order holds. A cut follows every ``gvt_interval`` events per partition
+    or a round in which nothing moved."""
     knobs = knobs or Knobs()
     assignment = plan.assignment if hasattr(plan, "assignment") else dict(plan)
     k = (plan.k if hasattr(plan, "k") else max(assignment.values()) + 1)
@@ -427,72 +423,57 @@ def run_optimistic(model: Model, plan, knobs: Knobs | None = None, *,
     t0 = _time.perf_counter()
     window = INF if unbounded else lookahead_ns(model.topology, assignment) - 1
     parts = _make_partitions(model, assignment, k, window)
-    channels: dict[tuple[int, int], deque] = {}
+    quantum = knobs.batch_size if unbounded else knobs.gvt_interval
     rnd = random.Random(knobs.schedule_seed)
+    holds = [[None] * k for _ in range(k)]  # [src][dst]: the head's wait left
+    messages = 0
     gvt = 0
-    gvt_series: list = []  # (round, gvt, committed, rolled back, sent)
+    gvt_series: list = []  # (round, gvt, committed, rolled back, messages)
     since_gvt = 0
     last_progress = _time.perf_counter()
 
-    def flush(p: Partition, with_jitter: bool):
-        for dst, msgs in p.take_outboxes().items():
-            ch = channels.setdefault((p.pid, dst), deque())
-            for m in msgs:
-                hold = rnd.randint(0, knobs.jitter) if (with_jitter and knobs.jitter) else 0
-                ch.append([hold, m])
-
-    def deliver_due(p: Partition) -> bool:
-        got = False
-        for src in range(k):
-            ch = channels.get((src, p.pid))
-            if not ch:
-                continue
-            if ch[0][0] > 0:
-                ch[0][0] -= 1
-            while ch and ch[0][0] <= 0:
-                p.receive_remote(ch.popleft()[1])
-                got = True
+    def deliver(p: Partition, held: bool) -> int:
+        """Pop every outbox toward ``p`` into it, in FIFO order; when
+        ``held``, each outbox's head first waits out its jitter."""
+        nonlocal messages
+        dst = p.pid
+        got = 0
+        for src in parts:
+            box = src.outboxes[dst]
+            waits = holds[src.pid]
+            while box:
+                if held and knobs.jitter:
+                    wait = waits[dst]
+                    if wait is None:
+                        wait = rnd.randint(0, knobs.jitter)
+                    if wait:
+                        waits[dst] = wait - 1
+                        break
+                waits[dst] = None
+                p.receive_remote(box.popleft())
+                got += 1
+        messages += got
         return got
 
-    def deliver_all() -> bool:
-        moved = False
-        for (src, dst), ch in channels.items():
-            while ch:
-                parts[dst].receive_remote(ch.popleft()[1])
-                moved = True
-        for p in parts:
-            if p.outboxes:
-                flush(p, with_jitter=False)
-                moved = True
-        return moved
-
     while True:
-        if unbounded:
-            order = list(range(k))
-            if knobs.schedule_seed is not None:
-                rnd.shuffle(order)
-            any_work = False
-            for pid in order:
-                p = parts[pid]
-                got = deliver_due(p)
-                n = p.step(knobs.batch_size)
-                flush(p, with_jitter=True)
-                since_gvt += n
-                if n or got:
-                    any_work = True
-            if since_gvt < knobs.gvt_interval * k and any_work:
-                continue
-            since_gvt = 0
-        else:
-            # one epoch: whatever a partition receives during it is at GVT + L
-            # or later, past its limit, so it runs to that limit in one step
-            for p in parts:
-                p.step(knobs.gvt_interval)
-        # GVT cut: bounce messages (including the antis a drain-triggered
-        # rollback produces) until nothing is in flight
-        for p in parts:
-            flush(p, with_jitter=False)
-        while deliver_all():
+        order = parts
+        if unbounded and knobs.schedule_seed is not None:
+            order = parts.copy()
+            rnd.shuffle(order)
+        moved = False
+        for p in order:
+            # under the window whatever a partition receives in an epoch is
+            # at GVT + L or later, past its limit: it waits for the cut
+            got = unbounded and deliver(p, True)
+            n = p.step(quantum)
+            since_gvt += n
+            moved = moved or n or got
+        if unbounded and since_gvt < knobs.gvt_interval * k and moved:
+            continue
+        since_gvt = 0
+        # GVT cut: drain the outboxes, including the antis a drain-triggered
+        # rollback produces, until nothing is in flight
+        while any([deliver(p, False) for p in parts]):
             pass
         new_gvt = _compute_gvt(parts)
         done = new_gvt is INF or new_gvt > model.end_time_ns
@@ -510,12 +491,12 @@ def run_optimistic(model: Model, plan, knobs: Knobs | None = None, *,
             -1 if done else new_gvt,
             sum(p.committed_events for p in parts),
             sum(p.rolled_back for p in parts),
-            sum(p.sent for p in parts),
+            messages,
         ))
         if done:
             break
         if _time.perf_counter() - last_progress > knobs.watchdog_s:
             raise WatchdogError(
                 f"no GVT progress past {gvt} ns for {knobs.watchdog_s}s")
-    return _merge_reports(model, parts, len(gvt_series), gvt_series,
+    return _merge_reports(model, parts, messages, gvt_series,
                           _time.perf_counter() - t0)

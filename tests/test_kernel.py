@@ -11,7 +11,7 @@ from dsnetsim.kernel import (
     run_sequential,
 )
 from dsnetsim.metrics import compare_reports
-from dsnetsim.partition import partition_balanced
+from dsnetsim.partition import PartitionPlan, partition_balanced
 from dsnetsim.router import Packet
 from dsnetsim.routing import compute_routes
 from dsnetsim.model import MODE_PERIODIC, build_model, lookahead_ns
@@ -71,7 +71,7 @@ def _middle_partition(end_ns=10_000_000):
     """Partition owning only node 1 of a 0-1-2 line; 0 and 2 are remote."""
     model = single_flow_model(line_topology(3), 0, 2, end_ns=end_ns)
     assignment = {0: 0, 1: 1, 2: 0}
-    part = Partition(1, {1: model.lps[1]}, assignment, model.ctx, end_ns)
+    part = Partition(1, {1: model.lps[1]}, assignment, 2, model.ctx, end_ns)
     return part, model
 
 
@@ -85,14 +85,15 @@ def test_straggler_rolls_back_exactly_the_later_events():
     for i, t in enumerate((1_000, 2_000, 3_000)):
         part.receive_remote(_arrive_at_1(t, seq=i, pid=i))
     assert part.step(10) == 3
-    forwarded = part.take_outboxes()[0]
+    forwarded = list(part.outboxes[0])
     assert len(forwarded) == 3  # three ARRIVEs toward node 2
+    part.outboxes[0].clear()
     # straggler older than all three processed events
     part.receive_remote(_arrive_at_1(500, seq=3, pid=3))
     assert part.rolled_back == 3
     assert part.histories[1] == []
     # anti-messages for the union of the undone emissions
-    antis = part.take_outboxes()[0]
+    antis = list(part.outboxes[0])
     assert sorted(a.key for a in antis) == sorted(f.key for f in forwarded)
     assert all(a.sign == events.ANTI for a in antis)
     # the straggler plus the three re-pended events are pending again
@@ -103,7 +104,7 @@ def test_local_emission_behind_a_neighbours_progress_rolls_it_back():
     # one partition owns nodes 1 and 2 of a 0-1-2 line; node 2 runs ahead,
     # then node 1 forwards a packet that reaches node 2 before that point
     model = single_flow_model(line_topology(3), 0, 2)
-    part = Partition(1, {1: model.lps[1], 2: model.lps[2]}, {0: 0, 1: 1, 2: 1},
+    part = Partition(1, {1: model.lps[1], 2: model.lps[2]}, {0: 0, 1: 1, 2: 1}, 2,
                      model.ctx, model.end_time_ns)
     part.receive_remote(events.Event(5_000, 2, events.ARRIVE,
                                      Packet(0, 0, 2, 1400, 0, created_ns=0), 0, 0))
@@ -132,7 +133,7 @@ def test_anti_for_pending_event_annihilates_without_rollback():
     part.receive_remote(pos.as_anti())
     assert part.rolled_back == 0
     assert part.step(10) == 0  # the annihilated event is never processed
-    assert not part.outboxes
+    assert not any(part.outboxes)
 
 
 def test_anti_for_pending_event_below_the_top_removes_it_and_a_resend_runs_once():
@@ -278,6 +279,43 @@ def _count_antis(monkeypatch) -> list:
 
     monkeypatch.setattr(Partition, "receive_remote", counting)
     return antis
+
+
+@pytest.mark.parametrize("jitter, schedule_seed", [(0, None), (5, 3)])
+def test_an_anti_reaches_its_positive_before_a_resent_one(jitter, schedule_seed, monkeypatch):
+    # Partition._cancel relies on it: per key, the receiver sees +, -, +, ...
+    log = []
+    receive = Partition.receive_remote
+
+    def logging(self, ev):
+        log.append((ev.key, ev.sign))
+        return receive(self, ev)
+
+    monkeypatch.setattr(Partition, "receive_remote", logging)
+    model, topo = _fresh_model()
+    knobs = Knobs(gvt_interval=128, batch_size=8, schedule_seed=schedule_seed, jitter=jitter)
+    run_optimistic(model, partition_balanced(topo, 4), knobs, unbounded=True)
+    signs: dict = {}
+    for key, sign in log:
+        signs.setdefault(key, []).append(sign)
+    assert all(set(seq[::2]) == {events.POSITIVE} and set(seq[1::2]) <= {events.ANTI}
+               for seq in signs.values())
+    assert any(seq.count(events.POSITIVE) > 1 for seq in signs.values())
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize("k, relabel", [(4, {}), (3, {1: 2})])
+def test_a_plan_with_empty_partitions_runs_them_idle(k, relabel, window):
+    # k=4 over a 2-way assignment leaves 2 and 3 empty; k=3 with 1 moved to
+    # 2 leaves the middle one empty
+    seq = run_sequential(_fresh_model()[0])
+    model, topo = _fresh_model()
+    two = partition_balanced(topo, 2)
+    plan = PartitionPlan(k, {n: relabel.get(p, p) for n, p in two.assignment.items()},
+                         two.strategy)
+    rep = run_optimistic(model, plan, Knobs(gvt_interval=128, batch_size=8),
+                         unbounded=window == "unbounded")
+    assert compare_reports(seq, rep)["record_diff_count"] == 0
 
 
 @pytest.mark.parametrize("k", [2, 4, 8])
