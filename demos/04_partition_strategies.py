@@ -1,19 +1,21 @@
 """Compare partition-planning strategies on skewed traffic.
 
 Most flows converge on a handful of hot core nodes, which also send light
-reply traffic back out. A plan that optimizes edge cut alone piles the whole
-hot region into one overloaded partition; that partition lags in virtual
-time, and everything it emits lands in its neighbours' past, rolling them
-back. The script derives weights under several models, builds the plans, and
-runs each one without the speculation window to count rollbacks — the profiled
-vertex-event plan wins. Under the default lookahead window no plan rolls
-back; there the plans differ in GVT rounds and wall time instead.
+reply traffic back out. A plan that minimises the throughput-weighted cut
+alone (the vertex+edge planner with unit vertex weights and a 30 % node-count
+tolerance) piles the whole hot region into one overloaded partition; that
+partition lags in virtual time, and everything it emits lands in its
+neighbours' past, rolling them back. The script derives weights under several
+models, builds the plans, and runs each one without the speculation window to
+count rollbacks — the profiled vertex-event plan wins. Under the default
+lookahead window no plan rolls back; there the plans differ in GVT rounds and
+wall time instead.
 """
 
 from dsnetsim.kernel import Knobs, run_optimistic, run_sequential
 from dsnetsim.partition import (
     WeightModel, derive_edge_throughput_weights, derive_vertex_event_weights,
-    export_plan, partition_balanced, partition_min_edgecut,
+    export_plan, partition_balanced, partition_vertex_plus_edge,
 )
 from dsnetsim.routing import compute_routes
 from dsnetsim.scenario import (
@@ -47,8 +49,9 @@ def main():
 
     plans = {
         "no-weights": partition_balanced(topo, 4),
-        "edge-throughput": partition_min_edgecut(
-            topo, 4, derive_edge_throughput_weights(resolved, routes, topo)),
+        "cut-only": partition_vertex_plus_edge(
+            topo, 4, None, derive_edge_throughput_weights(resolved, routes, topo),
+            eps=0.30),
         "vertex-event": partition_balanced(
             topo, 4, derive_vertex_event_weights(seq),
             WeightModel.VERTEX_EVENT),

@@ -166,12 +166,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_partition(args) -> int:
     cfg = load_scenario(args.config, _scenario_overrides(args))
-    strategy = cfg["run"]["partitions"]["strategy"]
-    if strategy == partition_mod.WeightModel.VERTEX_EVENT.value and not args.allow_profiling:
-        print("vertex-event weights need a profiling trace; run "
-              "`dsnetsim run --mode sequential` first or pass "
-              "--allow-profiling to run one now", file=sys.stderr)
-        return EXIT_CONFIG
     topo = build_topology(cfg)
     plan = build_plan(cfg, topo)
     partition_mod.export_plan(plan, args.plan_out)
@@ -217,9 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="compute and export a partition plan")
     _add_run_flags(p)
     p.add_argument("--plan-out", required=True, dest="plan_out")
-    p.add_argument("--allow-profiling", action="store_true",
-                   help="permit an on-the-fly sequential profiling run for "
-                        "vertex-event weights")
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("topo-gen", help="generate a synthetic topology file")

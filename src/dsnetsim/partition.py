@@ -1,14 +1,15 @@
 """Partition plans for the parallel kernel.
 
-Weighting strategies: no weights, per-link throughput (edge weights,
-minimised cut), per-node committed-event counts from a profiling run,
-per-node expected ingress throughput derived statically from routes, and
-the combination of vertex weights with edge-cut refinement.
+Four weighting strategies: no weights, per-node committed-event counts
+from a profiling run, per-node expected ingress throughput derived
+statically from routes, and those throughput vertex weights combined with
+refinement of the per-link throughput (edge-weighted) cut.
 
 The balanced planner grows regions from farthest-point seeds toward the
-lightest partition. The min-cut and vertex+edge planners refine a balanced
-plan with one shared pass of greedy single-node moves that lower the
-weighted cut, each under its own cap on partition weight. All planners are
+lightest partition. The vertex+edge planner then refines the balanced plan
+by greedy single-node moves that lower the weighted cut while every
+partition stays within ``eps`` of the mean weight. Every plan's
+``cut_weight`` counts the undirected links it cuts. All planners are
 deterministic for fixed inputs.
 """
 
@@ -27,7 +28,6 @@ class PartitionError(Exception):
 
 class WeightModel(Enum):
     NO_WEIGHTS = "no-weights"
-    EDGE_THROUGHPUT = "edge"
     VERTEX_EVENT = "vertex-event"
     VERTEX_THROUGHPUT = "vertex-throughput"
     VERTEX_PLUS_EDGE = "vertex+edge"
@@ -39,7 +39,7 @@ class PartitionPlan:
     assignment: dict[int, int]
     strategy: WeightModel
     imbalance: float = 1.0
-    cut_weight: int = 0
+    cut_weight: int = 0  # undirected links between partitions
     degraded: bool = False  # True when the balance target was not met
 
     def partitions(self) -> list[list[int]]:
@@ -247,8 +247,8 @@ def partition_balanced(topo: Topology, k: int,
 def _refine_cut(topo: Topology, assignment: dict[int, int], k: int,
                 edge_weights: dict[tuple[int, int], int],
                 vertex_weights: dict[int, int] | None, cap: float) -> None:
-    """Greedy cut refinement shared by the edge-aware planners. Each of at
-    most 10 passes moves every node, in id order, to the neighbouring
+    """Greedy cut refinement of the vertex+edge planner. Each of at most 10
+    passes moves every node, in id order, to the neighbouring
     partition of largest positive cut gain (ties: lowest id) that stays
     within ``cap`` vertex weight. A partition's last node never moves."""
     acc = [0] * k
@@ -289,26 +289,14 @@ def _refine_cut(topo: Topology, assignment: dict[int, int], k: int,
             break
 
 
-def partition_min_edgecut(topo: Topology, k: int,
-                          edge_weights: dict[tuple[int, int], int]) -> PartitionPlan:
-    """Balanced start, then cut refinement that keeps partition node counts
-    within 30 % of even."""
-    assignment = partition_balanced(topo, k, None, WeightModel.EDGE_THROUGHPUT).assignment
-    max_size = max(1, int(-(-topo.num_nodes // k) * 1.30))
-    _refine_cut(topo, assignment, k, edge_weights, None, max_size)
-    return PartitionPlan(
-        k, assignment, WeightModel.EDGE_THROUGHPUT,
-        imbalance=compute_imbalance(assignment, k, None),
-        cut_weight=cut_weight(topo, assignment, edge_weights),
-    )
-
-
 def partition_vertex_plus_edge(topo: Topology, k: int,
-                               vertex_weights: dict[int, int],
+                               vertex_weights: dict[int, int] | None,
                                edge_weights: dict[tuple[int, int], int],
                                eps: float = 0.10) -> PartitionPlan:
-    """Balanced vertex weights, then cut refinement that keeps every
-    partition within ``eps`` of the mean vertex weight."""
+    """Balanced vertex weights, then refinement of the ``edge_weights`` cut
+    that keeps every partition within ``eps`` of the mean vertex weight.
+    ``vertex_weights=None`` weighs every node 1, which gives a cut-only plan
+    under a node-count cap."""
     assignment = partition_balanced(topo, k, vertex_weights,
                                     WeightModel.VERTEX_PLUS_EDGE, eps).assignment
     total = sum(_node_weight(vertex_weights, n) for n in assignment)
@@ -318,7 +306,7 @@ def partition_vertex_plus_edge(topo: Topology, k: int,
     return PartitionPlan(
         k, assignment, WeightModel.VERTEX_PLUS_EDGE,
         imbalance=imb,
-        cut_weight=cut_weight(topo, assignment, edge_weights),
+        cut_weight=cut_weight(topo, assignment, None),
         degraded=imb > 1.0 + eps,
     )
 

@@ -133,11 +133,6 @@ class TokenBucket:
         return now_ns + -(-deficit // self.rate_bps)
 
 
-def periodic_refill_amount_scaled(rate_bps: int, interval_ns: int) -> int:
-    """Token quantum added per periodic tick, in scaled units."""
-    return rate_bps * interval_ns
-
-
 # --------------------------------------------------------------------------
 # srTCM meter/marker
 

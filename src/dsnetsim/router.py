@@ -43,9 +43,6 @@ from . import events, rng
 from .metrics import PacketRecord
 from .qos import QosProfile, ClassQueue, RedState, SrtcmMeter, TokenBucket, \
     strict_priority_select, st_field, ENQUEUE
-# not called here, but kept importable under this name: the benchmark's
-# tracer patches router.periodic_refill_amount_scaled
-from .qos import periodic_refill_amount_scaled  # noqa: F401
 
 PKT_ID_STRIDE = 10**7
 

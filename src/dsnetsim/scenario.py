@@ -353,10 +353,8 @@ def build_plan(cfg: dict, topo: Topology) -> partition_mod.PartitionPlan:
         weights = partition_mod.derive_vertex_event_weights(profiling)
     elif strategy in (WeightModel.VERTEX_THROUGHPUT, WeightModel.VERTEX_PLUS_EDGE):
         weights = partition_mod.derive_vertex_throughput_weights(flows, routes, topo)
-    if strategy in (WeightModel.EDGE_THROUGHPUT, WeightModel.VERTEX_PLUS_EDGE):
+    if strategy is WeightModel.VERTEX_PLUS_EDGE:
         ew = partition_mod.derive_edge_throughput_weights(flows, routes, topo)
-        if strategy is WeightModel.EDGE_THROUGHPUT:
-            return partition_mod.partition_min_edgecut(topo, k, ew)
         return partition_mod.partition_vertex_plus_edge(topo, k, weights, ew, eps)
     return partition_mod.partition_balanced(topo, k, weights, strategy, eps)
 

@@ -16,7 +16,7 @@ from dsnetsim.metrics import compare_reports, write_records_csv
 from dsnetsim.model import MODE_LAZY, build_model
 from dsnetsim.partition import (
     WeightModel, derive_edge_throughput_weights, derive_vertex_event_weights,
-    partition_balanced, partition_min_edgecut,
+    partition_balanced, partition_vertex_plus_edge,
 )
 from dsnetsim.qos import TOKEN_SCALE, SrtcmMeter, SrtcmParams, TokenBucket
 from dsnetsim.routing import compute_routes
@@ -186,8 +186,9 @@ def test_A5_partitioning_quality_limits_rollbacks():
     flows = resolve_flows(build_traffic_spec(cfg), topo)
     plan_event = partition_balanced(
         topo, 4, derive_vertex_event_weights(seq), WeightModel.VERTEX_EVENT)
-    plan_edge = partition_min_edgecut(
-        topo, 4, derive_edge_throughput_weights(flows, routes, topo))
+    # cut-only comparator: unit vertex weights, 30 % node-count tolerance
+    plan_edge = partition_vertex_plus_edge(
+        topo, 4, None, derive_edge_throughput_weights(flows, routes, topo), eps=0.30)
     knobs = Knobs(runtime="stepped", schedule_seed=None, jitter=0,
                   gvt_interval=256, batch_size=16, watchdog_s=120)
     rb = {}

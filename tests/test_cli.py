@@ -125,17 +125,11 @@ def test_partition_k1_plan_is_all_zeros(tmp_path):
     assert lines == ["k=1"] + ["0"] * 7
 
 
-def test_partition_vertex_event_requires_profiling_opt_in(tmp_path, capsys):
+def test_partition_vertex_event_runs_its_own_profiling(tmp_path):
     cfg_path = _write_cfg(tmp_path)
     plan_path = tmp_path / "plan.txt"
     rc = main(["partition", "--config", cfg_path, "-k", "2",
                "--strategy", "vertex-event", "--plan-out", str(plan_path)])
-    assert rc == EXIT_CONFIG
-    assert "profiling" in capsys.readouterr().err
-    # with the opt-in flag it runs the profiling pass and succeeds
-    rc = main(["partition", "--config", cfg_path, "-k", "2",
-               "--strategy", "vertex-event", "--plan-out", str(plan_path),
-               "--allow-profiling"])
     assert rc == EXIT_OK
     assert plan_path.exists()
 
@@ -338,9 +332,11 @@ def test_bad_flow_endpoint_is_a_config_error(tmp_path, capsys, flow, message):
     (["run", "--end-ns", "[1"], "run.end_ns"),
     (["run", "--runtime", "fibers"], "run.knobs.runtime"),
     (["run", "--strategy", "foo"], "run.partitions.strategy"),
+    (["run", "--strategy", "edge"], "run.partitions.strategy"),
     (["partition", "-k", "0", "--plan-out", "plan.txt"], "run.partitions.k"),
     (["sweep", "--variable", "k", "--values", "0"], "run.partitions.k"),
-], ids=["mode", "end-ns", "end-ns-not-yaml", "runtime", "strategy", "partition-k", "sweep-k"])
+], ids=["mode", "end-ns", "end-ns-not-yaml", "runtime", "strategy", "strategy-edge",
+        "partition-k", "sweep-k"])
 def test_bad_flag_value_is_a_config_error(tmp_path, capsys, argv, key):
     cfg_path = _write_cfg(tmp_path)
     assert main(argv + ["--config", cfg_path]) == EXIT_CONFIG

@@ -8,7 +8,7 @@ from dsnetsim.partition import (
     PartitionError, PartitionPlan, WeightModel, compute_imbalance, cut_weight,
     derive_edge_throughput_weights, derive_vertex_event_weights,
     derive_vertex_throughput_weights, export_plan, import_plan,
-    partition_balanced, partition_min_edgecut, partition_vertex_plus_edge,
+    partition_balanced, partition_vertex_plus_edge,
 )
 from dsnetsim.routing import compute_routes
 from dsnetsim.topology import NodeTier, Topology, generate_synthetic_topology
@@ -125,17 +125,17 @@ def test_min_cut_finds_the_bridge():
     topo = _two_cliques()
     ew = {(0, 1): 10, (0, 2): 10, (1, 2): 10,
           (3, 4): 10, (3, 5): 10, (4, 5): 10, (2, 3): 1}
-    plan = partition_min_edgecut(topo, 2, ew)
+    plan = partition_vertex_plus_edge(topo, 2, None, ew)
     assert plan.cut_weight == 1
+    assert cut_weight(topo, plan.assignment, ew) == 1
     assert plan.assignment[0] == plan.assignment[1] == plan.assignment[2]
     assert plan.assignment[3] == plan.assignment[4] == plan.assignment[5]
 
 
 @pytest.mark.parametrize("planner", [
     lambda topo, ew: partition_balanced(topo, 1),
-    lambda topo, ew: partition_min_edgecut(topo, 1, ew),
     lambda topo, ew: partition_vertex_plus_edge(topo, 1, {n: n for n in range(6)}, ew),
-], ids=["balanced", "min-edgecut", "vertex-plus-edge"])
+], ids=["balanced", "vertex-plus-edge"])
 def test_k1_plan_is_trivial(planner):
     topo = _two_cliques()
     plan = planner(topo, {(0, 1): 10, (2, 3): 1, (4, 5): 10})
@@ -146,22 +146,14 @@ def test_k1_plan_is_trivial(planner):
     assert not plan.degraded
 
 
-def test_min_cut_never_worse_than_balanced_start():
+@pytest.mark.parametrize("vertex_weighted", [True, False],
+                         ids=["throughput", "unweighted"])
+def test_vertex_plus_edge_keeps_balance_while_cutting(vertex_weighted):
     topo = generate_synthetic_topology(30, 6, 2, seed=3)
     routes = compute_routes(topo)
     flows = [Flow(s, (s * 7) % 8, 100) for s in range(8, 38)]
-    ew = derive_edge_throughput_weights(flows, routes, topo)
-    base = partition_balanced(topo, 4)
-    refined = partition_min_edgecut(topo, 4, ew)
-    assert cut_weight(topo, refined.assignment, ew) <= \
-        cut_weight(topo, base.assignment, ew)
-
-
-def test_vertex_plus_edge_keeps_balance_while_cutting():
-    topo = generate_synthetic_topology(30, 6, 2, seed=3)
-    routes = compute_routes(topo)
-    flows = [Flow(s, (s * 7) % 8, 100) for s in range(8, 38)]
-    vw = derive_vertex_throughput_weights(flows, routes, topo)
+    vw = derive_vertex_throughput_weights(flows, routes, topo) \
+        if vertex_weighted else None
     ew = derive_edge_throughput_weights(flows, routes, topo)
     plan = partition_vertex_plus_edge(topo, 4, vw, ew)
     assert plan.strategy is WeightModel.VERTEX_PLUS_EDGE
@@ -208,7 +200,8 @@ def test_refinement_takes_the_largest_gain():
         [[0, 1, 2], [3, 4], [5, 6]]
     plan = partition_vertex_plus_edge(topo, 3, vw, ew, eps=1.0)
     assert plan.partitions() == [[0, 1], [3, 4], [2, 5, 6]]
-    assert plan.cut_weight == 1 + 5
+    assert plan.cut_weight == 2
+    assert cut_weight(topo, plan.assignment, ew) == 1 + 5
 
 
 # --------------------------------------------------------------------------

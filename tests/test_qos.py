@@ -7,7 +7,7 @@ import pytest
 from dsnetsim.qos import (
     TOKEN_SCALE, Classifier, ClassQueue, Color, QosConfigError, RedParams,
     RedState, SrtcmMeter, SrtcmParams, TokenBucket, DROP, ENQUEUE,
-    periodic_refill_amount_scaled, strict_priority_select,
+    strict_priority_select,
 )
 
 
@@ -65,13 +65,13 @@ def test_oversized_request_is_config_error():
 def test_periodic_refill_amount():
     # tokens=0, r=10^9 B/s, interval=10^3 ns -> 1000 bytes
     b = TokenBucket(10**6, 10**9, start_full=False)
-    b.add_scaled(periodic_refill_amount_scaled(10**9, 10**3))
+    b.add_scaled(10**9 * 10**3)
     assert b.tokens == 1000
 
 
 def test_periodic_refill_caps():
     b = TokenBucket(1000, 10**9)
-    b.add_scaled(periodic_refill_amount_scaled(10**9, 10**6))
+    b.add_scaled(10**9 * 10**6)
     assert b.tokens == 1000
 
 
