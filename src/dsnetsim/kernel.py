@@ -16,11 +16,12 @@ and saves its pipeline, as a copy of its flat state list and of its
 per-class packet lists, plus the RNG cursors, ``seq`` and the flows'
 ``pkt_seq`` (``RouterLp.clone``). The ``router.Effects`` that ``dispatch``
 returns for the event is its history entry: the event, that save, and what
-the event emitted, recorded and generated. A rollback writes the undone
-events' saves back newest first (``RouterLp.restore``), so for every port
-the earliest save wins and the LP is back where it was before the first
-undone event. The LP objects are the model's own, restored in place, so
-the model's LPs hold the run's final state.
+the event emitted and recorded. A rollback writes the undone events' saves
+back newest first (``RouterLp.restore``), so for every port the earliest
+save wins and the LP is back where it was before the first undone event.
+The LP objects are the model's own, restored in place, so the model's LPs
+hold the run's final state. Both drivers read the generated-packet count
+from that state (:func:`_generated`), not from the history.
 
 One driver runs the partitions: a deterministic single-thread stepper.
 Each partition keeps one FIFO outbox per destination partition, and that
@@ -116,15 +117,14 @@ class Knobs:
 def run_sequential(model: Model) -> RunReport:
     """Process every event in global key order; the correctness gold
     standard the optimistic engine is diffed against."""
-    end = model.end_time_ns
+    ctx = model.ctx
+    end = ctx.end_time_ns
     t0 = _time.perf_counter()
     heap = [(ev.key, ev) for ev in model.bootstrap]
     heapq.heapify(heap)
     records = []
-    generated = 0
     processed = 0
     per_lp: dict[int, int] = {}
-    ctx = model.ctx
     lps = model.lps
     while heap:
         key, ev = heap[0]
@@ -137,11 +137,10 @@ def run_sequential(model: Model) -> RunReport:
         per_lp[ev.target] = per_lp.get(ev.target, 0) + 1
         if fx.records:
             records.extend(fx.records)
-        generated += fx.generated
         for em in fx.emitted:
             assert em.time >= ev.time, f"event scheduled in the past: {em} from {ev}"
             heapq.heappush(heap, (em.key, em))
-    return finalize(model.scenario_id, records, generated, {
+    return finalize(model.scenario_id, records, _generated(model), {
         "committed_events": processed,
         "per_lp_events": per_lp,
         "port_audit": _port_audit(model.lps),
@@ -158,6 +157,13 @@ def _port_audit(lps: dict) -> dict:
     } for nid, lp in sorted(lps.items()) for pipe in lp.pipelines if pipe is not None}
 
 
+def _generated(model: Model) -> int:
+    """Packets generated: the flows' ``pkt_seq``, which is part of every
+    save (``RouterLp.clone``). At the end of a run every LP holds its
+    committed state, so this counts exactly the committed GENERATE events."""
+    return sum(f.pkt_seq for lp in model.lps.values() for f in lp.flows)
+
+
 # --------------------------------------------------------------------------
 # optimistic engine: per-partition core
 
@@ -167,12 +173,11 @@ class Partition:
     histories, and outboxes toward other partitions."""
 
     def __init__(self, pid: int, lps: dict, lp_pid: dict[int, int], k: int, ctx,
-                 end_time_ns: int, window: float = INF):
+                 window: float = INF):
         self.pid = pid
         self.lps = lps
         self.lp_pid = lp_pid  # node -> owning partition, shared read-only
         self.ctx = ctx
-        self.end = end_time_ns
         self.window = window  # run no event later than gvt + window
 
         self.pending: list = []  # heap of (key, Event); keys are unique
@@ -187,7 +192,6 @@ class Partition:
         self._peak = 0
         self.rolled_back = 0
         self.committed_events = 0
-        self.committed_generated = 0
         self.committed_records: list = []
         self.per_lp_committed: dict[int, int] = {}
 
@@ -292,7 +296,7 @@ class Partition:
         ctx = self.ctx
         gvt = self.gvt
         done = 0
-        limit = min(self.end, gvt + self.window)
+        limit = min(ctx.end_time_ns, gvt + self.window)
         while done < max_events and pending:
             ev = pending[0][1]
             if ev.time > limit:
@@ -328,7 +332,6 @@ class Partition:
         """Commit and discard history strictly below ``gvt``."""
         self._peak = self.peak_history
         reclaimed = 0
-        generated = 0
         records = self.committed_records
         per_lp = self.per_lp_committed
         for lp_id, hist in self.histories.items():
@@ -343,14 +346,12 @@ class Partition:
                 if not i:
                     continue
             for entry in hist[:i]:
-                generated += entry.generated
                 if entry.records:
                     records.extend(entry.records)
             per_lp[lp_id] = per_lp.get(lp_id, 0) + i
             del hist[:i]
             reclaimed += i
         self.committed_events += reclaimed
-        self.committed_generated += generated
         if gvt is not INF:
             self.gvt = gvt
         return reclaimed
@@ -365,8 +366,7 @@ def _make_partitions(model: Model, assignment: dict[int, int], k: int,
     parts = []
     for pid in range(k):
         lps = {n: lp for n, lp in model.lps.items() if assignment[n] == pid}
-        parts.append(Partition(pid, lps, assignment, k, model.ctx, model.end_time_ns,
-                               window))
+        parts.append(Partition(pid, lps, assignment, k, model.ctx, window))
     for ev in model.bootstrap:
         parts[assignment[ev.target]].pending.append((ev.key, ev))
     for p in parts:
@@ -377,13 +377,11 @@ def _make_partitions(model: Model, assignment: dict[int, int], k: int,
 def _merge_reports(model: Model, parts: list[Partition], messages: int,
                    gvt_series: list, wall_clock_s: float) -> RunReport:
     records = []
-    generated = 0
     per_lp: dict[int, int] = {}
     for p in parts:
         records.extend(p.committed_records)
-        generated += p.committed_generated
         per_lp.update(p.per_lp_committed)
-    return finalize(model.scenario_id, records, generated, {
+    return finalize(model.scenario_id, records, _generated(model), {
         "committed_events": sum(p.committed_events for p in parts),
         "rolled_back_events": sum(p.rolled_back for p in parts),
         "inter_partition_messages": messages,
@@ -476,7 +474,7 @@ def run_optimistic(model: Model, plan, knobs: Knobs | None = None, *,
         while any([deliver(p, False) for p in parts]):
             pass
         new_gvt = _compute_gvt(parts)
-        done = new_gvt is INF or new_gvt > model.end_time_ns
+        done = new_gvt is INF or new_gvt > model.ctx.end_time_ns
         if done:
             new_gvt = INF
         elif new_gvt > gvt:

@@ -1,6 +1,8 @@
 """Assembles a runnable simulation model: one LP per network node, wired
 with its egress pipelines, routing row, and traffic sources, plus the
-bootstrap events that start the run."""
+bootstrap events that start the run. ``token_interval_ns`` is the shaper
+mode: 0 is the paper's lazy shaper, which refills a token bucket exactly
+when it is read, and a positive value is the periodic baseline's interval."""
 
 from __future__ import annotations
 
@@ -14,28 +16,22 @@ from .routing import RoutingTable
 from .topology import Topology, NodeTier
 from .traffic import TrafficSpec, DsSampler, build_sources
 
-MODE_LAZY = "lazy"
-MODE_PERIODIC = "periodic"
-
 
 class ModelError(Exception):
     pass
 
 
 class ModelContext:
-    """Immutable run-wide context shared by every handler."""
+    """Immutable run-wide settings shared by every handler and both kernels:
+    the shaper mode ``token_interval_ns``, the horizon ``end_time_ns`` and
+    ``sample_ds``, which maps a uniform draw to a DS value."""
 
-    __slots__ = ("lazy_shaper", "token_interval_ns", "end_time_ns", "_ds_sampler")
+    __slots__ = ("token_interval_ns", "end_time_ns", "sample_ds")
 
-    def __init__(self, lazy_shaper: bool, token_interval_ns: int,
-                 end_time_ns: int, ds_sampler: DsSampler):
-        self.lazy_shaper = lazy_shaper
+    def __init__(self, token_interval_ns: int, end_time_ns: int, ds_sampler: DsSampler):
         self.token_interval_ns = token_interval_ns
         self.end_time_ns = end_time_ns
-        self._ds_sampler = ds_sampler
-
-    def sample_ds(self, u: float) -> int:
-        return self._ds_sampler.sample(u)
+        self.sample_ds = ds_sampler.sample
 
 
 @dataclass
@@ -45,7 +41,6 @@ class Model:
     lps: dict[int, RouterLp]
     bootstrap: list[events.Event]
     ctx: ModelContext
-    end_time_ns: int
 
 
 def lookahead_ns(topo: Topology, assignment: dict[int, int]) -> float:
@@ -64,22 +59,16 @@ def build_model(
     end_time_ns: int,
     seed: int,
     profiles: dict[NodeTier, QosProfile] | None = None,
-    mode: str = MODE_LAZY,
     token_interval_ns: int = 0,
     scenario_id: str = "scenario",
 ) -> Model:
-    if mode not in (MODE_LAZY, MODE_PERIODIC):
-        raise ModelError(f"unknown mode {mode!r}")
-    if mode == MODE_PERIODIC and token_interval_ns <= 0:
-        raise ModelError("periodic mode requires token_interval_ns > 0")
+    """``token_interval_ns`` is the shaper mode: 0 refills lazily, and a
+    positive value schedules one REFILL chain per port at that interval."""
+    if token_interval_ns < 0:
+        raise ModelError(f"token_interval_ns: {token_interval_ns} is not >= 0")
     if profiles is None:
         profiles = {tier: make_profile() for tier in NodeTier}
-    ctx = ModelContext(
-        lazy_shaper=(mode == MODE_LAZY),
-        token_interval_ns=token_interval_ns,
-        end_time_ns=end_time_ns,
-        ds_sampler=DsSampler(traffic.ds_probs),
-    )
+    ctx = ModelContext(token_interval_ns, end_time_ns, DsSampler(traffic.ds_probs))
 
     lps: dict[int, RouterLp] = {}
     # per tier, a pipeline that runs no event: every pipeline of the tier
@@ -113,11 +102,11 @@ def build_model(
         lp = lps[nid]
         for flow_idx in range(len(lp.flows)):
             lp.emit(fx, 0, nid, events.GENERATE, flow_idx)
-    if mode == MODE_PERIODIC:
+    if token_interval_ns:
         for nid in topo.node_ids():
             lp = lps[nid]
             for pipe in lp.pipelines:
                 if pipe is not None and token_interval_ns <= end_time_ns:
                     lp.emit(fx, token_interval_ns, nid, events.REFILL, pipe.port)
     bootstrap.extend(fx.emitted)
-    return Model(scenario_id, topo, lps, bootstrap, ctx, end_time_ns)
+    return Model(scenario_id, topo, lps, bootstrap, ctx)

@@ -89,8 +89,8 @@ def derive_vertex_event_weights(report) -> dict[int, int]:
     """Vertex weight = committed event count per node, from a prior run."""
     if not getattr(report, "per_lp_events", None):
         raise PartitionError(
-            "no per-node event counts available; run a sequential profiling "
-            "run first (cmd_run with --mode sequential) and pass its report")
+            "no per-node event counts available; pass the report of a sequential "
+            "profiling run (kernel.run_sequential) of the same scenario")
     return dict(report.per_lp_events)
 
 

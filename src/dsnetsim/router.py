@@ -76,19 +76,18 @@ class Packet:
 
 
 class Effects:
-    """What one event handler produced: emissions, terminal packet records,
-    and the number of packets generated. The optimistic kernel keeps it as
-    the history entry of the event: it sets ``event``, and
-    ``dispatch(..., save=True)`` sets ``saved``, the LP's save from before
-    the event (:meth:`RouterLp.clone`), which undoes it. A sequential run
-    never reads them, so nothing else sets them."""
+    """What one event handler produced: emissions and terminal packet
+    records. The optimistic kernel keeps it as the history entry of the
+    event: it sets ``event``, and ``dispatch(..., save=True)`` sets
+    ``saved``, the LP's save from before the event (:meth:`RouterLp.clone`),
+    which undoes it. A sequential run never reads them, so nothing else sets
+    them."""
 
-    __slots__ = ("event", "saved", "emitted", "records", "generated")
+    __slots__ = ("event", "saved", "emitted", "records")
 
     def __init__(self):
         self.emitted: list[events.Event] = []
         self.records: list[PacketRecord] = []
-        self.generated = 0
 
 
 # offsets into EgressPipeline.st; the QoS elements' numbers follow
@@ -264,7 +263,7 @@ def handle_arrive(lp: RouterLp, pkt: Packet, port: int | None, now: int, fx: Eff
         return
     # flag clear: every class queue is empty, so this packet goes next
     shaper = pipe.shaper
-    if ctx.lazy_shaper:
+    if not ctx.token_interval_ns:
         shaper.refill(now)
     if shaper.take(size):
         # on the wire in place, as transmit() would put it: the queue is
@@ -318,14 +317,14 @@ def try_to_send(lp: RouterLp, pipe: EgressPipeline, now: int, fx: Effects, ctx):
         if cls is None:
             pipe.st[SEND_FLAG] = False
             return
-        if ctx.lazy_shaper:
+        if not ctx.token_interval_ns:
             shaper.refill(now)
         queue = queues[cls]
         head = queue.head()
         if shaper.take(head.size):
             transmit(lp, pipe, queue.pop(now), now, fx)
             continue
-        if ctx.lazy_shaper:
+        if not ctx.token_interval_ns:
             retry = shaper.earliest_ready_ns(head.size, now)
             pipe.st[BLOCKED_EPISODES] += 1
             lp.emit(fx, retry, lp.node, events.SEND, pipe.port)
@@ -355,7 +354,6 @@ def handle_generate(lp: RouterLp, flow_idx: int, port: int | None, now: int,
         u = lp.rng.uniform(rng.PURPOSE_DS)
         ds = ctx.sample_ds(u)
     pkt = Packet(pid, lp.node, flow.dst, flow.size, ds, created_ns=now)
-    fx.generated += 1
     handle_arrive(lp, pkt, port, now, fx, ctx)
     if flow.poisson:
         u = lp.rng.uniform(rng.PURPOSE_GEN)

@@ -14,7 +14,7 @@ import yaml
 
 from . import kernel, metrics, partition as partition_mod, traffic as traffic_mod
 from .kernel import Knobs, run_optimistic, run_sequential
-from .model import MODE_LAZY, MODE_PERIODIC, Model, build_model
+from .model import Model, build_model
 from .partition import WeightModel
 from .qos import Color, QosConfigError, QosProfile, RedParams, SrtcmParams, make_profile
 from .routing import RouteMetric, compute_routes
@@ -320,15 +320,18 @@ def build_scenario_model(cfg: dict, mode: str | None = None,
 
 def _assemble_model(cfg: dict, topo: Topology, routes, spec: TrafficSpec, mode: str,
                     token_interval_ns: int | None, scenario_id: str) -> Model:
-    kernel_mode = MODE_PERIODIC if mode == MODE_BASELINE else MODE_LAZY
-    interval = token_interval_ns if token_interval_ns is not None \
-        else cfg["run"]["token_interval_ns"]
+    interval = 0  # the lazy shaper; only the baseline refills periodically
+    if mode == MODE_BASELINE:
+        interval = token_interval_ns if token_interval_ns is not None \
+            else cfg["run"]["token_interval_ns"]
+        if interval <= 0:
+            raise ScenarioError("run.token_interval_ns: baseline mode requires "
+                                f"token_interval_ns > 0, got {interval}")
     return build_model(
         topo, routes, spec,
         end_time_ns=cfg["run"]["end_ns"],
         seed=cfg["run"]["seed"],
         profiles=build_profiles(cfg),
-        mode=kernel_mode,
         token_interval_ns=interval,
         scenario_id=scenario_id,
     )

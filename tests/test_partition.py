@@ -34,8 +34,9 @@ def test_vertex_event_weights_are_committed_event_counts():
 def test_vertex_event_weights_require_a_profiling_run():
     class Empty:
         per_lp_events = {}
-    with pytest.raises(PartitionError, match="profiling"):
+    with pytest.raises(PartitionError, match="profiling") as err:
         derive_vertex_event_weights(Empty())
+    assert "run_sequential" in str(err.value) and "cmd_run" not in str(err.value)
 
 
 def test_vertex_throughput_weights_follow_routes():

@@ -7,7 +7,7 @@ import pytest
 
 from dsnetsim import events, rng
 from dsnetsim.kernel import run_sequential
-from dsnetsim.model import MODE_LAZY, MODE_PERIODIC, build_model
+from dsnetsim.model import ModelError, build_model
 from dsnetsim.router import EgressPipeline, Packet, dispatch, transmission_ns
 from dsnetsim.routing import compute_routes
 from dsnetsim.qos import TOKEN_SCALE, ClassQueue, RedParams, RedState, SrtcmMeter, TokenBucket
@@ -39,10 +39,9 @@ def test_delivery_at_sink_emits_nothing():
     assert fx.emitted == []
 
 
-@pytest.mark.parametrize("mode", [MODE_LAZY, MODE_PERIODIC])
-def test_forward_on_idle_port_schedules_neighbor_arrival(mode):
-    model = single_flow_model(line_topology(2), 0, 1, mode=mode,
-                              token_interval_ns=1_000 if mode == MODE_PERIODIC else 0)
+@pytest.mark.parametrize("token_interval_ns", [0, 1_000], ids=["lazy", "periodic"])
+def test_forward_on_idle_port_schedules_neighbor_arrival(token_interval_ns):
+    model = single_flow_model(line_topology(2), 0, 1, token_interval_ns=token_interval_ns)
     pipe = model.lps[0].pipelines[0]
     pkt = Packet(7, 0, 1, 1400, 0, created_ns=0)
     fx = dispatch(model.lps[0], _arrive(pkt, 0, t=100), model.ctx)
@@ -151,16 +150,15 @@ def test_one_send_drains_multiple_packets():
     assert pipe.send_count == 1
 
 
-@pytest.mark.parametrize("mode", [MODE_LAZY, MODE_PERIODIC])
+@pytest.mark.parametrize("token_interval_ns", [0, 1_000], ids=["lazy", "periodic"])
 @pytest.mark.parametrize("cause", ["send", "idle-arrival"])
-def test_tokens_for_first_packet_only_blocks_with_retry(cause, mode):
+def test_tokens_for_first_packet_only_blocks_with_retry(cause, token_interval_ns):
     """A shaper shortfall leaves the packet queued and the flag set. Lazy
     mode schedules one retry at the earliest sufficiency time; periodic
     mode emits nothing and waits for the next REFILL. On a SEND, the
     packet the tokens cover leaves first; a packet arriving at an idle
     port that the tokens do not cover is queued, not passed through."""
-    model = single_flow_model(line_topology(2), 0, 1, mode=mode,
-                              token_interval_ns=1_000 if mode == MODE_PERIODIC else 0)
+    model = single_flow_model(line_topology(2), 0, 1, token_interval_ns=token_interval_ns)
     lp = model.lps[0]
     pipe = lp.pipelines[0]
     pipe.shaper.last_update_ns = 500
@@ -182,7 +180,7 @@ def test_tokens_for_first_packet_only_blocks_with_retry(cause, mode):
     assert [p.pid for p in pipe.queues[2].packets] == [1 if cause == "send" else 0]
     assert pipe.queues[2].byte_length == 1400
     assert pipe.send_flag  # stays set while the packet waits for tokens
-    if mode == MODE_PERIODIC:
+    if token_interval_ns:
         assert kinds == sent
         assert pipe.blocked_episodes == 0
         return
@@ -242,7 +240,7 @@ def test_generate_chains_and_stamps_packet_ids():
     lp = model.lps[0]
     gen = events.Event(0, 0, events.GENERATE, 0, 0, 0)
     fx = dispatch(lp, gen, model.ctx)
-    assert fx.generated == 1
+    assert lp.flows[0].pkt_seq == 1
     kinds = sorted(em.kind for em in fx.emitted)
     assert kinds == [events.ARRIVE, events.GENERATE]
     nxt = [em for em in fx.emitted if em.kind == events.GENERATE][0]
@@ -253,8 +251,7 @@ def test_generate_chains_and_stamps_packet_ids():
 
 def test_refill_chains_one_tick():
     topo = line_topology(2)
-    model = single_flow_model(topo, 0, 1, end_ns=10_000,
-                              mode=MODE_PERIODIC, token_interval_ns=1_000)
+    model = single_flow_model(topo, 0, 1, end_ns=10_000, token_interval_ns=1_000)
     lp = model.lps[0]
     refill = events.Event(1_000, 0, events.REFILL, 0, 0, 0)
     fx = dispatch(lp, refill, model.ctx)
@@ -270,7 +267,7 @@ def test_refill_tick_count_doubles_when_interval_halves():
 
     def events_at(interval):
         model = build_model(topo, routes, spec, end_time_ns=1_000_000, seed=1,
-                            mode=MODE_PERIODIC, token_interval_ns=interval)
+                            token_interval_ns=interval)
         return run_sequential(model).committed_events
 
     lazy_events = run_sequential(
@@ -281,6 +278,11 @@ def test_refill_tick_count_doubles_when_interval_halves():
     assert events_at(10_000) == lazy_events + ticks(10_000)
     assert events_at(5_000) == lazy_events + ticks(5_000)
     assert ticks(5_000) == 2 * ticks(10_000)
+
+
+def test_negative_token_interval_is_a_model_error():
+    with pytest.raises(ModelError, match="token_interval_ns"):
+        single_flow_model(line_topology(2), 0, 1, token_interval_ns=-1)
 
 
 # left out of _state: shared immutable configuration, the RNG's prefix cache
@@ -306,7 +308,7 @@ def _state(obj):
 
 @pytest.mark.parametrize("model_kwargs", [
     dict(),
-    dict(mode=MODE_PERIODIC, token_interval_ns=5_000),
+    dict(token_interval_ns=5_000),
 ], ids=["tight-shaper", "periodic-refill"])
 def test_event_changes_only_its_touched_port_and_restore_undoes_it(model_kwargs):
     """The incremental save is complete and isolated: an event leaves every
@@ -322,7 +324,7 @@ def test_event_changes_only_its_touched_port_and_restore_undoes_it(model_kwargs)
     kinds = set()
     while heap:
         _, ev = heapq.heappop(heap)
-        if ev.time > model.end_time_ns:
+        if ev.time > model.ctx.end_time_ns:
             break
         lp = model.lps[ev.target]
         before = _state(lp)
@@ -341,7 +343,7 @@ def test_event_changes_only_its_touched_port_and_restore_undoes_it(model_kwargs)
         for em in fx.emitted:
             heapq.heappush(heap, (em.key, em))
     expected = {events.ARRIVE, events.GENERATE,
-                events.REFILL if "mode" in model_kwargs else events.SEND}
+                events.REFILL if "token_interval_ns" in model_kwargs else events.SEND}
     assert expected <= kinds
 
 

@@ -54,6 +54,8 @@ def test_mode_validation():
         load_scenario(None, {"run": {"mode": MODE_BASELINE}})
     with pytest.raises(ScenarioError, match="only valid in baseline"):
         load_scenario(None, {"run": {"token_interval_ns": 100}})
+    with pytest.raises(ScenarioError, match="run.token_interval_ns: baseline mode requires"):
+        build_scenario_model(load_scenario(None), mode=MODE_BASELINE)
 
 
 def _leaves(table, path=()):
