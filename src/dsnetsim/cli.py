@@ -113,6 +113,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.repetitions < 1:
+        raise ScenarioError(f"--repetitions: expected an integer >= 1, got {args.repetitions}")
     cfg = load_scenario(args.config, _scenario_overrides(args))
     key, mode = SWEEP_VARIABLES[args.variable]
     values = [_yaml_scalar(key, v) for v in args.values.split(",")]

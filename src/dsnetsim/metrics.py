@@ -192,3 +192,15 @@ def write_gvt_series_csv(path: str, report: RunReport):
                     "rolled_back_events", "inter_partition_messages"])
         for row in report.gvt_series:
             w.writerow(row)
+
+
+PORT_AUDIT_HEADER = ["node", "port", "arrive", "send", "blocked", "stale", "redundant"]
+
+
+def write_port_audit_csv(path: str, report: RunReport):
+    """One row per connected port, in (node, port) order."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(PORT_AUDIT_HEADER)
+        for (node, port), audit in sorted(report.port_audit.items()):
+            w.writerow([node, port, *(audit[name] for name in PORT_AUDIT_HEADER[2:])])

@@ -1,8 +1,11 @@
 """Assembles a runnable simulation model: one LP per network node, wired
 with its egress pipelines, routing row, and traffic sources, plus the
-bootstrap events that start the run. ``token_interval_ns`` is the shaper
-mode: 0 is the paper's lazy shaper, which refills a token bucket exactly
-when it is read, and a positive value is the periodic baseline's interval."""
+bootstrap events that start the run. Each tier's profile is built once
+into a set of QoS elements (``router.TierQos``) that every port of the
+tier shares, so a port owns only its numbers and its packet lists.
+``token_interval_ns`` is the shaper mode: 0 is the paper's lazy shaper,
+which refills a token bucket exactly when it is read, and a positive value
+is the periodic baseline's interval."""
 
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 
 from . import events
 from .qos import QosProfile, make_profile
-from .router import RouterLp, EgressPipeline, Effects
+from .router import RouterLp, EgressPipeline, Effects, TierQos
 from .routing import RoutingTable
 from .topology import Topology, NodeTier
 from .traffic import TrafficSpec, DsSampler, build_sources
@@ -71,15 +74,10 @@ def build_model(
     ctx = ModelContext(token_interval_ns, end_time_ns, DsSampler(traffic.ds_probs))
 
     lps: dict[int, RouterLp] = {}
-    # per tier, a pipeline that runs no event: every pipeline of the tier
-    # copies its initial numbers and element offsets
-    templates: dict[NodeTier, EgressPipeline] = {}
+    # one element set per tier, shared by the tier's pipelines
+    tiers = {tier: TierQos(profiles[tier]) for tier in set(topo.tiers.values())}
     for nid in topo.node_ids():
-        tier = topo.tiers[nid]
-        profile = profiles[tier]
-        template = templates.get(tier)
-        if template is None:
-            template = templates[tier] = EgressPipeline(-1, None, profile)
+        tier = tiers[topo.tiers[nid]]
         pipelines = []
         for port in range(topo.port_counts[nid]):
             link = topo.port_link.get((nid, port))
@@ -87,7 +85,7 @@ def build_model(
                 continue  # unconnected spare port
             while len(pipelines) < port:
                 pipelines.append(None)  # placeholder, never routed to
-            pipelines.append(EgressPipeline(port, link, profile, template))
+            pipelines.append(EgressPipeline(port, link, tier))
         lps[nid] = RouterLp(nid, pipelines, routes.row(nid), seed)
 
     sources = build_sources(traffic, topo)

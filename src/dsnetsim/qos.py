@@ -6,24 +6,23 @@ Token quantities are kept as integers scaled by 1e9 (units of 1e-9 byte):
 with integer rates in bytes/second and integer timestamps in nanoseconds,
 ``rate * dt_ns`` is exact, so lazy on-demand refill matches a brute-force
 1 ns ticking bucket bit for bit. That exactness is what makes parallel and
-sequential runs byte-identical.
+sequential runs byte-identical. Byte rates carry the suffix ``_Bps``.
 
 Each stateful element (:class:`TokenBucket`, :class:`SrtcmMeter`,
-:class:`ClassQueue`, :class:`RedState`) keeps its mutable numbers in a flat
-list ``st`` from offset ``i`` on; the object itself holds only its
-configuration, plus the packet list of a queue. A standalone element owns a
-private list. An egress pipeline passes one shared list to all its
-elements, which append their numbers to it, so the whole pipeline state is
-one list of numbers plus one packet list per class, and saving it is a
-list copy (see ``router.EgressPipeline``). An element built with an offset
-``i`` appends nothing: it views the numbers already at ``st[i:]``, where a
-pipeline that copied another's initial list finds them.
+:class:`ClassQueue`, :class:`RedState`) holds only its configuration and
+the offset ``i`` of its numbers. Its constructor appends its initial
+numbers to the list it is given, and its methods take the state list ``st``
+they act on (a queue's also take its packet list). So one element set
+serves every port of a tier: each port owns only its copy of the initial
+list and one packet list per class (see ``router.EgressPipeline``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
+
+from .rng import PURPOSE_RED
 
 TOKEN_SCALE = 10**9
 
@@ -44,93 +43,58 @@ class Color(IntEnum):
 _GREEN, _YELLOW, _RED = map(int, Color)
 
 
-def st_field(offset: int, doc: str) -> property:
-    """Read/write view of the number at ``st[i + offset]`` of an object
-    whose numbers start at offset ``i`` of its state list ``st``."""
-
-    def get(self):
-        return self.st[self.i + offset]
-
-    def set(self, value):
-        self.st[self.i + offset] = value
-
-    return property(get, set, doc=doc)
-
-
-def _place(element, st: list | None, values: list):
-    """Append an element's initial numbers to ``st`` (a new private list
-    when None) and remember where they start."""
-    element.st = st = [] if st is None else st
-    element.i = len(st)
-    st.extend(values)
-
-
 # --------------------------------------------------------------------------
 # token bucket
 
 class TokenBucket:
     """Bucket with capacity C bytes, fill rate r bytes/second, lazy refill.
 
-    State: ``st[i]`` tokens (scaled), ``st[i + 1]`` time of the last refill.
+    State: ``st[i]`` tokens (scaled, units of 1e-9 byte), ``st[i + 1]``
+    time of the last refill.
     """
 
-    __slots__ = ("capacity_bytes", "rate_bps", "st", "i")
+    __slots__ = ("capacity_bytes", "rate_Bps", "i")
 
-    tokens_scaled = st_field(0, "tokens, in units of 1e-9 byte")
-    last_update_ns = st_field(1, "time of the last lazy refill")
-
-    def __init__(self, capacity_bytes: int, rate_bps: int, start_full: bool = True,
-                 st: list | None = None, i: int | None = None):
-        if capacity_bytes <= 0 or rate_bps <= 0:
+    def __init__(self, capacity_bytes: int, rate_Bps: int, st: list, start_full: bool = True):
+        if capacity_bytes <= 0 or rate_Bps <= 0:
             raise QosConfigError("bucket capacity and rate must be positive")
         self.capacity_bytes = capacity_bytes
-        self.rate_bps = rate_bps  # bytes per second
-        if i is None:
-            _place(self, st, [capacity_bytes * TOKEN_SCALE if start_full else 0, 0])
-        else:
-            self.st = st
-            self.i = i
+        self.rate_Bps = rate_Bps
+        self.i = len(st)
+        st += (capacity_bytes * TOKEN_SCALE if start_full else 0, 0)
 
-    @property
-    def tokens(self) -> float:
-        return self.tokens_scaled / TOKEN_SCALE
-
-    @property
-    def cap_scaled(self) -> int:
-        return self.capacity_bytes * TOKEN_SCALE
-
-    def refill(self, now_ns: int):
+    def refill(self, st: list, now_ns: int):
         """Lazy refill to ``now_ns``; overflow is discarded."""
-        st, i = self.st, self.i
+        i = self.i
         dt = now_ns - st[i + 1]
         assert dt >= 0, f"time regression in bucket refill ({now_ns} < {st[i + 1]})"
         if dt:
-            st[i] = min(self.capacity_bytes * TOKEN_SCALE, st[i] + self.rate_bps * dt)
+            st[i] = min(self.capacity_bytes * TOKEN_SCALE, st[i] + self.rate_Bps * dt)
             st[i + 1] = now_ns
 
-    def add_scaled(self, amount_scaled: int):
+    def add_scaled(self, st: list, amount_scaled: int):
         """Periodic-tick refill path: add a fixed quantum, cap at capacity."""
-        st, i = self.st, self.i
+        i = self.i
         st[i] = min(self.capacity_bytes * TOKEN_SCALE, st[i] + amount_scaled)
 
-    def take(self, size_bytes: int) -> bool:
-        st, i = self.st, self.i
+    def take(self, st: list, size_bytes: int) -> bool:
+        i = self.i
         need = size_bytes * TOKEN_SCALE
         if st[i] >= need:
             st[i] -= need
             return True
         return False
 
-    def earliest_ready_ns(self, size_bytes: int, now_ns: int) -> int:
+    def earliest_ready_ns(self, st: list, size_bytes: int, now_ns: int) -> int:
         """Smallest t >= now with tokens(t) >= size, assuming lazy refill."""
         if size_bytes > self.capacity_bytes:
             raise QosConfigError(
                 f"packet of {size_bytes} B can never pass a {self.capacity_bytes} B bucket"
             )
-        deficit = size_bytes * TOKEN_SCALE - self.st[self.i]
+        deficit = size_bytes * TOKEN_SCALE - st[self.i]
         if deficit <= 0:
             return now_ns
-        return now_ns + -(-deficit // self.rate_bps)
+        return now_ns + -(-deficit // self.rate_Bps)
 
 
 # --------------------------------------------------------------------------
@@ -138,7 +102,7 @@ class TokenBucket:
 
 @dataclass(frozen=True)
 class SrtcmParams:
-    cir_bps: int  # committed information rate, bytes/second
+    cir_Bps: int  # committed information rate, bytes/second
     cbs_bytes: int  # committed burst size
     ebs_bytes: int  # excess burst size
 
@@ -152,32 +116,25 @@ class SrtcmMeter:
     of the last refill.
     """
 
-    __slots__ = ("params", "st", "i")
+    __slots__ = ("params", "i")
 
-    tc_scaled = st_field(0, "committed-bucket tokens, in units of 1e-9 byte")
-    te_scaled = st_field(1, "excess-bucket tokens, in units of 1e-9 byte")
-    last_update_ns = st_field(2, "time of the last lazy refill")
-
-    def __init__(self, params: SrtcmParams, st: list | None = None, i: int | None = None):
+    def __init__(self, params: SrtcmParams, st: list):
         if params.cbs_bytes <= 0 and params.ebs_bytes <= 0:
             raise QosConfigError("srTCM needs cbs > 0 or ebs > 0")
         self.params = params
-        if i is None:
-            _place(self, st, [params.cbs_bytes * TOKEN_SCALE, params.ebs_bytes * TOKEN_SCALE, 0])
-        else:
-            self.st = st
-            self.i = i
+        self.i = len(st)
+        st += (params.cbs_bytes * TOKEN_SCALE, params.ebs_bytes * TOKEN_SCALE, 0)
 
-    def mark(self, size_bytes: int, now_ns: int) -> int:
+    def mark(self, st: list, size_bytes: int, now_ns: int) -> int:
         """Refill both buckets to ``now_ns``, then color a packet of
         ``size_bytes``; returns the :class:`Color` value as a plain int."""
         assert size_bytes > 0
-        st, i = self.st, self.i
+        i = self.i
         dt = now_ns - st[i + 2]
         assert dt >= 0, "time regression in srTCM refill"
         if dt:
             p = self.params
-            added = p.cir_bps * dt
+            added = p.cir_Bps * dt
             tc = st[i]
             new_tc = min(p.cbs_bytes * TOKEN_SCALE, tc + added)
             st[i] = new_tc
@@ -199,49 +156,41 @@ class SrtcmMeter:
 class ClassQueue:
     """Byte-bounded FIFO for one priority class (0 = highest priority).
 
-    State: ``packets``, ``st[i]`` queued bytes, ``st[i + 1]`` virtual time
-    the queue last became empty.
+    State: the packet list ``packets``, ``st[i]`` queued bytes, ``st[i + 1]``
+    virtual time the queue last became empty.
     """
 
-    __slots__ = ("class_index", "capacity_bytes", "packets", "st", "i")
+    __slots__ = ("class_index", "capacity_bytes", "i")
 
-    byte_length = st_field(0, "bytes queued")
-    empty_since_ns = st_field(1, "virtual time the queue last became empty")
-
-    def __init__(self, class_index: int, capacity_bytes: int, st: list | None = None,
-                 i: int | None = None):
+    def __init__(self, class_index: int, capacity_bytes: int, st: list):
         self.class_index = class_index
         self.capacity_bytes = capacity_bytes
-        self.packets: list = []
-        if i is None:
-            _place(self, st, [0, 0])
-        else:
-            self.st = st
-            self.i = i
+        self.i = len(st)
+        st += (0, 0)
 
-    def fits(self, size_bytes: int) -> bool:
-        return self.st[self.i] + size_bytes <= self.capacity_bytes
+    def fits(self, st: list, size_bytes: int) -> bool:
+        return st[self.i] + size_bytes <= self.capacity_bytes
 
-    def push(self, pkt):
-        self.packets.append(pkt)
-        self.st[self.i] += pkt.size
+    def push(self, st: list, packets: list, pkt):
+        packets.append(pkt)
+        st[self.i] += pkt.size
 
-    def head(self):
-        return self.packets[0] if self.packets else None
+    def head(self, packets: list):
+        return packets[0] if packets else None
 
-    def pop(self, now_ns: int):
-        st, i = self.st, self.i
-        pkt = self.packets.pop(0)
+    def pop(self, st: list, packets: list, now_ns: int):
+        i = self.i
+        pkt = packets.pop(0)
         st[i] -= pkt.size
-        if not self.packets:
+        if not packets:
             st[i + 1] = now_ns
         return pkt
 
 
-def strict_priority_select(queues: list[ClassQueue]) -> int | None:
-    """Index of the lowest-numbered non-empty queue, or None."""
-    for i, q in enumerate(queues):
-        if q.packets:
+def strict_priority_select(pkts: list[list]) -> int | None:
+    """Index of the lowest-numbered non-empty packet list, or None."""
+    for i, packets in enumerate(pkts):
+        if packets:
             return i
     return None
 
@@ -279,41 +228,38 @@ class RedState:
     packets enqueued since the last drop.
     """
 
-    __slots__ = ("params", "st", "i")
+    __slots__ = ("params", "i")
 
-    avg = st_field(0, "EWMA of the queue length, bytes")
-    count = st_field(1, "packets enqueued since the last drop")
-
-    def __init__(self, params: RedParams, st: list | None = None, i: int | None = None):
+    def __init__(self, params: RedParams, st: list):
         self.params = params
-        if i is None:
-            _place(self, st, [0.0, 0])
-        else:
-            self.st = st
-            self.i = i
+        self.i = len(st)
+        st += (0.0, 0)
 
-    def decide(self, queue: ClassQueue, fits: bool, now_ns: int, draw) -> str:
-        """Early-drop decision for one arriving packet; ``fits`` is
-        ``queue.fits(size)`` of that packet, which the caller also needs.
+    def decide(self, st: list, queue: ClassQueue, fits: bool, now_ns: int,
+               rng, cursor: int) -> str:
+        """Early-drop decision for one arriving packet at ``queue``, whose
+        numbers are in the same ``st``; ``fits`` is ``queue.fits(st, size)``
+        of that packet, which the caller also needs.
 
         The queue-full check overrides everything; otherwise the EWMA
         average (with idle-period decay while the queue sat empty) selects
-        between the enqueue / probabilistic / forced-drop regions.
-        ``draw()`` gives the packet's uniform random value in [0, 1); it is
-        called only in the probabilistic region, where the decision needs it.
+        between the enqueue / probabilistic / forced-drop regions. The
+        packet's uniform random value is ``rng.uniform_at(PURPOSE_RED,
+        cursor)``, the draw at the arrival's RED cursor; it is computed only
+        in the probabilistic region, where the decision needs it.
         An empty queue whose average is 0.0 (it has never held a byte, or
         the decay has worn the average down to 0.0) enqueues at once when
         ``min_th_bytes > 0``: the decay and the EWMA would leave 0.0, below
         the threshold, so the shortcut leaves the state the full path would.
         """
         p = self.params
-        st, i = self.st, self.i
+        i = self.i
         if not fits:
             # tail drop: the dropper cannot admit what the queue cannot hold
             st[i + 1] = 0
             return DROP
-        qst, qi = queue.st, queue.i
-        byte_length = qst[qi]
+        qi = queue.i
+        byte_length = st[qi]
         avg = st[i]
         if byte_length == 0:
             if avg == 0.0 and p.min_th_bytes > 0:
@@ -321,8 +267,8 @@ class RedState:
                 # 0.0, which is below min_th, so the full path would enqueue
                 st[i + 1] = 0
                 return ENQUEUE
-            if now_ns > qst[qi + 1]:
-                idle = now_ns - qst[qi + 1]
+            if now_ns > st[qi + 1]:
+                idle = now_ns - st[qi + 1]
                 m = idle / p.mean_pkt_time_ns
                 avg *= (1.0 - p.weight) ** m
         avg = (1.0 - p.weight) * avg + p.weight * byte_length
@@ -336,7 +282,7 @@ class RedState:
         p_b = p.max_p * (avg - p.min_th_bytes) / (p.max_th_bytes - p.min_th_bytes)
         denom = 1.0 - st[i + 1] * p_b
         p_a = 1.0 if denom <= 0.0 else min(1.0, p_b / denom)
-        if draw() < p_a:
+        if rng.uniform_at(PURPOSE_RED, cursor) < p_a:
             st[i + 1] = 0
             return DROP
         st[i + 1] += 1
@@ -388,7 +334,7 @@ class QosProfile:
     srtcm: tuple[SrtcmParams, ...]  # one per class
     red: tuple[tuple[RedParams, ...], ...]  # [class][color]
     queue_capacity_bytes: int
-    shaper_rate_bps: int  # bytes per second
+    shaper_rate_Bps: int  # bytes per second
     shaper_burst_bytes: int
 
     @property
@@ -409,7 +355,7 @@ def make_profile(
     num_classes: int = 3,
     srtcm: list[SrtcmParams] | None = None,
     queue_capacity_bytes: int = DEFAULT_QUEUE_CAPACITY,
-    shaper_rate_bps: int = 1_250_000_000,
+    shaper_rate_Bps: int = 1_250_000_000,
     shaper_burst_bytes: int = 16 * 1024,
     red: list[list[RedParams]] | None = None,
 ) -> QosProfile:
@@ -422,7 +368,7 @@ def make_profile(
         classifier_map = {46: 0, 26: 1, 0: 2}
     if srtcm is None:
         srtcm = [
-            SrtcmParams(cir_bps=shaper_rate_bps, cbs_bytes=32 * 1024, ebs_bytes=64 * 1024)
+            SrtcmParams(cir_Bps=shaper_rate_Bps, cbs_bytes=32 * 1024, ebs_bytes=64 * 1024)
         ] * num_classes
     if red is None:
         red = [
@@ -434,6 +380,6 @@ def make_profile(
         srtcm=tuple(srtcm),
         red=tuple(tuple(r) for r in red),
         queue_capacity_bytes=queue_capacity_bytes,
-        shaper_rate_bps=shaper_rate_bps,
+        shaper_rate_Bps=shaper_rate_Bps,
         shaper_burst_bytes=shaper_burst_bytes,
     )

@@ -18,7 +18,7 @@ packet that finds the flag set is queued for the pending try-to-send.
 That cut-through hop is the path nearly every routed packet takes, so
 :func:`handle_arrive` emits its ARRIVE in place, with the arithmetic of
 :func:`transmit` and :meth:`RouterLp.emit` written out, and classifies
-through the pipeline's own ``classify``. RED costs little there too: a
+through the tier's bound ``classify``. RED costs little there too: a
 queue that has never held a byte enqueues without the EWMA arithmetic
 (:meth:`qos.RedState.decide`).
 
@@ -29,9 +29,10 @@ the event's port, plus the RNG cursors, the ``seq`` counter and a flow's
 ``pkt_seq``. :func:`dispatch` resolves that port once, from the packet's
 route for ARRIVE and GENERATE or the payload for SEND and REFILL, and
 hands it to the handler; asked to save, it first takes the save of exactly
-that state (:meth:`RouterLp.clone`). A pipeline's mutable state is one flat
-list of numbers and one packet list per class (:class:`EgressPipeline`), so
-a save is a few list copies, and a rollback writes them back
+that state (:meth:`RouterLp.clone`). A pipeline's QoS elements are its
+tier's, shared and immutable (:class:`TierQos`); its mutable state is one
+flat list of numbers and one packet list per class (:class:`EgressPipeline`),
+so a save is a few list copies, and a rollback writes them back
 (:meth:`RouterLp.restore`).
 """
 
@@ -42,7 +43,7 @@ import math
 from . import events, rng
 from .metrics import PacketRecord
 from .qos import QosProfile, ClassQueue, RedState, SrtcmMeter, TokenBucket, \
-    strict_priority_select, st_field, ENQUEUE
+    strict_priority_select, ENQUEUE
 
 PKT_ID_STRIDE = 10**7
 
@@ -94,25 +95,51 @@ class Effects:
 SEND_FLAG, ARRIVE_COUNT, SEND_COUNT, BLOCKED_EPISODES, STALE_SENDS, REDUNDANT_SENDS = range(6)
 
 
+def st_field(offset: int, doc: str) -> property:
+    """Read/write view of the number at ``st[offset]`` of a pipeline."""
+
+    def get(self):
+        return self.st[offset]
+
+    def set(self, value):
+        self.st[offset] = value
+
+    return property(get, set, doc=doc)
+
+
+class TierQos:
+    """The QoS elements of one tier's profile, which every port of the tier
+    shares, and ``initial``, the numbers a port of the tier starts from:
+    the send flag, the five audit counters, then the shaper's, and per
+    class the queue's, the meter's and each colour's RED numbers, each at
+    its element's offset ``i``."""
+
+    __slots__ = ("profile", "classify", "shaper", "queues", "srtcm", "red", "initial")
+
+    def __init__(self, profile: QosProfile):
+        self.profile = profile
+        self.classify = profile.classifier.classify  # DS value -> class
+        st = self.initial = [False, 0, 0, 0, 0, 0]
+        self.shaper = TokenBucket(profile.shaper_burst_bytes, profile.shaper_rate_Bps, st)
+        self.queues = [ClassQueue(c, profile.queue_capacity_bytes, st)
+                       for c in range(profile.num_classes)]
+        self.srtcm = [SrtcmMeter(p, st) for p in profile.srtcm]
+        self.red = [[RedState(p, st) for p in per_class] for per_class in profile.red]
+
+
 class EgressPipeline:
     """QoS pipeline and shaper of one egress port, plus audit counters.
 
-    All mutable state is ``st``, one flat list of numbers (the send flag,
-    the five audit counters, then the shaper's, and per class the queue's,
-    the meter's and each colour's RED numbers), and ``pkts``, the packet
-    list of each class queue. The QoS element objects are views into them
-    at fixed offsets and hold only configuration, so a copy of ``st`` and
-    of each list in ``pkts`` is a complete save of the pipeline.
-
-    ``template`` is a pipeline of the same profile that has run no event:
-    the new pipeline copies its ``st`` and views it at the template's
-    offsets, so a model lays each profile's numbers out once.
+    The QoS elements are its ``tier``'s (:class:`TierQos`), shared with
+    every other port of the tier, and hold only configuration. The port
+    owns all its mutable state: ``st``, its copy of the tier's initial
+    numbers, and ``pkts``, the packet list of each class queue. Every
+    element method takes ``st`` (a queue's also its packet list), so a copy
+    of ``st`` and of each list in ``pkts`` is a complete save of the
+    pipeline.
     """
 
-    __slots__ = ("port", "link", "profile", "classify", "shaper", "queues",
-                 "srtcm", "red", "st", "pkts")
-
-    i = 0  # the pipeline's own numbers start st, ahead of its elements'
+    __slots__ = ("port", "link", "tier", "st", "pkts")
 
     send_flag = st_field(SEND_FLAG, "a try-to-send is pending or in progress")
     arrive_count = st_field(ARRIVE_COUNT, "packets routed to this port")
@@ -121,33 +148,12 @@ class EgressPipeline:
     stale_sends = st_field(STALE_SENDS, "SEND events found with the flag clear")
     redundant_sends = st_field(REDUNDANT_SENDS, "SEND events found with empty queues")
 
-    def __init__(self, port: int, link, profile: QosProfile,
-                 template: "EgressPipeline | None" = None):
+    def __init__(self, port: int, link, tier: TierQos):
         self.port = port
         self.link = link
-        self.profile = profile
-        self.classify = profile.classifier.classify  # DS value -> class
-        if template is None:
-            st = self.st = [False, 0, 0, 0, 0, 0]
-            self.shaper = TokenBucket(profile.shaper_burst_bytes, profile.shaper_rate_bps, st=st)
-            self.queues = [
-                ClassQueue(i, profile.queue_capacity_bytes, st)
-                for i in range(profile.num_classes)
-            ]
-            self.srtcm = [SrtcmMeter(p, st) for p in profile.srtcm]
-            self.red = [
-                [RedState(p, st) for p in per_class] for per_class in profile.red
-            ]
-        else:
-            st = self.st = template.st[:]
-            t = template.shaper
-            self.shaper = TokenBucket(t.capacity_bytes, t.rate_bps, st=st, i=t.i)
-            self.queues = [ClassQueue(q.class_index, q.capacity_bytes, st, q.i)
-                           for q in template.queues]
-            self.srtcm = [SrtcmMeter(m.params, st, m.i) for m in template.srtcm]
-            self.red = [[RedState(r.params, st, r.i) for r in per_class]
-                        for per_class in template.red]
-        self.pkts = [q.packets for q in self.queues]
+        self.tier = tier
+        self.st = tier.initial[:]
+        self.pkts = [[] for _ in tier.queues]
 
 
 class FlowGen:
@@ -241,31 +247,31 @@ def handle_arrive(lp: RouterLp, pkt: Packet, port: int | None, now: int, fx: Eff
             pkt.created_ns, None, lp.node, DROP_ROUTING))
         return
     pipe = lp.pipelines[port]
+    tier = pipe.tier
     st = pipe.st
     st[ARRIVE_COUNT] += 1
     size = pkt.size
-    cls = pkt.class_index = pipe.classify(pkt.ds)
-    color = pkt.color = pipe.srtcm[cls].mark(size, now)
-    queue = pipe.queues[cls]
-    fits = queue.fits(size)
+    cls = pkt.class_index = tier.classify(pkt.ds)
+    color = pkt.color = tier.srtcm[cls].mark(st, size, now)
+    queue = tier.queues[cls]
+    fits = queue.fits(st, size)
     # every routed arrival takes one RED cursor, but the value at it is
     # computed only if RED decides by chance
     lp_rng = lp.rng
-    cursor = lp_rng.advance(rng.PURPOSE_RED)
-    if pipe.red[cls][color].decide(
-            queue, fits, now, lambda: lp_rng.uniform_at(rng.PURPOSE_RED, cursor)) != ENQUEUE:
+    if tier.red[cls][color].decide(st, queue, fits, now, lp_rng,
+                                   lp_rng.advance(rng.PURPOSE_RED)) != ENQUEUE:
         fx.records.append(PacketRecord(
             pkt.pid, pkt.src, pkt.dst, cls, color,
             pkt.created_ns, None, lp.node, DROP_RED if fits else DROP_QUEUE))
         return
     if st[SEND_FLAG]:
-        queue.push(pkt)  # the pending try-to-send reaches it
+        queue.push(st, pipe.pkts[cls], pkt)  # the pending try-to-send reaches it
         return
     # flag clear: every class queue is empty, so this packet goes next
-    shaper = pipe.shaper
+    shaper = tier.shaper
     if not ctx.token_interval_ns:
-        shaper.refill(now)
-    if shaper.take(size):
+        shaper.refill(st, now)
+    if shaper.take(st, size):
         # on the wire in place, as transmit() would put it: the queue is
         # left as a push and pop at ``now`` leave it (empty_since_ns), and
         # a copy arrives at the far end after its transmission time
@@ -278,7 +284,7 @@ def handle_arrive(lp: RouterLp, pkt: Packet, port: int | None, now: int, fx: Eff
             now + -(-size * 8_000_000_000 // link.bandwidth_bps) + link.delay_ns,
             link.dst, events.ARRIVE, pkt.copy(), lp.node, seq))
         return
-    queue.push(pkt)
+    queue.push(st, pipe.pkts[cls], pkt)
     st[SEND_FLAG] = True
     try_to_send(lp, pipe, now, fx, ctx)
 
@@ -291,7 +297,7 @@ def handle_send(lp: RouterLp, _payload, port: int, now: int, fx: Effects, ctx):
         st[STALE_SENDS] += 1
         return
     st[SEND_COUNT] += 1
-    if strict_priority_select(pipe.queues) is None:
+    if strict_priority_select(pipe.pkts) is None:
         st[REDUNDANT_SENDS] += 1
     try_to_send(lp, pipe, now, fx, ctx)
 
@@ -310,23 +316,26 @@ def try_to_send(lp: RouterLp, pipe: EgressPipeline, now: int, fx: Effects, ctx):
     schedule one retry at the earliest sufficiency time (lazy mode) or wait
     for the next periodic refill (baseline mode). The send flag stays set
     until the port goes idle."""
-    shaper = pipe.shaper
-    queues = pipe.queues
+    shaper = pipe.tier.shaper
+    queues = pipe.tier.queues
+    st = pipe.st
+    pkts = pipe.pkts
     while True:
-        cls = strict_priority_select(queues)
+        cls = strict_priority_select(pkts)
         if cls is None:
-            pipe.st[SEND_FLAG] = False
+            st[SEND_FLAG] = False
             return
         if not ctx.token_interval_ns:
-            shaper.refill(now)
+            shaper.refill(st, now)
         queue = queues[cls]
-        head = queue.head()
-        if shaper.take(head.size):
-            transmit(lp, pipe, queue.pop(now), now, fx)
+        packets = pkts[cls]
+        head = queue.head(packets)
+        if shaper.take(st, head.size):
+            transmit(lp, pipe, queue.pop(st, packets, now), now, fx)
             continue
         if not ctx.token_interval_ns:
-            retry = shaper.earliest_ready_ns(head.size, now)
-            pipe.st[BLOCKED_EPISODES] += 1
+            retry = shaper.earliest_ready_ns(st, head.size, now)
+            st[BLOCKED_EPISODES] += 1
             lp.emit(fx, retry, lp.node, events.SEND, pipe.port)
         # baseline mode: the next REFILL tick re-runs try_to_send
         return
@@ -334,8 +343,8 @@ def try_to_send(lp: RouterLp, pipe: EgressPipeline, now: int, fx: Effects, ctx):
 
 def handle_refill(lp: RouterLp, _payload, port: int, now: int, fx: Effects, ctx):
     pipe = lp.pipelines[port]
-    shaper = pipe.shaper
-    shaper.add_scaled(shaper.rate_bps * ctx.token_interval_ns)
+    shaper = pipe.tier.shaper
+    shaper.add_scaled(pipe.st, shaper.rate_Bps * ctx.token_interval_ns)
     nxt = now + ctx.token_interval_ns
     if nxt <= ctx.end_time_ns:
         lp.emit(fx, nxt, lp.node, events.REFILL, port)

@@ -83,7 +83,7 @@ _QOS_BLOCK = {
     "num_classes": (_ABSENT, _int(1)),
     "default_class": (_ABSENT, _int(0)),
     "queue_capacity_bytes": (_ABSENT, _int(1)),
-    "shaper_rate_bps": (_ABSENT, _int(1)),
+    "shaper_rate_Bps": (_ABSENT, _int(1)),
     "shaper_burst_bytes": (_ABSENT, _int(1)),
     "classifier": (_ABSENT, _mapping(_is_ds, _int(0)[0], "a mapping DS 0..63 -> class")),
     "srtcm": (_ABSENT, [{f.name: (_REQUIRED, _int(0)) for f in dataclasses.fields(SrtcmParams)}]),
@@ -367,8 +367,8 @@ def build_plan(cfg: dict, topo: Topology) -> partition_mod.PartitionPlan:
 
 
 def run_scenario(cfg: dict, output_dir: str | None = None) -> metrics.RunReport:
-    """Execute the configured mode and write records, summary, and counter
-    series when an output directory is given."""
+    """Execute the configured mode and write records, summary, port audit
+    and counter series when an output directory is given."""
     mode = cfg["run"]["mode"]
     model = build_scenario_model(cfg)
     if mode == MODE_OPTIMISTIC:
@@ -388,5 +388,6 @@ def write_outputs(cfg: dict, report: metrics.RunReport, out_dir: str):
         dump_yaml(cfg, fh, sort_keys=False)
     metrics.write_records_csv(os.path.join(out_dir, "records.csv"), report.records)
     metrics.write_summary(os.path.join(out_dir, "summary.txt"), report)
+    metrics.write_port_audit_csv(os.path.join(out_dir, "port_audit.csv"), report)
     if report.gvt_series:
         metrics.write_gvt_series_csv(os.path.join(out_dir, "gvt_series.csv"), report)

@@ -65,4 +65,4 @@ def tier_profiles(**kwargs):
 
 def tight_shaper_profiles():
     """A shaper tight enough to block on the default traffic, as in A7."""
-    return tier_profiles(shaper_rate_bps=40_000_000, shaper_burst_bytes=4_096)
+    return tier_profiles(shaper_rate_Bps=40_000_000, shaper_burst_bytes=4_096)

@@ -26,7 +26,7 @@ from dsnetsim.scenario import (
 from dsnetsim.topology import generate_synthetic_topology
 from dsnetsim.traffic import resolve_flows
 from conftest import WINDOWS
-from test_qos import TickBucket, TickSrtcm
+from test_qos import StubRng, TickBucket, TickSrtcm
 
 _cache = {}
 
@@ -210,10 +210,11 @@ def test_vertex_event_plan_profiles_the_scenario_itself():
 
 def test_A6_qos_conformance_against_tick_oracle():
     rnd = random.Random(20_260_824)
-    params = SrtcmParams(cir_bps=313, cbs_bytes=4000, ebs_bytes=9000)
-    meter = SrtcmMeter(params)
+    params = SrtcmParams(cir_Bps=313, cbs_bytes=4000, ebs_bytes=9000)
+    st = []
+    meter = SrtcmMeter(params, st)
     oracle = TickSrtcm(params)
-    bucket = TokenBucket(5000, 450, start_full=False)
+    bucket = TokenBucket(5000, 450, st, start_full=False)
     bucket_oracle = TickBucket(5000, 450, start_full=False)
     now = 0
     mismatches = 0
@@ -224,33 +225,35 @@ def test_A6_qos_conformance_against_tick_oracle():
         oracle.advance_to(now)
         bucket_oracle.advance_to(now)
         size = rnd.randint(1, 3000)
-        if meter.mark(size, now) != oracle.mark(size):
+        if meter.mark(st, size, now) != oracle.mark(size):
             mismatches += 1
-        bucket.refill(now)
-        if bucket.take(min(size, 5000)) != bucket_oracle.take(min(size, 5000)):
+        bucket.refill(st, now)
+        if bucket.take(st, min(size, 5000)) != bucket_oracle.take(min(size, 5000)):
             mismatches += 1
-        if not (0 <= bucket.tokens_scaled <= bucket.cap_scaled):
+        if not (0 <= st[bucket.i] <= bucket.capacity_bytes * TOKEN_SCALE):
             cap_violations += 1
-        if not (0 <= meter.tc_scaled <= params.cbs_bytes * TOKEN_SCALE
-                and 0 <= meter.te_scaled <= params.ebs_bytes * TOKEN_SCALE):
+        if not (0 <= st[meter.i] <= params.cbs_bytes * TOKEN_SCALE
+                and 0 <= st[meter.i + 1] <= params.ebs_bytes * TOKEN_SCALE):
             cap_violations += 1
     # RED boundary behaviour, exhaustively over the random corpus
     from dsnetsim.qos import ClassQueue, RedParams, RedState, DROP, ENQUEUE
     red_violations = 0
     p = RedParams(2000, 8000, 0.1)
     for _ in range(2_000):
-        s = RedState(p)
-        q = ClassQueue(0, 64 * 1024)
-        s.avg = rnd.uniform(0, 1999)
+        st = []
+        s = RedState(p, st)
+        q = ClassQueue(0, 64 * 1024, st)
+        st[s.i] = rnd.uniform(0, 1999)
         u = rnd.random()
-        if s.decide(q, q.fits(100), 1, lambda: u) != ENQUEUE:
+        if s.decide(st, q, q.fits(st, 100), 1, StubRng(u), 0) != ENQUEUE:
             red_violations += 1
-        s2 = RedState(p)
-        q2 = ClassQueue(0, 64 * 1024)
-        q2.push(type("P", (), {"size": 8000})())
-        s2.avg = rnd.uniform(8100, 20000)
+        st2 = []
+        s2 = RedState(p, st2)
+        q2 = ClassQueue(0, 64 * 1024, st2)
+        q2.push(st2, [], type("P", (), {"size": 8000})())
+        st2[s2.i] = rnd.uniform(8100, 20000)
         u = rnd.random()
-        if s2.decide(q2, q2.fits(100), 1, lambda: u) != DROP:
+        if s2.decide(st2, q2, q2.fits(st2, 100), 1, StubRng(u), 0) != DROP:
             red_violations += 1
     ok = mismatches == 0 and cap_violations == 0 and red_violations == 0
     _verdict(
@@ -266,7 +269,7 @@ def test_A7_send_event_economy_audit():
     # a second scenario with a deliberately tight shaper so blocking occurs
     tight = load_scenario(None, {
         "name": "tight",
-        "qos": {"default": {"shaper_rate_bps": 40_000_000,
+        "qos": {"default": {"shaper_rate_Bps": 40_000_000,
                             "shaper_burst_bytes": 4_096}},
         "run": {"end_ns": 2_000_000},
     })

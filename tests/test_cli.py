@@ -209,7 +209,7 @@ def test_unknown_runtime_is_a_config_error(tmp_path, capsys):
     ({"tiers": {"kernel": {"red": {"green": [200, 100, 0.5]}}}}, "qos.tiers.kernel"),
     ({"default": {"shaper_rate_bsp": 1000}}, "qos.default.shaper_rate_bsp"),
     ({"tiers": {"mixed": {"shaper_rate_bsp": 1000}}}, "qos.tiers.mixed.shaper_rate_bsp"),
-    ({"tiers": {"core": {"shaper_rate_bps": 1000}}}, "qos.tiers.core"),
+    ({"tiers": {"core": {"shaper_rate_Bps": 1000}}}, "qos.tiers.core"),
     ({"default": {"red": {"gren": [100, 200, 0.5]}}}, "qos.default.red.gren"),
 ], ids=["bad-red-default", "bad-red-tier", "unknown-key-default", "unknown-key-tier",
         "unknown-tier", "unknown-color"])
@@ -264,9 +264,11 @@ def test_bad_partition_strategy_is_a_config_error(tmp_path, capsys):
     # Knobs fields that act only on unbounded runs, which no scenario makes
     ({"run": {**SMALL["run"], "knobs": {"jitter": 2}}}, "run.knobs.jitter"),
     ({"run": {**SMALL["run"], "knobs": {"schedule_seed": 3}}}, "run.knobs.schedule_seed"),
+    # byte rates are named *_Bps; bits/s keep *_bps (bandwidth_bps)
+    ({"qos": {"default": {"shaper_rate_bps": 1000}}}, "qos.default.shaper_rate_bps"),
 ], ids=["traffic", "run", "run-partitions", "traffic-flows", "top-level", "topology",
         "topology-synthetic", "routing", "qos", "run-knobs", "run-knobs-jitter",
-        "run-knobs-schedule-seed"])
+        "run-knobs-schedule-seed", "qos-byte-rate-unit"])
 def test_unknown_key_is_a_config_error(tmp_path, capsys, doc, key):
     cfg_path = _write_cfg(tmp_path, doc)
     assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
@@ -291,12 +293,15 @@ def test_flow_without_a_rate_is_a_config_error(tmp_path, capsys):
      "traffic.flows[0].rate_pps"),
     ({"traffic": {"ds_probs": {46: 0.5, 26: 0.3, 0: 0.1}}}, "traffic"),
     ({"qos": {"default": {"srtcm": [
-        {"cir_bps": 1000, "cbs_bytes": 2000, "ebs_bytes": 3000, "bogus": 1}] * 3}}},
+        {"cir_Bps": 1000, "cbs_bytes": 2000, "ebs_bytes": 3000, "bogus": 1}] * 3}}},
      "qos.default.srtcm[0].bogus"),
-    ({"qos": {"default": {"srtcm": [{"cir_bps": 1000, "cbs_bytes": 2000}] * 3}}},
+    ({"qos": {"default": {"srtcm": [{"cir_Bps": 1000, "cbs_bytes": 2000}] * 3}}},
      "qos.default.srtcm[0].ebs_bytes"),
+    ({"qos": {"default": {"srtcm": [
+        {"cir_bps": 1000, "cbs_bytes": 2000, "ebs_bytes": 3000}] * 3}}},
+     "qos.default.srtcm[0].cir_bps"),
 ], ids=["end-ns", "k", "pattern", "packet-size", "flow-rate", "ds-probs-sum",
-        "srtcm-entry", "srtcm-entry-missing-key"])
+        "srtcm-entry", "srtcm-entry-missing-key", "srtcm-entry-byte-rate-unit"])
 def test_bad_value_is_a_config_error_at_load_time(tmp_path, capsys, doc, key):
     cfg_path = _write_cfg(tmp_path, doc)
     with pytest.raises(ScenarioError, match=rf"^{re.escape(key)}: "):
@@ -307,7 +312,7 @@ def test_bad_value_is_a_config_error_at_load_time(tmp_path, capsys, doc, key):
 
 @pytest.mark.parametrize("n", [0, 1, 4])
 def test_srtcm_list_needs_one_entry_per_class(tmp_path, capsys, n):
-    entry = {"cir_bps": 1000, "cbs_bytes": 2000, "ebs_bytes": 3000}
+    entry = {"cir_Bps": 1000, "cbs_bytes": 2000, "ebs_bytes": 3000}
     cfg_path = _write_cfg(tmp_path, {"qos": {"default": {"srtcm": [entry] * n}}})
     message = "qos.default: srtcm list must have one entry per class"
     with pytest.raises(ScenarioError, match=rf"^{re.escape(message)}$"):
@@ -335,8 +340,9 @@ def test_bad_flow_endpoint_is_a_config_error(tmp_path, capsys, flow, message):
     (["run", "--strategy", "edge"], "run.partitions.strategy"),
     (["partition", "-k", "0", "--plan-out", "plan.txt"], "run.partitions.k"),
     (["sweep", "--variable", "k", "--values", "0"], "run.partitions.k"),
+    (["sweep", "--variable", "k", "--values", "2", "--repetitions", "0"], "--repetitions"),
 ], ids=["mode", "end-ns", "end-ns-not-yaml", "runtime", "strategy", "strategy-edge",
-        "partition-k", "sweep-k"])
+        "partition-k", "sweep-k", "sweep-repetitions"])
 def test_bad_flag_value_is_a_config_error(tmp_path, capsys, argv, key):
     cfg_path = _write_cfg(tmp_path)
     assert main(argv + ["--config", cfg_path]) == EXIT_CONFIG

@@ -17,7 +17,7 @@ from dsnetsim.traffic import Flow, TrafficSpec
 
 END_NS = 100_000
 # a shaper this tight blocks under a few flows, so lazy runs take SEND events
-TIGHT = dict(shaper_rate_bps=40_000_000, shaper_burst_bytes=4_096)
+TIGHT = dict(shaper_rate_Bps=40_000_000, shaper_burst_bytes=4_096)
 
 
 @st.composite

@@ -356,6 +356,31 @@ def test_spare_ports_hold_no_pipeline_and_no_audit_row():
             assert rep.port_audit == seq.port_audit
 
 
+def test_port_audit_file_is_the_same_for_every_run_of_a_model(tmp_path):
+    """write_outputs writes port_audit.csv, one row per connected port in
+    (node, port) order; a windowed and an unbounded k=4 run, which rolls
+    back, write the file of the sequential run."""
+    cfg = scenario.load_scenario(None)
+    model, topo = _fresh_model(profiles=tight_shaper_profiles())
+    reports = {"sequential": run_sequential(model)}
+    knobs = Knobs(gvt_interval=128, batch_size=8, schedule_seed=3, jitter=2, watchdog_s=60)
+    for window in WINDOWS:
+        reports[window] = run_optimistic(_fresh_model(profiles=tight_shaper_profiles())[0],
+                                         partition_balanced(topo, 4), knobs,
+                                         unbounded=window == "unbounded")
+    assert reports["unbounded"].rolled_back_events > 0
+    files = {}
+    for name, rep in reports.items():
+        scenario.write_outputs(cfg, rep, str(tmp_path / name))
+        files[name] = (tmp_path / name / "port_audit.csv").read_bytes()
+    assert files["lookahead"] == files["sequential"] == files["unbounded"]
+    lines = files["sequential"].decode().splitlines()
+    assert lines[0] == "node,port,arrive,send,blocked,stale,redundant"
+    rows = [[int(x) for x in line.split(",")] for line in lines[1:]]
+    assert [tuple(row[:2]) for row in rows] == sorted(topo.port_link)
+    assert sum(row[4] for row in rows) > 0  # the tight shaper blocked
+
+
 def test_lookahead_counts_only_cut_links():
     topo = Topology([(i, NodeTier.ACCESS, 2) for i in range(4)],
                     bidirectional(0, 1, 0, 0, delay=30) + bidirectional(1, 2, 1, 0, delay=700)

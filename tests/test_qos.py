@@ -9,6 +9,7 @@ from dsnetsim.qos import (
     RedState, SrtcmMeter, SrtcmParams, TokenBucket, DROP, ENQUEUE,
     strict_priority_select,
 )
+from dsnetsim.rng import PURPOSE_RED
 
 
 # --------------------------------------------------------------------------
@@ -16,71 +17,91 @@ from dsnetsim.qos import (
 
 def test_refill_caps_at_capacity():
     # tokens=200, C=700, r=100 B/s, dt=5 s -> 200+500 then cap at 700
-    b = TokenBucket(700, 100, start_full=False)
-    b.tokens_scaled = 200 * TOKEN_SCALE
-    b.refill(5 * 10**9)
-    assert b.tokens == 700
+    st = []
+    b = TokenBucket(700, 100, st, start_full=False)
+    st[b.i] = 200 * TOKEN_SCALE
+    b.refill(st, 5 * 10**9)
+    assert st[b.i] == 700 * TOKEN_SCALE
 
 
 def test_zero_dt_is_identity():
-    b = TokenBucket(700, 100)
-    b.tokens_scaled = 123456789
-    b.refill(0)
-    assert b.tokens_scaled == 123456789
+    st = []
+    b = TokenBucket(700, 100, st)
+    st[b.i] = 123456789
+    b.refill(st, 0)
+    assert st[b.i] == 123456789
 
 
 def test_full_bucket_stays_full():
-    b = TokenBucket(700, 100)
-    b.refill(10**12)
-    assert b.tokens == 700
+    st = []
+    b = TokenBucket(700, 100, st)
+    b.refill(st, 10**12)
+    assert st[b.i] == 700 * TOKEN_SCALE
 
 
 def test_take_success_and_shortfall():
-    b = TokenBucket(1000, 100)
-    assert b.take(600)
-    assert b.tokens == 400
-    assert not b.take(500)
-    assert b.tokens == 400
+    st = []
+    b = TokenBucket(1000, 100, st)
+    assert b.take(st, 600)
+    assert st[b.i] == 400 * TOKEN_SCALE
+    assert not b.take(st, 500)
+    assert st[b.i] == 400 * TOKEN_SCALE
 
 
 def test_earliest_ready_arithmetic():
     # tokens=0, r=1000 B/s, needed=500 -> now + 5*10^8 ns
-    b = TokenBucket(1000, 1000, start_full=False)
-    assert b.earliest_ready_ns(500, now_ns=0) == 5 * 10**8
-    assert b.earliest_ready_ns(500, now_ns=7) == 7 + 5 * 10**8
+    st = []
+    b = TokenBucket(1000, 1000, st, start_full=False)
+    assert b.earliest_ready_ns(st, 500, now_ns=0) == 5 * 10**8
+    assert b.earliest_ready_ns(st, 500, now_ns=7) == 7 + 5 * 10**8
 
 
 def test_earliest_ready_boundary_is_now():
-    b = TokenBucket(1000, 1000, start_full=False)
-    b.tokens_scaled = 500 * TOKEN_SCALE
-    assert b.earliest_ready_ns(500, now_ns=42) == 42
+    st = []
+    b = TokenBucket(1000, 1000, st, start_full=False)
+    st[b.i] = 500 * TOKEN_SCALE
+    assert b.earliest_ready_ns(st, 500, now_ns=42) == 42
 
 
 def test_oversized_request_is_config_error():
-    b = TokenBucket(1000, 1000)
+    st = []
+    b = TokenBucket(1000, 1000, st)
     with pytest.raises(QosConfigError):
-        b.earliest_ready_ns(1001, now_ns=0)
+        b.earliest_ready_ns(st, 1001, now_ns=0)
 
 
 def test_periodic_refill_amount():
     # tokens=0, r=10^9 B/s, interval=10^3 ns -> 1000 bytes
-    b = TokenBucket(10**6, 10**9, start_full=False)
-    b.add_scaled(10**9 * 10**3)
-    assert b.tokens == 1000
+    st = []
+    b = TokenBucket(10**6, 10**9, st, start_full=False)
+    b.add_scaled(st, 10**9 * 10**3)
+    assert st[b.i] == 1000 * TOKEN_SCALE
 
 
 def test_periodic_refill_caps():
-    b = TokenBucket(1000, 10**9)
-    b.add_scaled(10**9 * 10**6)
-    assert b.tokens == 1000
+    st = []
+    b = TokenBucket(1000, 10**9, st)
+    b.add_scaled(st, 10**9 * 10**6)
+    assert st[b.i] == 1000 * TOKEN_SCALE
+
+
+def test_elements_append_their_numbers_after_what_the_list_holds():
+    st = ["x"]
+    b = TokenBucket(700, 100, st)
+    m = SrtcmMeter(SrtcmParams(100, 2000, 3000), st)
+    q = ClassQueue(0, 1000, st)
+    r = RedState(RedParams(100, 200, 0.1), st)
+    assert [b.i, m.i, q.i, r.i] == [1, 3, 6, 8]
+    assert st == ["x", 700 * TOKEN_SCALE, 0, 2000 * TOKEN_SCALE, 3000 * TOKEN_SCALE, 0,
+                  0, 0, 0.0, 0]
 
 
 class TickBucket:
     """Eager 1 ns-stepped reference bucket (the brute-force oracle)."""
 
-    def __init__(self, capacity_bytes, rate_bps, start_full=True):
+    def __init__(self, capacity_bytes, rate_Bps, start_full=True):
         self.cap = capacity_bytes * TOKEN_SCALE
-        self.rate = rate_bps
+        self.rate = rate_Bps
         self.tokens = self.cap if start_full else 0
         self.now = 0
 
@@ -99,44 +120,48 @@ class TickBucket:
 
 def test_lazy_refill_matches_tick_oracle_bit_for_bit():
     rnd = random.Random(1234)
-    lazy = TokenBucket(4000, 777, start_full=False)
+    st = []
+    lazy = TokenBucket(4000, 777, st, start_full=False)
     oracle = TickBucket(4000, 777, start_full=False)
     now = 0
     for _ in range(3000):
         now += rnd.randint(0, 50)
-        lazy.refill(now)
+        lazy.refill(st, now)
         oracle.advance_to(now)
-        assert lazy.tokens_scaled == oracle.tokens
+        assert st[lazy.i] == oracle.tokens
         size = rnd.randint(1, 2000)
-        assert lazy.take(size) == oracle.take(size)
-        assert lazy.tokens_scaled == oracle.tokens
-        assert 0 <= lazy.tokens_scaled <= lazy.cap_scaled
+        assert lazy.take(st, size) == oracle.take(size)
+        assert st[lazy.i] == oracle.tokens
+        assert 0 <= st[lazy.i] <= lazy.capacity_bytes * TOKEN_SCALE
 
 
 # --------------------------------------------------------------------------
 # srTCM
 
 def test_srtcm_green_consumes_committed():
-    m = SrtcmMeter(SrtcmParams(100, 2000, 2000))
-    m.te_scaled = 0
-    assert m.mark(1400, 0) == Color.GREEN
-    assert m.tc_scaled == 600 * TOKEN_SCALE
+    st = []
+    m = SrtcmMeter(SrtcmParams(100, 2000, 2000), st)
+    st[m.i + 1] = 0
+    assert m.mark(st, 1400, 0) == Color.GREEN
+    assert st[m.i] == 600 * TOKEN_SCALE
 
 
 def test_srtcm_yellow_consumes_excess():
-    m = SrtcmMeter(SrtcmParams(100, 1000, 1500))
-    assert m.mark(1400, 0) == Color.YELLOW
-    assert m.tc_scaled == 1000 * TOKEN_SCALE
-    assert m.te_scaled == 100 * TOKEN_SCALE
+    st = []
+    m = SrtcmMeter(SrtcmParams(100, 1000, 1500), st)
+    assert m.mark(st, 1400, 0) == Color.YELLOW
+    assert st[m.i] == 1000 * TOKEN_SCALE
+    assert st[m.i + 1] == 100 * TOKEN_SCALE
 
 
 def test_srtcm_red_leaves_buckets_unchanged():
-    m = SrtcmMeter(SrtcmParams(100, 1000, 1000))
-    m.tc_scaled = 0
-    m.te_scaled = 0
-    m.last_update_ns = 5
-    assert m.mark(1, 5) == Color.RED
-    assert m.tc_scaled == 0 and m.te_scaled == 0
+    st = []
+    m = SrtcmMeter(SrtcmParams(100, 1000, 1000), st)
+    st[m.i] = 0
+    st[m.i + 1] = 0
+    st[m.i + 2] = 5
+    assert m.mark(st, 1, 5) == Color.RED
+    assert st[m.i] == 0 and st[m.i + 1] == 0
 
 
 class TickSrtcm:
@@ -152,8 +177,8 @@ class TickSrtcm:
         cbs = self.p.cbs_bytes * TOKEN_SCALE
         ebs = self.p.ebs_bytes * TOKEN_SCALE
         while self.now < t:
-            new_tc = min(cbs, self.tc + self.p.cir_bps)
-            spill = self.p.cir_bps - (new_tc - self.tc)
+            new_tc = min(cbs, self.tc + self.p.cir_Bps)
+            spill = self.p.cir_Bps - (new_tc - self.tc)
             self.tc = new_tc
             self.te = min(ebs, self.te + spill)
             self.now += 1
@@ -171,72 +196,96 @@ class TickSrtcm:
 
 def test_srtcm_matches_tick_oracle():
     rnd = random.Random(99)
-    params = SrtcmParams(cir_bps=321, cbs_bytes=3000, ebs_bytes=5000)
-    lazy = SrtcmMeter(params)
+    params = SrtcmParams(cir_Bps=321, cbs_bytes=3000, ebs_bytes=5000)
+    st = []
+    lazy = SrtcmMeter(params, st)
     oracle = TickSrtcm(params)
     now = 0
     for _ in range(3000):
         now += rnd.randint(0, 40)
         oracle.advance_to(now)
         size = rnd.randint(1, 2500)
-        assert lazy.mark(size, now) == oracle.mark(size)
-        assert lazy.tc_scaled == oracle.tc
-        assert lazy.te_scaled == oracle.te
+        assert lazy.mark(st, size, now) == oracle.mark(size)
+        assert st[lazy.i] == oracle.tc
+        assert st[lazy.i + 1] == oracle.te
 
 
 # --------------------------------------------------------------------------
 # class queues / strict priority
 
-def _queue_with_bytes(nbytes, capacity=64 * 1024):
-    class _P:
-        def __init__(self, size):
-            self.size = size
-    q = ClassQueue(0, capacity)
+class _P:
+    def __init__(self, size):
+        self.size = size
+
+
+def _queue_with_bytes(st, nbytes, capacity=64 * 1024):
+    """A queue whose numbers are appended to ``st``, holding one packet of
+    ``nbytes`` (none for 0); returns the queue and its packet list."""
+    q = ClassQueue(0, capacity, st)
+    packets = []
     if nbytes:
-        q.push(_P(nbytes))
-    return q
+        q.push(st, packets, _P(nbytes))
+    return q, packets
 
 
 def test_strict_priority_picks_first_non_empty():
-    queues = [_queue_with_bytes(0), _queue_with_bytes(300), _queue_with_bytes(100)]
-    assert strict_priority_select(queues) == 1
+    st = []
+    pkts = [_queue_with_bytes(st, n)[1] for n in (0, 300, 100)]
+    assert strict_priority_select(pkts) == 1
 
 
 def test_strict_priority_all_empty():
-    assert strict_priority_select([_queue_with_bytes(0)] * 3) is None
+    assert strict_priority_select([_queue_with_bytes([], 0)[1]] * 3) is None
 
 
 def test_strict_priority_class_zero_wins():
-    queues = [_queue_with_bytes(10), _queue_with_bytes(300)]
-    assert strict_priority_select(queues) == 0
+    st = []
+    pkts = [_queue_with_bytes(st, n)[1] for n in (10, 300)]
+    assert strict_priority_select(pkts) == 0
 
 
 def test_queue_byte_bound():
-    q = ClassQueue(0, 1000)
-    assert q.fits(1000)
-    assert not q.fits(1001)
-    q.push(type("P", (), {"size": 600})())
-    assert q.fits(400)
-    assert not q.fits(401)
+    st = []
+    q = ClassQueue(0, 1000, st)
+    assert q.fits(st, 1000)
+    assert not q.fits(st, 1001)
+    q.push(st, [], _P(600))
+    assert q.fits(st, 400)
+    assert not q.fits(st, 401)
 
 
 # --------------------------------------------------------------------------
 # early-drop (RED)
 
+class StubRng:
+    """Stands in for an LP's ``CursorRng``: every draw is ``value``, and
+    ``calls`` records the (purpose, cursor) of each draw taken."""
+
+    def __init__(self, value=0.5):
+        self.value = value
+        self.calls = []
+
+    def uniform_at(self, purpose, cursor):
+        self.calls.append((purpose, cursor))
+        return self.value
+
+
 def test_red_below_min_always_enqueues():
-    s = RedState(RedParams(5000, 15000, 0.1))
-    q = _queue_with_bytes(100)
+    st = []
+    s = RedState(RedParams(5000, 15000, 0.1), st)
+    q, _ = _queue_with_bytes(st, 100)
     for i in range(50):
-        assert s.decide(q, q.fits(100), now_ns=i + 1, draw=lambda: 0.0) == ENQUEUE
-    assert s.count == 0
+        assert s.decide(st, q, q.fits(st, 100), i + 1, StubRng(0.0), i) == ENQUEUE
+    assert st[s.i + 1] == 0
 
 
 def test_red_at_or_above_max_always_drops():
-    s = RedState(RedParams(5000, 15000, 0.1))
-    s.avg = 20000.0
-    q = _queue_with_bytes(20000, capacity=64 * 1024)
+    st = []
+    s = RedState(RedParams(5000, 15000, 0.1), st)
+    st[s.i] = 20000.0
+    q, _ = _queue_with_bytes(st, 20000, capacity=64 * 1024)
     for i in range(50):
-        assert s.decide(q, q.fits(100), now_ns=i + 1, draw=lambda: 0.999) == DROP
+        assert s.decide(st, q, q.fits(st, 100), i + 1, StubRng(0.999), i) == DROP
 
 
 def test_red_worked_example_drops():
@@ -244,18 +293,22 @@ def test_red_worked_example_drops():
     # p_b = 0.1 * (10000-5000)/(15000-5000) = 0.05; count=0 -> p_a = p_b;
     # rand < p_a (0.04 < 0.05) -> Drop
     w = 0.002
-    s = RedState(RedParams(5000, 15000, 0.1, weight=w))
-    s.avg = 10000.0
-    q = _queue_with_bytes(10000)  # EWMA fixpoint keeps avg' = 10000
-    assert s.decide(q, q.fits(100), now_ns=10, draw=lambda: 0.04) == DROP
-    assert s.avg == pytest.approx(10000.0)
-    assert s.count == 0
+    st = []
+    s = RedState(RedParams(5000, 15000, 0.1, weight=w), st)
+    st[s.i] = 10000.0
+    q, _ = _queue_with_bytes(st, 10000)  # EWMA fixpoint keeps avg' = 10000
+    rng = StubRng(0.04)
+    assert s.decide(st, q, q.fits(st, 100), 10, rng, 7) == DROP
+    assert rng.calls == [(PURPOSE_RED, 7)]  # the draw at the arrival's cursor
+    assert st[s.i] == pytest.approx(10000.0)
+    assert st[s.i + 1] == 0
 
 
 def test_red_full_queue_forces_drop():
-    s = RedState(RedParams(5000, 15000, 0.1))
-    q = _queue_with_bytes(900, capacity=1000)
-    assert s.decide(q, q.fits(200), now_ns=1, draw=lambda: 0.999) == DROP
+    st = []
+    s = RedState(RedParams(5000, 15000, 0.1), st)
+    q, _ = _queue_with_bytes(st, 900, capacity=1000)
+    assert s.decide(st, q, q.fits(st, 200), 1, StubRng(0.999), 0) == DROP
 
 
 def test_red_count_raises_drop_probability():
@@ -263,15 +316,16 @@ def test_red_count_raises_drop_probability():
     p = RedParams(5000, 15000, 0.1, weight=0.002)
     probs = []
     for count in (0, 5, 9):
-        q = _queue_with_bytes(10000)
         # find the decision boundary by bisection on rand
         lo, hi = 0.0, 1.0
         for _ in range(40):
             mid = (lo + hi) / 2
-            t = RedState(p)
-            t.avg = 10000.0
-            t.count = count
-            if t.decide(q, q.fits(100), now_ns=1, draw=lambda: mid) == DROP:
+            st = []
+            q, _ = _queue_with_bytes(st, 10000)
+            t = RedState(p, st)
+            st[t.i] = 10000.0
+            st[t.i + 1] = count
+            if t.decide(st, q, q.fits(st, 100), 1, StubRng(mid), 0) == DROP:
                 lo = mid
             else:
                 hi = mid
@@ -282,8 +336,10 @@ def test_red_count_raises_drop_probability():
 def test_red_matches_formula_oracle():
     rnd = random.Random(5)
     p = RedParams(2000, 8000, 0.2, weight=0.01, mean_pkt_time_ns=100)
-    s = RedState(p)
-    q = ClassQueue(0, 16 * 1024)
+    st = []
+    s = RedState(p, st)
+    q = ClassQueue(0, 16 * 1024, st)
+    packets = []
 
     avg = 0.0
     count = 0
@@ -293,13 +349,14 @@ def test_red_matches_formula_oracle():
         size = rnd.randint(200, 1500)
         rand = rnd.random()
         # independent reference computation
-        if q.byte_length + size > q.capacity_bytes:
+        byte_length, empty_since_ns = st[q.i], st[q.i + 1]
+        if byte_length + size > q.capacity_bytes:
             expect = DROP
             count = 0
         else:
-            if q.byte_length == 0 and now > q.empty_since_ns:
-                avg *= (1.0 - p.weight) ** ((now - q.empty_since_ns) / p.mean_pkt_time_ns)
-            avg = (1.0 - p.weight) * avg + p.weight * q.byte_length
+            if byte_length == 0 and now > empty_since_ns:
+                avg *= (1.0 - p.weight) ** ((now - empty_since_ns) / p.mean_pkt_time_ns)
+            avg = (1.0 - p.weight) * avg + p.weight * byte_length
             if avg < p.min_th_bytes:
                 expect, count = ENQUEUE, 0
             elif avg >= p.max_th_bytes:
@@ -312,19 +369,15 @@ def test_red_matches_formula_oracle():
                     expect, count = DROP, 0
                 else:
                     expect, count = ENQUEUE, count + 1
-        got = s.decide(q, q.fits(size), now, lambda: rand)
+        got = s.decide(st, q, q.fits(st, size), now, StubRng(rand), 0)
         assert got == expect
-        assert s.avg == pytest.approx(avg, abs=1e-9)
-        assert s.count == count
+        assert st[s.i] == pytest.approx(avg, abs=1e-9)
+        assert st[s.i + 1] == count
         if got == ENQUEUE:
-            q.push(type("P", (), {"size": size})())
+            q.push(st, packets, _P(size))
         # random service keeps the queue moving
-        while q.packets and rnd.random() < 0.5:
-            q.pop(now)
-
-
-def _no_draw():
-    raise AssertionError("RED drew a random value")
+        while packets and rnd.random() < 0.5:
+            q.pop(st, packets, now)
 
 
 @pytest.mark.parametrize("idle_ns", [0, 1, 250, 10**9])
@@ -333,49 +386,57 @@ def test_red_idle_shortcut_leaves_what_the_full_path_leaves(idle_ns):
     # and the EWMA, computed here as decide's full path computes them,
     # leave it at 0.0, below min_th, so the packet is enqueued
     p = RedParams(1, 15000, 0.1, weight=0.002, mean_pkt_time_ns=1000)
-    s = RedState(p)
-    q = ClassQueue(0, 64 * 1024)
-    q.empty_since_ns = 500
+    st = []
+    s = RedState(p, st)
+    q = ClassQueue(0, 64 * 1024, st)
+    st[q.i + 1] = 500
     now = 500 + idle_ns
-    avg = s.avg
-    if now > q.empty_since_ns:
+    avg = st[s.i]
+    if now > st[q.i + 1]:
         avg *= (1.0 - p.weight) ** (idle_ns / p.mean_pkt_time_ns)
-    avg = (1.0 - p.weight) * avg + p.weight * q.byte_length
+    avg = (1.0 - p.weight) * avg + p.weight * st[q.i]
     assert avg == 0.0 and avg < p.min_th_bytes
+    rng = StubRng()
     for _ in range(3):
-        assert s.decide(q, q.fits(1400), now, _no_draw) == ENQUEUE
-        assert s.avg == avg and type(s.avg) is float
-        assert s.count == 0
+        assert s.decide(st, q, q.fits(st, 1400), now, rng, 0) == ENQUEUE
+        assert st[s.i] == avg and type(st[s.i]) is float
+        assert st[s.i + 1] == 0
+    assert rng.calls == []  # no random value is drawn
 
 
 def test_red_with_min_th_zero_runs_the_full_path_on_an_idle_queue():
     # avg 0.0 is not below a min_th of 0, so the decision is by chance
     # (at p_a = 0): the draw is taken and the enqueue streak grows
-    s = RedState(RedParams(0, 15000, 0.1))
-    q = ClassQueue(0, 64 * 1024)
-    draws = []
+    st = []
+    s = RedState(RedParams(0, 15000, 0.1), st)
+    q = ClassQueue(0, 64 * 1024, st)
+    rng = StubRng(0.5)
     for n in range(1, 4):
-        assert s.decide(q, q.fits(1400), n * 1000, lambda: draws.append(n) or 0.5) == ENQUEUE
-        assert s.count == n
-    assert draws == [1, 2, 3]
-    assert s.avg == 0.0
+        assert s.decide(st, q, q.fits(st, 1400), n * 1000, rng, n) == ENQUEUE
+        assert st[s.i + 1] == n
+    assert rng.calls == [(PURPOSE_RED, 1), (PURPOSE_RED, 2), (PURPOSE_RED, 3)]
+    assert st[s.i] == 0.0
 
 
 def test_red_on_a_drained_queue_takes_the_decay_path():
     p = RedParams(5000, 15000, 0.1, weight=0.002, mean_pkt_time_ns=1000)
-    s = RedState(p)
-    q = ClassQueue(0, 64 * 1024)
-    q.push(type("P", (), {"size": 1400})())
-    assert s.decide(q, q.fits(1400), 100, _no_draw) == ENQUEUE
-    held = s.avg
+    st = []
+    s = RedState(p, st)
+    q = ClassQueue(0, 64 * 1024, st)
+    packets = []
+    q.push(st, packets, _P(1400))
+    rng = StubRng()
+    assert s.decide(st, q, q.fits(st, 1400), 100, rng, 0) == ENQUEUE
+    held = st[s.i]
     assert held == p.weight * 1400
-    q.pop(200)  # the queue drains at 200 ns
+    q.pop(st, packets, 200)  # the queue drains at 200 ns
     now = 5_200
     decayed = held * (1.0 - p.weight) ** ((now - 200) / p.mean_pkt_time_ns)
     expect = (1.0 - p.weight) * decayed + p.weight * 0
-    assert s.decide(q, q.fits(1400), now, _no_draw) == ENQUEUE
-    assert s.avg == expect
-    assert 0.0 < s.avg < (1.0 - p.weight) * held
+    assert s.decide(st, q, q.fits(st, 1400), now, rng, 1) == ENQUEUE
+    assert st[s.i] == expect
+    assert 0.0 < st[s.i] < (1.0 - p.weight) * held
+    assert rng.calls == []  # no random value is drawn
 
 
 def test_red_param_validation():

@@ -8,7 +8,7 @@ import pytest
 from dsnetsim import events, rng
 from dsnetsim.kernel import run_sequential
 from dsnetsim.model import ModelError, build_model
-from dsnetsim.router import EgressPipeline, Packet, dispatch, transmission_ns
+from dsnetsim.router import EgressPipeline, Packet, TierQos, dispatch, transmission_ns
 from dsnetsim.routing import compute_routes
 from dsnetsim.qos import TOKEN_SCALE, ClassQueue, RedParams, RedState, SrtcmMeter, TokenBucket
 from dsnetsim.topology import generate_synthetic_topology
@@ -55,9 +55,9 @@ def test_forward_on_idle_port_schedules_neighbor_arrival(token_interval_ns):
     # the forwarded packet is a copy, not the arriving object
     assert em.payload is not pkt
     # the port is left as a push and pop at t=100 leave it
-    queue = pipe.queues[2]
-    assert queue.byte_length == 0 and queue.packets == []
-    assert queue.empty_since_ns == 100
+    queue = pipe.tier.queues[2]
+    assert pipe.st[queue.i] == 0 and pipe.pkts[2] == []
+    assert pipe.st[queue.i + 1] == 100
     assert not pipe.send_flag
 
 
@@ -69,7 +69,7 @@ def test_arrive_with_flag_set_queues_without_new_events():
     pkt = Packet(7, 0, 1, 1400, 0, created_ns=0)
     fx = dispatch(lp, _arrive(pkt, 0, t=100), model.ctx)
     assert fx.emitted == []
-    assert sum(len(q.packets) for q in pipe.queues) == 1
+    assert sum(len(packets) for packets in pipe.pkts) == 1
 
 
 def test_no_route_drops_with_routing_stage():
@@ -91,8 +91,8 @@ def test_drop_stage_tells_a_full_queue_from_red():
     stages = []
     for pid, size in enumerate((1400, 1400, 500)):
         if pid == 2:  # the 500 B packet fits, but RED's average is far above max_th
-            for red in pipe.red[2]:
-                red.avg = 1e9
+            for red in pipe.tier.red[2]:
+                pipe.st[red.i] = 1e9
         fx = dispatch(lp, _arrive(Packet(pid, 0, 1, size, 0, created_ns=0), 0, t=100 + pid),
                       model.ctx)
         stages.append(fx.records[0].drop_stage if fx.records else None)
@@ -119,9 +119,9 @@ def test_red_decides_on_the_draw_at_its_arrivals_cursor(nudge):
         fx = dispatch(lp, _arrive(Packet(pid, 0, 1, 1400, 0, created_ns=0), 0, t=100 + pid),
                       model.ctx)
         assert fx.records == [] and len(fx.emitted) == 1
-    assert all(r.avg < red.min_th_bytes for row in pipe.red for r in row)
+    assert all(pipe.st[r.i] < red.min_th_bytes for row in pipe.tier.red for r in row)
     assert lp.rng.cursors[rng.PURPOSE_RED] == n
-    pipe.queues[2].push(Packet(99, 0, 1, 2_000, 0, created_ns=0))
+    pipe.tier.queues[2].push(pipe.st, pipe.pkts[2], Packet(99, 0, 1, 2_000, 0, created_ns=0))
     pipe.send_flag = True
     saved = lp.clone(0)
     for _ in range(2):
@@ -139,9 +139,9 @@ def test_one_send_drains_multiple_packets():
     lp = model.lps[0]
     pipe = lp.pipelines[0]
     for i in range(3):
-        q = pipe.queues[2]
+        q = pipe.tier.queues[2]
         pkt = Packet(i, 0, 1, 1400, 0, created_ns=0, class_index=2, color=0)
-        q.push(pkt)
+        q.push(pipe.st, pipe.pkts[2], pkt)
     pipe.send_flag = True
     fx = dispatch(lp, _send(0, 0, t=500), model.ctx)
     kinds = [em.kind for em in fx.emitted]
@@ -158,27 +158,29 @@ def test_tokens_for_first_packet_only_blocks_with_retry(cause, token_interval_ns
     mode emits nothing and waits for the next REFILL. On a SEND, the
     packet the tokens cover leaves first; a packet arriving at an idle
     port that the tokens do not cover is queued, not passed through."""
-    model = single_flow_model(line_topology(2), 0, 1, token_interval_ns=token_interval_ns)
+    # slow refill so the retry is in the future
+    model = single_flow_model(line_topology(2), 0, 1, token_interval_ns=token_interval_ns,
+                              profiles=tier_profiles(shaper_rate_Bps=1000))
     lp = model.lps[0]
     pipe = lp.pipelines[0]
-    pipe.shaper.last_update_ns = 500
-    pipe.shaper.rate_bps = 1000  # slow refill so the retry is in the future
+    st, shaper = pipe.st, pipe.tier.shaper
+    st[shaper.i + 1] = 500
     if cause == "send":
         for i in range(2):
             pkt = Packet(i, 0, 1, 1400, 0, created_ns=0, class_index=2, color=0)
-            pipe.queues[2].push(pkt)
+            pipe.tier.queues[2].push(st, pipe.pkts[2], pkt)
         pipe.send_flag = True
-        pipe.shaper.tokens_scaled = 1400 * TOKEN_SCALE
+        st[shaper.i] = 1400 * TOKEN_SCALE
         fx = dispatch(lp, _send(0, 0, t=500), model.ctx)
         sent = [events.ARRIVE]
     else:
-        pipe.shaper.tokens_scaled = 700 * TOKEN_SCALE
+        st[shaper.i] = 700 * TOKEN_SCALE
         fx = dispatch(lp, _arrive(Packet(0, 0, 1, 1400, 0, created_ns=0), 0, t=500),
                       model.ctx)
         sent = []
     kinds = [em.kind for em in fx.emitted]
-    assert [p.pid for p in pipe.queues[2].packets] == [1 if cause == "send" else 0]
-    assert pipe.queues[2].byte_length == 1400
+    assert [p.pid for p in pipe.pkts[2]] == [1 if cause == "send" else 0]
+    assert st[pipe.tier.queues[2].i] == 1400
     assert pipe.send_flag  # stays set while the packet waits for tokens
     if token_interval_ns:
         assert kinds == sent
@@ -187,7 +189,7 @@ def test_tokens_for_first_packet_only_blocks_with_retry(cause, token_interval_ns
     assert kinds == sent + [events.SEND]
     retry = fx.emitted[-1]
     assert retry.target == 0 and retry.payload == 0
-    assert retry.time == pipe.shaper.earliest_ready_ns(1400, 500)
+    assert retry.time == shaper.earliest_ready_ns(st, 1400, 500)
     assert pipe.blocked_episodes == 1
 
 
@@ -207,17 +209,18 @@ def test_late_high_priority_packet_jumps_the_retry():
     pipe = lp.pipelines[0]
     # a best-effort packet is blocked behind an empty shaper, retry pending
     low = Packet(1, 0, 1, 1400, 0, created_ns=0, class_index=2, color=0)
-    pipe.queues[2].push(low)
+    st, shaper = pipe.st, pipe.tier.shaper
+    pipe.tier.queues[2].push(st, pipe.pkts[2], low)
     pipe.send_flag = True
-    pipe.shaper.tokens_scaled = 0
-    pipe.shaper.last_update_ns = 100
+    st[shaper.i] = 0
+    st[shaper.i + 1] = 100
     # an EF packet arrives while the retry is outstanding: queued, no events
     high = Packet(2, 0, 1, 1400, 46, created_ns=0)
     fx = dispatch(lp, _arrive(high, 0, t=200), model.ctx)
     assert fx.emitted == []
     # when the retry fires with tokens, the high-priority packet leaves first
-    pipe.shaper.tokens_scaled = 2 * 1400 * TOKEN_SCALE
-    pipe.shaper.last_update_ns = 5000
+    st[shaper.i] = 2 * 1400 * TOKEN_SCALE
+    st[shaper.i + 1] = 5000
     fx = dispatch(lp, _send(0, 0, t=5000), model.ctx)
     sent = [em.payload.pid for em in fx.emitted if em.kind == events.ARRIVE]
     assert sent == [2, 1]
@@ -286,10 +289,9 @@ def test_negative_token_interval_is_a_model_error():
 
 
 # left out of _state: shared immutable configuration, the RNG's prefix cache
-# (derived from the seed and the LP id) and the QoS element views, whose
-# numbers and packets are the pipeline's st and pkts
-_NOT_STATE = ("link", "profile", "classify", "params", "prefixes", "shaper", "queues",
-              "srtcm", "red")
+# (derived from the seed and the LP id) and the tier's QoS elements, which
+# hold only configuration and the offsets of their numbers in a port's st
+_NOT_STATE = ("link", "tier", "prefixes")
 
 
 def _state(obj):
@@ -348,53 +350,55 @@ def test_event_changes_only_its_touched_port_and_restore_undoes_it(model_kwargs)
 
 
 # EgressPipeline fields that never change after construction: the port's
-# identity and configuration, and the QoS element views into st and pkts
-PIPELINE_CONFIG = {"port", "link", "profile", "classify", "shaper", "queues", "srtcm", "red"}
+# identity and link, and its tier's shared QoS elements
+PIPELINE_CONFIG = {"port", "link", "tier"}
 # what RouterLp.clone copies of a pipeline
 PIPELINE_SAVED = {"st", "pkts"}
 
 
+def _elements(tier):
+    return [tier.shaper, *tier.queues, *tier.srtcm, *(r for row in tier.red for r in row)]
+
+
 def test_pipeline_state_is_what_the_save_copies():
-    """A pipeline field is either configuration or in the save, and the QoS
-    elements keep their numbers in the pipeline's st, so a new mutable
-    field cannot escape the save."""
+    """A pipeline field is either configuration or in the save, and a QoS
+    element holds only its configuration and the offset ``i`` of its
+    numbers in the pipeline's st, so a new mutable field cannot escape the
+    save."""
     assert set(EgressPipeline.__slots__) == PIPELINE_CONFIG | PIPELINE_SAVED
-    config = {"params", "capacity_bytes", "rate_bps", "class_index"}
+    config = {"params", "capacity_bytes", "rate_Bps", "class_index"}
     for cls in (TokenBucket, SrtcmMeter, ClassQueue, RedState):
-        # st and i place the element's numbers; packets is one of pkts
-        assert set(cls.__slots__) <= config | {"st", "i", "packets"}, cls
+        # no st and no packets: those are each port's own
+        assert "i" in cls.__slots__ and set(cls.__slots__) <= config | {"i"}, cls
     model = single_flow_model(line_topology(2), 0, 1)
     lp = model.lps[0]
     pipe = lp.pipelines[0]
-    views = [pipe.shaper, *pipe.queues, *pipe.srtcm, *(r for row in pipe.red for r in row)]
-    assert all(v.st is pipe.st for v in views)
-    assert [id(q.packets) for q in pipe.queues] == [id(p) for p in pipe.pkts]
-    pipe.queues[1].push(Packet(7, 0, 1, 1400, 26, created_ns=0))
+    pipe.tier.queues[1].push(pipe.st, pipe.pkts[1], Packet(7, 0, 1, 1400, 26, created_ns=0))
     port, st, pkts, *_ = lp.clone(0)
     assert port == 0
     assert st == pipe.st and st is not pipe.st
     assert pkts == pipe.pkts and all(a is not b for a, b in zip(pkts, pipe.pkts))
     # with every class queue empty the save holds None for the packet lists
-    pipe.queues[1].pop(0)
+    pipe.tier.queues[1].pop(pipe.st, pipe.pkts[1], 0)
     assert lp.clone(0)[2] is None
 
 
 def test_pipelines_of_one_tier_share_a_layout_but_no_state():
-    """build_model lays each profile's numbers out once: every pipeline
-    starts from a copy of the same numbers, with its elements at the same
-    offsets, and shares no mutable list with another pipeline."""
+    """build_model builds each tier's QoS elements once: every pipeline of
+    the tier holds the same element objects and starts from a copy of the
+    tier's initial numbers, and shares no mutable list with another
+    pipeline or with the tier."""
     model = single_flow_model(line_topology(3), 0, 2)
     pipes = [p for lp in model.lps.values() for p in lp.pipelines]
-    fresh = EgressPipeline(0, None, pipes[0].profile)
+    assert len({model.topology.tiers[n] for n in model.lps}) == 1 and len(pipes) == 4
+    tier = pipes[0].tier
+    fresh = TierQos(tier.profile)
+    assert [e.i for e in _elements(tier)] == [e.i for e in _elements(fresh)]
     for pipe in pipes:
-        assert pipe.st == fresh.st
-        views = [pipe.shaper, *pipe.queues, *pipe.srtcm, *(r for row in pipe.red for r in row)]
-        fresh_views = [fresh.shaper, *fresh.queues, *fresh.srtcm,
-                       *(r for row in fresh.red for r in row)]
-        assert [v.i for v in views] == [v.i for v in fresh_views]
-        assert all(v.st is pipe.st for v in views)
-        assert [id(q.packets) for q in pipe.queues] == [id(p) for p in pipe.pkts]
-    lists = [id(p.st) for p in pipes] + [id(q) for p in pipes for q in p.pkts]
+        assert all(a is b for a, b in zip(_elements(pipe.tier), _elements(tier)))
+        assert pipe.st == fresh.initial == tier.initial
+        assert pipe.pkts == [[], [], []]
+    lists = [id(tier.initial)] + [id(p.st) for p in pipes] + [id(q) for p in pipes for q in p.pkts]
     assert len(set(lists)) == len(lists)
 
 
@@ -409,7 +413,7 @@ def test_restore_empties_queues_that_were_empty_at_the_save():
     assert any(pipe.pkts)
     lp.restore(saved)
     assert pipe.pkts == [[], [], []]
-    assert [q.byte_length for q in pipe.queues] == [0, 0, 0]
+    assert [pipe.st[q.i] for q in pipe.tier.queues] == [0, 0, 0]
     assert _state(lp) == before
 
 

@@ -138,13 +138,13 @@ def test_per_tier_qos_overrides():
     cfg = load_scenario(None, {
         "qos": {
             "default": {"queue_capacity_bytes": 10_000},
-            "tiers": {"kernel": {"shaper_rate_bps": 999}},
+            "tiers": {"kernel": {"shaper_rate_Bps": 999}},
         },
     })
     profiles = build_profiles(cfg)
     assert profiles[NodeTier.ACCESS].queue_capacity_bytes == 10_000
-    assert profiles[NodeTier.ACCESS].shaper_rate_bps == 1_250_000_000
-    assert profiles[NodeTier.KERNEL].shaper_rate_bps == 999
+    assert profiles[NodeTier.ACCESS].shaper_rate_Bps == 1_250_000_000
+    assert profiles[NodeTier.KERNEL].shaper_rate_Bps == 999
     assert profiles[NodeTier.KERNEL].queue_capacity_bytes == 10_000
 
 
@@ -168,8 +168,8 @@ def test_explicit_red_and_srtcm_blocks():
             "classifier": {46: 0},
             "default_class": 1,
             "srtcm": [
-                {"cir_bps": 1000, "cbs_bytes": 2000, "ebs_bytes": 3000},
-                {"cir_bps": 1000, "cbs_bytes": 2000, "ebs_bytes": 3000},
+                {"cir_Bps": 1000, "cbs_bytes": 2000, "ebs_bytes": 3000},
+                {"cir_Bps": 1000, "cbs_bytes": 2000, "ebs_bytes": 3000},
             ],
             "red": {"green": [100, 200, 0.5]},
         }},
@@ -204,7 +204,7 @@ def test_effective_config_loads_back_to_the_same_cfg(tmp_path):
                               {"src": 4, "dst": 1, "rate_pps": 20_000}]},
         "qos": {"default": {"queue_capacity_bytes": 30_000},
                 "tiers": {"kernel": {
-                    "srtcm": [{"cir_bps": 10**6, "cbs_bytes": 4_000, "ebs_bytes": 8_000}] * 3,
+                    "srtcm": [{"cir_Bps": 10**6, "cbs_bytes": 4_000, "ebs_bytes": 8_000}] * 3,
                     "red": {"green": [1_000, 20_000, 0.1, 0.01]}}}},
         "run": {"end_ns": 200_000, "mode": MODE_OPTIMISTIC, "partitions": {"k": 2},
                 "knobs": {"gvt_interval": 64, "batch_size": 3}},
