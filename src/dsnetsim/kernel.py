@@ -10,6 +10,12 @@ carries the key of the event it cancels. The sender sequence counter is
 part of each LP's saved state so a rolled-back LP re-emits byte-identical
 events.
 
+The sequential scheduler keeps no history: it passes one ``router.Effects``
+to every ``dispatch`` of the run (``fx=``), whose ``records`` collect the
+run's records and whose ``emitted`` it pushes and empties after each event,
+and it counts each LP's events in a dict keyed by every LP, dropping the
+LPs that ran none at the end.
+
 Before each event the engine saves only what that event can change:
 ``dispatch(lp, ev, ctx, True)`` resolves the one port the event touches
 and saves its pipeline, as a copy of its flat state list and of its
@@ -122,27 +128,27 @@ def run_sequential(model: Model) -> RunReport:
     t0 = _time.perf_counter()
     heap = [(ev.key, ev) for ev in model.bootstrap]
     heapq.heapify(heap)
-    records = []
-    processed = 0
-    per_lp: dict[int, int] = {}
+    heappop = heapq.heappop
+    heappush = heapq.heappush
     lps = model.lps
+    per_lp = dict.fromkeys(lps, 0)
+    fx = Effects()  # the whole run's: its records, and each event's emissions
+    emitted = fx.emitted
     while heap:
-        key, ev = heap[0]
+        ev = heap[0][1]
         if ev.time > end:
             break
-        heapq.heappop(heap)
-        lp = lps[ev.target]
-        fx = dispatch(lp, ev, ctx)
-        processed += 1
-        per_lp[ev.target] = per_lp.get(ev.target, 0) + 1
-        if fx.records:
-            records.extend(fx.records)
-        for em in fx.emitted:
+        heappop(heap)
+        target = ev.target
+        dispatch(lps[target], ev, ctx, False, fx)
+        per_lp[target] += 1
+        for em in emitted:
             assert em.time >= ev.time, f"event scheduled in the past: {em} from {ev}"
-            heapq.heappush(heap, (em.key, em))
-    return finalize(model.scenario_id, records, _generated(model), {
-        "committed_events": processed,
-        "per_lp_events": per_lp,
+            heappush(heap, (em.key, em))
+        emitted.clear()
+    return finalize(model.scenario_id, fx.records, _generated(model), {
+        "committed_events": sum(per_lp.values()),
+        "per_lp_events": {n: count for n, count in per_lp.items() if count},
         "port_audit": _port_audit(model.lps),
     }, _time.perf_counter() - t0)
 

@@ -10,14 +10,18 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class MetricsError(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class PacketRecord:
+class PacketRecord(NamedTuple):
+    """One packet's fate, its fields in ``records.csv`` column order: either
+    delivered at ``delivered_ns`` or dropped at ``drop_node`` by
+    ``drop_stage``, the other two being None."""
+
     pid: int
     src: int
     dst: int
@@ -71,17 +75,20 @@ def finalize(scenario_id: str, records: list[PacketRecord], generated: int,
     as :class:`RunReport`'s fields (an unknown name raises ``TypeError``);
     delay and jitter are absent (None) with zero delivered packets rather
     than reported as zero."""
-    delivered = [r for r in records if r.delivered]
-    dropped = len(records) - len(delivered)
+    # (delivered_ns, pid, delay) of each delivered packet, in record order
+    arrivals = [(r.delivered_ns, r.pid, r.delivered_ns - r.created_ns)
+                for r in records if r.delivered_ns is not None]
+    dropped = len(records) - len(arrivals)
     mean_delay = jitter = jitter_rfc = None
-    if delivered:
-        delays = [r.delay_ns for r in delivered]
+    if arrivals:
+        delays = [a[2] for a in arrivals]
         mean_delay = sum(delays) / len(delays)
         jitter = math.sqrt(sum((d - mean_delay) ** 2 for d in delays) / len(delays))
         j = 0.0
-        ordered = sorted(delivered, key=lambda r: (r.delivered_ns, r.pid))
+        # RFC 3550 order: by delivery time, then packet id
+        ordered = [a[2] for a in sorted(arrivals)]
         for prev, cur in zip(ordered, ordered[1:]):
-            j += (abs(cur.delay_ns - prev.delay_ns) - j) / 16.0
+            j += (abs(cur - prev) - j) / 16.0
         jitter_rfc = j
     return RunReport(
         scenario_id=scenario_id,
@@ -91,7 +98,7 @@ def finalize(scenario_id: str, records: list[PacketRecord], generated: int,
         jitter_ns=jitter,
         jitter_rfc3550_ns=jitter_rfc,
         drop_rate=(dropped / generated) if generated else 0.0,
-        delivered=len(delivered),
+        delivered=len(arrivals),
         dropped=dropped,
         wall_clock_s=wall_clock_s,
         **counts,
@@ -142,13 +149,8 @@ def write_records_csv(path: str, records: list[PacketRecord]):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(RECORD_HEADER)
-        for r in sorted(records, key=record_sort_key):
-            w.writerow([
-                r.pid, r.src, r.dst, r.class_index, r.color, r.created_ns,
-                "" if r.delivered_ns is None else r.delivered_ns,
-                "" if r.drop_node is None else r.drop_node,
-                r.drop_stage or "",
-            ])
+        # a record's fields are the columns; csv writes None as ""
+        w.writerows(sorted(records, key=record_sort_key))
 
 
 def read_records_csv(path: str) -> list[PacketRecord]:

@@ -154,16 +154,16 @@ class SrtcmMeter:
 # class queues
 
 class ClassQueue:
-    """Byte-bounded FIFO for one priority class (0 = highest priority).
+    """Byte-bounded FIFO for one priority class; its class is its index in
+    the tier's queues (0 = highest priority).
 
     State: the packet list ``packets``, ``st[i]`` queued bytes, ``st[i + 1]``
     virtual time the queue last became empty.
     """
 
-    __slots__ = ("class_index", "capacity_bytes", "i")
+    __slots__ = ("capacity_bytes", "i")
 
-    def __init__(self, class_index: int, capacity_bytes: int, st: list):
-        self.class_index = class_index
+    def __init__(self, capacity_bytes: int, st: list):
         self.capacity_bytes = capacity_bytes
         self.i = len(st)
         st += (0, 0)

@@ -23,8 +23,9 @@ queue that has never held a byte enqueues without the EWMA arithmetic
 (:meth:`qos.RedState.decide`).
 
 All handler effects are appended to an :class:`Effects` value and all state
-mutation stays inside this LP; the optimistic kernel keeps that value as
-the event's history entry. One event changes at most one egress pipeline,
+mutation stays inside this LP; the optimistic kernel keeps one value per
+event as the event's history entry, and the sequential loop passes one
+value for the whole run. One event changes at most one egress pipeline,
 the event's port, plus the RNG cursors, the ``seq`` counter and a flow's
 ``pkt_seq``. :func:`dispatch` resolves that port once, from the packet's
 route for ARRIVE and GENERATE or the payload for SEND and REFILL, and
@@ -34,6 +35,17 @@ tier's, shared and immutable (:class:`TierQos`); its mutable state is one
 flat list of numbers and one packet list per class (:class:`EgressPipeline`),
 so a save is a few list copies, and a rollback writes them back
 (:meth:`RouterLp.restore`).
+
+A hop forwards the :class:`Packet` object it received, not a copy, and a
+save holds the queued packets' objects. That is safe because a hop writes
+only ``class_index`` and ``color``, and writes both before it reads them;
+routes are static and loop-free; the only reader across hops is the record
+at the destination (or at a node with no route), which reads the last
+router's write. In an optimistic run, every re-execution of a hop for a
+packet comes after the anti-message that annihilates the packet's
+downstream chain (channels are FIFO and local cancels run at once), so
+a record that read the write of a re-executed hop belongs to that chain
+and never commits.
 """
 
 from __future__ import annotations
@@ -68,21 +80,18 @@ class Packet:
         self.color = color
         self.created_ns = created_ns
 
-    def copy(self) -> "Packet":
-        return Packet(self.pid, self.src, self.dst, self.size, self.ds,
-                      self.created_ns, self.class_index, self.color)
-
     def __repr__(self):
         return f"Packet({self.pid} {self.src}->{self.dst} {self.size}B ds={self.ds})"
 
 
 class Effects:
-    """What one event handler produced: emissions and terminal packet
-    records. The optimistic kernel keeps it as the history entry of the
-    event: it sets ``event``, and ``dispatch(..., save=True)`` sets
-    ``saved``, the LP's save from before the event (:meth:`RouterLp.clone`),
-    which undoes it. A sequential run never reads them, so nothing else sets
-    them."""
+    """What event handlers produced: emissions and terminal packet records.
+    The optimistic kernel gives each event its own and keeps it as the
+    event's history entry: it sets ``event``, and ``dispatch(...,
+    save=True)`` sets ``saved``, the LP's save from before the event
+    (:meth:`RouterLp.clone`), which undoes it. A sequential run passes one
+    to every ``dispatch``: ``records`` collects the run's records and
+    ``emitted`` is emptied after each event; it never sets the other two."""
 
     __slots__ = ("event", "saved", "emitted", "records")
 
@@ -121,8 +130,8 @@ class TierQos:
         self.classify = profile.classifier.classify  # DS value -> class
         st = self.initial = [False, 0, 0, 0, 0, 0]
         self.shaper = TokenBucket(profile.shaper_burst_bytes, profile.shaper_rate_Bps, st)
-        self.queues = [ClassQueue(c, profile.queue_capacity_bytes, st)
-                       for c in range(profile.num_classes)]
+        self.queues = [ClassQueue(profile.queue_capacity_bytes, st)
+                       for _ in range(profile.num_classes)]
         self.srtcm = [SrtcmMeter(p, st) for p in profile.srtcm]
         self.red = [[RedState(p, st) for p in per_class] for per_class in profile.red]
 
@@ -274,7 +283,7 @@ def handle_arrive(lp: RouterLp, pkt: Packet, port: int | None, now: int, fx: Eff
     if shaper.take(st, size):
         # on the wire in place, as transmit() would put it: the queue is
         # left as a push and pop at ``now`` leave it (empty_since_ns), and
-        # a copy arrives at the far end after its transmission time
+        # the packet arrives at the far end after its transmission time
         # (transmission_ns) plus the link's delay
         st[queue.i + 1] = now
         link = pipe.link
@@ -282,11 +291,11 @@ def handle_arrive(lp: RouterLp, pkt: Packet, port: int | None, now: int, fx: Eff
         lp.seq = seq + 1
         fx.emitted.append(events.Event(
             now + -(-size * 8_000_000_000 // link.bandwidth_bps) + link.delay_ns,
-            link.dst, events.ARRIVE, pkt.copy(), lp.node, seq))
+            link.dst, events.ARRIVE, pkt, lp.node, seq))
         return
     queue.push(st, pipe.pkts[cls], pkt)
     st[SEND_FLAG] = True
-    try_to_send(lp, pipe, now, fx, ctx)
+    try_to_send(lp, pipe, cls, now, fx, ctx)
 
 
 def handle_send(lp: RouterLp, _payload, port: int, now: int, fx: Effects, ctx):
@@ -297,48 +306,48 @@ def handle_send(lp: RouterLp, _payload, port: int, now: int, fx: Effects, ctx):
         st[STALE_SENDS] += 1
         return
     st[SEND_COUNT] += 1
-    if strict_priority_select(pipe.pkts) is None:
+    cls = strict_priority_select(pipe.pkts)
+    if cls is None:
         st[REDUNDANT_SENDS] += 1
-    try_to_send(lp, pipe, now, fx, ctx)
+    try_to_send(lp, pipe, cls, now, fx, ctx)
 
 
 def transmit(lp: RouterLp, pipe: EgressPipeline, pkt: Packet, now: int, fx: Effects):
-    """Put ``pkt`` on the port's link at ``now``: a copy of it arrives at
-    the far end after its transmission time plus the link's delay. The
-    cut-through hop of :func:`handle_arrive` does the same in place."""
+    """Put ``pkt`` on the port's link at ``now``: it arrives at the far end
+    after its transmission time plus the link's delay. The cut-through hop
+    of :func:`handle_arrive` does the same in place."""
     link = pipe.link
     lp.emit(fx, now + transmission_ns(pkt.size, link.bandwidth_bps) + link.delay_ns,
-            link.dst, events.ARRIVE, pkt.copy())
+            link.dst, events.ARRIVE, pkt)
 
 
-def try_to_send(lp: RouterLp, pipe: EgressPipeline, now: int, fx: Effects, ctx):
-    """Drain the port while the shaper permits; on a token shortfall,
-    schedule one retry at the earliest sufficiency time (lazy mode) or wait
-    for the next periodic refill (baseline mode). The send flag stays set
-    until the port goes idle."""
+def try_to_send(lp: RouterLp, pipe: EgressPipeline, cls: int | None, now: int,
+                fx: Effects, ctx):
+    """Drain the port while the shaper permits, from class ``cls`` on (the
+    port's :func:`strict_priority_select`, None when every queue is
+    empty); on a token shortfall, schedule one retry at the earliest
+    sufficiency time (lazy mode) or wait for the next periodic refill
+    (baseline mode). The send flag stays set until the port goes idle."""
     shaper = pipe.tier.shaper
     queues = pipe.tier.queues
     st = pipe.st
     pkts = pipe.pkts
-    while True:
-        cls = strict_priority_select(pkts)
-        if cls is None:
-            st[SEND_FLAG] = False
-            return
+    while cls is not None:
         if not ctx.token_interval_ns:
             shaper.refill(st, now)
         queue = queues[cls]
         packets = pkts[cls]
         head = queue.head(packets)
-        if shaper.take(st, head.size):
-            transmit(lp, pipe, queue.pop(st, packets, now), now, fx)
-            continue
-        if not ctx.token_interval_ns:
-            retry = shaper.earliest_ready_ns(st, head.size, now)
-            st[BLOCKED_EPISODES] += 1
-            lp.emit(fx, retry, lp.node, events.SEND, pipe.port)
-        # baseline mode: the next REFILL tick re-runs try_to_send
-        return
+        if not shaper.take(st, head.size):
+            if not ctx.token_interval_ns:
+                retry = shaper.earliest_ready_ns(st, head.size, now)
+                st[BLOCKED_EPISODES] += 1
+                lp.emit(fx, retry, lp.node, events.SEND, pipe.port)
+            # baseline mode: the next REFILL tick re-runs try_to_send
+            return
+        transmit(lp, pipe, queue.pop(st, packets, now), now, fx)
+        cls = strict_priority_select(pkts)
+    st[SEND_FLAG] = False
 
 
 def handle_refill(lp: RouterLp, _payload, port: int, now: int, fx: Effects, ctx):
@@ -349,7 +358,7 @@ def handle_refill(lp: RouterLp, _payload, port: int, now: int, fx: Effects, ctx)
     if nxt <= ctx.end_time_ns:
         lp.emit(fx, nxt, lp.node, events.REFILL, port)
     if pipe.st[SEND_FLAG]:
-        try_to_send(lp, pipe, now, fx, ctx)
+        try_to_send(lp, pipe, strict_priority_select(pipe.pkts), now, fx, ctx)
 
 
 def handle_generate(lp: RouterLp, flow_idx: int, port: int | None, now: int,
@@ -382,8 +391,10 @@ _HANDLERS = tuple({
 }[kind] for kind in range(4))
 
 
-def dispatch(lp: RouterLp, ev, ctx, save: bool = False) -> Effects:
-    """Run the handler for one positive event; returns its effects.
+def dispatch(lp: RouterLp, ev, ctx, save: bool = False, fx: Effects | None = None) -> Effects:
+    """Run the handler for one positive event; returns its effects, which
+    it appends to ``fx`` when given (a sequential run passes one for the
+    whole run), else to a new :class:`Effects`.
 
     The event's port is the only pipeline it can change: the route of its
     packet's destination for ARRIVE and GENERATE (None when the packet is
@@ -398,7 +409,8 @@ def dispatch(lp: RouterLp, ev, ctx, save: bool = False) -> Effects:
         port = lp.route_row.get(lp.flows[payload].dst)
     else:
         port = payload  # SEND and REFILL carry their port
-    fx = Effects()
+    if fx is None:
+        fx = Effects()
     if save:
         fx.saved = lp.clone(port)
     _HANDLERS[kind](lp, payload, port, ev.time, fx, ctx)

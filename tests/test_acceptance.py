@@ -208,6 +208,18 @@ def test_vertex_event_plan_profiles_the_scenario_itself():
     assert build_plan(cfg, topo).assignment == expected.assignment
 
 
+def test_vertex_event_plan_of_the_straggler_benchmark_is_pinned():
+    # the benchmark's straggler-k4 scenario (A5's flows, 300 us, k=4): its
+    # plan weighs each node by the events of the profiling run
+    cfg = _skewed_cfg()
+    cfg["run"].update(end_ns=300_000, seed=8)
+    cfg["traffic"]["seed"] = 8
+    cfg["run"]["partitions"].update(k=4, strategy=WeightModel.VERTEX_EVENT.value)
+    plan = build_plan(cfg, build_topology(cfg))
+    assert "".join(str(plan.assignment[n]) for n in sorted(plan.assignment)) == (
+        "02322110321133111131111331111331313331333230222230")
+
+
 def test_A6_qos_conformance_against_tick_oracle():
     rnd = random.Random(20_260_824)
     params = SrtcmParams(cir_Bps=313, cbs_bytes=4000, ebs_bytes=9000)
@@ -242,14 +254,14 @@ def test_A6_qos_conformance_against_tick_oracle():
     for _ in range(2_000):
         st = []
         s = RedState(p, st)
-        q = ClassQueue(0, 64 * 1024, st)
+        q = ClassQueue(64 * 1024, st)
         st[s.i] = rnd.uniform(0, 1999)
         u = rnd.random()
         if s.decide(st, q, q.fits(st, 100), 1, StubRng(u), 0) != ENQUEUE:
             red_violations += 1
         st2 = []
         s2 = RedState(p, st2)
-        q2 = ClassQueue(0, 64 * 1024, st2)
+        q2 = ClassQueue(64 * 1024, st2)
         q2.push(st2, [], type("P", (), {"size": 8000})())
         st2[s2.i] = rnd.uniform(8100, 20000)
         u = rnd.random()

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from dsnetsim import events, scenario
+from dsnetsim import events, kernel, scenario
 from dsnetsim.kernel import (
     INF, KernelError, Knobs, Partition, _compute_gvt, run_optimistic,
     run_sequential,
@@ -15,6 +15,7 @@ from dsnetsim.partition import PartitionPlan, partition_balanced
 from dsnetsim.router import Packet
 from dsnetsim.routing import compute_routes
 from dsnetsim.model import build_model, lookahead_ns
+from dsnetsim.qos import SrtcmParams, make_profile
 from dsnetsim.topology import NodeTier, Topology, generate_synthetic_topology
 from dsnetsim.traffic import Flow, TrafficSpec
 from conftest import WINDOWS, bidirectional, line_topology, single_flow_model, tight_shaper_profiles
@@ -302,6 +303,59 @@ def test_an_anti_reaches_its_positive_before_a_resent_one(jitter, schedule_seed,
     assert any(seq.count(events.POSITIVE) > 1 for seq in signs.values())
 
 
+def _two_way_line_model():
+    """0 - 1 - 2 - 3 with flows 0 -> 3 and 3 -> 0. The middle nodes' tiers
+    put DS 0 in classes 1 and 0, and their meters mark at a third of the
+    offered rate, so consecutive hops write different classes and colours
+    into a packet."""
+    tiers = (NodeTier.ACCESS, NodeTier.MIXED, NodeTier.KERNEL, NodeTier.ACCESS)
+    topo = Topology([(n, tier, 1 if n in (0, 3) else 2) for n, tier in enumerate(tiers)],
+                    bidirectional(0, 1, 0, 0) + bidirectional(1, 2, 1, 0)
+                    + bidirectional(2, 3, 1, 0))
+    srtcm = [SrtcmParams(cir_Bps=500_000_000, cbs_bytes=3_000, ebs_bytes=6_000)] * 3
+    profiles = {tier: make_profile(classifier_map=ds_map, srtcm=srtcm) for tier, ds_map in (
+        (NodeTier.ACCESS, None), (NodeTier.MIXED, {0: 1}), (NodeTier.KERNEL, {0: 0}))}
+    spec = TrafficSpec(pattern="explicit", packet_size=1400, flows=(
+        Flow(0, 3, 1_000_000, 0), Flow(3, 0, 1_000_000, 0)))
+    return build_model(topo, compute_routes(topo), spec, end_time_ns=50_000, seed=42,
+                       profiles=profiles)
+
+
+def test_a_hop_rerun_after_the_next_hop_ran_on_the_same_packet(monkeypatch):
+    """A hop forwards the packet object it received, no copy. Unbounded,
+    with one node per partition, a middle hop rolls back and runs again on
+    a packet the next hop has already processed, and overwrites the class
+    and colour that hop wrote; the committed records are still the
+    sequential loop's."""
+    hops = []  # (node, packet) of every ARRIVE dispatched
+    dispatch = kernel.dispatch
+
+    def logging(lp, ev, ctx, *args):
+        if ev.kind == events.ARRIVE:
+            hops.append((lp.node, ev.payload))
+        return dispatch(lp, ev, ctx, *args)
+
+    monkeypatch.setattr(kernel, "dispatch", logging)
+    rep = run_optimistic(_two_way_line_model(), {n: n for n in range(4)},
+                         Knobs(gvt_interval=64, batch_size=4, schedule_seed=3, jitter=2),
+                         unbounded=True)
+    monkeypatch.undo()
+    visits: dict = {}  # packet object -> the nodes that ran it, in order
+    reruns = 0
+    for node, pkt in hops:
+        seen = visits.setdefault(pkt, [])
+        if node in (1, 2) and node in seen:
+            last = len(seen) - 1 - seen[::-1].index(node)
+            next_hop = node + 1 if pkt.dst > node else node - 1
+            reruns += next_hop in seen[last + 1:]
+        seen.append(node)
+    assert reruns > 0
+    seq = run_sequential(_two_way_line_model())
+    assert {(r.class_index, r.color) for r in seq.records} >= {(0, 0), (1, 0), (0, 2), (1, 2)}
+    assert len(rep.records) == len(seq.records)
+    assert compare_reports(seq, rep)["record_diff_count"] == 0
+
+
 @pytest.mark.parametrize("window", WINDOWS)
 @pytest.mark.parametrize("k, relabel", [(4, {}), (3, {1: 2})])
 def test_a_plan_with_empty_partitions_runs_them_idle(k, relabel, window):
@@ -542,6 +596,18 @@ def test_commit_counts_match_sequential(k, window):
     assert rep.per_lp_events == seq.per_lp_events
     assert rep.generated == seq.generated
     assert rep.committed_events == seq.committed_events
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_per_lp_events_list_only_the_lps_that_ran(window):
+    # on a 0-1-2-3 line a flow 0 -> 1 gives nodes 2 and 3 no event
+    seq = run_sequential(single_flow_model(line_topology(4), 0, 1))
+    assert set(seq.per_lp_events) == {0, 1} and 0 not in seq.per_lp_events.values()
+    assert sum(seq.per_lp_events.values()) == seq.committed_events
+    rep = run_optimistic(single_flow_model(line_topology(4), 0, 1), {0: 0, 1: 0, 2: 1, 3: 1},
+                         Knobs(gvt_interval=128, batch_size=8),
+                         unbounded=window == "unbounded")
+    assert rep.per_lp_events == seq.per_lp_events
 
 
 # the benchmark's opt-k4 scenario (1 ms, k=4 no-weights plan) run without

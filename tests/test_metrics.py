@@ -76,6 +76,45 @@ def test_records_csv_round_trip(tmp_path):
     assert loaded == sorted(records, key=lambda r: r.pid)
 
 
+def test_records_csv_golden_bytes(tmp_path):
+    # one row per record in pid order, a None field an empty cell
+    records = [
+        PacketRecord(4, 0, 3, 2, 0, 10, 1_458, None, None),
+        PacketRecord(1, 0, 3, 1, 2, 20, None, 1, "red"),
+        PacketRecord(3, 5, 3, 0, 1, 30, None, 2, "queue"),
+        PacketRecord(2, 5, 9, -1, -1, 40, None, 5, "routing"),
+    ]
+    path = tmp_path / "records.csv"
+    write_records_csv(str(path), records)
+    assert path.read_bytes() == (
+        b"pkt_id,src,dst,class,color,created_ns,delivered_ns,drop_node,drop_stage\r\n"
+        b"1,0,3,1,2,20,,1,red\r\n"
+        b"2,5,9,-1,-1,40,,5,routing\r\n"
+        b"3,5,3,0,1,30,,2,queue\r\n"
+        b"4,0,3,2,0,10,1458,,\r\n")
+
+
+def test_rfc3550_jitter_orders_equal_delivery_times_by_pid():
+    # pids 1 and 2 both arrive at 100 ns (delays 10 and 50), pid 3 at 200
+    # (delay 20): in (delivered_ns, pid) order the delay steps are 40, 30
+    records = [_delivered(2, 50, 100), _delivered(3, 180, 200), _delivered(1, 90, 100)]
+    j = 40 / 16
+    j += (30 - j) / 16
+    assert finalize("s", records, 3, {}, 0.0).jitter_rfc3550_ns == j
+
+
+def test_packet_record_keywords_equality_and_hash():
+    # read_records_csv builds records by keyword; compare_reports compares
+    by_keyword = PacketRecord(pid=1, src=0, dst=3, class_index=2, color=0, created_ns=10,
+                              delivered_ns=1_458, drop_node=None, drop_stage=None)
+    positional = PacketRecord(1, 0, 3, 2, 0, 10, 1_458, None, None)
+    assert by_keyword == positional and hash(by_keyword) == hash(positional)
+    assert len({by_keyword, positional}) == 1
+    assert by_keyword != PacketRecord(1, 0, 3, 2, 1, 10, 1_458, None, None)
+    assert by_keyword.delivered and by_keyword.delay_ns == 1_448
+    assert not _dropped(2).delivered
+
+
 def test_finalize_rejects_an_unknown_count_name():
     with pytest.raises(TypeError, match="comitted_events"):
         finalize("s", [], 0, {"comitted_events": 12}, 0.0)

@@ -89,7 +89,7 @@ def test_elements_append_their_numbers_after_what_the_list_holds():
     st = ["x"]
     b = TokenBucket(700, 100, st)
     m = SrtcmMeter(SrtcmParams(100, 2000, 3000), st)
-    q = ClassQueue(0, 1000, st)
+    q = ClassQueue(1000, st)
     r = RedState(RedParams(100, 200, 0.1), st)
     assert [b.i, m.i, q.i, r.i] == [1, 3, 6, 8]
     assert st == ["x", 700 * TOKEN_SCALE, 0, 2000 * TOKEN_SCALE, 3000 * TOKEN_SCALE, 0,
@@ -221,7 +221,7 @@ class _P:
 def _queue_with_bytes(st, nbytes, capacity=64 * 1024):
     """A queue whose numbers are appended to ``st``, holding one packet of
     ``nbytes`` (none for 0); returns the queue and its packet list."""
-    q = ClassQueue(0, capacity, st)
+    q = ClassQueue(capacity, st)
     packets = []
     if nbytes:
         q.push(st, packets, _P(nbytes))
@@ -246,7 +246,7 @@ def test_strict_priority_class_zero_wins():
 
 def test_queue_byte_bound():
     st = []
-    q = ClassQueue(0, 1000, st)
+    q = ClassQueue(1000, st)
     assert q.fits(st, 1000)
     assert not q.fits(st, 1001)
     q.push(st, [], _P(600))
@@ -338,7 +338,7 @@ def test_red_matches_formula_oracle():
     p = RedParams(2000, 8000, 0.2, weight=0.01, mean_pkt_time_ns=100)
     st = []
     s = RedState(p, st)
-    q = ClassQueue(0, 16 * 1024, st)
+    q = ClassQueue(16 * 1024, st)
     packets = []
 
     avg = 0.0
@@ -388,7 +388,7 @@ def test_red_idle_shortcut_leaves_what_the_full_path_leaves(idle_ns):
     p = RedParams(1, 15000, 0.1, weight=0.002, mean_pkt_time_ns=1000)
     st = []
     s = RedState(p, st)
-    q = ClassQueue(0, 64 * 1024, st)
+    q = ClassQueue(64 * 1024, st)
     st[q.i + 1] = 500
     now = 500 + idle_ns
     avg = st[s.i]
@@ -409,7 +409,7 @@ def test_red_with_min_th_zero_runs_the_full_path_on_an_idle_queue():
     # (at p_a = 0): the draw is taken and the enqueue streak grows
     st = []
     s = RedState(RedParams(0, 15000, 0.1), st)
-    q = ClassQueue(0, 64 * 1024, st)
+    q = ClassQueue(64 * 1024, st)
     rng = StubRng(0.5)
     for n in range(1, 4):
         assert s.decide(st, q, q.fits(st, 1400), n * 1000, rng, n) == ENQUEUE
@@ -422,7 +422,7 @@ def test_red_on_a_drained_queue_takes_the_decay_path():
     p = RedParams(5000, 15000, 0.1, weight=0.002, mean_pkt_time_ns=1000)
     st = []
     s = RedState(p, st)
-    q = ClassQueue(0, 64 * 1024, st)
+    q = ClassQueue(64 * 1024, st)
     packets = []
     q.push(st, packets, _P(1400))
     rng = StubRng()

@@ -8,7 +8,7 @@ import pytest
 from dsnetsim import events, rng
 from dsnetsim.kernel import run_sequential
 from dsnetsim.model import ModelError, build_model
-from dsnetsim.router import EgressPipeline, Packet, TierQos, dispatch, transmission_ns
+from dsnetsim.router import Effects, EgressPipeline, Packet, TierQos, dispatch, transmission_ns
 from dsnetsim.routing import compute_routes
 from dsnetsim.qos import TOKEN_SCALE, ClassQueue, RedParams, RedState, SrtcmMeter, TokenBucket
 from dsnetsim.topology import generate_synthetic_topology
@@ -52,13 +52,26 @@ def test_forward_on_idle_port_schedules_neighbor_arrival(token_interval_ns):
     assert em.target == 1
     assert em.time == 100 + transmission_ns(1400, 25_000_000_000) + 1_000
     assert em.time == 100 + 448 + 1_000
-    # the forwarded packet is a copy, not the arriving object
-    assert em.payload is not pkt
+    # the forwarded packet is the arriving object (see the router module)
+    assert em.payload is pkt
     # the port is left as a push and pop at t=100 leave it
     queue = pipe.tier.queues[2]
     assert pipe.st[queue.i] == 0 and pipe.pkts[2] == []
     assert pipe.st[queue.i + 1] == 100
     assert not pipe.send_flag
+
+
+def test_dispatch_appends_into_the_effects_it_is_given():
+    # run_sequential passes one Effects for the whole run
+    model = single_flow_model(line_topology(2), 0, 1)
+    fx = Effects()
+    delivered = _arrive(Packet(7, 0, 1, 1400, 0, created_ns=5), 1, t=2000)
+    forwarded = _arrive(Packet(8, 0, 1, 1400, 0, created_ns=0), 0, t=100)
+    assert dispatch(model.lps[1], delivered, model.ctx, fx=fx) is fx
+    assert dispatch(model.lps[0], forwarded, model.ctx, fx=fx) is fx
+    assert [r.pid for r in fx.records] == [7]
+    assert [em.payload.pid for em in fx.emitted] == [8]
+    assert not hasattr(fx, "event") and not hasattr(fx, "saved")
 
 
 def test_arrive_with_flag_set_queues_without_new_events():
@@ -366,7 +379,7 @@ def test_pipeline_state_is_what_the_save_copies():
     numbers in the pipeline's st, so a new mutable field cannot escape the
     save."""
     assert set(EgressPipeline.__slots__) == PIPELINE_CONFIG | PIPELINE_SAVED
-    config = {"params", "capacity_bytes", "rate_Bps", "class_index"}
+    config = {"params", "capacity_bytes", "rate_Bps"}
     for cls in (TokenBucket, SrtcmMeter, ClassQueue, RedState):
         # no st and no packets: those are each port's own
         assert "i" in cls.__slots__ and set(cls.__slots__) <= config | {"i"}, cls
