@@ -56,14 +56,23 @@ events go, one ``batch_size`` batch per round in an optionally shuffled
 order with seeded transport jitter; the tests and demos use it to exercise
 rollback and anti-messages.
 
-Each partition's pending set is one heap of ``(key, Event)`` whose keys are
-unique: a cancellation takes its victim out of the heap, and outboxes are
-FIFO, so an anti-message reaches its positive before a re-sent event with
-the same key does.
+The partition, not the LP, is the rollback unit, as a kernel process is
+in ROSS: it keeps one history of its processed events in key order, and a
+straggler or an anti-message for a processed event undoes every later
+event of the partition, whatever its LP. So every pending key is above
+every processed key. Hence a local emission, always later than the event
+that makes it, is never a straggler; a cancelled key at or below the last
+processed key is a processed event, any other a pending one; and fossil
+collection commits one prefix of the history. Each partition's pending
+set is one heap of ``(key, Event)`` whose keys are unique: a cancellation
+takes its victim out of the heap, and outboxes are FIFO, so an
+anti-message reaches its positive before a re-sent event with the same
+key does.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import random
@@ -175,8 +184,10 @@ def _generated(model: Model) -> int:
 
 
 class Partition:
-    """One worker's share of the model: its LPs, pending queue, processed
-    histories, and outboxes toward other partitions."""
+    """One worker's share of the model: its LPs, its pending heap, one
+    history of its processed events, and outboxes toward other partitions.
+    The partition is the rollback unit: every pending key is above every
+    processed key (module docstring)."""
 
     def __init__(self, pid: int, lps: dict, lp_pid: dict[int, int], k: int, ctx,
                  window: float = INF):
@@ -187,8 +198,7 @@ class Partition:
         self.window = window  # run no event later than gvt + window
 
         self.pending: list = []  # heap of (key, Event); keys are unique
-        # per LP, the Effects of its processed events in key order
-        self.histories: dict[int, list[Effects]] = {n: [] for n in lps}
+        self.history: list[Effects] = []  # of the processed events, in key order
         # per destination partition, the FIFO channel toward it
         self.outboxes = [deque() for _ in range(k)]
 
@@ -199,44 +209,38 @@ class Partition:
         self.rolled_back = 0
         self.committed_events = 0
         self.committed_records: list = []
-        self.per_lp_committed: dict[int, int] = {}
-
-    @property
-    def hist_size(self) -> int:
-        return sum(map(len, self.histories.values()))
+        self.per_lp_committed = dict.fromkeys(lps, 0)
 
     @property
     def peak_history(self) -> int:
-        return max(self._peak, self.hist_size)
+        return max(self._peak, len(self.history))
 
     # -- message intake ----------------------------------------------------
 
     def receive_remote(self, ev):
         if ev.sign == events.ANTI:
             self._cancel(ev)
-        else:
-            self._insert_positive(ev)
-
-    def _insert_positive(self, ev):
+            return
         if ev.time < self.gvt:
-            raise CausalityError(
-                f"positive event below GVT {self.gvt}: {ev}")
-        hist = self.histories[ev.target]
-        if hist and hist[-1].event.key > ev.key:
-            self._rollback(ev.target, ev.key)
+            raise CausalityError(f"positive event below GVT {self.gvt}: {ev}")
+        if self.history and self.history[-1].event.key > ev.key:
+            self._rollback(ev.key)
         heapq.heappush(self.pending, (ev.key, ev))
 
     def _cancel(self, anti):
-        """Annihilate the event with the key of ``anti`` (an anti-message,
-        or a local emission an undone event made)."""
+        """Annihilate the event with the key of ``anti``: a processed one
+        when the key is at or below the last processed key, else a pending
+        one."""
         key = anti.key
+        if self.history and key <= self.history[-1].event.key:
+            self._rollback(key, annihilate=True)
+            return
         pending = self.pending
         for i, entry in enumerate(pending):
             if entry[0] == key:
-                # still pending: move the entries above it down one slot
-                # each, over it; the slots below the root stay in heap
-                # order, and heappop drops the root's stale copy (in
-                # place, as step holds the list)
+                # move the entries above it down one slot each, over it;
+                # the slots below the root stay in heap order, and heappop
+                # drops the root's stale copy
                 while i:
                     pending[i] = pending[(i - 1) // 2]
                     i = (i - 1) // 2
@@ -245,46 +249,43 @@ class Partition:
         # outboxes are FIFO, so an anti reaches its positive before a
         # re-sent event with the same key does; one that matches
         # nothing targets fossil-collected state
-        if any(entry.event.key == key for entry in reversed(self.histories[anti.target])):
-            self._rollback(anti.target, key, annihilate=True)
-            return
         raise CausalityError(f"anti-message {anti} matches no pending or processed event")
 
     # -- rollback ----------------------------------------------------------
 
-    def _rollback(self, lp_id: int, to_key, annihilate: bool = False):
-        """Undo LP ``lp_id``'s events from key ``to_key`` on and pend them
-        again, except the event at ``to_key`` itself when ``annihilate``."""
-        hist = self.histories[lp_id]
-        idx = len(hist)
-        while idx > 0 and hist[idx - 1].event.key >= to_key:
+    def _rollback(self, to_key, annihilate: bool = False):
+        """Undo the partition's events from key ``to_key`` on, newest first,
+        each restoring its own LP, and pend them again, except the event at
+        ``to_key`` itself when ``annihilate`` and the local emissions of
+        undone events, which their re-run sends again."""
+        history = self.history
+        idx = len(history)
+        while idx > 0 and history[idx - 1].event.key >= to_key:
             idx -= 1
-        undone = hist[idx:]
-        if not undone:
-            return
-        if undone[0].event.time < self.gvt:
+        undone = history[idx:]
+        if annihilate and undone[0].event.key != to_key:
             raise CausalityError(
-                f"rollback of LP {lp_id} targets time {undone[0].event.time} "
-                f"below GVT {self.gvt} (fossil-collected state)")
+                f"anti-message for {to_key} matches no pending or processed event")
         self._peak = self.peak_history
-        del hist[idx:]
-        lp = self.lps[lp_id]
+        del history[idx:]
+        lps = self.lps
         for entry in reversed(undone):
-            lp.restore(entry.saved)
+            lps[entry.event.target].restore(entry.saved)
         self.rolled_back += len(undone)
-        local_cancels = deque()
+        # every local emission of an undone event is pending or undone
+        drop = {to_key} if annihilate else set()
+        pending = self.pending
         for entry in undone:
             ev = entry.event
-            if not (annihilate and ev.key == to_key):
-                heapq.heappush(self.pending, (ev.key, ev))
+            pending.append((ev.key, ev))
             for em in entry.emitted:
                 tgt = self.lp_pid[em.target]
                 if tgt == self.pid:
-                    local_cancels.append(em)
+                    drop.add(em.key)
                 else:
                     self.outboxes[tgt].append(em.as_anti())
-        while local_cancels:
-            self._cancel(local_cancels.popleft())
+        pending[:] = [entry for entry in pending if entry[0] not in drop]
+        heapq.heapify(pending)
 
     # -- forward progress --------------------------------------------------
 
@@ -293,39 +294,30 @@ class Partition:
         later than the horizon or ``gvt + window``."""
         pending = self.pending
         lps = self.lps
-        histories = self.histories
+        history = self.history
         lp_pid = self.lp_pid
         outboxes = self.outboxes
         heappop = heapq.heappop
         heappush = heapq.heappush
         pid = self.pid
         ctx = self.ctx
-        gvt = self.gvt
         done = 0
-        limit = min(ctx.end_time_ns, gvt + self.window)
+        limit = min(ctx.end_time_ns, self.gvt + self.window)
         while done < max_events and pending:
             ev = pending[0][1]
             if ev.time > limit:
                 break
             heappop(pending)
-            target = ev.target
-            fx = dispatch(lps[target], ev, ctx, True)
+            fx = dispatch(lps[ev.target], ev, ctx, True)
             fx.event = ev
-            histories[target].append(fx)
+            history.append(fx)
             for em in fx.emitted:
                 tgt = lp_pid[em.target]
-                if tgt != pid:
-                    outboxes[tgt].append(em)
-                    continue
-                hist = histories[em.target]
-                key = em.key
-                if em.time >= gvt and not (hist and hist[-1].event.key > key):
-                    heappush(pending, (key, em))
+                if tgt == pid:
+                    # later than ev, so above every processed key
+                    heappush(pending, (em.key, em))
                 else:
-                    # a local straggler: after a rollback this LP re-executes
-                    # old events and its emissions can land behind a local
-                    # neighbour's progress
-                    self._insert_positive(em)
+                    outboxes[tgt].append(em)
             done += 1
         return done
 
@@ -335,32 +327,21 @@ class Partition:
     # -- commitment ----------------------------------------------------------
 
     def fossil_collect(self, gvt) -> int:
-        """Commit and discard history strictly below ``gvt``."""
+        """Commit and discard the history's prefix below ``gvt``."""
         self._peak = self.peak_history
-        reclaimed = 0
+        history = self.history
+        i = bisect.bisect_left(history, gvt, key=lambda entry: entry.event.time)
         records = self.committed_records
         per_lp = self.per_lp_committed
-        for lp_id, hist in self.histories.items():
-            if not hist:
-                continue
-            if hist[-1].event.time < gvt:
-                i = len(hist)
-            else:
-                i = 0
-                while hist[i].event.time < gvt:
-                    i += 1
-                if not i:
-                    continue
-            for entry in hist[:i]:
-                if entry.records:
-                    records.extend(entry.records)
-            per_lp[lp_id] = per_lp.get(lp_id, 0) + i
-            del hist[:i]
-            reclaimed += i
-        self.committed_events += reclaimed
+        for entry in history[:i]:
+            per_lp[entry.event.target] += 1
+            if entry.records:
+                records.extend(entry.records)
+        del history[:i]
+        self.committed_events += i
         if gvt is not INF:
             self.gvt = gvt
-        return reclaimed
+        return i
 
 
 # --------------------------------------------------------------------------
@@ -386,7 +367,7 @@ def _merge_reports(model: Model, parts: list[Partition], messages: int,
     per_lp: dict[int, int] = {}
     for p in parts:
         records.extend(p.committed_records)
-        per_lp.update(p.per_lp_committed)
+        per_lp.update((n, count) for n, count in p.per_lp_committed.items() if count)
     return finalize(model.scenario_id, records, _generated(model), {
         "committed_events": sum(p.committed_events for p in parts),
         "rolled_back_events": sum(p.rolled_back for p in parts),

@@ -11,8 +11,9 @@ queued on an idle port and cleared only when the port's queues are empty,
 so a clear flag means every class queue is empty. A packet that finds the
 flag clear is therefore the next to leave: if the shaper holds its tokens
 it goes on the wire at once, leaving the queue as a push and pop at the
-same time would; otherwise it is queued and :func:`try_to_send` schedules
-the retry (lazy mode) or waits for the next REFILL (periodic mode). A
+same time would; otherwise it is queued, and the retry is scheduled (lazy
+mode) or waits for the next REFILL (periodic mode) as on any token
+shortfall of :func:`try_to_send`, without consulting the shaper again. A
 packet that finds the flag set is queued for the pending try-to-send.
 
 That cut-through hop is the path nearly every routed packet takes, so
@@ -295,7 +296,7 @@ def handle_arrive(lp: RouterLp, pkt: Packet, port: int | None, now: int, fx: Eff
         return
     queue.push(st, pipe.pkts[cls], pkt)
     st[SEND_FLAG] = True
-    try_to_send(lp, pipe, cls, now, fx, ctx)
+    _blocked(lp, pipe, size, now, fx, ctx)
 
 
 def handle_send(lp: RouterLp, _payload, port: int, now: int, fx: Effects, ctx):
@@ -339,15 +340,22 @@ def try_to_send(lp: RouterLp, pipe: EgressPipeline, cls: int | None, now: int,
         packets = pkts[cls]
         head = queue.head(packets)
         if not shaper.take(st, head.size):
-            if not ctx.token_interval_ns:
-                retry = shaper.earliest_ready_ns(st, head.size, now)
-                st[BLOCKED_EPISODES] += 1
-                lp.emit(fx, retry, lp.node, events.SEND, pipe.port)
-            # baseline mode: the next REFILL tick re-runs try_to_send
+            _blocked(lp, pipe, head.size, now, fx, ctx)
             return
         transmit(lp, pipe, queue.pop(st, packets, now), now, fx)
         cls = strict_priority_select(pkts)
     st[SEND_FLAG] = False
+
+
+def _blocked(lp: RouterLp, pipe: EgressPipeline, size: int, now: int, fx: Effects, ctx):
+    """The shaper is short of tokens for the ``size``-byte head packet:
+    lazy mode schedules one retry at the earliest sufficiency time; in
+    baseline mode the next REFILL tick re-runs :func:`try_to_send`."""
+    if not ctx.token_interval_ns:
+        st = pipe.st
+        st[BLOCKED_EPISODES] += 1
+        lp.emit(fx, pipe.tier.shaper.earliest_ready_ns(st, size, now), lp.node,
+                events.SEND, pipe.port)
 
 
 def handle_refill(lp: RouterLp, _payload, port: int, now: int, fx: Effects, ctx):

@@ -74,6 +74,9 @@ _STR = (lambda v: isinstance(v, str)), "a string"
 _BOOL = (lambda v: isinstance(v, bool)), "true or false"
 _NUM = (lambda v: _is_num(v) and v >= 0), "a number >= 0"
 _POS_NUM = (lambda v: _is_num(v) and v > 0), "a number > 0"
+# above MAX_RATE_PPS a packet interval rounds to 0 ns
+_RATE = ((lambda v: _is_int(v) and 1 <= v <= traffic_mod.MAX_RATE_PPS),
+         f"an integer in 1..{traffic_mod.MAX_RATE_PPS}")
 _RED = ((lambda v: isinstance(v, list) and len(v) in (3, 4) and _is_int(v[0])
          and _is_int(v[1]) and all(_is_num(x) for x in v[2:])),
         "[min_th_bytes, max_th_bytes, max_p] or [..., weight]")
@@ -103,13 +106,13 @@ _SCHEMA = {
         "pattern": (_TRAFFIC.pattern, _one_of(
             (traffic_mod.PATTERN_ACCESS_TO_CORE, traffic_mod.PATTERN_EXPLICIT))),
         "packet_size": (_TRAFFIC.packet_size, _int(1)),
-        "rate_pps": (_TRAFFIC.rate_pps, _int(1)),
+        "rate_pps": (_TRAFFIC.rate_pps, _RATE),
         "ds_probs": (_TRAFFIC.ds_probs, _mapping(
             _is_ds, _NUM[0], "a mapping DS 0..63 -> probability")),
         "seed": (7, _int()),
         "poisson": (_TRAFFIC.poisson, _BOOL),
         "flows": ([], [{"src": (_REQUIRED, _int(0)), "dst": (_REQUIRED, _int(0)),
-                        "rate_pps": (_REQUIRED, _int(1)),
+                        "rate_pps": (_REQUIRED, _RATE),
                         "ds": (_ABSENT, (_is_ds, "an integer in 0..63"))}]),
     },
     "qos": {"default": _QOS_BLOCK,
@@ -180,6 +183,7 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 def load_scenario(path: str | None = None, overrides: dict | None = None) -> dict:
     cfg = _defaults(_SCHEMA)
+    given = [overrides or {}]  # what the user set: the overrides, the file
     if path is not None:
         with open(path) as fh:
             try:
@@ -189,9 +193,18 @@ def load_scenario(path: str | None = None, overrides: dict | None = None) -> dic
         if not isinstance(doc, dict):
             raise ScenarioError(f"{path}: expected a mapping")
         cfg = _deep_merge(cfg, doc)
+        given.append(doc)
     if overrides:
         cfg = _deep_merge(cfg, overrides)
     _validate(cfg)
+    if cfg["run"]["partitions"]["plan_path"]:
+        # the plan file fixes the partitioning: a planner setting the user
+        # gave as well would be ignored
+        for doc in given:
+            for key in ("k", "strategy", "eps"):
+                if key in doc.get("run", {}).get("partitions", {}):
+                    raise ScenarioError(f"run.partitions.{key}: cannot be given with "
+                                        "run.partitions.plan_path, which fixes the partitioning")
     return cfg
 
 

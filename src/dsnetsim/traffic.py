@@ -19,6 +19,9 @@ PATTERN_ACCESS_TO_CORE = "access_to_core"
 PATTERN_EXPLICIT = "explicit"
 
 DEFAULT_DS_PROBS = {46: 0.2, 26: 0.3, 0: 0.5}
+# the highest rate whose packet interval, round(1e9 / rate), is >= 1 ns;
+# at 0 ns a constant-rate flow would re-schedule itself at the same time
+MAX_RATE_PPS = 1_999_999_999
 
 
 class TrafficError(Exception):
@@ -49,10 +52,15 @@ class TrafficSpec:
             raise TrafficError(f"ds_probs sum to {total}, expected 1")
         if self.pattern not in (PATTERN_ACCESS_TO_CORE, PATTERN_EXPLICIT):
             raise TrafficError(f"unknown traffic pattern {self.pattern!r}")
-        if self.pattern == PATTERN_ACCESS_TO_CORE and self.rate_pps <= 0:
-            raise TrafficError("rate_pps must be positive")
+        if self.pattern == PATTERN_ACCESS_TO_CORE:
+            _check_rate(self.rate_pps, "rate_pps")
         if self.packet_size <= 0:
             raise TrafficError("packet_size must be positive")
+
+
+def _check_rate(rate_pps: int, where: str):
+    if not 0 < rate_pps <= MAX_RATE_PPS:
+        raise TrafficError(f"{where}: {rate_pps} is not in 1..{MAX_RATE_PPS}")
 
 
 def interarrival_ns(rate_pps: int) -> int:
@@ -84,8 +92,7 @@ def resolve_flows(spec: TrafficSpec, topo: Topology) -> list[Flow]:
         for i, f in enumerate(flows):
             if f.src == f.dst:
                 raise TrafficError(f"flows[{i}]: {f} has src == dst")
-            if f.rate_pps <= 0:
-                raise TrafficError(f"flows[{i}]: rate_pps must be positive")
+            _check_rate(f.rate_pps, f"flows[{i}]: rate_pps")
             for node in (f.src, f.dst):
                 if node not in topo.tiers:
                     raise TrafficError(f"flows[{i}]: node {node} is not in the topology")

@@ -291,6 +291,11 @@ def test_flow_without_a_rate_is_a_config_error(tmp_path, capsys):
     ({"traffic": {"pattern": "explicit",
                   "flows": [{"src": 0, "dst": 5, "rate_pps": 0}]}},
      "traffic.flows[0].rate_pps"),
+    # a packet interval that rounds to 0 ns
+    ({"traffic": {"rate_pps": 2_000_000_000}}, "traffic.rate_pps"),
+    ({"traffic": {"pattern": "explicit",
+                  "flows": [{"src": 0, "dst": 5, "rate_pps": 2_000_000_000}]}},
+     "traffic.flows[0].rate_pps"),
     ({"traffic": {"ds_probs": {46: 0.5, 26: 0.3, 0: 0.1}}}, "traffic"),
     ({"qos": {"default": {"srtcm": [
         {"cir_Bps": 1000, "cbs_bytes": 2000, "ebs_bytes": 3000, "bogus": 1}] * 3}}},
@@ -300,7 +305,8 @@ def test_flow_without_a_rate_is_a_config_error(tmp_path, capsys):
     ({"qos": {"default": {"srtcm": [
         {"cir_bps": 1000, "cbs_bytes": 2000, "ebs_bytes": 3000}] * 3}}},
      "qos.default.srtcm[0].cir_bps"),
-], ids=["end-ns", "k", "pattern", "packet-size", "flow-rate", "ds-probs-sum",
+], ids=["end-ns", "k", "pattern", "packet-size", "flow-rate", "rate-0-ns-interval",
+        "flow-rate-0-ns-interval", "ds-probs-sum",
         "srtcm-entry", "srtcm-entry-missing-key", "srtcm-entry-byte-rate-unit"])
 def test_bad_value_is_a_config_error_at_load_time(tmp_path, capsys, doc, key):
     cfg_path = _write_cfg(tmp_path, doc)
@@ -341,8 +347,12 @@ def test_bad_flow_endpoint_is_a_config_error(tmp_path, capsys, flow, message):
     (["partition", "-k", "0", "--plan-out", "plan.txt"], "run.partitions.k"),
     (["sweep", "--variable", "k", "--values", "0"], "run.partitions.k"),
     (["sweep", "--variable", "k", "--values", "2", "--repetitions", "0"], "--repetitions"),
+    # a plan file fixes k and the strategy
+    (["run", "--mode", "optimistic", "--plan", "p2.txt", "-k", "4", "--strategy", "vertex-event"],
+     "run.partitions.k"),
+    (["sweep", "--variable", "k", "--values", "2,4", "--plan", "p2.txt"], "run.partitions.k"),
 ], ids=["mode", "end-ns", "end-ns-not-yaml", "runtime", "strategy", "strategy-edge",
-        "partition-k", "sweep-k", "sweep-repetitions"])
+        "partition-k", "sweep-k", "sweep-repetitions", "plan-with-k", "sweep-k-with-plan"])
 def test_bad_flag_value_is_a_config_error(tmp_path, capsys, argv, key):
     cfg_path = _write_cfg(tmp_path)
     assert main(argv + ["--config", cfg_path]) == EXIT_CONFIG

@@ -92,7 +92,7 @@ def test_straggler_rolls_back_exactly_the_later_events():
     # straggler older than all three processed events
     part.receive_remote(_arrive_at_1(500, seq=3, pid=3))
     assert part.rolled_back == 3
-    assert part.histories[1] == []
+    assert part.history == []
     # anti-messages for the union of the undone emissions
     antis = list(part.outboxes[0])
     assert sorted(a.key for a in antis) == sorted(f.key for f in forwarded)
@@ -101,9 +101,10 @@ def test_straggler_rolls_back_exactly_the_later_events():
     assert part.step(10) == 4
 
 
-def test_local_emission_behind_a_neighbours_progress_rolls_it_back():
-    # one partition owns nodes 1 and 2 of a 0-1-2 line; node 2 runs ahead,
-    # then node 1 forwards a packet that reaches node 2 before that point
+def test_a_straggler_rolls_back_the_later_events_of_every_lp_of_its_partition():
+    # one partition owns nodes 1 and 2 of a 0-1-2 line; node 2 has run its
+    # 5,000 ns event, so an ARRIVE for node 1 at 1,000 ns undoes it on
+    # receipt, although it targets the other LP
     model = single_flow_model(line_topology(3), 0, 2)
     part = Partition(1, {1: model.lps[1], 2: model.lps[2]}, {0: 0, 1: 1, 2: 1}, 2,
                      model.ctx)
@@ -111,12 +112,12 @@ def test_local_emission_behind_a_neighbours_progress_rolls_it_back():
                                      Packet(0, 0, 2, 1400, 0, created_ns=0), 0, 0))
     assert part.step(10) == 1
     part.receive_remote(_arrive_at_1(1_000, seq=1, pid=1))
+    assert part.rolled_back == 1 and part.history == []
     # node 1's hop, then node 2 runs the forwarded packet (at 1,000 + 448 ns
     # transmission + 1,000 ns delay) and re-runs the undone 5,000 ns event
     assert part.step(10) == 3
-    assert part.rolled_back == 1
-    assert [e.event.time for e in part.histories[2]] == [2_448, 5_000]
-    assert part.hist_size == 3 and part.peak_history == 3
+    assert [e.event.time for e in part.history] == [1_000, 2_448, 5_000]
+    assert part.peak_history == 3
 
 
 def test_event_at_frontier_boundary_causes_no_rollback():
@@ -148,7 +149,7 @@ def test_anti_for_pending_event_below_the_top_removes_it_and_a_resend_runs_once(
     part.receive_remote(_arrive_at_1(2_000, seq=1, pid=1))
     assert part.step(10) == 3
     assert part.rolled_back == 0
-    assert [e.event.key for e in part.histories[1]] == [ev.key for ev in sent]
+    assert [e.event.key for e in part.history] == [ev.key for ev in sent]
 
 
 def test_anti_for_processed_event_rolls_back_and_discards_it():
@@ -160,7 +161,7 @@ def test_anti_for_processed_event_rolls_back_and_discards_it():
     assert part.rolled_back == 2
     # only the later event is re-pended; the annihilated one is gone
     assert part.step(10) == 1
-    assert part.histories[1][0].event.key == (2_000, 1, 0, 1)
+    assert part.history[0].event.key == (2_000, 1, 0, 1)
 
 
 def test_unmatched_anti_is_a_causality_error():
@@ -182,7 +183,7 @@ def test_fossil_collect_commits_and_reclaims():
     assert part.committed_events == 2
     assert part.fossil_collect(INF) == 1  # end of run -> everything
     assert part.committed_events == 3
-    assert part.hist_size == 0
+    assert len(part.history) == 0
 
 
 def test_rollback_below_gvt_is_a_causality_error():
@@ -301,6 +302,30 @@ def test_an_anti_reaches_its_positive_before_a_resent_one(jitter, schedule_seed,
     assert all(set(seq[::2]) == {events.POSITIVE} and set(seq[1::2]) <= {events.ANTI}
                for seq in signs.values())
     assert any(seq.count(events.POSITIVE) > 1 for seq in signs.values())
+
+
+def test_every_pending_key_stays_above_every_processed_key(monkeypatch):
+    """The partition is the rollback unit: after every step and every
+    message a partition receives, its last processed key is below its
+    smallest pending key, on an unbounded run that rolls back."""
+    checked = []
+
+    def check(part):
+        if part.history and part.pending:
+            assert part.history[-1].event.key < min(key for key, _ in part.pending)
+            checked.append(part.pid)
+
+    for name in ("step", "receive_remote"):
+        def wrapped(self, *args, _call=getattr(Partition, name)):
+            out = _call(self, *args)
+            check(self)
+            return out
+        monkeypatch.setattr(Partition, name, wrapped)
+    model, topo = _fresh_model()
+    knobs = Knobs(gvt_interval=128, batch_size=8, schedule_seed=3, jitter=2)
+    rep = run_optimistic(model, partition_balanced(topo, 4), knobs, unbounded=True)
+    assert rep.rolled_back_events > 0
+    assert set(checked) == {0, 1, 2, 3}
 
 
 def _two_way_line_model():
@@ -613,8 +638,8 @@ def test_per_lp_events_list_only_the_lps_that_ran(window):
 # the benchmark's opt-k4 scenario (1 ms, k=4 no-weights plan) run without
 # the window: (committed, rolled back, messages, GVT rounds, peak history)
 UNBOUNDED_OPT_K4 = {
-    8: (3_615, 2_507, 5_627, 6, 1_378),
-    9: (3_715, 2_705, 6_045, 7, 1_282),
+    8: (3_615, 3_189, 4_593, 7, 925),
+    9: (3_715, 3_281, 4_605, 7, 936),
 }
 
 

@@ -165,12 +165,19 @@ def test_one_send_drains_multiple_packets():
 
 @pytest.mark.parametrize("token_interval_ns", [0, 1_000], ids=["lazy", "periodic"])
 @pytest.mark.parametrize("cause", ["send", "idle-arrival"])
-def test_tokens_for_first_packet_only_blocks_with_retry(cause, token_interval_ns):
+def test_tokens_for_first_packet_only_blocks_with_retry(cause, token_interval_ns, monkeypatch):
     """A shaper shortfall leaves the packet queued and the flag set. Lazy
     mode schedules one retry at the earliest sufficiency time; periodic
     mode emits nothing and waits for the next REFILL. On a SEND, the
     packet the tokens cover leaves first; a packet arriving at an idle
-    port that the tokens do not cover is queued, not passed through."""
+    port that the tokens do not cover is queued, not passed through, and
+    the shaper is asked once."""
+    calls = {"refill": 0, "take": 0}
+    for name in calls:
+        def counting(self, *args, _name=name, _call=getattr(TokenBucket, name)):
+            calls[_name] += 1
+            return _call(self, *args)
+        monkeypatch.setattr(TokenBucket, name, counting)
     # slow refill so the retry is in the future
     model = single_flow_model(line_topology(2), 0, 1, token_interval_ns=token_interval_ns,
                               profiles=tier_profiles(shaper_rate_Bps=1000))
@@ -192,6 +199,8 @@ def test_tokens_for_first_packet_only_blocks_with_retry(cause, token_interval_ns
                       model.ctx)
         sent = []
     kinds = [em.kind for em in fx.emitted]
+    if cause == "idle-arrival":
+        assert calls == {"refill": 0 if token_interval_ns else 1, "take": 1}
     assert [p.pid for p in pipe.pkts[2]] == [1 if cause == "send" else 0]
     assert st[pipe.tier.queues[2].i] == 1400
     assert pipe.send_flag  # stays set while the packet waits for tokens

@@ -115,7 +115,12 @@ def test_zero_packet_size_fails_before_the_run():
 
 
 def test_zero_rate_flow_fails_before_the_run():
+    # 2,000,000,000 pps has a packet interval that rounds to 0 ns, so its
+    # GENERATE would re-schedule itself at the same time forever
     topo = generate_synthetic_topology(4, 2, 1, seed=0)
-    spec = TrafficSpec(pattern="explicit", flows=(Flow(3, 1, 100), Flow(4, 0, 0)))
-    with pytest.raises(TrafficError, match=r"flows\[1\]: rate_pps"):
-        build_model(topo, compute_routes(topo), spec, 100_000, seed=1)
+    for rate in (0, 2_000_000_000):
+        with pytest.raises(TrafficError, match="rate_pps"):
+            TrafficSpec(rate_pps=rate)
+        spec = TrafficSpec(pattern="explicit", flows=(Flow(3, 1, 100), Flow(4, 0, rate)))
+        with pytest.raises(TrafficError, match=r"flows\[1\]: rate_pps"):
+            build_model(topo, compute_routes(topo), spec, 100_000, seed=1)
