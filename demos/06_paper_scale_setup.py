@@ -4,9 +4,9 @@ The paper's digital twin covers a 5,000-router metro network. This script
 builds synthetic three-tier scenarios of that order (80 % access, 16 % mixed,
 4 % kernel nodes, a 20 us horizon) and prints, per size, the topology,
 routing and model build times, the (node, destination) route pairs the
-table holds, the peak RSS after the build, and the events/s of one
-sequential run. Routes are computed only along the flows' paths, so the
-table holds far fewer than n^2 pairs.
+per-node route rows hold, the peak RSS after the build, and the events/s of
+one sequential run. Routes are computed only along the flows' paths, so the
+rows hold far fewer than n^2 pairs.
 
     python3 demos/06_paper_scale_setup.py              # 1,000, 2,500, 5,000 nodes
     python3 demos/06_paper_scale_setup.py --nodes 1000
@@ -59,7 +59,7 @@ def measure(nodes: int) -> None:
                         profiles=build_profiles(cfg), scenario_id=scenario_identity(cfg))
     t3 = time.perf_counter()
     rss = peak_rss_mib()
-    pairs = sum(len(routes.row(n)) for n in topo.node_ids())
+    pairs = sum(len(row) for row in routes.values())
     report = run_sequential(model)
     t4 = time.perf_counter()
     print(f"{nodes:>6} nodes: topology {t1 - t0:6.2f} s, routing {t2 - t1:6.2f} s "

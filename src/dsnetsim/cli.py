@@ -118,28 +118,31 @@ def cmd_sweep(args) -> int:
     cfg = load_scenario(args.config, _scenario_overrides(args))
     key, mode = SWEEP_VARIABLES[args.variable]
     values = [_yaml_scalar(key, v) for v in args.values.split(",")]
-    out_dir = _output_dir(args.out, f"{cfg['name']}-sweep") or "."
-    os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    failures = 0
+    # load every run's config first: a bad value fails before any run
+    runs = []
     for value in values:
         for rep in range(args.repetitions):
             overrides = _scenario_overrides(args)
             _set_key(overrides, "run.seed", cfg["run"]["seed"] + rep)
             _set_key(overrides, "run.mode", mode)
             _set_key(overrides, key, value)
-            run_cfg = load_scenario(args.config, overrides)
-            try:
-                report = run_scenario(run_cfg)
-                rows.append({
-                    "variable": args.variable, "value": value, "rep": rep,
-                    "status": "ok",
-                    **{f: getattr(report, f) for f in SUMMARY_FIELDS if f != "scenario_id"},
-                })
-            except Exception as e:  # record and continue
-                failures += 1
-                rows.append({"variable": args.variable, "value": value,
-                             "rep": rep, "status": f"failed: {e}"})
+            runs.append((value, rep, load_scenario(args.config, overrides)))
+    out_dir = _output_dir(args.out, f"{cfg['name']}-sweep") or "."
+    os.makedirs(out_dir, exist_ok=True)
+    rows = []
+    failures = 0
+    for value, rep, run_cfg in runs:
+        try:
+            report = run_scenario(run_cfg)
+            rows.append({
+                "variable": args.variable, "value": value, "rep": rep,
+                "status": "ok",
+                **{f: getattr(report, f) for f in SUMMARY_FIELDS if f != "scenario_id"},
+            })
+        except Exception as e:  # record and continue
+            failures += 1
+            rows.append({"variable": args.variable, "value": value,
+                         "rep": rep, "status": f"failed: {e}"})
     # aggregate means over repetitions
     agg = {}
     for row in rows:

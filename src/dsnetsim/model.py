@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from . import events
 from .qos import QosProfile, make_profile
 from .router import RouterLp, EgressPipeline, Effects, TierQos
-from .routing import RoutingTable
 from .topology import Topology, NodeTier
 from .traffic import TrafficSpec, DsSampler, build_sources
 
@@ -26,15 +25,19 @@ class ModelError(Exception):
 
 class ModelContext:
     """Immutable run-wide settings shared by every handler and both kernels:
-    the shaper mode ``token_interval_ns``, the horizon ``end_time_ns`` and
+    the shaper mode ``token_interval_ns``, the horizon ``end_time_ns``,
+    the traffic's ``packet_size`` (bytes, the same for every flow),
+    ``poisson`` (exponential packet gaps instead of constant ones) and
     ``sample_ds``, which maps a uniform draw to a DS value."""
 
-    __slots__ = ("token_interval_ns", "end_time_ns", "sample_ds")
+    __slots__ = ("token_interval_ns", "end_time_ns", "packet_size", "poisson", "sample_ds")
 
-    def __init__(self, token_interval_ns: int, end_time_ns: int, ds_sampler: DsSampler):
+    def __init__(self, token_interval_ns: int, end_time_ns: int, traffic: TrafficSpec):
         self.token_interval_ns = token_interval_ns
         self.end_time_ns = end_time_ns
-        self.sample_ds = ds_sampler.sample
+        self.packet_size = traffic.packet_size
+        self.poisson = traffic.poisson
+        self.sample_ds = DsSampler(traffic.ds_probs).sample
 
 
 @dataclass
@@ -57,7 +60,7 @@ def lookahead_ns(topo: Topology, assignment: dict[int, int]) -> float:
 
 def build_model(
     topo: Topology,
-    routes: RoutingTable,
+    routes: dict[int, dict[int, int]],
     traffic: TrafficSpec,
     end_time_ns: int,
     seed: int,
@@ -65,13 +68,15 @@ def build_model(
     token_interval_ns: int = 0,
     scenario_id: str = "scenario",
 ) -> Model:
-    """``token_interval_ns`` is the shaper mode: 0 refills lazily, and a
-    positive value schedules one REFILL chain per port at that interval."""
+    """``routes`` are :func:`routing.compute_routes`'s per-node rows; each
+    LP holds its own. ``token_interval_ns`` is the shaper mode: 0 refills
+    lazily, and a positive value schedules one REFILL chain per port at
+    that interval."""
     if token_interval_ns < 0:
         raise ModelError(f"token_interval_ns: {token_interval_ns} is not >= 0")
     if profiles is None:
         profiles = {tier: make_profile() for tier in NodeTier}
-    ctx = ModelContext(token_interval_ns, end_time_ns, DsSampler(traffic.ds_probs))
+    ctx = ModelContext(token_interval_ns, end_time_ns, traffic)
 
     lps: dict[int, RouterLp] = {}
     # one element set per tier, shared by the tier's pipelines
@@ -86,7 +91,7 @@ def build_model(
             while len(pipelines) < port:
                 pipelines.append(None)  # placeholder, never routed to
             pipelines.append(EgressPipeline(port, link, tier))
-        lps[nid] = RouterLp(nid, pipelines, routes.row(nid), seed)
+        lps[nid] = RouterLp(nid, pipelines, routes[nid], seed)
 
     sources = build_sources(traffic, topo)
     for nid, flows in sources.items():

@@ -15,10 +15,11 @@ deterministic for fixed inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .routing import RoutingTable, walk_route
+from .routing import walk_route
 from .topology import Topology
 
 
@@ -81,6 +82,17 @@ def cut_weight(topo: Topology, assignment: dict[int, int],
     return total
 
 
+def _plan(topo: Topology, k: int, assignment: dict[int, int], strategy: WeightModel,
+          weights: dict[int, int] | None = None, eps: float = math.inf) -> PartitionPlan:
+    """The plan of ``assignment`` with its figures: the imbalance under
+    ``weights``, the links it cuts, and whether it misses the ``eps``
+    balance target."""
+    imb = compute_imbalance(assignment, k, weights)
+    return PartitionPlan(k, assignment, strategy, imbalance=imb,
+                         cut_weight=cut_weight(topo, assignment, None),
+                         degraded=imb > 1.0 + eps)
+
+
 # --------------------------------------------------------------------------
 # weight derivation
 
@@ -94,7 +106,7 @@ def derive_vertex_event_weights(report) -> dict[int, int]:
     return dict(report.per_lp_events)
 
 
-def derive_vertex_throughput_weights(flows, routes: RoutingTable,
+def derive_vertex_throughput_weights(flows, routes: dict[int, dict[int, int]],
                                      topo: Topology) -> dict[int, int]:
     """Vertex weight = expected packets/second traversing or terminating at
     each node, summed over every flow's static route."""
@@ -105,7 +117,7 @@ def derive_vertex_throughput_weights(flows, routes: RoutingTable,
     return weights
 
 
-def derive_edge_throughput_weights(flows, routes: RoutingTable,
+def derive_edge_throughput_weights(flows, routes: dict[int, dict[int, int]],
                                    topo: Topology) -> dict[tuple[int, int], int]:
     """Edge weight = packets/second crossing each undirected link."""
     weights: dict[tuple[int, int], int] = {}
@@ -231,13 +243,7 @@ def partition_balanced(topo: Topology, k: int,
         frontiers[pid] = sorted(set(front[1:]) | {
             v for v in topo.neighbors(node) if v in remaining})
     _rebalance(topo, assignment, k, weights, eps)
-    imb = compute_imbalance(assignment, k, weights)
-    return PartitionPlan(
-        k, assignment, strategy,
-        imbalance=imb,
-        cut_weight=cut_weight(topo, assignment, None),
-        degraded=imb > 1.0 + eps,
-    )
+    return _plan(topo, k, assignment, strategy, weights, eps)
 
 
 # --------------------------------------------------------------------------
@@ -302,13 +308,7 @@ def partition_vertex_plus_edge(topo: Topology, k: int,
     total = sum(_node_weight(vertex_weights, n) for n in assignment)
     _refine_cut(topo, assignment, k, edge_weights, vertex_weights,
                 (total / k) * (1.0 + eps))
-    imb = compute_imbalance(assignment, k, vertex_weights)
-    return PartitionPlan(
-        k, assignment, WeightModel.VERTEX_PLUS_EDGE,
-        imbalance=imb,
-        cut_weight=cut_weight(topo, assignment, None),
-        degraded=imb > 1.0 + eps,
-    )
+    return _plan(topo, k, assignment, WeightModel.VERTEX_PLUS_EDGE, vertex_weights, eps)
 
 
 # --------------------------------------------------------------------------
@@ -344,8 +344,4 @@ def import_plan(path: str, topo: Topology) -> PartitionPlan:
         if not 0 <= pid < k:
             raise PartitionError(f"{path}: partition index {pid} out of range 0..{k-1}")
         assignment[node] = pid
-    return PartitionPlan(
-        k, assignment, WeightModel.NO_WEIGHTS,
-        imbalance=compute_imbalance(assignment, k, None),
-        cut_weight=cut_weight(topo, assignment, None),
-    )
+    return _plan(topo, k, assignment, WeightModel.NO_WEIGHTS)

@@ -293,9 +293,9 @@ class RedState:
 # classifier
 
 class Classifier:
-    """DS field (0..63) -> priority class, with a default class."""
+    """DS field (0..63) -> priority class below ``num_classes``, with a default class."""
 
-    __slots__ = ("mapping", "default_class", "num_classes")
+    __slots__ = ("mapping", "default_class")
 
     def __init__(self, mapping: dict[int, int], default_class: int, num_classes: int):
         for ds, cls in mapping.items():
@@ -307,7 +307,6 @@ class Classifier:
             raise QosConfigError("default class out of range")
         self.mapping = dict(mapping)
         self.default_class = default_class
-        self.num_classes = num_classes
 
     def classify(self, ds: int) -> int:
         return self.mapping.get(ds, self.default_class)
@@ -360,7 +359,8 @@ def make_profile(
     red: list[list[RedParams]] | None = None,
 ) -> QosProfile:
     """Assemble a profile, filling unspecified pieces with defaults. The
-    default class is the lowest-priority one, ``num_classes - 1``."""
+    default class is the lowest-priority one, ``num_classes - 1``, and a
+    ``srtcm`` or ``red`` list of other than one entry per class is an error."""
     if default_class is None:
         default_class = num_classes - 1
     if classifier_map is None:
@@ -375,6 +375,9 @@ def make_profile(
             [default_red_params(queue_capacity_bytes, c) for c in Color]
             for _ in range(num_classes)
         ]
+    for name, per_class in (("srtcm", srtcm), ("red", red)):
+        if len(per_class) != num_classes:
+            raise QosConfigError(f"{name} list must have one entry per class")
     return QosProfile(
         classifier=Classifier(classifier_map, default_class, num_classes),
         srtcm=tuple(srtcm),

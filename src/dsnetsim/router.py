@@ -124,10 +124,9 @@ class TierQos:
     class the queue's, the meter's and each colour's RED numbers, each at
     its element's offset ``i``."""
 
-    __slots__ = ("profile", "classify", "shaper", "queues", "srtcm", "red", "initial")
+    __slots__ = ("classify", "shaper", "queues", "srtcm", "red", "initial")
 
     def __init__(self, profile: QosProfile):
-        self.profile = profile
         self.classify = profile.classifier.classify  # DS value -> class
         st = self.initial = [False, 0, 0, 0, 0, 0]
         self.shaper = TokenBucket(profile.shaper_burst_bytes, profile.shaper_rate_Bps, st)
@@ -167,19 +166,17 @@ class EgressPipeline:
 
 
 class FlowGen:
-    """Self-scheduling packet source for one flow rooted at this LP."""
+    """Self-scheduling packet source for one flow rooted at this LP. The
+    packet size and the gap draw are the run's (``ctx.packet_size`` and
+    ``ctx.poisson``, see :class:`model.ModelContext`)."""
 
-    __slots__ = ("dst", "interarrival_ns", "size", "ds", "poisson", "pkt_seq",
-                 "pid_base")
+    __slots__ = ("dst", "interarrival_ns", "ds", "pkt_seq", "pid_base")
 
-    def __init__(self, dst, interarrival_ns, size, ds=None, poisson=False,
-                 pid_base=0):
+    def __init__(self, dst, interarrival_ns, ds=None, pid_base=0):
         self.dst = dst
         self.interarrival_ns = interarrival_ns
-        self.size = size
         self.pid_base = pid_base
         self.ds = ds  # None -> draw from the scenario DS distribution
-        self.poisson = poisson
         self.pkt_seq = 0
 
 
@@ -379,9 +376,9 @@ def handle_generate(lp: RouterLp, flow_idx: int, port: int | None, now: int,
     else:
         u = lp.rng.uniform(rng.PURPOSE_DS)
         ds = ctx.sample_ds(u)
-    pkt = Packet(pid, lp.node, flow.dst, flow.size, ds, created_ns=now)
+    pkt = Packet(pid, lp.node, flow.dst, ctx.packet_size, ds, created_ns=now)
     handle_arrive(lp, pkt, port, now, fx, ctx)
-    if flow.poisson:
+    if ctx.poisson:
         u = lp.rng.uniform(rng.PURPOSE_GEN)
         gap = max(1, round(-math.log(1.0 - u) * flow.interarrival_ns))
     else:

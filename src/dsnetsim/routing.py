@@ -1,10 +1,12 @@
-"""Static shortest-path routing tables.
+"""Static shortest-path routes.
 
 Routes are computed before the simulation starts, for the (src, dst) pairs
 of the run's flows: one Dijkstra per flow destination, then a walk from
 each flow's source that fills the next hop of every node on its path. A
 packet only visits the nodes on its own flow's path, so that is every entry
-the run reads. Without flows the table holds every (src, dst) pair. Ties
+the run reads. Without flows the routes hold every (src, dst) pair. They
+are one row per node, ``{node: {dst: egress port}}``; each router holds its
+own row (``RouterLp.route_row``) and the planners walk the rows. Ties
 between equal-cost paths are broken by smallest next-hop node id (then
 smallest egress port) so every run, sequential or parallel, uses identical
 routes. Under the latency metric, equal-latency paths are first told apart
@@ -24,19 +26,6 @@ _INF = 1 << 62
 class RouteMetric(Enum):
     HOP_COUNT = "hop"
     LATENCY = "latency"
-
-
-class RoutingTable:
-    """Per-node map destination -> egress port index."""
-
-    def __init__(self, ports: dict[int, dict[int, int]]):
-        self._ports = ports
-
-    def egress_port(self, node: int, dst: int) -> int | None:
-        return self._ports[node].get(dst)
-
-    def row(self, node: int) -> dict[int, int]:
-        return self._ports[node]
 
 
 def _link_cost(link, metric: RouteMetric, num_nodes: int) -> int:
@@ -65,10 +54,10 @@ def _dists_to(in_links: list[list[tuple[int, int]]], dst: int) -> list[int]:
 
 
 def compute_routes(topo: Topology, metric: RouteMetric = RouteMetric.HOP_COUNT,
-                   flows=None) -> RoutingTable:
-    """Next-hop table under the chosen metric for every node on the path of
-    each flow (anything with ``src`` and ``dst``); ``None`` means every
-    (src, dst) pair."""
+                   flows=None) -> dict[int, dict[int, int]]:
+    """Per-node rows ``{node: {dst: egress port}}`` under the chosen metric,
+    filled for every node on the path of each flow (anything with ``src``
+    and ``dst``); ``None`` means every (src, dst) pair."""
     n = topo.num_nodes
     in_links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for l in topo.links:
@@ -96,15 +85,16 @@ def compute_routes(topo: Topology, metric: RouteMetric = RouteMetric.HOP_COUNT,
                 assert cost == dist[node]
                 ports[node][dst] = port
                 node = nxt
-    return RoutingTable(ports)
+    return ports
 
 
-def walk_route(topo: Topology, table: RoutingTable, src: int, dst: int) -> list[int]:
+def walk_route(topo: Topology, routes: dict[int, dict[int, int]], src: int,
+               dst: int) -> list[int]:
     """Follow next-hops from src to dst; raises if a loop is detected."""
     path = [src]
     node = src
     while node != dst:
-        port = table.egress_port(node, dst)
+        port = routes[node].get(dst)
         if port is None:
             raise TopologyError(f"no route from {node} to {dst}")
         node = topo.port_link[(node, port)].dst

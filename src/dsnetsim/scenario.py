@@ -192,6 +192,9 @@ def load_scenario(path: str | None = None, overrides: dict | None = None) -> dic
                 raise ScenarioError(f"cannot parse {path}: {e}") from e
         if not isinstance(doc, dict):
             raise ScenarioError(f"{path}: expected a mapping")
+        # the file on its own, so that an override cannot fill a block the
+        # file set to something else, such as null
+        _walk(_SCHEMA, doc, "")
         cfg = _deep_merge(cfg, doc)
         given.append(doc)
     if overrides:
@@ -294,8 +297,6 @@ def _profile_from(block: dict, where: str) -> QosProfile:
         if "srtcm" in kwargs:
             kwargs["srtcm"] = [SrtcmParams(**s) for s in kwargs["srtcm"]]
         profile = make_profile(**kwargs)
-        if "srtcm" in kwargs and len(kwargs["srtcm"]) != profile.classifier.num_classes:
-            raise QosConfigError("srtcm list must have one entry per class")
         if red is not None:
             row = tuple(RedParams(*red[color.name.lower()]) if color.name.lower() in red
                         else profile.red[0][color] for color in Color)

@@ -109,15 +109,15 @@ def resolve_flows(spec: TrafficSpec, topo: Topology) -> list[Flow]:
 
 
 def build_sources(spec: TrafficSpec, topo: Topology) -> dict[int, list[FlowGen]]:
-    """Per-node generator states, keyed by source LP."""
+    """Per-node generator states, keyed by source LP. A generator holds only
+    its flow's own facts; the spec-wide ``packet_size`` and ``poisson`` go
+    into the run's :class:`model.ModelContext`."""
     sources: dict[int, list[FlowGen]] = {}
     for idx, flow in enumerate(resolve_flows(spec, topo)):
         gen = FlowGen(
             dst=flow.dst,
             interarrival_ns=interarrival_ns(flow.rate_pps),
-            size=spec.packet_size,
             ds=flow.ds,
-            poisson=spec.poisson,
             # packet ids are blocked per flow so they stay unique even when
             # one node roots several flows
             pid_base=idx * PKT_ID_STRIDE,

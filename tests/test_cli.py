@@ -8,7 +8,7 @@ import re
 import pytest
 import yaml
 
-from dsnetsim import kernel, scenario
+from dsnetsim import cli, kernel, scenario
 from dsnetsim.cli import EXIT_CONFIG, EXIT_OK, RUN_FLAGS, main
 from dsnetsim.topology import load_topology
 from dsnetsim.scenario import ScenarioError, build_topology, build_traffic_spec, load_scenario
@@ -168,6 +168,16 @@ def test_sweep_token_interval_with_repetitions(tmp_path):
         mean = next(r for r in means if r["value"] == value)
         got = sum(float(r["committed_events"]) for r in group) / len(group)
         assert float(mean["committed_events"]) == got
+
+
+def test_sweep_loads_every_config_before_the_first_run(tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "run_scenario", lambda cfg, *args: runs.append(cfg))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", _write_cfg(tmp_path), "--variable", "k",
+                 "--values", "2,0", "--out", str(out)]) == EXIT_CONFIG
+    assert "run.partitions.k:" in capsys.readouterr().err
+    assert runs == [] and not out.exists()
 
 
 def test_topo_gen_and_convert_round_trip(tmp_path):
@@ -357,6 +367,18 @@ def test_bad_flag_value_is_a_config_error(tmp_path, capsys, argv, key):
     cfg_path = _write_cfg(tmp_path)
     assert main(argv + ["--config", cfg_path]) == EXIT_CONFIG
     assert f"{key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, flags, key", [
+    ({"run": None}, [], "run"),
+    ({"run": None}, ["--end-ns", "1000"], "run"),
+    ({"run": {"partitions": None}}, ["-k", "2"], "run.partitions"),
+], ids=["null-block", "null-block-filled-by-a-flag", "null-sub-block-filled-by-a-flag"])
+def test_null_block_in_the_file_is_a_config_error(tmp_path, capsys, doc, flags, key):
+    # the file is checked before the flags are merged into it
+    cfg_path = _write_cfg(tmp_path, doc)
+    assert main(["run", "--config", cfg_path] + flags) == EXIT_CONFIG
+    assert f"config error: {key}: expected a mapping, got None" in capsys.readouterr().err
 
 
 def test_every_run_flag_sets_a_scenario_value():

@@ -1,7 +1,7 @@
-"""Generated serial-equivalence test: for a drawn topology, flows, plan and
-knobs, with and without the lookahead window, the optimistic kernel
-commits exactly the sequential records, and under the window it never
-rolls back."""
+"""Generated serial-equivalence test: for a drawn topology, flows (constant
+or Poisson), plan and knobs, with and without the lookahead window, the
+optimistic kernel commits exactly the sequential records, and under the
+window it never rolls back."""
 
 import dataclasses
 
@@ -50,16 +50,20 @@ def cases(draw):
     # a 1 B packet takes the shortest transmission, 1 ns, so it can land
     # exactly one lookahead after the event that sends it
     size = draw(st.sampled_from((1400, 1)))
+    # exponential packet gaps take one more RNG draw per packet
+    poisson = draw(st.booleans())
     knobs = Knobs(batch_size=draw(st.integers(1, 16)),
                   gvt_interval=draw(st.integers(1, 256)),
                   jitter=draw(st.integers(0, 4)),
                   schedule_seed=draw(st.one_of(st.none(), st.integers(0, 1_000))))
-    return (topo, flows, size, profiles, token_interval_ns, assignment, knobs,
+    return (topo, flows, (size, poisson), profiles, token_interval_ns, assignment, knobs,
             draw(st.booleans()))
 
 
-def _model(topo, flows, size, profiles, token_interval_ns):
-    spec = TrafficSpec(pattern="explicit", flows=tuple(flows), packet_size=size)
+def _model(topo, flows, traffic, profiles, token_interval_ns):
+    size, poisson = traffic
+    spec = TrafficSpec(pattern="explicit", flows=tuple(flows), packet_size=size,
+                       poisson=poisson)
     return build_model(topo, compute_routes(topo), spec, END_NS, seed=42,
                        profiles=profiles, token_interval_ns=token_interval_ns)
 
@@ -68,9 +72,9 @@ def _model(topo, flows, size, profiles, token_interval_ns):
           suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
 def test_stepped_records_equal_sequential(case):
-    topo, flows, size, profiles, interval, assignment, knobs, unbounded = case
-    seq = run_sequential(_model(topo, flows, size, profiles, interval))
-    rep = run_optimistic(_model(topo, flows, size, profiles, interval), assignment, knobs,
+    topo, flows, traffic, profiles, interval, assignment, knobs, unbounded = case
+    seq = run_sequential(_model(topo, flows, traffic, profiles, interval))
+    rep = run_optimistic(_model(topo, flows, traffic, profiles, interval), assignment, knobs,
                          unbounded=unbounded)
     assert compare_reports(seq, rep)["record_diff_count"] == 0
     assert rep.committed_events == seq.committed_events

@@ -7,7 +7,7 @@ import pytest
 from dsnetsim.qos import (
     TOKEN_SCALE, Classifier, ClassQueue, Color, QosConfigError, RedParams,
     RedState, SrtcmMeter, SrtcmParams, TokenBucket, DROP, ENQUEUE,
-    strict_priority_select,
+    make_profile, strict_priority_select,
 )
 from dsnetsim.rng import PURPOSE_RED
 
@@ -470,3 +470,19 @@ def test_classifier_validation():
         Classifier({0: 3}, 0, 3)
     with pytest.raises(QosConfigError):
         Classifier({}, 5, 3)
+
+
+# --------------------------------------------------------------------------
+# profile
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(red=[[RedParams(1, 100, 0.1)] * 3]), "red"),
+    (dict(srtcm=[SrtcmParams(10**6, 2000, 3000)] * 2), "srtcm"),
+    (dict(num_classes=2, red=[[RedParams(1, 100, 0.1)] * 3] * 3), "red"),
+], ids=["one-red-row-for-three-classes", "two-srtcm-for-three-classes",
+        "three-red-rows-for-two-classes"])
+def test_profile_lists_need_one_entry_per_class(kwargs, name):
+    # a short list would build and then fail the run with IndexError
+    with pytest.raises(QosConfigError, match=rf"^{name} list must have one entry per class$"):
+        make_profile(**kwargs)

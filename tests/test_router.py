@@ -10,7 +10,9 @@ from dsnetsim.kernel import run_sequential
 from dsnetsim.model import ModelError, build_model
 from dsnetsim.router import Effects, EgressPipeline, Packet, TierQos, dispatch, transmission_ns
 from dsnetsim.routing import compute_routes
-from dsnetsim.qos import TOKEN_SCALE, ClassQueue, RedParams, RedState, SrtcmMeter, TokenBucket
+from dsnetsim.qos import (
+    TOKEN_SCALE, ClassQueue, RedParams, RedState, SrtcmMeter, TokenBucket, make_profile,
+)
 from dsnetsim.topology import generate_synthetic_topology
 from dsnetsim.traffic import TrafficSpec, Flow
 from conftest import line_topology, single_flow_model, tier_profiles, tight_shaper_profiles
@@ -414,7 +416,7 @@ def test_pipelines_of_one_tier_share_a_layout_but_no_state():
     pipes = [p for lp in model.lps.values() for p in lp.pipelines]
     assert len({model.topology.tiers[n] for n in model.lps}) == 1 and len(pipes) == 4
     tier = pipes[0].tier
-    fresh = TierQos(tier.profile)
+    fresh = TierQos(make_profile())  # the profile single_flow_model builds
     assert [e.i for e in _elements(tier)] == [e.i for e in _elements(fresh)]
     for pipe in pipes:
         assert all(a is b for a, b in zip(_elements(pipe.tier), _elements(tier)))

@@ -10,7 +10,8 @@ import yaml
 from dsnetsim.kernel import Knobs
 from dsnetsim.metrics import read_records_csv
 from dsnetsim.partition import (
-    WeightModel, derive_vertex_throughput_weights, partition_balanced,
+    WeightModel, derive_edge_throughput_weights, derive_vertex_throughput_weights,
+    partition_balanced, partition_vertex_plus_edge,
 )
 from dsnetsim.qos import Color, make_profile
 from dsnetsim.scenario import (
@@ -152,11 +153,11 @@ def test_empty_qos_block_gives_make_profile_defaults():
     cfg = load_scenario(None, {"qos": {"default": {}, "tiers": {}}})
     want = make_profile()
     for tier, got in build_profiles(cfg).items():
+        assert got.num_classes == want.num_classes, tier
         for f in dataclasses.fields(want):
             a, b = getattr(got, f.name), getattr(want, f.name)
             if f.name == "classifier":
-                assert (a.mapping, a.default_class, a.num_classes) == \
-                    (b.mapping, b.default_class, b.num_classes), tier
+                assert (a.mapping, a.default_class) == (b.mapping, b.default_class), tier
             else:
                 assert a == b, (tier, f.name)
 
@@ -271,4 +272,12 @@ def test_build_plan_weights_follow_the_routing_metric(tmp_path):
 
     want = plan_on(RouteMetric.LATENCY)
     assert want.assignment != plan_on(RouteMetric.HOP_COUNT).assignment
+    assert build_plan(cfg, build_topology(cfg)) == want
+
+    # vertex+edge weighs both the nodes and the links on the latency routes
+    routes = compute_routes(topo, RouteMetric.LATENCY)
+    want = partition_vertex_plus_edge(
+        topo, 2, derive_vertex_throughput_weights(flows, routes, topo),
+        derive_edge_throughput_weights(flows, routes, topo))
+    cfg["run"]["partitions"]["strategy"] = "vertex+edge"
     assert build_plan(cfg, build_topology(cfg)) == want

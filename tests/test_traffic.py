@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from dsnetsim import events
 from dsnetsim.kernel import run_sequential
 from dsnetsim.model import build_model
+from dsnetsim.router import dispatch
 from dsnetsim.routing import compute_routes
 from dsnetsim.topology import NodeTier, Topology, generate_synthetic_topology
 from dsnetsim.traffic import (
@@ -78,7 +80,23 @@ def test_build_sources_groups_by_node():
     assert sorted(sources) == topo.nodes_in_tier(NodeTier.ACCESS)
     for gens in sources.values():
         assert len(gens) == 1
-        assert gens[0].size == 1400
+        assert gens[0].interarrival_ns == 40_000
+
+
+@pytest.mark.parametrize("poisson", [False, True])
+def test_packet_size_and_gap_draw_are_the_runs(poisson):
+    """The spec-wide packet size and Poisson flag are held once, in the
+    model's context, and every generated packet takes that size."""
+    topo = generate_synthetic_topology(3, 1, 1, seed=0)
+    spec = TrafficSpec(seed=2, packet_size=512, poisson=poisson)
+    model = build_model(topo, compute_routes(topo), spec, 1_000_000, seed=1)
+    assert (model.ctx.packet_size, model.ctx.poisson) == (512, poisson)
+    gen = next(ev for ev in model.bootstrap if ev.kind == events.GENERATE)
+    fx = dispatch(model.lps[gen.target], gen, model.ctx)
+    assert [ev.payload.size for ev in fx.emitted if ev.kind == events.ARRIVE] == [512]
+    # the next GENERATE is one constant interval on, or a drawn gap
+    nxt = [ev.time for ev in fx.emitted if ev.kind == events.GENERATE]
+    assert len(nxt) == 1 and (nxt[0] != 40_000 if poisson else nxt[0] == 40_000)
 
 
 def test_ds_probs_must_sum_to_one():
