@@ -8,21 +8,18 @@ scenario and prints events vs. accuracy side by side.
 """
 
 from dsnetsim.kernel import run_sequential
-from dsnetsim.scenario import (
-    MODE_BASELINE, MODE_SEQUENTIAL, build_scenario_model, load_scenario,
-)
+from dsnetsim.scenario import MODE_BASELINE, build_scenario_model, load_scenario
 
 
 def main():
-    cfg = load_scenario()
-    lazy = run_sequential(build_scenario_model(cfg, mode=MODE_SEQUENTIAL))
+    lazy = run_sequential(build_scenario_model(load_scenario()))
     print(f"lazy: {lazy.committed_events} events, "
           f"mean delay {lazy.mean_delay_ns:.1f} ns, "
           f"drop rate {lazy.drop_rate:.4f}")
 
     for interval in (1_000, 10_000, 100_000, 1_000_000):
-        rep = run_sequential(build_scenario_model(
-            cfg, mode=MODE_BASELINE, token_interval_ns=interval))
+        rep = run_sequential(build_scenario_model(load_scenario(None, {
+            "run": {"mode": MODE_BASELINE, "token_interval_ns": interval}})))
         ratio = rep.committed_events / lazy.committed_events
         print(f"baseline interval {interval:>9} ns: "
               f"{rep.committed_events:>8} events ({ratio:5.1f}x lazy), "

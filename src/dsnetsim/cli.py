@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Subcommands: ``run``, ``sweep``, ``partition``, ``topo-gen``,
-``topo-convert``. Every run flag sets one scenario key (``RUN_FLAGS``); the
-effective config is echoed into the output directory. Exit codes: 0 success,
-1 config error, 2 runtime error, 3 watchdog abort.
+``topo-convert``. Every run flag sets one scenario key (``RUN_FLAGS``). The
+output directory is ``--out``, else ``run.output_dir``. ``run`` writes its
+files there, among them ``effective_config.yaml``, which ``--config``
+reloads to repeat the run; ``sweep`` writes only ``sweep.csv`` (else in
+``.``). Exit codes: 0 success, 1 config error, 2 runtime error, 3 watchdog
+abort (unbounded library runs only; a windowed run cannot stall).
 """
 
 from __future__ import annotations
@@ -31,17 +34,6 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_WATCHDOG = 3
 
-OUTPUT_ROOT_ENV = "DSNETSIM_OUTPUT_ROOT"
-
-
-def _output_dir(args_dir: str | None, name: str) -> str | None:
-    if args_dir:
-        return args_dir
-    root = os.environ.get(OUTPUT_ROOT_ENV)
-    if root:
-        return os.path.join(root, name)
-    return None
-
 
 # each run flag and the scenario key it sets; the scenario table checks the
 # value, which is read as a YAML scalar like the key in a scenario file
@@ -54,8 +46,6 @@ RUN_FLAGS = {
     "--strategy": "run.partitions.strategy",
     "--plan": "run.partitions.plan_path",
     "--gvt-interval": "run.knobs.gvt_interval",
-    "--runtime": "run.knobs.runtime",
-    "--watchdog-s": "run.knobs.watchdog_s",
 }
 
 # sweep variable -> (the key it sets, the mode it runs in)
@@ -98,7 +88,7 @@ def _add_run_flags(p: argparse.ArgumentParser):
 
 def cmd_run(args) -> int:
     cfg = load_scenario(args.config, _scenario_overrides(args))
-    report = run_scenario(cfg, _output_dir(args.out, cfg["name"]))
+    report = run_scenario(cfg, args.out)
     print(f"generated={report.generated} delivered={report.delivered} "
           f"dropped={report.dropped} drop_rate={report.drop_rate:.4f}")
     if report.mean_delay_ns is not None:
@@ -126,8 +116,10 @@ def cmd_sweep(args) -> int:
             _set_key(overrides, "run.seed", cfg["run"]["seed"] + rep)
             _set_key(overrides, "run.mode", mode)
             _set_key(overrides, key, value)
+            # the runs write nothing: only sweep.csv goes to the output directory
+            _set_key(overrides, "run.output_dir", None)
             runs.append((value, rep, load_scenario(args.config, overrides)))
-    out_dir = _output_dir(args.out, f"{cfg['name']}-sweep") or "."
+    out_dir = args.out or cfg["run"]["output_dir"] or "."
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     failures = 0

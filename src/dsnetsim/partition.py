@@ -210,11 +210,10 @@ def _rebalance(topo: Topology, assignment: dict[int, int], k: int,
             break
 
 
-def partition_balanced(topo: Topology, k: int,
-                       weights: dict[int, int] | None = None,
-                       strategy: WeightModel = WeightModel.NO_WEIGHTS,
-                       eps: float = 0.10) -> PartitionPlan:
-    """Greedy multi-way region growing aimed at equal partition weights."""
+def _balanced_assignment(topo: Topology, k: int, weights: dict[int, int] | None,
+                         eps: float) -> dict[int, int]:
+    """The assignment of :func:`partition_balanced`: regions grown from
+    farthest-point seeds toward the lightest partition, then rebalanced."""
     n = topo.num_nodes
     if k < 1:
         raise PartitionError("k must be >= 1")
@@ -243,7 +242,15 @@ def partition_balanced(topo: Topology, k: int,
         frontiers[pid] = sorted(set(front[1:]) | {
             v for v in topo.neighbors(node) if v in remaining})
     _rebalance(topo, assignment, k, weights, eps)
-    return _plan(topo, k, assignment, strategy, weights, eps)
+    return assignment
+
+
+def partition_balanced(topo: Topology, k: int,
+                       weights: dict[int, int] | None = None,
+                       strategy: WeightModel = WeightModel.NO_WEIGHTS,
+                       eps: float = 0.10) -> PartitionPlan:
+    """Greedy multi-way region growing aimed at equal partition weights."""
+    return _plan(topo, k, _balanced_assignment(topo, k, weights, eps), strategy, weights, eps)
 
 
 # --------------------------------------------------------------------------
@@ -303,8 +310,7 @@ def partition_vertex_plus_edge(topo: Topology, k: int,
     that keeps every partition within ``eps`` of the mean vertex weight.
     ``vertex_weights=None`` weighs every node 1, which gives a cut-only plan
     under a node-count cap."""
-    assignment = partition_balanced(topo, k, vertex_weights,
-                                    WeightModel.VERTEX_PLUS_EDGE, eps).assignment
+    assignment = _balanced_assignment(topo, k, vertex_weights, eps)
     total = sum(_node_weight(vertex_weights, n) for n in assignment)
     _refine_cut(topo, assignment, k, edge_weights, vertex_weights,
                 (total / k) * (1.0 + eps))

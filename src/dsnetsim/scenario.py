@@ -73,7 +73,6 @@ def _mapping(key_ok, val_ok, desc):
 _STR = (lambda v: isinstance(v, str)), "a string"
 _BOOL = (lambda v: isinstance(v, bool)), "true or false"
 _NUM = (lambda v: _is_num(v) and v >= 0), "a number >= 0"
-_POS_NUM = (lambda v: _is_num(v) and v > 0), "a number > 0"
 # above MAX_RATE_PPS a packet interval rounds to 0 ns
 _RATE = ((lambda v: _is_int(v) and 1 <= v <= traffic_mod.MAX_RATE_PPS),
          f"an integer in 1..{traffic_mod.MAX_RATE_PPS}")
@@ -128,14 +127,14 @@ _SCHEMA = {
             "plan_path": (None, _or_null(_STR)),
             "eps": (0.10, _NUM),
         },
-        # every knob left out takes its Knobs default; Knobs.schedule_seed
-        # and Knobs.jitter have no key, as they act only on unbounded runs,
-        # which no scenario makes
+        # every knob left out takes its Knobs default. Scenarios run only
+        # windowed: GVT cannot stall there, and batch_size, schedule_seed and
+        # jitter act only on unbounded runs. batch_size and runtime (one
+        # value) stay keys only because the benchmark's scenarios set them
         "knobs": {
             "gvt_interval": (_ABSENT, _int(1)),
             "batch_size": (_ABSENT, _int(1)),
             "runtime": (_ABSENT, _one_of(kernel.RUNTIMES)),
-            "watchdog_s": (_ABSENT, _POS_NUM),
         },
         "output_dir": (None, _or_null(_STR)),
     },
@@ -200,14 +199,15 @@ def load_scenario(path: str | None = None, overrides: dict | None = None) -> dic
     if overrides:
         cfg = _deep_merge(cfg, overrides)
     _validate(cfg)
-    if cfg["run"]["partitions"]["plan_path"]:
-        # the plan file fixes the partitioning: a planner setting the user
-        # gave as well would be ignored
-        for doc in given:
-            for key in ("k", "strategy", "eps"):
-                if key in doc.get("run", {}).get("partitions", {}):
-                    raise ScenarioError(f"run.partitions.{key}: cannot be given with "
-                                        "run.partitions.plan_path, which fixes the partitioning")
+    partitions = cfg["run"]["partitions"]
+    if partitions["plan_path"]:
+        # the plan file fixes the partitioning: a planner setting given as
+        # well would be ignored, and a default would stop the echo reloading
+        for key in ("k", "strategy", "eps"):
+            if any(key in doc.get("run", {}).get("partitions", {}) for doc in given):
+                raise ScenarioError(f"run.partitions.{key}: cannot be given with "
+                                    "run.partitions.plan_path, which fixes the partitioning")
+            del partitions[key]
     return cfg
 
 
@@ -219,6 +219,10 @@ def _validate(cfg: dict):
         raise ScenarioError("run.token_interval_ns: baseline mode requires token_interval_ns > 0")
     if run["mode"] != MODE_BASELINE and run["token_interval_ns"]:
         raise ScenarioError("run.token_interval_ns: only valid in baseline mode")
+    traffic = cfg["traffic"]
+    if traffic["flows"] and traffic["pattern"] != traffic_mod.PATTERN_EXPLICIT:
+        raise ScenarioError(f"traffic.flows: only valid with pattern explicit; "
+                            f"pattern {traffic['pattern']} would ignore them")
     try:
         build_traffic_spec(cfg)
     except TrafficError as e:
@@ -321,26 +325,23 @@ def _route_metric(cfg: dict) -> RouteMetric:
     return RouteMetric(cfg["routing"]["metric"])
 
 
-def build_scenario_model(cfg: dict, mode: str | None = None,
-                         token_interval_ns: int | None = None) -> Model:
+def build_scenario_model(cfg: dict, mode: str | None = None) -> Model:
     """Fresh model for one run. Models are single-use: running mutates LP
     state, so build a new one per run."""
     topo = build_topology(cfg)
     spec = build_traffic_spec(cfg)
     routes = compute_routes(topo, _route_metric(cfg), traffic_mod.resolve_flows(spec, topo))
     return _assemble_model(cfg, topo, routes, spec, mode or cfg["run"]["mode"],
-                           token_interval_ns, scenario_identity(cfg))
+                           scenario_identity(cfg))
 
 
 def _assemble_model(cfg: dict, topo: Topology, routes, spec: TrafficSpec, mode: str,
-                    token_interval_ns: int | None, scenario_id: str) -> Model:
-    interval = 0  # the lazy shaper; only the baseline refills periodically
-    if mode == MODE_BASELINE:
-        interval = token_interval_ns if token_interval_ns is not None \
-            else cfg["run"]["token_interval_ns"]
-        if interval <= 0:
-            raise ScenarioError("run.token_interval_ns: baseline mode requires "
-                                f"token_interval_ns > 0, got {interval}")
+                    scenario_id: str) -> Model:
+    # 0 is the lazy shaper; only the baseline refills periodically
+    interval = cfg["run"]["token_interval_ns"] if mode == MODE_BASELINE else 0
+    if mode == MODE_BASELINE and interval <= 0:
+        raise ScenarioError("run.token_interval_ns: baseline mode requires "
+                            f"token_interval_ns > 0, got {interval}")
     return build_model(
         topo, routes, spec,
         end_time_ns=cfg["run"]["end_ns"],
@@ -366,7 +367,7 @@ def build_plan(cfg: dict, topo: Topology) -> partition_mod.PartitionPlan:
         # needs a profiling trace: run the same scenario sequentially, on
         # this topology and these routes
         profiling = run_sequential(_assemble_model(
-            cfg, topo, routes, spec, MODE_SEQUENTIAL, None, f"{cfg['name']}-profile"))
+            cfg, topo, routes, spec, MODE_SEQUENTIAL, f"{cfg['name']}-profile"))
         weights = partition_mod.derive_vertex_event_weights(profiling)
     elif strategy in (WeightModel.VERTEX_THROUGHPUT, WeightModel.VERTEX_PLUS_EDGE):
         weights = partition_mod.derive_vertex_throughput_weights(flows, routes, topo)

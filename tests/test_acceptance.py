@@ -41,6 +41,13 @@ def _scenario_cfg():
     return load_scenario()
 
 
+def _baseline_cfg(interval_ns, overrides=None):
+    """The scenario of ``overrides`` in baseline mode, refilling every
+    ``interval_ns``."""
+    return load_scenario(None, {**(overrides or {}), "run": {
+        "mode": MODE_BASELINE, "token_interval_ns": interval_ns}})
+
+
 def _lazy_run():
     if "lazy" not in _cache:
         t0 = time.perf_counter()
@@ -54,8 +61,7 @@ def _baseline_run(interval_ns):
     key = ("baseline", interval_ns)
     if key not in _cache:
         t0 = time.perf_counter()
-        rep = run_sequential(build_scenario_model(
-            _scenario_cfg(), mode=MODE_BASELINE, token_interval_ns=interval_ns))
+        rep = run_sequential(build_scenario_model(_baseline_cfg(interval_ns)))
         _cache[key] = (rep, time.perf_counter() - t0)
     return _cache[key]
 
@@ -91,14 +97,11 @@ def test_A3_event_economy_across_token_intervals():
     # measured with an uncontended shaper (large burst) so the comparison
     # isolates refill overhead: under contention, coarse intervals throttle
     # throughput and the packets they drop take their own events with them
-    cfg = load_scenario(None, {
-        "qos": {"default": {"shaper_burst_bytes": 4_000_000}},
-    })
-    lazy = run_sequential(build_scenario_model(cfg, mode=MODE_SEQUENTIAL))
+    uncontended = {"qos": {"default": {"shaper_burst_bytes": 4_000_000}}}
+    lazy = run_sequential(build_scenario_model(load_scenario(None, uncontended)))
     intervals = (1_000, 10_000, 100_000, 1_000_000)
     counts = [
-        run_sequential(build_scenario_model(
-            cfg, mode=MODE_BASELINE, token_interval_ns=ti)).committed_events
+        run_sequential(build_scenario_model(_baseline_cfg(ti, uncontended))).committed_events
         for ti in intervals
     ]
     monotone = all(a > b for a, b in zip(counts, counts[1:]))
@@ -137,6 +140,43 @@ def test_A4_serial_equivalence_byte_identical_records(tmp_path, window):
         "record files byte-identical to sequential for " +
         ", ".join(f"k={k} ({'yes' if ident else 'NO'}, rb={rb})"
                   for k, ident, rb in results))
+
+
+def _scale_1k_cfg(k):
+    # the paper-scale tier split of demos/06_paper_scale_setup.py (80 %
+    # access, 16 % mixed, 4 % kernel) at 1,000 nodes, on a 300 us horizon
+    return load_scenario(None, {
+        "name": "scale-1k",
+        "topology": {"synthetic": {"n_access": 800, "n_mixed": 160, "n_kernel": 40,
+                                   "seed": 1}},
+        "run": {"end_ns": 300_000,
+                "partitions": {"k": k, "strategy": WeightModel.VERTEX_THROUGHPUT.value}},
+    })
+
+
+def test_serial_equivalence_at_1000_nodes(tmp_path):
+    ref = tmp_path / "sequential.csv"
+    seq = run_sequential(build_scenario_model(_scale_1k_cfg(1)))
+    write_records_csv(str(ref), seq.records)
+    results = []
+    for k, window in ((8, "lookahead"), (4, "unbounded")):
+        cfg = _scale_1k_cfg(k)
+        model = build_scenario_model(cfg)
+        rep = run_optimistic(model, build_plan(cfg, model.topology),
+                             unbounded=window == "unbounded")
+        path = tmp_path / f"optimistic-k{k}.csv"
+        write_records_csv(str(path), rep.records)
+        results.append((k, window, path.read_bytes() == ref.read_bytes(),
+                        rep.committed_events, rep.rolled_back_events))
+    ok = all(ident and committed == seq.committed_events
+             for _, _, ident, committed, _ in results) and results[0][4] == 0
+    _verdict(
+        "serial equivalence at 1,000 nodes",
+        ok,
+        f"{seq.committed_events} sequential events; record files byte-identical for " +
+        ", ".join(f"k={k} {window} ({'yes' if ident else 'NO'}, committed={c}, rb={rb})"
+                  for k, window, ident, c, rb in results) +
+        " (tol: identical, 0 rolled back under the window)")
 
 
 def _skewed_cfg():

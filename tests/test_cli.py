@@ -141,14 +141,20 @@ def test_run_with_imported_plan(tmp_path):
                  "--plan-out", str(plan_path)]) == EXIT_OK
     out = tmp_path / "opt"
     rc = main(["run", "--config", cfg_path, "--mode", "optimistic",
-               "--plan", str(plan_path), "--runtime", "stepped",
-               "--out", str(out)])
+               "--plan", str(plan_path), "--out", str(out)])
     assert rc == EXIT_OK
     seq_out = tmp_path / "seq"
     assert main(["run", "--config", cfg_path, "--mode", "sequential",
                  "--out", str(seq_out)]) == EXIT_OK
     assert (out / "records.csv").read_bytes() == \
         (seq_out / "records.csv").read_bytes()
+    # the plan fixes the partitioning, so the echo holds no planner setting
+    # and loads again, repeating the run
+    echo = out / "effective_config.yaml"
+    assert yaml.safe_load(echo.read_text())["run"]["partitions"] == {"plan_path": str(plan_path)}
+    again = tmp_path / "again"
+    assert main(["run", "--config", str(echo), "--out", str(again)]) == EXIT_OK
+    assert (again / "records.csv").read_bytes() == (out / "records.csv").read_bytes()
 
 
 def test_sweep_token_interval_with_repetitions(tmp_path):
@@ -168,6 +174,18 @@ def test_sweep_token_interval_with_repetitions(tmp_path):
         mean = next(r for r in means if r["value"] == value)
         got = sum(float(r["committed_events"]) for r in group) / len(group)
         assert float(mean["committed_events"]) == got
+
+
+@pytest.mark.parametrize("out_flag", [True, False], ids=["out-flag", "output-dir-key"])
+def test_sweep_writes_only_its_table_to_the_output_directory(tmp_path, monkeypatch, out_flag):
+    # --out wins over run.output_dir; the runs themselves write nothing
+    monkeypatch.chdir(tmp_path)
+    cfg_path = _write_cfg(tmp_path, {"run": {"end_ns": 100_000, "output_dir": "keyed"}})
+    argv = ["sweep", "--config", cfg_path, "--variable", "k", "--values", "1,2"]
+    assert main(argv + (["--out", "flagged"] if out_flag else [])) == EXIT_OK
+    out = "flagged" if out_flag else "keyed"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [out, "scenario.yaml"]
+    assert [p.name for p in (tmp_path / out).iterdir()] == ["sweep.csv"]
 
 
 def test_sweep_loads_every_config_before_the_first_run(tmp_path, capsys, monkeypatch):
@@ -234,6 +252,7 @@ def test_bad_qos_block_is_a_config_error(tmp_path, capsys, block, key):
     ("gvt_interval", 0),
     ("batch_size", 0),
     ("batch_size", 2.5),
+    # no longer a scenario key, so every value is refused
     ("watchdog_s", "60"),
     ("watchdog_s", -1),
     ("watchdog_s", 0),
@@ -274,11 +293,13 @@ def test_bad_partition_strategy_is_a_config_error(tmp_path, capsys):
     # Knobs fields that act only on unbounded runs, which no scenario makes
     ({"run": {**SMALL["run"], "knobs": {"jitter": 2}}}, "run.knobs.jitter"),
     ({"run": {**SMALL["run"], "knobs": {"schedule_seed": 3}}}, "run.knobs.schedule_seed"),
+    # a windowed run cannot stall, so no scenario sets the watchdog
+    ({"run": {**SMALL["run"], "knobs": {"watchdog_s": 60}}}, "run.knobs.watchdog_s"),
     # byte rates are named *_Bps; bits/s keep *_bps (bandwidth_bps)
     ({"qos": {"default": {"shaper_rate_bps": 1000}}}, "qos.default.shaper_rate_bps"),
 ], ids=["traffic", "run", "run-partitions", "traffic-flows", "top-level", "topology",
         "topology-synthetic", "routing", "qos", "run-knobs", "run-knobs-jitter",
-        "run-knobs-schedule-seed", "qos-byte-rate-unit"])
+        "run-knobs-schedule-seed", "run-knobs-watchdog-s", "qos-byte-rate-unit"])
 def test_unknown_key_is_a_config_error(tmp_path, capsys, doc, key):
     cfg_path = _write_cfg(tmp_path, doc)
     assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
@@ -307,6 +328,8 @@ def test_flow_without_a_rate_is_a_config_error(tmp_path, capsys):
                   "flows": [{"src": 0, "dst": 5, "rate_pps": 2_000_000_000}]}},
      "traffic.flows[0].rate_pps"),
     ({"traffic": {"ds_probs": {46: 0.5, 26: 0.3, 0: 0.1}}}, "traffic"),
+    # the access_to_core pattern makes its own flows
+    ({"traffic": {"flows": [{"src": 10, "dst": 0, "rate_pps": 1000}]}}, "traffic.flows"),
     ({"qos": {"default": {"srtcm": [
         {"cir_Bps": 1000, "cbs_bytes": 2000, "ebs_bytes": 3000, "bogus": 1}] * 3}}},
      "qos.default.srtcm[0].bogus"),
@@ -316,7 +339,7 @@ def test_flow_without_a_rate_is_a_config_error(tmp_path, capsys):
         {"cir_bps": 1000, "cbs_bytes": 2000, "ebs_bytes": 3000}] * 3}}},
      "qos.default.srtcm[0].cir_bps"),
 ], ids=["end-ns", "k", "pattern", "packet-size", "flow-rate", "rate-0-ns-interval",
-        "flow-rate-0-ns-interval", "ds-probs-sum",
+        "flow-rate-0-ns-interval", "ds-probs-sum", "flows-without-explicit-pattern",
         "srtcm-entry", "srtcm-entry-missing-key", "srtcm-entry-byte-rate-unit"])
 def test_bad_value_is_a_config_error_at_load_time(tmp_path, capsys, doc, key):
     cfg_path = _write_cfg(tmp_path, doc)
@@ -351,7 +374,6 @@ def test_bad_flow_endpoint_is_a_config_error(tmp_path, capsys, flow, message):
     (["run", "--mode", "bogus"], "run.mode"),
     (["run", "--end-ns", "abc"], "run.end_ns"),
     (["run", "--end-ns", "[1"], "run.end_ns"),
-    (["run", "--runtime", "fibers"], "run.knobs.runtime"),
     (["run", "--strategy", "foo"], "run.partitions.strategy"),
     (["run", "--strategy", "edge"], "run.partitions.strategy"),
     (["partition", "-k", "0", "--plan-out", "plan.txt"], "run.partitions.k"),
@@ -361,7 +383,7 @@ def test_bad_flow_endpoint_is_a_config_error(tmp_path, capsys, flow, message):
     (["run", "--mode", "optimistic", "--plan", "p2.txt", "-k", "4", "--strategy", "vertex-event"],
      "run.partitions.k"),
     (["sweep", "--variable", "k", "--values", "2,4", "--plan", "p2.txt"], "run.partitions.k"),
-], ids=["mode", "end-ns", "end-ns-not-yaml", "runtime", "strategy", "strategy-edge",
+], ids=["mode", "end-ns", "end-ns-not-yaml", "strategy", "strategy-edge",
         "partition-k", "sweep-k", "sweep-repetitions", "plan-with-k", "sweep-k-with-plan"])
 def test_bad_flag_value_is_a_config_error(tmp_path, capsys, argv, key):
     cfg_path = _write_cfg(tmp_path)

@@ -95,9 +95,11 @@ def test_every_leaf_rejects_a_wrong_type(path, check):
 
 
 def test_schema_knobs_are_the_knobs_fields():
-    # schedule_seed and jitter act only on unbounded runs, which no scenario makes
+    # schedule_seed and jitter act only on unbounded runs, which no scenario
+    # makes, and a windowed run cannot stall, so it needs no watchdog_s
     assert list(_SCHEMA["run"]["knobs"]) == [
-        f.name for f in dataclasses.fields(Knobs) if f.name not in ("schedule_seed", "jitter")]
+        f.name for f in dataclasses.fields(Knobs)
+        if f.name not in ("schedule_seed", "jitter", "watchdog_s")]
 
 
 def test_unknown_routing_metric_is_rejected():
