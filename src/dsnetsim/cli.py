@@ -5,8 +5,7 @@ Subcommands: ``run``, ``sweep``, ``partition``, ``topo-gen``,
 output directory is ``--out``, else ``run.output_dir``. ``run`` writes its
 files there, among them ``effective_config.yaml``, which ``--config``
 reloads to repeat the run; ``sweep`` writes only ``sweep.csv`` (else in
-``.``). Exit codes: 0 success, 1 config error, 2 runtime error, 3 watchdog
-abort (unbounded library runs only; a windowed run cannot stall).
+``.``). Exit codes: 0 success, 1 config error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import sys
 import yaml
 
 from . import partition as partition_mod
-from .kernel import WatchdogError
 from .metrics import SUMMARY_FIELDS
 from .scenario import (
     MODE_BASELINE, MODE_OPTIMISTIC, ScenarioError, build_plan, build_topology,
@@ -32,7 +30,6 @@ from .traffic import TrafficError
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
-EXIT_WATCHDOG = 3
 
 
 # each run flag and the scenario key it sets; the scenario table checks the
@@ -230,9 +227,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except WatchdogError as e:
-        print(f"watchdog abort: {e}", file=sys.stderr)
-        return EXIT_WATCHDOG
     except (ScenarioError, TopologyError, TrafficError, partition_mod.PartitionError,
             FileNotFoundError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Assembles a runnable simulation model: one LP per network node, wired
 with its egress pipelines, routing row, and traffic sources, plus the
-bootstrap events that start the run. Each tier's profile is built once
-into a set of QoS elements (``router.TierQos``) that every port of the
+bootstrap events that start the run. Each tier's profile
+(``qos.QosProfile``) is the set of QoS elements that every port of the
 tier shares, so a port owns only its numbers and its packet lists.
 ``token_interval_ns`` is the shaper mode: 0 is the paper's lazy shaper,
 which refills a token bucket exactly when it is read, and a positive value
@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 from . import events
-from .qos import QosProfile, make_profile
-from .router import RouterLp, EgressPipeline, Effects, TierQos
+from .qos import QosProfile
+from .router import RouterLp, EgressPipeline, Effects
 from .topology import Topology, NodeTier
 from .traffic import TrafficSpec, DsSampler, build_sources
 
@@ -75,14 +75,12 @@ def build_model(
     if token_interval_ns < 0:
         raise ModelError(f"token_interval_ns: {token_interval_ns} is not >= 0")
     if profiles is None:
-        profiles = {tier: make_profile() for tier in NodeTier}
+        profiles = {tier: QosProfile() for tier in NodeTier}
     ctx = ModelContext(token_interval_ns, end_time_ns, traffic)
 
     lps: dict[int, RouterLp] = {}
-    # one element set per tier, shared by the tier's pipelines
-    tiers = {tier: TierQos(profiles[tier]) for tier in set(topo.tiers.values())}
     for nid in topo.node_ids():
-        tier = tiers[topo.tiers[nid]]
+        tier = profiles[topo.tiers[nid]]
         pipelines = []
         for port in range(topo.port_counts[nid]):
             link = topo.port_link.get((nid, port))

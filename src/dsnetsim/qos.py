@@ -12,9 +12,10 @@ Each stateful element (:class:`TokenBucket`, :class:`SrtcmMeter`,
 :class:`ClassQueue`, :class:`RedState`) holds only its configuration and
 the offset ``i`` of its numbers. Its constructor appends its initial
 numbers to the list it is given, and its methods take the state list ``st``
-they act on (a queue's also take its packet list). So one element set
-serves every port of a tier: each port owns only its copy of the initial
-list and one packet list per class (see ``router.EgressPipeline``).
+they act on (a queue's also take its packet list). So one element set, a
+tier's :class:`QosProfile`, serves every port of the tier: each port owns
+only its copy of the profile's initial numbers and one packet list per
+class (see ``router.EgressPipeline``).
 """
 
 from __future__ import annotations
@@ -313,7 +314,7 @@ class Classifier:
 
 
 # --------------------------------------------------------------------------
-# per-tier QoS profile (configuration, immutable and shared)
+# per-tier QoS profile: the element set every port of a tier shares
 
 DEFAULT_QUEUE_CAPACITY = 64 * 1024
 
@@ -325,22 +326,6 @@ RED_DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class QosProfile:
-    """Everything needed to instantiate one egress pipeline."""
-
-    classifier: Classifier
-    srtcm: tuple[SrtcmParams, ...]  # one per class
-    red: tuple[tuple[RedParams, ...], ...]  # [class][color]
-    queue_capacity_bytes: int
-    shaper_rate_Bps: int  # bytes per second
-    shaper_burst_bytes: int
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.srtcm)
-
-
 def default_red_params(queue_capacity: int, color: Color) -> RedParams:
     lo, hi, max_p = RED_DEFAULTS[color]
     min_th = max(1, int(lo * queue_capacity)) if lo > 0 else 1
@@ -348,41 +333,45 @@ def default_red_params(queue_capacity: int, color: Color) -> RedParams:
     return RedParams(min_th, max_th, max_p)
 
 
-def make_profile(
-    classifier_map: dict[int, int] | None = None,
-    default_class: int | None = None,
-    num_classes: int = 3,
-    srtcm: list[SrtcmParams] | None = None,
-    queue_capacity_bytes: int = DEFAULT_QUEUE_CAPACITY,
-    shaper_rate_Bps: int = 1_250_000_000,
-    shaper_burst_bytes: int = 16 * 1024,
-    red: list[list[RedParams]] | None = None,
-) -> QosProfile:
-    """Assemble a profile, filling unspecified pieces with defaults. The
-    default class is the lowest-priority one, ``num_classes - 1``, and a
-    ``srtcm`` or ``red`` list of other than one entry per class is an error."""
-    if default_class is None:
-        default_class = num_classes - 1
-    if classifier_map is None:
+class QosProfile:
+    """One tier's QoS elements, which every port of the tier shares, and
+    ``initial``, the numbers a port of the tier starts from: the shaper's,
+    then per class the queue's, the meter's and each color's RED numbers,
+    each at its element's offset ``i``. Parameters are read through the
+    elements, such as ``shaper.capacity_bytes`` or ``srtcm[0].params``.
+    Pieces left out take defaults. The default class is the last one;
+    ``srtcm`` needs one entry per class; ``red`` maps a :class:`Color` to
+    its dropper in every class, and a color it leaves out takes
+    :data:`RED_DEFAULTS`."""
+
+    __slots__ = ("classifier", "classify", "shaper", "queues", "srtcm", "red", "initial")
+
+    def __init__(self, classifier_map: dict[int, int] | None = None,
+                 default_class: int | None = None, num_classes: int = 3,
+                 srtcm: list[SrtcmParams] | None = None,
+                 queue_capacity_bytes: int = DEFAULT_QUEUE_CAPACITY,
+                 shaper_rate_Bps: int = 1_250_000_000, shaper_burst_bytes: int = 16 * 1024,
+                 red: dict[Color, RedParams] | None = None):
+        if srtcm is None:
+            srtcm = [SrtcmParams(shaper_rate_Bps, 32 * 1024, 64 * 1024)] * num_classes
+        elif len(srtcm) != num_classes:
+            raise QosConfigError("srtcm list must have one entry per class")
+        red = red or {}
+        if not set(red) <= set(Color):
+            raise QosConfigError(f"red keys must be colors, got {list(red)}")
         # EF-style -> 0, AF-style -> 1, best effort -> 2
-        classifier_map = {46: 0, 26: 1, 0: 2}
-    if srtcm is None:
-        srtcm = [
-            SrtcmParams(cir_Bps=shaper_rate_Bps, cbs_bytes=32 * 1024, ebs_bytes=64 * 1024)
-        ] * num_classes
-    if red is None:
-        red = [
-            [default_red_params(queue_capacity_bytes, c) for c in Color]
-            for _ in range(num_classes)
-        ]
-    for name, per_class in (("srtcm", srtcm), ("red", red)):
-        if len(per_class) != num_classes:
-            raise QosConfigError(f"{name} list must have one entry per class")
-    return QosProfile(
-        classifier=Classifier(classifier_map, default_class, num_classes),
-        srtcm=tuple(srtcm),
-        red=tuple(tuple(r) for r in red),
-        queue_capacity_bytes=queue_capacity_bytes,
-        shaper_rate_Bps=shaper_rate_Bps,
-        shaper_burst_bytes=shaper_burst_bytes,
-    )
+        self.classifier = Classifier(
+            {46: 0, 26: 1, 0: 2} if classifier_map is None else classifier_map,
+            num_classes - 1 if default_class is None else default_class, num_classes)
+        self.classify = self.classifier.classify  # DS value -> class
+        st = self.initial = []
+        self.shaper = TokenBucket(shaper_burst_bytes, shaper_rate_Bps, st)
+        self.queues = [ClassQueue(queue_capacity_bytes, st) for _ in range(num_classes)]
+        self.srtcm = [SrtcmMeter(p, st) for p in srtcm]
+        row = [red[c] if c in red else default_red_params(queue_capacity_bytes, c)
+               for c in Color]
+        self.red = [[RedState(p, st) for p in row] for _ in range(num_classes)]
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.queues)

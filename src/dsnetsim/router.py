@@ -32,8 +32,8 @@ the event's port, plus the RNG cursors, the ``seq`` counter and a flow's
 route for ARRIVE and GENERATE or the payload for SEND and REFILL, and
 hands it to the handler; asked to save, it first takes the save of exactly
 that state (:meth:`RouterLp.clone`). A pipeline's QoS elements are its
-tier's, shared and immutable (:class:`TierQos`); its mutable state is one
-flat list of numbers and one packet list per class (:class:`EgressPipeline`),
+tier's, shared and immutable (:class:`qos.QosProfile`); its mutable state is
+one flat list of numbers and one packet list per class (:class:`EgressPipeline`),
 so a save is a few list copies, and a rollback writes them back
 (:meth:`RouterLp.restore`).
 
@@ -55,8 +55,7 @@ import math
 
 from . import events, rng
 from .metrics import PacketRecord
-from .qos import QosProfile, ClassQueue, RedState, SrtcmMeter, TokenBucket, \
-    strict_priority_select, ENQUEUE
+from .qos import QosProfile, strict_priority_select, ENQUEUE
 
 PKT_ID_STRIDE = 10**7
 
@@ -101,8 +100,10 @@ class Effects:
         self.records: list[PacketRecord] = []
 
 
-# offsets into EgressPipeline.st; the QoS elements' numbers follow
-SEND_FLAG, ARRIVE_COUNT, SEND_COUNT, BLOCKED_EPISODES, STALE_SENDS, REDUNDANT_SENDS = range(6)
+# offsets into EgressPipeline.st of the port's own numbers, which follow the
+# QoS elements' numbers, and their initial values
+SEND_FLAG, ARRIVE_COUNT, SEND_COUNT, BLOCKED_EPISODES, STALE_SENDS, REDUNDANT_SENDS = range(-6, 0)
+PORT_INITIAL = (False, 0, 0, 0, 0, 0)
 
 
 def st_field(offset: int, doc: str) -> property:
@@ -117,35 +118,16 @@ def st_field(offset: int, doc: str) -> property:
     return property(get, set, doc=doc)
 
 
-class TierQos:
-    """The QoS elements of one tier's profile, which every port of the tier
-    shares, and ``initial``, the numbers a port of the tier starts from:
-    the send flag, the five audit counters, then the shaper's, and per
-    class the queue's, the meter's and each colour's RED numbers, each at
-    its element's offset ``i``."""
-
-    __slots__ = ("classify", "shaper", "queues", "srtcm", "red", "initial")
-
-    def __init__(self, profile: QosProfile):
-        self.classify = profile.classifier.classify  # DS value -> class
-        st = self.initial = [False, 0, 0, 0, 0, 0]
-        self.shaper = TokenBucket(profile.shaper_burst_bytes, profile.shaper_rate_Bps, st)
-        self.queues = [ClassQueue(profile.queue_capacity_bytes, st)
-                       for _ in range(profile.num_classes)]
-        self.srtcm = [SrtcmMeter(p, st) for p in profile.srtcm]
-        self.red = [[RedState(p, st) for p in per_class] for per_class in profile.red]
-
-
 class EgressPipeline:
     """QoS pipeline and shaper of one egress port, plus audit counters.
 
-    The QoS elements are its ``tier``'s (:class:`TierQos`), shared with
-    every other port of the tier, and hold only configuration. The port
-    owns all its mutable state: ``st``, its copy of the tier's initial
-    numbers, and ``pkts``, the packet list of each class queue. Every
-    element method takes ``st`` (a queue's also its packet list), so a copy
-    of ``st`` and of each list in ``pkts`` is a complete save of the
-    pipeline.
+    The QoS elements are its ``tier``'s profile (:class:`qos.QosProfile`),
+    shared with every other port of the tier, and hold only configuration.
+    The port owns all its mutable state: ``st``, its copy of the tier's
+    initial numbers followed by the send flag and the five audit counters,
+    and ``pkts``, the packet list of each class queue. Every element method
+    takes ``st`` (a queue's also its packet list), so a copy of ``st`` and
+    of each list in ``pkts`` is a complete save of the pipeline.
     """
 
     __slots__ = ("port", "link", "tier", "st", "pkts")
@@ -157,11 +139,11 @@ class EgressPipeline:
     stale_sends = st_field(STALE_SENDS, "SEND events found with the flag clear")
     redundant_sends = st_field(REDUNDANT_SENDS, "SEND events found with empty queues")
 
-    def __init__(self, port: int, link, tier: TierQos):
+    def __init__(self, port: int, link, tier: QosProfile):
         self.port = port
         self.link = link
         self.tier = tier
-        self.st = tier.initial[:]
+        self.st = [*tier.initial, *PORT_INITIAL]
         self.pkts = [[] for _ in tier.queues]
 
 

@@ -16,7 +16,7 @@ from . import kernel, metrics, partition as partition_mod, traffic as traffic_mo
 from .kernel import Knobs, run_optimistic, run_sequential
 from .model import Model, build_model
 from .partition import WeightModel
-from .qos import Color, QosConfigError, QosProfile, RedParams, SrtcmParams, make_profile
+from .qos import Color, QosConfigError, QosProfile, RedParams, SrtcmParams
 from .routing import RouteMetric, compute_routes
 from .topology import NodeTier, Topology, generate_synthetic_topology, load_topology
 from .traffic import Flow, TrafficError, TrafficSpec
@@ -80,7 +80,7 @@ _RED = ((lambda v: isinstance(v, list) and len(v) in (3, 4) and _is_int(v[0])
          and _is_int(v[1]) and all(_is_num(x) for x in v[2:])),
         "[min_th_bytes, max_th_bytes, max_p] or [..., weight]")
 
-# one qos block; every key left out takes make_profile's default
+# one qos block; every key left out takes QosProfile's default
 _QOS_BLOCK = {
     "num_classes": (_ABSENT, _int(1)),
     "default_class": (_ABSENT, _int(0)),
@@ -180,9 +180,27 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+# each input path's block and key, and the keys of the block it fixes: with
+# the path set, the loaded config holds none of them, and giving one as well
+# is an error (it would be ignored, and a default would stop the echo reloading)
+_INPUT_PATHS = (("topology", "path", ("synthetic",), "the topology"),
+                ("run.partitions", "plan_path", ("k", "strategy", "eps"), "the partitioning"))
+
+
+def _block(doc: dict, where: str) -> dict:
+    """The block of ``doc`` at the dotted path ``where``, {} if it has none."""
+    for key in where.split("."):
+        doc = doc.get(key, {})
+    return doc
+
+
 def load_scenario(path: str | None = None, overrides: dict | None = None) -> dict:
+    """The defaults, merged with the file at ``path`` and then ``overrides``,
+    and checked. Input paths are made absolute: the file's relative to its
+    directory, the overrides' relative to the working directory."""
     cfg = _defaults(_SCHEMA)
-    given = [overrides or {}]  # what the user set: the overrides, the file
+    overrides = overrides or {}
+    given = [overrides]  # what the user set: the overrides, the file
     if path is not None:
         with open(path) as fh:
             try:
@@ -199,15 +217,16 @@ def load_scenario(path: str | None = None, overrides: dict | None = None) -> dic
     if overrides:
         cfg = _deep_merge(cfg, overrides)
     _validate(cfg)
-    partitions = cfg["run"]["partitions"]
-    if partitions["plan_path"]:
-        # the plan file fixes the partitioning: a planner setting given as
-        # well would be ignored, and a default would stop the echo reloading
-        for key in ("k", "strategy", "eps"):
-            if any(key in doc.get("run", {}).get("partitions", {}) for doc in given):
-                raise ScenarioError(f"run.partitions.{key}: cannot be given with "
-                                    "run.partitions.plan_path, which fixes the partitioning")
-            del partitions[key]
+    for where, leaf, fixed, what in _INPUT_PATHS:
+        block = _block(cfg, where)
+        if block.get(leaf):
+            base = os.path.dirname(path) if path and leaf not in _block(overrides, where) else ""
+            block[leaf] = os.path.abspath(os.path.join(base, block[leaf]))
+            for key in fixed:
+                if any(key in _block(doc, where) for doc in given):
+                    raise ScenarioError(f"{where}.{key}: cannot be given with "
+                                        f"{where}.{leaf}, which fixes {what}")
+                del block[key]
     return cfg
 
 
@@ -229,12 +248,12 @@ def _validate(cfg: dict):
         raise ScenarioError(f"traffic: {e}") from e
     size = cfg["traffic"]["packet_size"]
     for tier, profile in build_profiles(cfg).items():
-        if size > profile.shaper_burst_bytes:
+        if size > profile.shaper.capacity_bytes:
             tier_block = cfg["qos"]["tiers"].get(tier.value, {})
             block = f"tiers.{tier.value}" if "shaper_burst_bytes" in tier_block else "default"
             raise ScenarioError(
                 f"traffic.packet_size: {size} B exceeds qos.{block}.shaper_burst_bytes "
-                f"= {profile.shaper_burst_bytes} B, so no packet could pass the shaper")
+                f"= {profile.shaper.capacity_bytes} B, so no packet could pass the shaper")
 
 
 # libyaml's emitter writes the same text as the pure-Python one, several
@@ -291,23 +310,19 @@ def build_traffic_spec(cfg: dict) -> TrafficSpec:
 
 def _profile_from(block: dict, where: str) -> QosProfile:
     """Profile for one merged qos block. Keys the block leaves out take
-    :func:`make_profile`'s defaults. A bad value is a ScenarioError that
+    :class:`QosProfile`'s defaults. A bad value is a ScenarioError that
     names the block, ``where``."""
     kwargs = dict(block)
     if "classifier" in kwargs:
         kwargs["classifier_map"] = kwargs.pop("classifier")
-    red = kwargs.pop("red", None)
     try:
         if "srtcm" in kwargs:
             kwargs["srtcm"] = [SrtcmParams(**s) for s in kwargs["srtcm"]]
-        profile = make_profile(**kwargs)
-        if red is not None:
-            row = tuple(RedParams(*red[color.name.lower()]) if color.name.lower() in red
-                        else profile.red[0][color] for color in Color)
-            profile = dataclasses.replace(profile, red=(row,) * profile.num_classes)
+        if "red" in kwargs:
+            kwargs["red"] = {Color[c.upper()]: RedParams(*p) for c, p in kwargs["red"].items()}
+        return QosProfile(**kwargs)
     except QosConfigError as e:
         raise ScenarioError(f"{where}: {e}") from e
-    return profile
 
 
 def build_profiles(cfg: dict) -> dict[NodeTier, QosProfile]:

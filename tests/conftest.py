@@ -2,7 +2,7 @@
 
 import pytest
 
-from dsnetsim.qos import make_profile
+from dsnetsim.qos import QosProfile
 from dsnetsim.routing import compute_routes
 from dsnetsim.topology import Link, NodeTier, Topology, generate_synthetic_topology
 from dsnetsim.traffic import TrafficSpec, Flow
@@ -60,7 +60,7 @@ def single_flow_model(topo, src, dst, rate_pps=1_000_000, end_ns=100_000,
 
 
 def tier_profiles(**kwargs):
-    return {tier: make_profile(**kwargs) for tier in NodeTier}
+    return {tier: QosProfile(**kwargs) for tier in NodeTier}
 
 
 def tight_shaper_profiles():

@@ -3,14 +3,15 @@
 import csv
 import functools
 import json
+import os
 import re
 
 import pytest
 import yaml
 
 from dsnetsim import cli, kernel, scenario
-from dsnetsim.cli import EXIT_CONFIG, EXIT_OK, RUN_FLAGS, main
-from dsnetsim.topology import load_topology
+from dsnetsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, RUN_FLAGS, main
+from dsnetsim.topology import load_topology, save_topology
 from dsnetsim.scenario import ScenarioError, build_topology, build_traffic_spec, load_scenario
 from dsnetsim.traffic import expected_generated
 
@@ -155,6 +156,47 @@ def test_run_with_imported_plan(tmp_path):
     again = tmp_path / "again"
     assert main(["run", "--config", str(echo), "--out", str(again)]) == EXIT_OK
     assert (again / "records.csv").read_bytes() == (out / "records.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flags, topology_file", [
+    (["--mode", "sequential"], False),
+    (["--mode", "baseline", "--token-interval-ns", "10000"], False),
+    (["--mode", "optimistic", "-k", "2"], False),
+    (["--mode", "optimistic", "--plan", "p.txt"], False),
+    (["--mode", "sequential"], True),
+], ids=["sequential", "baseline", "optimistic-k2", "optimistic-plan", "topology-file"])
+def test_every_run_shape_echo_reloads_from_another_directory(tmp_path, monkeypatch,
+                                                             flags, topology_file):
+    """effective_config.yaml repeats its run with byte-identical records
+    from any working directory: the echo names its input files by absolute
+    path, resolved against the scenario file or, for a flag, against the
+    working directory of the first run."""
+    scen = tmp_path / "scen"
+    scen.mkdir()
+    doc = dict(SMALL)
+    if topology_file:  # named relative to the scenario file, which sits next to it
+        save_topology(build_topology(load_scenario(None, SMALL)), str(scen / "t.yaml"))
+        doc["topology"] = {"path": "t.yaml"}
+    (scen / "scenario.yaml").write_text(yaml.safe_dump(doc))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    cfg_path = os.path.join("..", "scen", "scenario.yaml")
+    if "--plan" in flags:
+        assert main(["partition", "--config", cfg_path, "-k", "2", "--plan-out", "p.txt"]) == EXIT_OK
+    assert main(["run", "--config", cfg_path, *flags, "--out", "o1"]) == EXIT_OK
+    monkeypatch.chdir(work / "o1")
+    assert main(["run", "--config", "effective_config.yaml", "--out", "../o2"]) == EXIT_OK
+    assert (work / "o2" / "records.csv").read_bytes() == (work / "o1" / "records.csv").read_bytes()
+
+
+def test_watchdog_abort_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    # only an unbounded library run can stall; the CLI has no exit code of its own for it
+    def stall(*args):
+        raise kernel.WatchdogError("no GVT progress past 0 ns for 60.0s")
+    monkeypatch.setattr(cli, "run_scenario", stall)
+    assert main(["run", "--config", _write_cfg(tmp_path)]) == EXIT_RUNTIME
+    assert "runtime error: no GVT progress past 0 ns" in capsys.readouterr().err
 
 
 def test_sweep_token_interval_with_repetitions(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from dsnetsim.kernel import Knobs, run_optimistic, run_sequential
 from dsnetsim.metrics import compare_reports
 from dsnetsim.model import build_model
-from dsnetsim.qos import make_profile
+from dsnetsim.qos import QosProfile
 from dsnetsim.routing import compute_routes
 from dsnetsim.topology import NodeTier, Topology, generate_synthetic_topology
 from dsnetsim.traffic import Flow, TrafficSpec
@@ -51,7 +51,7 @@ def cases(draw):
         flows.append(Flow(src, (src + draw(st.integers(1, n - 1))) % n,
                           draw(st.integers(20_000, 300_000)), draw(st.sampled_from((0, 26, 46)))))
     tight = draw(st.sampled_from(list(NodeTier)))
-    profiles = {t: make_profile(**(TIGHT if t is tight else {})) for t in NodeTier}
+    profiles = {t: QosProfile(**(TIGHT if t is tight else {})) for t in NodeTier}
     k = draw(st.integers(2, 4))
     assignment = {n: draw(st.integers(0, k - 1)) for n in topo.node_ids()}
     # 0 refills lazily, 5 us runs REFILL chains
@@ -100,7 +100,7 @@ def test_windowed_poisson_records_equal_sequential(size, token_interval_ns):
     n = topo.num_nodes
     flows = [Flow(src, (src + 5) % n, 200_000, ds)
              for src, ds in zip(range(0, n, 2), (0, 26, 46, 0, 26))]
-    profiles = {t: make_profile(**(TIGHT if t is NodeTier.MIXED else {})) for t in NodeTier}
+    profiles = {t: QosProfile(**(TIGHT if t is NodeTier.MIXED else {})) for t in NodeTier}
     traffic = (size, True)
     seq = run_sequential(_model(topo, flows, traffic, profiles, token_interval_ns))
     rep = run_optimistic(_model(topo, flows, traffic, profiles, token_interval_ns),

@@ -15,7 +15,7 @@ from dsnetsim.partition import PartitionPlan, partition_balanced
 from dsnetsim.router import Packet
 from dsnetsim.routing import compute_routes
 from dsnetsim.model import build_model, lookahead_ns
-from dsnetsim.qos import SrtcmParams, make_profile
+from dsnetsim.qos import QosProfile, SrtcmParams
 from dsnetsim.topology import NodeTier, Topology, generate_synthetic_topology
 from dsnetsim.traffic import Flow, TrafficSpec
 from conftest import WINDOWS, bidirectional, line_topology, single_flow_model, tight_shaper_profiles
@@ -338,7 +338,7 @@ def _two_way_line_model():
                     bidirectional(0, 1, 0, 0) + bidirectional(1, 2, 1, 0)
                     + bidirectional(2, 3, 1, 0))
     srtcm = [SrtcmParams(cir_Bps=500_000_000, cbs_bytes=3_000, ebs_bytes=6_000)] * 3
-    profiles = {tier: make_profile(classifier_map=ds_map, srtcm=srtcm) for tier, ds_map in (
+    profiles = {tier: QosProfile(classifier_map=ds_map, srtcm=srtcm) for tier, ds_map in (
         (NodeTier.ACCESS, None), (NodeTier.MIXED, {0: 1}), (NodeTier.KERNEL, {0: 0}))}
     spec = TrafficSpec(pattern="explicit", packet_size=1400, flows=(
         Flow(0, 3, 1_000_000, 0), Flow(3, 0, 1_000_000, 0)))

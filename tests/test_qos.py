@@ -7,7 +7,7 @@ import pytest
 from dsnetsim.qos import (
     TOKEN_SCALE, Classifier, ClassQueue, Color, QosConfigError, RedParams,
     RedState, SrtcmMeter, SrtcmParams, TokenBucket, DROP, ENQUEUE,
-    make_profile, strict_priority_select,
+    QosProfile, default_red_params, strict_priority_select,
 )
 from dsnetsim.rng import PURPOSE_RED
 
@@ -477,12 +477,28 @@ def test_classifier_validation():
 
 
 @pytest.mark.parametrize("kwargs, name", [
-    (dict(red=[[RedParams(1, 100, 0.1)] * 3]), "red"),
     (dict(srtcm=[SrtcmParams(10**6, 2000, 3000)] * 2), "srtcm"),
-    (dict(num_classes=2, red=[[RedParams(1, 100, 0.1)] * 3] * 3), "red"),
-], ids=["one-red-row-for-three-classes", "two-srtcm-for-three-classes",
-        "three-red-rows-for-two-classes"])
+], ids=["two-srtcm-for-three-classes"])
 def test_profile_lists_need_one_entry_per_class(kwargs, name):
-    # a short list would build and then fail the run with IndexError
+    # a short list would build and then fail the run with IndexError; red
+    # is given per color for every class, so only srtcm is a per-class list
     with pytest.raises(QosConfigError, match=rf"^{name} list must have one entry per class$"):
-        make_profile(**kwargs)
+        QosProfile(**kwargs)
+
+
+def test_red_row_applies_to_every_class():
+    """``red`` gives each color's dropper once, for every class; a color it
+    leaves out takes the default for the queue capacity."""
+    green = RedParams(100, 200, 0.5)
+    profile = QosProfile(red={Color.GREEN: green})
+    assert profile.num_classes == 3
+    defaults = [default_red_params(profile.queues[0].capacity_bytes, c) for c in Color]
+    assert [[r.params for r in row] for row in profile.red] == [[green, *defaults[1:]]] * 3
+    # one dropper, with its own numbers, per (class, color)
+    offsets = [r.i for row in profile.red for r in row]
+    assert len(set(offsets)) == 9
+
+
+def test_red_keys_must_be_colors():
+    with pytest.raises(QosConfigError, match=r"^red keys must be colors"):
+        QosProfile(red={"green": RedParams(100, 200, 0.5)})

@@ -8,10 +8,12 @@ import pytest
 from dsnetsim import events, rng
 from dsnetsim.kernel import run_sequential
 from dsnetsim.model import ModelError, build_model
-from dsnetsim.router import Effects, EgressPipeline, Packet, TierQos, dispatch, transmission_ns
+from dsnetsim.router import (
+    PORT_INITIAL, Effects, EgressPipeline, Packet, dispatch, transmission_ns,
+)
 from dsnetsim.routing import compute_routes
 from dsnetsim.qos import (
-    TOKEN_SCALE, ClassQueue, RedParams, RedState, SrtcmMeter, TokenBucket, make_profile,
+    TOKEN_SCALE, ClassQueue, Color, QosProfile, RedParams, RedState, SrtcmMeter, TokenBucket,
 )
 from dsnetsim.topology import generate_synthetic_topology
 from dsnetsim.traffic import TrafficSpec, Flow
@@ -127,7 +129,7 @@ def test_red_decides_on_the_draw_at_its_arrivals_cursor(nudge):
     # above or below u
     red = RedParams(1_000, 3_000, 2 * u * nudge, weight=1.0)
     model = single_flow_model(line_topology(2), 0, 1, seed=42,
-                              profiles=tier_profiles(red=[[red] * 3] * 3))
+                              profiles=tier_profiles(red=dict.fromkeys(Color, red)))
     lp = model.lps[0]
     pipe = lp.pipelines[0]
     for pid in range(n):
@@ -408,19 +410,19 @@ def test_pipeline_state_is_what_the_save_copies():
 
 
 def test_pipelines_of_one_tier_share_a_layout_but_no_state():
-    """build_model builds each tier's QoS elements once: every pipeline of
-    the tier holds the same element objects and starts from a copy of the
-    tier's initial numbers, and shares no mutable list with another
-    pipeline or with the tier."""
+    """Every pipeline of a tier holds its tier's profile, the one element
+    set, and starts from a copy of the profile's initial numbers followed by
+    the port's own; it shares no mutable list with another pipeline or with
+    the profile."""
     model = single_flow_model(line_topology(3), 0, 2)
     pipes = [p for lp in model.lps.values() for p in lp.pipelines]
     assert len({model.topology.tiers[n] for n in model.lps}) == 1 and len(pipes) == 4
     tier = pipes[0].tier
-    fresh = TierQos(make_profile())  # the profile single_flow_model builds
+    fresh = QosProfile()  # the profile single_flow_model builds
     assert [e.i for e in _elements(tier)] == [e.i for e in _elements(fresh)]
     for pipe in pipes:
-        assert all(a is b for a, b in zip(_elements(pipe.tier), _elements(tier)))
-        assert pipe.st == fresh.initial == tier.initial
+        assert pipe.tier is tier
+        assert pipe.st == [*fresh.initial, *PORT_INITIAL] == [*tier.initial, *PORT_INITIAL]
         assert pipe.pkts == [[], [], []]
     lists = [id(tier.initial)] + [id(p.st) for p in pipes] + [id(q) for p in pipes for q in p.pkts]
     assert len(set(lists)) == len(lists)

@@ -13,7 +13,7 @@ from dsnetsim.partition import (
     WeightModel, derive_edge_throughput_weights, derive_vertex_throughput_weights,
     partition_balanced, partition_vertex_plus_edge,
 )
-from dsnetsim.qos import Color, make_profile
+from dsnetsim.qos import Color, QosProfile
 from dsnetsim.scenario import (
     MODE_BASELINE, MODE_OPTIMISTIC, MODE_SEQUENTIAL, ScenarioError,
     _SCHEMA, build_plan, build_profiles, build_scenario_model, build_topology,
@@ -145,23 +145,26 @@ def test_per_tier_qos_overrides():
         },
     })
     profiles = build_profiles(cfg)
-    assert profiles[NodeTier.ACCESS].queue_capacity_bytes == 10_000
-    assert profiles[NodeTier.ACCESS].shaper_rate_Bps == 1_250_000_000
-    assert profiles[NodeTier.KERNEL].shaper_rate_Bps == 999
-    assert profiles[NodeTier.KERNEL].queue_capacity_bytes == 10_000
+    assert profiles[NodeTier.ACCESS].queues[0].capacity_bytes == 10_000
+    assert profiles[NodeTier.ACCESS].shaper.rate_Bps == 1_250_000_000
+    assert profiles[NodeTier.KERNEL].shaper.rate_Bps == 999
+    assert profiles[NodeTier.KERNEL].queues[0].capacity_bytes == 10_000
 
 
-def test_empty_qos_block_gives_make_profile_defaults():
+def _parameters(profile):
+    """Every parameter of a profile, read through its elements."""
+    return (profile.classifier.mapping, profile.classifier.default_class,
+            (profile.shaper.capacity_bytes, profile.shaper.rate_Bps),
+            [q.capacity_bytes for q in profile.queues], [m.params for m in profile.srtcm],
+            [[r.params for r in row] for row in profile.red], profile.initial)
+
+
+def test_empty_qos_block_gives_the_profile_defaults():
     cfg = load_scenario(None, {"qos": {"default": {}, "tiers": {}}})
-    want = make_profile()
+    want = QosProfile()
     for tier, got in build_profiles(cfg).items():
         assert got.num_classes == want.num_classes, tier
-        for f in dataclasses.fields(want):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            if f.name == "classifier":
-                assert (a.mapping, a.default_class) == (b.mapping, b.default_class), tier
-            else:
-                assert a == b, (tier, f.name)
+        assert _parameters(got) == _parameters(want), tier
 
 
 def test_explicit_red_and_srtcm_blocks():
@@ -179,12 +182,14 @@ def test_explicit_red_and_srtcm_blocks():
     })
     prof = build_profiles(cfg)[NodeTier.ACCESS]
     assert prof.num_classes == 2
-    assert prof.srtcm[0].cbs_bytes == 2000
-    assert prof.red[0][Color.GREEN].min_th_bytes == 100
-    assert prof.red[0][Color.GREEN].max_p == 0.5
-    # unspecified colors fall back to the built-in per-color defaults
-    assert prof.red[0][Color.RED].max_p == 0.5
-    assert prof.red[0][Color.YELLOW].max_p == 0.1
+    assert prof.srtcm[0].params.cbs_bytes == 2000
+    # the red row applies to every class
+    for row in prof.red:
+        assert row[Color.GREEN].params.min_th_bytes == 100
+        assert row[Color.GREEN].params.max_p == 0.5
+        # unspecified colors fall back to the built-in per-color defaults
+        assert row[Color.RED].params.max_p == 0.5
+        assert row[Color.YELLOW].params.max_p == 0.1
 
 
 def test_run_scenario_writes_artifacts(tmp_path):
@@ -232,18 +237,42 @@ def test_optimistic_scenario_end_to_end(tmp_path):
     assert (out / "gvt_series.csv").exists()
 
 
-def test_topology_file_beats_synthetic(tmp_path):
-    from dsnetsim.topology import save_topology
-    cfg = load_scenario(None, SMALL)
-    topo = build_topology(cfg)
+def test_topology_file_with_synthetic_is_a_config_error(tmp_path):
+    """A topology file fixes the topology: synthetic settings given as well
+    would be ignored, and the loaded config holds none."""
+    topo = build_topology(load_scenario(None, SMALL))
     path = tmp_path / "t.yaml"
     save_topology(topo, str(path))
-    cfg2 = load_scenario(None, {
-        "topology": {"path": str(path),
-                     "synthetic": {"n_access": 99, "n_mixed": 9, "n_kernel": 9,
-                                   "seed": 0}},
-    })
-    assert build_topology(cfg2).num_nodes == topo.num_nodes
+    cfg = load_scenario(None, {"topology": {"path": str(path)}})
+    assert cfg["topology"] == {"path": str(path)}
+    assert build_topology(cfg).num_nodes == topo.num_nodes
+    doc = tmp_path / "s.yaml"
+    doc.write_text(yaml.safe_dump({"topology": {"path": "t.yaml"}}))
+    message = ("topology.synthetic: cannot be given with topology.path, "
+               "which fixes the topology")
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(message)}$"):
+        load_scenario(None, {"topology": {"path": str(path), **SMALL["topology"]}})
+    # the file gives the path, an override the synthetic settings
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(message)}$"):
+        load_scenario(str(doc), {"topology": SMALL["topology"]})
+
+
+def test_input_paths_resolve_against_the_file_that_gives_them(tmp_path, monkeypatch):
+    """A relative path in a scenario file names a file next to it; one
+    given by an override names a file in the working directory."""
+    (tmp_path / "sub").mkdir()
+    doc = tmp_path / "sub" / "s.yaml"
+    doc.write_text(yaml.safe_dump({
+        "topology": {"path": "t.yaml"}, "run": {"partitions": {"plan_path": "p.txt"}}}))
+    monkeypatch.chdir(tmp_path)
+    cfg = load_scenario(str(doc.relative_to(tmp_path)))
+    assert cfg["topology"]["path"] == str(tmp_path / "sub" / "t.yaml")
+    assert cfg["run"]["partitions"] == {"plan_path": str(tmp_path / "sub" / "p.txt")}
+    cfg = load_scenario(str(doc), {"run": {"partitions": {"plan_path": "p.txt"}}})
+    assert cfg["topology"]["path"] == str(tmp_path / "sub" / "t.yaml")
+    assert cfg["run"]["partitions"] == {"plan_path": str(tmp_path / "p.txt")}
+    cfg = load_scenario(None, {"topology": {"path": "t.yaml"}})
+    assert cfg["topology"] == {"path": str(tmp_path / "t.yaml")}
 
 
 def test_build_plan_weights_follow_the_routing_metric(tmp_path):
