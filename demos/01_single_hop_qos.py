@@ -16,11 +16,10 @@ def main():
     nodes = [(0, NodeTier.ACCESS, 1), (1, NodeTier.MIXED, 2),
              (2, NodeTier.ACCESS, 1)]
     bw, delay = 15_000_000_000, 1_000
+    # one Link per bidirectional pair: the Topology builds each reverse
     links = [
         Link(src=0, dst=1, src_port=0, dst_port=0, bandwidth_bps=bw, delay_ns=delay),
-        Link(src=1, dst=0, src_port=0, dst_port=0, bandwidth_bps=bw, delay_ns=delay),
         Link(src=1, dst=2, src_port=1, dst_port=0, bandwidth_bps=bw, delay_ns=delay),
-        Link(src=2, dst=1, src_port=0, dst_port=1, bandwidth_bps=bw, delay_ns=delay),
     ]
     topo = Topology(nodes, links)
     spec = TrafficSpec(pattern="explicit", flows=(Flow(0, 2, 100_000),))

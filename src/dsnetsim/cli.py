@@ -173,7 +173,7 @@ def cmd_topo_gen(args) -> int:
     topo = generate_synthetic_topology(args.access, args.mixed, args.kernel, args.seed)
     save_topology(topo, args.out_file)
     print(f"wrote {args.out_file}: {topo.num_nodes} nodes, "
-          f"{topo.num_links // 2} bidirectional links")
+          f"{len(topo.edges)} bidirectional links")
     return EXIT_OK
 
 

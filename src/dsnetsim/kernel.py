@@ -83,6 +83,7 @@ from dataclasses import dataclass
 from . import events
 from .metrics import RunReport, finalize
 from .model import Model, lookahead_ns
+from .partition import PartitionPlan
 from .router import Effects, dispatch
 
 INF = math.inf
@@ -384,7 +385,7 @@ def _compute_gvt(parts: list[Partition]):
     return min(p.min_pending_time() for p in parts)
 
 
-def run_optimistic(model: Model, plan, knobs: Knobs | None = None, *,
+def run_optimistic(model: Model, plan: PartitionPlan, knobs: Knobs | None = None, *,
                    unbounded: bool = False) -> RunReport:
     """Speculative parallel run over a partition plan, by a deterministic
     cooperative driver. Per-packet records are identical to
@@ -400,8 +401,7 @@ def run_optimistic(model: Model, plan, knobs: Knobs | None = None, *,
     order holds. A cut follows every ``gvt_interval`` events per partition
     or a round in which nothing moved."""
     knobs = knobs or Knobs()
-    assignment = plan.assignment if hasattr(plan, "assignment") else dict(plan)
-    k = (plan.k if hasattr(plan, "k") else max(assignment.values()) + 1)
+    assignment, k = plan.assignment, plan.k
     missing = set(model.lps) - set(assignment)
     if missing:
         raise KernelError(f"partition plan misses LPs {sorted(missing)[:5]}")

@@ -32,15 +32,6 @@ class PacketRecord(NamedTuple):
     drop_node: int | None
     drop_stage: str | None
 
-    @property
-    def delivered(self) -> bool:
-        return self.delivered_ns is not None
-
-    @property
-    def delay_ns(self) -> int:
-        assert self.delivered_ns is not None
-        return self.delivered_ns - self.created_ns
-
 
 @dataclass
 class RunReport:

@@ -54,8 +54,8 @@ def lookahead_ns(topo: Topology, assignment: dict[int, int]) -> float:
     under ``assignment``: 1 ns, the shortest transmission (packets are
     never empty), plus the smallest ``delay_ns`` of a link whose ends lie
     in different partitions; ``math.inf`` when no link is cut."""
-    return 1 + min((l.delay_ns for l in topo.links
-                    if assignment[l.src] != assignment[l.dst]), default=math.inf)
+    return 1 + min((e.delay_ns for e in topo.edges
+                    if assignment[e.src] != assignment[e.dst]), default=math.inf)
 
 
 def build_model(
@@ -71,11 +71,19 @@ def build_model(
     """``routes`` are :func:`routing.compute_routes`'s per-node rows; each
     LP holds its own. ``token_interval_ns`` is the shaper mode: 0 refills
     lazily, and a positive value schedules one REFILL chain per port at
-    that interval."""
+    that interval. A packet larger than the shaper burst of a tier the
+    topology uses could never leave, so it is a :class:`ModelError`."""
     if token_interval_ns < 0:
         raise ModelError(f"token_interval_ns: {token_interval_ns} is not >= 0")
     if profiles is None:
         profiles = {tier: QosProfile() for tier in NodeTier}
+    used = set(topo.tiers.values())
+    for tier in NodeTier:
+        if tier in used and traffic.packet_size > profiles[tier].shaper.capacity_bytes:
+            raise ModelError(
+                f"packet_size {traffic.packet_size} B exceeds the {tier.value} tier's "
+                f"shaper burst of {profiles[tier].shaper.capacity_bytes} B, so no packet "
+                "could pass the shaper")
     ctx = ModelContext(token_interval_ns, end_time_ns, traffic)
 
     lps: dict[int, RouterLp] = {}

@@ -75,10 +75,9 @@ def compute_imbalance(assignment: dict[int, int], k: int,
 def cut_weight(topo: Topology, assignment: dict[int, int],
                edge_weights: dict[tuple[int, int], int] | None) -> int:
     total = 0
-    for l in topo.links:
-        if l.src < l.dst and assignment[l.src] != assignment[l.dst]:
-            w = 1 if not edge_weights else edge_weights.get((l.src, l.dst), 0)
-            total += w
+    for e in topo.edges:
+        if assignment[e.src] != assignment[e.dst]:
+            total += 1 if not edge_weights else edge_weights.get((e.src, e.dst), 0)
     return total
 
 
@@ -120,10 +119,7 @@ def derive_vertex_throughput_weights(flows, routes: dict[int, dict[int, int]],
 def derive_edge_throughput_weights(flows, routes: dict[int, dict[int, int]],
                                    topo: Topology) -> dict[tuple[int, int], int]:
     """Edge weight = packets/second crossing each undirected link."""
-    weights: dict[tuple[int, int], int] = {}
-    for l in topo.links:
-        if l.src < l.dst:
-            weights[(l.src, l.dst)] = 0
+    weights = {(e.src, e.dst): 0 for e in topo.edges}
     for f in flows:
         path = walk_route(topo, routes, f.src, f.dst)
         for a, b in zip(path, path[1:]):
@@ -135,33 +131,19 @@ def derive_edge_throughput_weights(flows, routes: dict[int, dict[int, int]],
 # balanced region growing
 
 
-def _hop_dists(topo: Topology, src: int) -> dict[int, int]:
-    dist = {src: 0}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in topo.neighbors(u):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
-
-
 def _farthest_point_seeds(topo: Topology, k: int) -> list[int]:
     seeds = [0]
-    dists = [_hop_dists(topo, 0)]
+    dists = [topo.hop_distances(0)]
     while len(seeds) < k:
         best = None
         for n in topo.node_ids():
             if n in seeds:
                 continue
-            d = min(dd.get(n, 0) for dd in dists)
+            d = min(dd[n] for dd in dists)
             if best is None or (d, -n) > (best[0], -best[1]):
                 best = (d, n)
         seeds.append(best[1])
-        dists.append(_hop_dists(topo, best[1]))
+        dists.append(topo.hop_distances(best[1]))
     return seeds
 
 

@@ -1,7 +1,9 @@
 """Static shortest-path routes.
 
 Routes are computed before the simulation starts, for the (src, dst) pairs
-of the run's flows: one Dijkstra per flow destination, then a walk from
+of the run's flows: one Dijkstra per flow destination, run outward from it
+(a :class:`Topology` gives every link a reverse of equal cost and is
+connected, so every node reaches the destination), then a walk from
 each flow's source that fills the next hop of every node on its path. A
 packet only visits the nodes on its own flow's path, so that is every entry
 the run reads. Without flows the routes hold every (src, dst) pair. They
@@ -35,21 +37,21 @@ def _link_cost(link, metric: RouteMetric, num_nodes: int) -> int:
     return 1 if metric is RouteMetric.HOP_COUNT else link.delay_ns * num_nodes + 1
 
 
-def _dists_to(in_links: list[list[tuple[int, int]]], dst: int) -> list[int]:
-    # Dijkstra over the reversed graph; link costs are symmetric because
-    # links always come in bidirectional pairs with equal attributes.
-    dist = [_INF] * len(in_links)
+def _dists_to(out: list[list[tuple[int, int, int]]], dst: int) -> list[int]:
+    # Dijkstra from dst over the out-links: a link and its reverse cost the
+    # same, so a node's distance from dst is its distance to dst
+    dist = [_INF] * len(out)
     dist[dst] = 0
     heap = [(0, dst)]
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
-        for src, cost in in_links[u]:
+        for cost, v, _ in out[u]:
             nd = d + cost
-            if nd < dist[src]:
-                dist[src] = nd
-                heapq.heappush(heap, (nd, src))
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
     return dist
 
 
@@ -59,9 +61,6 @@ def compute_routes(topo: Topology, metric: RouteMetric = RouteMetric.HOP_COUNT,
     filled for every node on the path of each flow (anything with ``src``
     and ``dst``); ``None`` means every (src, dst) pair."""
     n = topo.num_nodes
-    in_links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for l in topo.links:
-        in_links[l.dst].append((l.src, _link_cost(l, metric, n)))
     # (cost, next hop id, port) per out-link; min() is the tie-break
     out = [[(_link_cost(l, metric, n), l.dst, l.src_port) for l in topo.out_links[u]]
            for u in range(n)]
@@ -75,9 +74,7 @@ def compute_routes(topo: Topology, metric: RouteMetric = RouteMetric.HOP_COUNT,
 
     ports: dict[int, dict[int, int]] = {n: {} for n in topo.tiers}
     for dst, srcs in sources.items():
-        dist = _dists_to(in_links, dst)
-        if _INF in dist:
-            raise TopologyError(f"destination {dst} unreachable from some nodes")
+        dist = _dists_to(out, dst)
         for node in srcs:
             # stop at the first node a walk toward dst already filled
             while node != dst and dst not in ports[node]:

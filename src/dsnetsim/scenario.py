@@ -269,10 +269,15 @@ def dump_yaml(data, stream=None, sort_keys: bool = True):
 
 def scenario_identity(cfg: dict) -> str:
     """Stable identity over everything that defines the simulated system —
-    mode and partitioning are execution choices, not scenario identity."""
+    mode and partitioning are execution choices, not scenario identity. A
+    topology file counts by its content, not by where it lies."""
+    topology = cfg["topology"]
+    if "path" in topology:
+        with open(topology["path"], "rb") as fh:
+            topology = {"sha256": hashlib.sha256(fh.read()).hexdigest()}
     ident = {
         "name": cfg["name"],
-        "topology": cfg["topology"],
+        "topology": topology,
         "routing": cfg["routing"],
         "traffic": cfg["traffic"],
         "qos": cfg["qos"],

@@ -1,17 +1,20 @@
-"""Network graph: nodes with tiers and ports, directed links, validation,
-file load/save, a synthetic three-tier generator, and an importer for
-externally published topology dumps.
+"""Network graph: nodes with tiers and ports, bidirectional links,
+validation, file load/save, a synthetic three-tier generator, and an
+importer for externally published topology dumps.
 
-The on-disk format is YAML with two sections::
+Every link is bidirectional. A :class:`Topology` takes one :class:`Link`
+per pair and builds its reverse (ports swapped, same bandwidth and delay),
+so a link and its reverse always cost the same, and it checks that the
+graph is connected: routing and the planners rely on both.
+
+The on-disk format is YAML with two sections, one ``links`` entry per
+bidirectional pair::
 
     nodes:
       - {id: 0, tier: access, ports: 1}
     links:
       - {src: 0, src_port: 0, dst: 1, dst_port: 0,
          bandwidth_bps: 25000000000, delay_ns: 1000}
-
-Each ``links`` entry is bidirectional and is expanded into two directed
-links internally.
 """
 
 from __future__ import annotations
@@ -50,11 +53,17 @@ ACCESS_BW = 25_000_000_000
 CORE_BW = 100_000_000_000
 
 
-class Topology:
-    """Validated, immutable-after-construction network graph."""
+def _reverse(l: Link) -> Link:
+    return Link(l.dst, l.src, l.dst_port, l.src_port, l.bandwidth_bps, l.delay_ns)
 
-    def __init__(self, nodes, links):
-        # nodes: list of (node_id, NodeTier, port_count); links: directed Links
+
+class Topology:
+    """Validated, immutable-after-construction network graph. ``links``
+    holds each given edge followed by its reverse; ``edges`` holds each
+    pair once, lower node id first, in the order given."""
+
+    def __init__(self, nodes, edges):
+        # nodes: list of (node_id, NodeTier, port_count); edges: one Link per pair
         self.tiers: dict[int, NodeTier] = {}
         self.port_counts: dict[int, int] = {}
         for nid, tier, ports in nodes:
@@ -62,7 +71,8 @@ class Topology:
                 raise TopologyError(f"duplicate node id {nid}")
             self.tiers[nid] = tier
             self.port_counts[nid] = ports
-        self.links: list[Link] = list(links)
+        self.links: list[Link] = [l for e in edges for l in (e, _reverse(e))]
+        self.edges: list[Link] = [l for l in self.links if l.src < l.dst]
         self.out_links: dict[int, list[Link]] = {n: [] for n in self.tiers}
         self.port_link: dict[tuple[int, int], Link] = {}
         self._validate()
@@ -83,6 +93,21 @@ class Topology:
 
     def neighbors(self, nid: int) -> list[int]:
         return [l.dst for l in self.out_links[nid]]
+
+    def hop_distances(self, src: int) -> dict[int, int]:
+        """Hop count from ``src`` to each node it reaches (every node, in
+        a validated topology)."""
+        dist = {src: 0}
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for l in self.out_links[u]:
+                    if l.dst not in dist:
+                        dist[l.dst] = dist[u] + 1
+                        nxt.append(l.dst)
+            frontier = nxt
+        return dist
 
     def _validate(self):
         n = self.num_nodes
@@ -111,18 +136,11 @@ class Topology:
             self.out_links[l.src].append(l)
         for nid in self.out_links:
             self.out_links[nid].sort(key=lambda l: l.src_port)
-        # connectivity over the directed graph (links come in pairs, so a
-        # plain BFS from node 0 suffices)
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for l in self.out_links[u]:
-                if l.dst not in seen:
-                    seen.add(l.dst)
-                    stack.append(l.dst)
-        if len(seen) != n:
-            missing = sorted(set(self.tiers) - seen)[:5]
+        # every link has its reverse, so node 0 reaching every node means
+        # every node reaches every other
+        reached = self.hop_distances(0)
+        if len(reached) != n:
+            missing = sorted(set(self.tiers) - set(reached))[:5]
             raise TopologyError(f"graph is disconnected (e.g. nodes {missing})")
 
 
@@ -131,13 +149,12 @@ def _from_pairs(tiers, pairs) -> Topology:
     (a, b, bandwidth_bps, delay_ns) pairs; each node's ports are numbered in
     pair order."""
     ports = {nid: 0 for nid, _ in tiers}
-    links = []
+    edges = []
     for a, b, bw, delay in pairs:
-        pa, pb = ports[a], ports[b]
+        edges.append(Link(a, b, ports[a], ports[b], bw, delay))
         ports[a] += 1
         ports[b] += 1
-        links += (Link(a, b, pa, pb, bw, delay), Link(b, a, pb, pa, bw, delay))
-    return Topology([(nid, tier, max(ports[nid], 1)) for nid, tier in tiers], links)
+    return Topology([(nid, tier, max(ports[nid], 1)) for nid, tier in tiers], edges)
 
 
 def _entry_lists(path: str, doc: dict, keys) -> list[list[dict]]:
@@ -171,17 +188,15 @@ def load_topology(path: str) -> Topology:
             nodes.append((int(n["id"]), NodeTier(n["tier"]), int(n["ports"])))
         except (KeyError, TypeError, ValueError) as e:
             raise TopologyError(f"{path}: nodes[{i}]: bad node entry {n}: {e}") from e
-    links = []
+    edges = []
     for i, entry in enumerate(raw_links):
         try:
-            a, b = int(entry["src"]), int(entry["dst"])
-            pa, pb = int(entry["src_port"]), int(entry["dst_port"])
-            bw = int(entry["bandwidth_bps"])
-            delay = int(entry.get("delay_ns", DEFAULT_DELAY_NS))
-            links += (Link(a, b, pa, pb, bw, delay), Link(b, a, pb, pa, bw, delay))
+            edges.append(Link(int(entry["src"]), int(entry["dst"]), int(entry["src_port"]),
+                              int(entry["dst_port"]), int(entry["bandwidth_bps"]),
+                              int(entry.get("delay_ns", DEFAULT_DELAY_NS))))
         except (KeyError, TypeError, ValueError) as e:
             raise TopologyError(f"{path}: links[{i}]: bad link entry {entry}: {e}") from e
-    return Topology(nodes, links)
+    return Topology(nodes, edges)
 
 
 def save_topology(topo: Topology, path: str):
@@ -190,19 +205,9 @@ def save_topology(topo: Topology, path: str):
         {"id": nid, "tier": topo.tiers[nid].value, "ports": topo.port_counts[nid]}
         for nid in topo.node_ids()
     ]
-    links = []
-    for l in topo.links:
-        if l.src < l.dst:  # emit each bidirectional pair once
-            links.append(
-                {
-                    "src": l.src,
-                    "src_port": l.src_port,
-                    "dst": l.dst,
-                    "dst_port": l.dst_port,
-                    "bandwidth_bps": l.bandwidth_bps,
-                    "delay_ns": l.delay_ns,
-                }
-            )
+    links = [{"src": e.src, "src_port": e.src_port, "dst": e.dst, "dst_port": e.dst_port,
+              "bandwidth_bps": e.bandwidth_bps, "delay_ns": e.delay_ns}
+             for e in topo.edges]
     with open(path, "w") as fh:
         yaml.safe_dump({"nodes": nodes, "links": links}, fh, sort_keys=False)
 

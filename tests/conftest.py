@@ -14,10 +14,8 @@ WINDOWS = ("lookahead", "unbounded")
 
 
 def bidirectional(a, b, pa, pb, bw=25_000_000_000, delay=1_000):
-    return [
-        Link(a, b, pa, pb, bw, delay),
-        Link(b, a, pb, pa, bw, delay),
-    ]
+    """One bidirectional link; the Topology builds its reverse."""
+    return Link(a, b, pa, pb, bw, delay)
 
 
 def line_topology(n=3, bw=25_000_000_000, delay=1_000):
@@ -29,18 +27,15 @@ def line_topology(n=3, bw=25_000_000_000, delay=1_000):
         nodes.append((i, NodeTier.ACCESS, ports))
     for i in range(n - 1):
         pa = 0 if i == 0 else 1
-        links.extend(bidirectional(i, i + 1, pa, 0, bw, delay))
+        links.append(bidirectional(i, i + 1, pa, 0, bw, delay))
     return Topology(nodes, links)
 
 
 def square_topology():
     """0-1, 1-2, 2-3, 3-0: two equal-cost paths between opposite corners."""
     nodes = [(i, NodeTier.ACCESS, 2) for i in range(4)]
-    links = []
-    links.extend(bidirectional(0, 1, 0, 0))
-    links.extend(bidirectional(1, 2, 1, 0))
-    links.extend(bidirectional(2, 3, 1, 0))
-    links.extend(bidirectional(3, 0, 1, 1))
+    links = [bidirectional(0, 1, 0, 0), bidirectional(1, 2, 1, 0),
+             bidirectional(2, 3, 1, 0), bidirectional(3, 0, 1, 1)]
     return Topology(nodes, links)
 
 

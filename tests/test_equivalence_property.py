@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from dsnetsim.kernel import Knobs, run_optimistic, run_sequential
 from dsnetsim.metrics import compare_reports
 from dsnetsim.model import build_model
+from dsnetsim.partition import PartitionPlan, WeightModel
 from dsnetsim.qos import QosProfile
 from dsnetsim.routing import compute_routes
 from dsnetsim.topology import NodeTier, Topology, generate_synthetic_topology
@@ -25,16 +26,9 @@ DELAYS = (0, 1, 300, 1_000)
 
 def _with_delays(base, delay):
     """``base`` with each bidirectional link's delay set to ``delay()``,
-    called once per link pair in link order."""
-    delays = {}
-    for l in base.links:
-        pair = (min(l.src, l.dst), max(l.src, l.dst))
-        if pair not in delays:
-            delays[pair] = delay()
-    return Topology(
-        [(n, base.tiers[n], base.port_counts[n]) for n in base.node_ids()],
-        [dataclasses.replace(l, delay_ns=delays[min(l.src, l.dst), max(l.src, l.dst)])
-         for l in base.links])
+    called once per edge in edge order."""
+    return Topology([(n, base.tiers[n], base.port_counts[n]) for n in base.node_ids()],
+                    [dataclasses.replace(e, delay_ns=delay()) for e in base.edges])
 
 
 @st.composite
@@ -53,7 +47,8 @@ def cases(draw):
     tight = draw(st.sampled_from(list(NodeTier)))
     profiles = {t: QosProfile(**(TIGHT if t is tight else {})) for t in NodeTier}
     k = draw(st.integers(2, 4))
-    assignment = {n: draw(st.integers(0, k - 1)) for n in topo.node_ids()}
+    plan = PartitionPlan(k, {n: draw(st.integers(0, k - 1)) for n in topo.node_ids()},
+                         WeightModel.NO_WEIGHTS)
     # 0 refills lazily, 5 us runs REFILL chains
     token_interval_ns = draw(st.sampled_from((0, 5_000)))
     # a 1 B packet takes the shortest transmission, 1 ns, so it can land
@@ -65,7 +60,7 @@ def cases(draw):
                   gvt_interval=draw(st.integers(1, 256)),
                   jitter=draw(st.integers(0, 4)),
                   schedule_seed=draw(st.one_of(st.none(), st.integers(0, 1_000))))
-    return (topo, flows, (size, poisson), profiles, token_interval_ns, assignment, knobs,
+    return (topo, flows, (size, poisson), profiles, token_interval_ns, plan, knobs,
             draw(st.booleans()))
 
 
@@ -81,9 +76,9 @@ def _model(topo, flows, traffic, profiles, token_interval_ns):
           suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
 def test_stepped_records_equal_sequential(case):
-    topo, flows, traffic, profiles, interval, assignment, knobs, unbounded = case
+    topo, flows, traffic, profiles, interval, plan, knobs, unbounded = case
     seq = run_sequential(_model(topo, flows, traffic, profiles, interval))
-    rep = run_optimistic(_model(topo, flows, traffic, profiles, interval), assignment, knobs,
+    rep = run_optimistic(_model(topo, flows, traffic, profiles, interval), plan, knobs,
                          unbounded=unbounded)
     assert compare_reports(seq, rep)["record_diff_count"] == 0
     assert rep.committed_events == seq.committed_events
@@ -104,7 +99,8 @@ def test_windowed_poisson_records_equal_sequential(size, token_interval_ns):
     traffic = (size, True)
     seq = run_sequential(_model(topo, flows, traffic, profiles, token_interval_ns))
     rep = run_optimistic(_model(topo, flows, traffic, profiles, token_interval_ns),
-                         {node: node % 3 for node in topo.node_ids()}, Knobs())
+                         PartitionPlan(3, {node: node % 3 for node in topo.node_ids()},
+                                       WeightModel.NO_WEIGHTS), Knobs())
     assert compare_reports(seq, rep)["record_diff_count"] == 0
     assert rep.committed_events == seq.committed_events > len(flows)
     assert rep.rolled_back_events == 0

@@ -11,7 +11,7 @@ from dsnetsim.kernel import (
     run_sequential,
 )
 from dsnetsim.metrics import compare_reports
-from dsnetsim.partition import PartitionPlan, partition_balanced
+from dsnetsim.partition import PartitionPlan, WeightModel, partition_balanced
 from dsnetsim.router import Packet
 from dsnetsim.routing import compute_routes
 from dsnetsim.model import build_model, lookahead_ns
@@ -335,8 +335,8 @@ def _two_way_line_model():
     into a packet."""
     tiers = (NodeTier.ACCESS, NodeTier.MIXED, NodeTier.KERNEL, NodeTier.ACCESS)
     topo = Topology([(n, tier, 1 if n in (0, 3) else 2) for n, tier in enumerate(tiers)],
-                    bidirectional(0, 1, 0, 0) + bidirectional(1, 2, 1, 0)
-                    + bidirectional(2, 3, 1, 0))
+                    [bidirectional(0, 1, 0, 0), bidirectional(1, 2, 1, 0),
+                     bidirectional(2, 3, 1, 0)])
     srtcm = [SrtcmParams(cir_Bps=500_000_000, cbs_bytes=3_000, ebs_bytes=6_000)] * 3
     profiles = {tier: QosProfile(classifier_map=ds_map, srtcm=srtcm) for tier, ds_map in (
         (NodeTier.ACCESS, None), (NodeTier.MIXED, {0: 1}), (NodeTier.KERNEL, {0: 0}))}
@@ -361,7 +361,8 @@ def test_a_hop_rerun_after_the_next_hop_ran_on_the_same_packet(monkeypatch):
         return dispatch(lp, ev, ctx, *args)
 
     monkeypatch.setattr(kernel, "dispatch", logging)
-    rep = run_optimistic(_two_way_line_model(), {n: n for n in range(4)},
+    plan = PartitionPlan(4, {n: n for n in range(4)}, WeightModel.NO_WEIGHTS)
+    rep = run_optimistic(_two_way_line_model(), plan,
                          Knobs(gvt_interval=64, batch_size=4, schedule_seed=3, jitter=2),
                          unbounded=True)
     monkeypatch.undo()
@@ -415,7 +416,7 @@ def test_spare_ports_hold_no_pipeline_and_no_audit_row():
     # leaves a placeholder at port 1 and nothing at port 3
     topo = Topology([(0, NodeTier.ACCESS, 1), (1, NodeTier.ACCESS, 4),
                      (2, NodeTier.ACCESS, 1)],
-                    bidirectional(0, 1, 0, 0) + bidirectional(1, 2, 2, 0))
+                    [bidirectional(0, 1, 0, 0), bidirectional(1, 2, 2, 0)])
 
     def model():
         spec = TrafficSpec(pattern="explicit",
@@ -428,8 +429,9 @@ def test_spare_ports_hold_no_pipeline_and_no_audit_row():
     assert seq.delivered > 0
     assert sorted(seq.port_audit) == [(0, 0), (1, 0), (1, 2), (2, 0)]
     for window in WINDOWS:
-        for assignment in ({0: 0, 1: 1, 2: 0}, {0: 0, 1: 1, 2: 2}):
-            rep = run_optimistic(model(), assignment, Knobs(gvt_interval=64, batch_size=4),
+        for plan in (PartitionPlan(2, {0: 0, 1: 1, 2: 0}, WeightModel.NO_WEIGHTS),
+                     PartitionPlan(3, {0: 0, 1: 1, 2: 2}, WeightModel.NO_WEIGHTS)):
+            rep = run_optimistic(model(), plan, Knobs(gvt_interval=64, batch_size=4),
                                  unbounded=window == "unbounded")
             assert compare_reports(seq, rep)["record_diff_count"] == 0
             assert rep.port_audit == seq.port_audit
@@ -462,8 +464,8 @@ def test_port_audit_file_is_the_same_for_every_run_of_a_model(tmp_path):
 
 def test_lookahead_counts_only_cut_links():
     topo = Topology([(i, NodeTier.ACCESS, 2) for i in range(4)],
-                    bidirectional(0, 1, 0, 0, delay=30) + bidirectional(1, 2, 1, 0, delay=700)
-                    + bidirectional(2, 3, 1, 0, delay=500) + bidirectional(3, 0, 1, 1, delay=80))
+                    [bidirectional(0, 1, 0, 0, delay=30), bidirectional(1, 2, 1, 0, delay=700),
+                     bidirectional(2, 3, 1, 0, delay=500), bidirectional(3, 0, 1, 1, delay=80)])
     # 0-1 (30 ns) and 3-0 (80 ns) stay inside a partition
     assert lookahead_ns(topo, {0: 0, 1: 0, 2: 1, 3: 0}) == 1 + 500
     # every link cut: the smallest delay wins
@@ -484,7 +486,7 @@ def test_lookahead_window_stops_one_ns_short_of_the_lookahead():
         return build_model(topo, compute_routes(topo), spec, 20_000, 42)
 
     seq = run_sequential(model())
-    rep = run_optimistic(model(), {0: 1, 1: 0}, Knobs())
+    rep = run_optimistic(model(), PartitionPlan(2, {0: 1, 1: 0}, WeightModel.NO_WEIGHTS), Knobs())
     assert seq.delivered > 0
     assert compare_reports(seq, rep)["record_diff_count"] == 0
     assert rep.rolled_back_events == 0
@@ -494,8 +496,8 @@ def test_zero_delay_cut_link_gives_window_zero():
     # 0 -1000 ns- 1 -0 ns- 2 -1000 ns- 3, cut at the zero-delay link
     topo = Topology([(0, NodeTier.ACCESS, 1), (1, NodeTier.ACCESS, 2),
                      (2, NodeTier.ACCESS, 2), (3, NodeTier.ACCESS, 1)],
-                    bidirectional(0, 1, 0, 0) + bidirectional(1, 2, 1, 0, delay=0)
-                    + bidirectional(2, 3, 1, 0))
+                    [bidirectional(0, 1, 0, 0), bidirectional(1, 2, 1, 0, delay=0),
+                     bidirectional(2, 3, 1, 0)])
     assignment = {0: 0, 1: 0, 2: 1, 3: 1}
     assert lookahead_ns(topo, assignment) - 1 == 0
 
@@ -506,7 +508,8 @@ def test_zero_delay_cut_link_gives_window_zero():
                            profiles=tight_shaper_profiles())
 
     seq = run_sequential(model())
-    rep = run_optimistic(model(), assignment, Knobs(batch_size=4, schedule_seed=1, jitter=1))
+    rep = run_optimistic(model(), PartitionPlan(2, assignment, WeightModel.NO_WEIGHTS),
+                         Knobs(batch_size=4, schedule_seed=1, jitter=1))
     assert seq.delivered > 0
     assert compare_reports(seq, rep)["record_diff_count"] == 0
     assert rep.committed_events == seq.committed_events
@@ -629,7 +632,8 @@ def test_per_lp_events_list_only_the_lps_that_ran(window):
     seq = run_sequential(single_flow_model(line_topology(4), 0, 1))
     assert set(seq.per_lp_events) == {0, 1} and 0 not in seq.per_lp_events.values()
     assert sum(seq.per_lp_events.values()) == seq.committed_events
-    rep = run_optimistic(single_flow_model(line_topology(4), 0, 1), {0: 0, 1: 0, 2: 1, 3: 1},
+    plan = PartitionPlan(2, {0: 0, 1: 0, 2: 1, 3: 1}, WeightModel.NO_WEIGHTS)
+    rep = run_optimistic(single_flow_model(line_topology(4), 0, 1), plan,
                          Knobs(gvt_interval=128, batch_size=8),
                          unbounded=window == "unbounded")
     assert rep.per_lp_events == seq.per_lp_events
@@ -681,4 +685,4 @@ def test_incomplete_plan_rejected():
     assignment = {n: 0 for n in topo.node_ids()}
     assignment.pop(3)
     with pytest.raises(KernelError, match="misses"):
-        run_optimistic(model, assignment, Knobs())
+        run_optimistic(model, PartitionPlan(1, assignment, WeightModel.NO_WEIGHTS), Knobs())

@@ -112,13 +112,13 @@ def _two_cliques():
     # nodes 0-2 fully meshed, 3-5 fully meshed, one bridge 2-3
     nodes = [(i, NodeTier.ACCESS, 3) for i in range(6)]
     links = []
-    links += bidirectional(0, 1, 0, 0)
-    links += bidirectional(0, 2, 1, 0)
-    links += bidirectional(1, 2, 1, 1)
-    links += bidirectional(3, 4, 0, 0)
-    links += bidirectional(3, 5, 1, 0)
-    links += bidirectional(4, 5, 1, 1)
-    links += bidirectional(2, 3, 2, 2)
+    links.append(bidirectional(0, 1, 0, 0))
+    links.append(bidirectional(0, 2, 1, 0))
+    links.append(bidirectional(1, 2, 1, 1))
+    links.append(bidirectional(3, 4, 0, 0))
+    links.append(bidirectional(3, 5, 1, 0))
+    links.append(bidirectional(4, 5, 1, 1))
+    links.append(bidirectional(2, 3, 2, 2))
     return Topology(nodes, links)
 
 
@@ -182,12 +182,12 @@ def _three_way_fork():
              (4, NodeTier.ACCESS, 1), (5, NodeTier.ACCESS, 2),
              (6, NodeTier.ACCESS, 1)]
     links = []
-    links += bidirectional(0, 1, 0, 0)
-    links += bidirectional(1, 2, 1, 0)
-    links += bidirectional(2, 3, 1, 0)
-    links += bidirectional(3, 4, 1, 0)
-    links += bidirectional(2, 5, 2, 0)
-    links += bidirectional(5, 6, 1, 0)
+    links.append(bidirectional(0, 1, 0, 0))
+    links.append(bidirectional(1, 2, 1, 0))
+    links.append(bidirectional(2, 3, 1, 0))
+    links.append(bidirectional(3, 4, 1, 0))
+    links.append(bidirectional(2, 5, 2, 0))
+    links.append(bidirectional(5, 6, 1, 0))
     return Topology(nodes, links)
 
 

@@ -15,7 +15,7 @@ from dsnetsim.routing import compute_routes
 from dsnetsim.qos import (
     TOKEN_SCALE, ClassQueue, Color, QosProfile, RedParams, RedState, SrtcmMeter, TokenBucket,
 )
-from dsnetsim.topology import generate_synthetic_topology
+from dsnetsim.topology import NodeTier, generate_synthetic_topology
 from dsnetsim.traffic import TrafficSpec, Flow
 from conftest import line_topology, single_flow_model, tier_profiles, tight_shaper_profiles
 
@@ -312,6 +312,22 @@ def test_refill_tick_count_doubles_when_interval_halves():
 def test_negative_token_interval_is_a_model_error():
     with pytest.raises(ModelError, match="token_interval_ns"):
         single_flow_model(line_topology(2), 0, 1, token_interval_ns=-1)
+
+
+@pytest.mark.parametrize("token_interval_ns", (0, 1_000), ids=("lazy", "periodic"))
+def test_packet_larger_than_a_used_tiers_burst_is_a_model_error(token_interval_ns):
+    # no such packet could pass the shaper: a lazy run would fail mid-run,
+    # and a periodic one would end with its packets stuck in the queues
+    topo = generate_synthetic_topology(40, 8, 2, seed=1)
+    spec = TrafficSpec(packet_size=20_000)
+    with pytest.raises(ModelError, match="packet_size 20000 B exceeds the access tier's "
+                                         "shaper burst of 16384 B"):
+        build_model(topo, compute_routes(topo), spec, end_time_ns=200_000, seed=1,
+                    token_interval_ns=token_interval_ns)
+    # a tier no node of the topology has is not checked
+    profiles = {**tier_profiles(), NodeTier.KERNEL: QosProfile(shaper_burst_bytes=1_000)}
+    single_flow_model(line_topology(2), 0, 1, profiles=profiles,
+                      token_interval_ns=token_interval_ns)
 
 
 # left out of _state: shared immutable configuration, the RNG's prefix cache

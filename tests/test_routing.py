@@ -33,8 +33,8 @@ def test_latency_ties_go_to_fewer_hops_over_zero_delay_links():
     # and next-hop id alone each would route through the other
     nodes = [(0, NodeTier.ACCESS, 2), (1, NodeTier.ACCESS, 2), (2, NodeTier.ACCESS, 2),
              (3, NodeTier.ACCESS, 2), (4, NodeTier.ACCESS, 2)]
-    links = (bidirectional(1, 2, 0, 0, delay=0) + bidirectional(1, 3, 1, 0)
-             + bidirectional(3, 0, 1, 0) + bidirectional(2, 4, 1, 0) + bidirectional(4, 0, 1, 1))
+    links = [bidirectional(1, 2, 0, 0, delay=0), bidirectional(1, 3, 1, 0),
+             bidirectional(3, 0, 1, 0), bidirectional(2, 4, 1, 0), bidirectional(4, 0, 1, 1)]
     topo = Topology(nodes, links)
     table = compute_routes(topo, RouteMetric.LATENCY)
     assert walk_route(topo, table, 1, 0) == [1, 3, 0]
@@ -127,7 +127,7 @@ def _topologies_with_flows(draw):
     links = []
     for a, b in sorted(pairs):
         delay = draw(st.sampled_from([0, 1_000, 2_000]))
-        links.extend(bidirectional(a, b, ports[a], ports[b], delay=delay))
+        links.append(bidirectional(a, b, ports[a], ports[b], delay=delay))
         ports[a] += 1
         ports[b] += 1
     topo = Topology([(i, NodeTier.ACCESS, ports[i]) for i in range(n)], links)

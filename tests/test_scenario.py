@@ -20,7 +20,9 @@ from dsnetsim.scenario import (
     dump_yaml, load_scenario, run_scenario, scenario_identity,
 )
 from dsnetsim.routing import RouteMetric, compute_routes
-from dsnetsim.topology import Link, NodeTier, Topology, save_topology
+from dsnetsim.topology import (
+    Link, NodeTier, Topology, generate_synthetic_topology, save_topology,
+)
 from dsnetsim.traffic import Flow
 
 SMALL = {
@@ -122,6 +124,24 @@ def test_identity_ignores_execution_choices():
     assert scenario_identity(base) == scenario_identity(baseline)
     other = load_scenario(None, {"name": "x", "traffic": {"rate_pps": 1}})
     assert scenario_identity(base) != scenario_identity(other)
+
+
+def test_identity_follows_the_topology_file_content_not_its_path(tmp_path):
+    save_topology(generate_synthetic_topology(4, 2, 1, seed=3), str(tmp_path / "t.yaml"))
+    topo_doc = yaml.safe_load((tmp_path / "t.yaml").read_text())
+
+    def identity_in(where):
+        """The id of a scenario file that sits next to ``topo_doc``."""
+        os.makedirs(tmp_path / where)
+        (tmp_path / where / "t.yaml").write_text(yaml.safe_dump(topo_doc))
+        (tmp_path / where / "s.yaml").write_text(yaml.safe_dump(
+            {"name": "x", "topology": {"path": "t.yaml"}}))
+        return scenario_identity(load_scenario(str(tmp_path / where / "s.yaml")))
+
+    first = identity_in("a")
+    assert identity_in("b") == first
+    topo_doc["links"][0]["delay_ns"] += 1
+    assert identity_in("c") != first
 
 
 @pytest.mark.parametrize("overrides", [
@@ -278,12 +298,9 @@ def test_input_paths_resolve_against_the_file_that_gives_them(tmp_path, monkeypa
 def test_build_plan_weights_follow_the_routing_metric(tmp_path):
     # line 0-1-2-3-4-5 plus a 100 us shortcut 0-5: hop routes between 0 and
     # 5 take the shortcut, latency routes take the line
-    def both(a, b, pa, pb, delay):
-        return [Link(a, b, pa, pb, 25_000_000_000, delay),
-                Link(b, a, pb, pa, 25_000_000_000, delay)]
-    links = both(0, 5, 1, 1, 100_000)
+    links = [Link(0, 5, 1, 1, 25_000_000_000, 100_000)]
     for i in range(5):
-        links += both(i, i + 1, 0 if i == 0 else 1, 0, 1_000)
+        links.append(Link(i, i + 1, 0 if i == 0 else 1, 0, 25_000_000_000, 1_000))
     topo = Topology([(i, NodeTier.ACCESS, 2) for i in range(6)], links)
     path = tmp_path / "t.yaml"
     save_topology(topo, str(path))

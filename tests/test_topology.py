@@ -1,6 +1,7 @@
 """Topology construction, validation, file round-trip, generator, importer."""
 
 import json
+from collections import Counter
 
 import pytest
 import yaml
@@ -27,28 +28,28 @@ def test_duplicate_node_id_rejected():
 
 def test_dangling_link_rejected():
     nodes = [(0, NodeTier.ACCESS, 1), (1, NodeTier.ACCESS, 1)]
-    links = bidirectional(0, 1, 0, 0) + [Link(1, 9, 0, 0, 1, 1)]
+    links = [bidirectional(0, 1, 0, 0), Link(1, 9, 0, 0, 1, 1)]
     with pytest.raises(TopologyError, match="unknown node"):
         Topology(nodes, links)
 
 
 def test_self_loop_rejected():
     nodes = [(0, NodeTier.ACCESS, 2), (1, NodeTier.ACCESS, 1)]
-    links = bidirectional(0, 1, 0, 0) + [Link(0, 0, 1, 1, 1, 1)]
+    links = [bidirectional(0, 1, 0, 0), Link(0, 0, 1, 1, 1, 1)]
     with pytest.raises(TopologyError, match="self-loop"):
         Topology(nodes, links)
 
 
 def test_port_reuse_rejected():
     nodes = [(i, NodeTier.ACCESS, 1) for i in range(3)]
-    links = bidirectional(0, 1, 0, 0) + bidirectional(0, 2, 0, 0)
+    links = [bidirectional(0, 1, 0, 0), bidirectional(0, 2, 0, 0)]
     with pytest.raises(TopologyError, match="port"):
         Topology(nodes, links)
 
 
 def test_disconnected_graph_rejected():
     nodes = [(i, NodeTier.ACCESS, 1) for i in range(4)]
-    links = bidirectional(0, 1, 0, 0) + bidirectional(2, 3, 0, 0)
+    links = [bidirectional(0, 1, 0, 0), bidirectional(2, 3, 0, 0)]
     with pytest.raises(TopologyError, match="disconnected"):
         Topology(nodes, links)
 
@@ -56,7 +57,7 @@ def test_disconnected_graph_rejected():
 def test_non_dense_ids_rejected():
     nodes = [(0, NodeTier.ACCESS, 1), (2, NodeTier.ACCESS, 1)]
     with pytest.raises(TopologyError, match="dense"):
-        Topology(nodes, bidirectional(0, 2, 0, 0))
+        Topology(nodes, [bidirectional(0, 2, 0, 0)])
 
 
 def test_save_load_round_trip(tmp_path, synthetic50):
@@ -72,6 +73,32 @@ def test_save_load_round_trip(tmp_path, synthetic50):
         for l in synthetic50.links
     )
     assert loaded.tiers == synthetic50.tiers
+
+
+def _converted_dump(tmp_path):
+    """A topology converted from an external dump, one of whose edges is
+    given from its higher id."""
+    doc = {"nodes": [{"id": i, "type": t} for i, t in
+                     enumerate(("kernel", "mixed", "access", "access"))],
+           "links": [{"src": 1, "dst": 0, "bw": 10**11, "delay": 300},
+                     {"src": 2, "dst": 1}, {"src": 1, "dst": 3, "delay": 0}]}
+    src = tmp_path / "dump.json"
+    src.write_text(json.dumps(doc))
+    convert_external_topology(str(src), str(tmp_path / "converted.yaml"))
+    return load_topology(str(tmp_path / "converted.yaml"))
+
+
+@pytest.mark.parametrize("source", ["synthetic50", "converted"])
+def test_every_edge_has_its_reverse_and_files_hold_edges(tmp_path, synthetic50, source):
+    topo = synthetic50 if source == "synthetic50" else _converted_dump(tmp_path)
+    reverses = [Link(e.dst, e.src, e.dst_port, e.src_port, e.bandwidth_bps, e.delay_ns)
+                for e in topo.edges]
+    assert len(topo.links) == 2 * len(topo.edges)
+    assert Counter(topo.links) == Counter(topo.edges + reverses)
+    assert all(e.src < e.dst for e in topo.edges)
+    path = tmp_path / "again.yaml"
+    save_topology(topo, str(path))
+    assert load_topology(str(path)).edges == topo.edges
 
 
 def test_load_rejects_dangling_reference(tmp_path):

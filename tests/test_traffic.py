@@ -24,7 +24,7 @@ def test_interarrival_arithmetic():
 
 def test_single_core_node_is_forced_destination():
     nodes = [(0, NodeTier.KERNEL, 1), (1, NodeTier.ACCESS, 1)]
-    topo = Topology(nodes, bidirectional(0, 1, 0, 0))
+    topo = Topology(nodes, [bidirectional(0, 1, 0, 0)])
     flows = resolve_flows(TrafficSpec(seed=3), topo)
     assert flows == [Flow(1, 0, 25_000)]
 
