@@ -3,10 +3,13 @@
 The paper's digital twin covers a 5,000-router metro network. This script
 builds synthetic three-tier scenarios of that order (80 % access, 16 % mixed,
 4 % kernel nodes, a 20 us horizon) and prints, per size, the topology,
-routing and model build times, the (node, destination) route pairs the
-per-node route rows hold, the peak RSS after the build, and the events/s of
-one sequential run. Routes are computed only along the flows' paths, so the
-rows hold far fewer than n^2 pairs.
+routing and model build times, the time of a k=4 no-weights partition plan
+(``build_plan``, which computes its own routes), build + plan, the (node,
+destination) route pairs the per-node route rows hold, the peak RSS after
+the build and the plan, and the events/s of one sequential run. Routes are
+computed only along the flows' paths, and each destination's pass stops
+once it has reached that destination's flow sources, so the rows hold far
+fewer than n^2 pairs.
 
     python3 demos/06_paper_scale_setup.py              # 1,000, 2,500, 5,000 nodes
     python3 demos/06_paper_scale_setup.py --nodes 1000
@@ -23,7 +26,8 @@ from dsnetsim.kernel import run_sequential
 from dsnetsim.model import build_model
 from dsnetsim.routing import RouteMetric, compute_routes
 from dsnetsim.scenario import (
-    build_profiles, build_topology, build_traffic_spec, load_scenario, scenario_identity,
+    build_plan, build_profiles, build_topology, build_traffic_spec, load_scenario,
+    scenario_identity,
 )
 from dsnetsim.traffic import resolve_flows
 
@@ -46,7 +50,7 @@ def measure(nodes: int) -> None:
         "name": f"scale-{nodes}",
         "topology": {"synthetic": {"n_access": nodes - n_mixed - n_kernel,
                                    "n_mixed": n_mixed, "n_kernel": n_kernel, "seed": 1}},
-        "run": {"end_ns": END_NS},
+        "run": {"end_ns": END_NS, "partitions": {"k": 4, "strategy": "no-weights"}},
     })
     t0 = time.perf_counter()
     topo = build_topology(cfg)
@@ -58,15 +62,18 @@ def measure(nodes: int) -> None:
     model = build_model(topo, routes, spec, END_NS, cfg["run"]["seed"],
                         profiles=build_profiles(cfg), scenario_id=scenario_identity(cfg))
     t3 = time.perf_counter()
+    build_plan(cfg, topo)
+    t4 = time.perf_counter()
     rss = peak_rss_mib()
     pairs = sum(len(row) for row in routes.values())
     report = run_sequential(model)
-    t4 = time.perf_counter()
+    t5 = time.perf_counter()
     print(f"{nodes:>6} nodes: topology {t1 - t0:6.2f} s, routing {t2 - t1:6.2f} s "
           f"({len({f.dst for f in flows})} destinations), model {t3 - t2:6.2f} s, "
-          f"build {t3 - t0:6.2f} s | {pairs:,} route pairs of {nodes * (nodes - 1):,} | "
-          f"peak RSS {rss:5.1f} MiB | sequential "
-          f"{report.committed_events / (t4 - t3):,.0f} events/s", flush=True)
+          f"build {t3 - t0:6.2f} s, plan k=4 {t4 - t3:6.2f} s, "
+          f"build + plan {t4 - t0:6.2f} s | {pairs:,} route pairs of "
+          f"{nodes * (nodes - 1):,} | peak RSS {rss:5.1f} MiB | sequential "
+          f"{report.committed_events / (t5 - t4):,.0f} events/s", flush=True)
 
 
 def main() -> None:

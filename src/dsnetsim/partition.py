@@ -15,6 +15,7 @@ deterministic for fixed inputs.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -194,8 +195,13 @@ def _rebalance(topo: Topology, assignment: dict[int, int], k: int,
 
 def _balanced_assignment(topo: Topology, k: int, weights: dict[int, int] | None,
                          eps: float) -> dict[int, int]:
-    """The assignment of :func:`partition_balanced`: regions grown from
-    farthest-point seeds toward the lightest partition, then rebalanced."""
+    """The assignment of :func:`partition_balanced`. Each partition starts
+    from one farthest-point seed. Then, one node at a time, the lightest
+    partition (ties: lowest index) that still has an unassigned neighbour
+    takes its smallest one; a Topology is connected, so one always exists.
+    Each partition keeps its frontier as a heap of node ids, from which
+    nodes another partition took drop out when they reach the top. Last,
+    :func:`_rebalance` moves boundary nodes."""
     n = topo.num_nodes
     if k < 1:
         raise PartitionError("k must be >= 1")
@@ -204,25 +210,25 @@ def _balanced_assignment(topo: Topology, k: int, weights: dict[int, int] | None,
     seeds = _farthest_point_seeds(topo, k)
     assignment: dict[int, int] = {}
     acc = [0] * k
-    frontiers: list[list[int]] = [[] for _ in range(k)]
     for pid, s in enumerate(seeds):
         assignment[s] = pid
         acc[pid] += _node_weight(weights, s)
-        frontiers[pid] = sorted(v for v in topo.neighbors(s) if v not in assignment)
-    remaining = set(topo.node_ids()) - set(seeds)
-    while remaining:
-        # the lightest partition with an unassigned neighbour grows; one
-        # always exists, because a Topology is connected
+    frontiers = [[v for v in topo.neighbors(s) if v not in assignment] for s in seeds]
+    for front in frontiers:
+        heapq.heapify(front)
+    for _ in range(n - k):
         for pid in sorted(range(k), key=lambda p: (acc[p], p)):
-            front = [v for v in frontiers[pid] if v in remaining]
+            front = frontiers[pid]
+            while front and front[0] in assignment:
+                heapq.heappop(front)
             if front:
                 break
-        node = front[0]
+        node = heapq.heappop(front)
         assignment[node] = pid
         acc[pid] += _node_weight(weights, node)
-        remaining.discard(node)
-        frontiers[pid] = sorted(set(front[1:]) | {
-            v for v in topo.neighbors(node) if v in remaining})
+        for v in topo.neighbors(node):
+            if v not in assignment:
+                heapq.heappush(front, v)
     _rebalance(topo, assignment, k, weights, eps)
     return assignment
 

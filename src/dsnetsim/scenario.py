@@ -331,13 +331,18 @@ def _profile_from(block: dict, where: str) -> QosProfile:
 
 
 def build_profiles(cfg: dict) -> dict[NodeTier, QosProfile]:
+    """Each tier's profile. A tier without its own block is exactly
+    qos.default, so all such tiers share one profile: the elements hold
+    only configuration."""
     qcfg = cfg["qos"]
     profiles = {}
+    built: dict[str, QosProfile] = {}
     for tier in NodeTier:
         block = qcfg["tiers"].get(tier.value, {})
-        # a tier without its own block is exactly qos.default
         where = f"qos.tiers.{tier.value}" if block else "qos.default"
-        profiles[tier] = _profile_from(_deep_merge(qcfg["default"], block), where)
+        if where not in built:
+            built[where] = _profile_from(_deep_merge(qcfg["default"], block), where)
+        profiles[tier] = built[where]
     return profiles
 
 

@@ -9,7 +9,7 @@ import pathlib
 import pytest
 
 DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
-# 02_lazy_vs_baseline (about 6 s) and 06_paper_scale_setup (about 11 s) are
+# 02_lazy_vs_baseline (about 6 s) and 06_paper_scale_setup (about 7 s) are
 # not run whole; each other demo runs in about a second or less
 FAST_DEMOS = [p for p in DEMOS
               if p.stem not in ("02_lazy_vs_baseline", "06_paper_scale_setup")]
@@ -37,7 +37,8 @@ def test_fast_demo_runs(path, tmp_path, monkeypatch, capsys):
 
 def test_paper_scale_setup_measures_a_small_size(capsys):
     # one size of 06_paper_scale_setup, in this process: its set-up path
-    # (topology, route rows, model build) and one sequential run
+    # (topology, route rows, model build, a k=4 plan) and one sequential run
     _load(next(p for p in DEMOS if p.stem == "06_paper_scale_setup")).measure(100)
     out = capsys.readouterr().out
     assert out.startswith("   100 nodes:") and "route pairs of 9,900" in out
+    assert "plan k=4" in out and "build + plan" in out

@@ -1,5 +1,7 @@
 """Partition planning: weight derivation, balance, cut, plan files."""
 
+import hashlib
+
 import pytest
 
 from dsnetsim.kernel import run_sequential
@@ -11,6 +13,7 @@ from dsnetsim.partition import (
     partition_balanced, partition_vertex_plus_edge,
 )
 from dsnetsim.routing import compute_routes
+from dsnetsim.scenario import build_plan, build_topology, load_scenario
 from dsnetsim.topology import NodeTier, Topology, generate_synthetic_topology
 from dsnetsim.traffic import Flow, TrafficSpec, resolve_flows
 from conftest import bidirectional, line_topology
@@ -103,6 +106,43 @@ def test_degradation_is_reported_not_hidden():
     plan = partition_balanced(topo, 3, weights)
     assert plan.imbalance > 1.10
     assert plan.degraded
+
+
+# sha256 of each plan's partition indices, one line per node in id order,
+# and its cut, for the 1,000-node synthetic scenario (800 / 160 / 40) with
+# the default traffic; fixed when the planner's frontier was a sorted list
+PLANS_1000 = {
+    ("no-weights", 2): ("8baa88706f60e867abd227d55260d299865069208b7791210f23be880bb93c92", 45),
+    ("no-weights", 4): ("b4943bc264791f546d9c39db41b6e7371055d3515be30d63b30041ea00d6e376", 96),
+    ("no-weights", 8): ("f91b5c622aace93315a032ed07b0b9bbdc54f63e7fe2a98569927ee459907d51", 104),
+    ("vertex-throughput", 2):
+        ("acbd0f0d9cb66f5d51eaff3f4febcbd4a2d193581accc1a5a37e2517fdefdcad", 47),
+    ("vertex-throughput", 4):
+        ("2742cdd2430fdad67886747c6c7884da4d1be05a97683451c8e5a05858cf52e5", 71),
+    ("vertex-throughput", 8):
+        ("34f51315216eb38062b64bb48478208664a6cf955bbe742e0d5624d77d3e3157", 114),
+    ("vertex+edge", 2): ("fc83c17b8f2d72620c81b94846a274583cdc9d44ffd1857e3b48d9cec6ae9efe", 45),
+    ("vertex+edge", 4): ("ffe829a16d8c8673a03b2482fe947dd7f210b22ab02b2ede8249e3d0c4d12e81", 71),
+    ("vertex+edge", 8): ("9d434c6a991b9d5c96dcb04fce131cac5a8f4843e8b454cce6c85b66359f49f0", 117),
+}
+
+
+@pytest.fixture(scope="module")
+def scenario1000():
+    cfg = load_scenario(None, {
+        "topology": {"synthetic": {"n_access": 800, "n_mixed": 160, "n_kernel": 40, "seed": 1}},
+        "run": {"mode": "optimistic"}})
+    return cfg, build_topology(cfg)
+
+
+@pytest.mark.parametrize("strategy, k", sorted(PLANS_1000))
+def test_plans_at_1000_nodes_are_pinned(scenario1000, strategy, k):
+    cfg, topo = scenario1000
+    cfg["run"]["partitions"].update(k=k, strategy=strategy)
+    plan = build_plan(cfg, topo)
+    text = "".join(f"{plan.assignment[n]}\n" for n in topo.node_ids())
+    assert (hashlib.sha256(text.encode()).hexdigest(), plan.cut_weight) == \
+        PLANS_1000[(strategy, k)]
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dsnetsim.routing import RouteMetric, compute_routes, walk_route
+from dsnetsim import routing
+from dsnetsim.routing import _INF, RouteMetric, compute_routes, walk_route
 from dsnetsim.topology import NodeTier, Topology, TopologyError
 from dsnetsim.traffic import Flow, TrafficSpec, resolve_flows
 from conftest import bidirectional, line_topology, square_topology
@@ -115,14 +116,49 @@ def test_flow_table_is_the_full_table_on_the_flows_paths(synthetic50, metric, fl
     _check_flow_table(synthetic50, metric, flows)
 
 
+def test_a_pass_stops_once_its_sources_are_reached(synthetic50, monkeypatch):
+    """One flow from a neighbour of its destination: the pass leaves the
+    far nodes unreached, and the flow's rows are still the full table's."""
+    passes = []
+
+    def recorded(real):
+        def run(out, dst, sources):
+            dist = real(out, dst, sources)
+            passes.append(dist)
+            return dist
+        return run
+
+    monkeypatch.setattr(routing, "_hops_to", recorded(routing._hops_to))
+    monkeypatch.setattr(routing, "_dists_to", recorded(routing._dists_to))
+    dst = 49
+    flows = [Flow(synthetic50.neighbors(dst)[0], dst, 1)]
+    for metric in RouteMetric:
+        passes.clear()
+        _check_flow_table(synthetic50, metric, flows)
+        # the full table's passes, one per node, then the flow's
+        *full, flow = passes
+        assert len(full) == synthetic50.num_nodes
+        assert not any(_INF in dist for dist in full)
+        assert flow.count(_INF) > synthetic50.num_nodes // 2, metric
+
+
 @st.composite
 def _topologies_with_flows(draw):
-    """Small connected graphs with cycles (so equal-cost ties) and a few flows."""
-    n = draw(st.integers(2, 7))
+    """Connected graphs of up to about 30 nodes: a small core with cycles
+    (so equal-cost ties) and leaf chains hanging off it (so a pass that
+    stops at its flows' sources leaves much of the graph unreached), and a
+    few flows."""
+    n = draw(st.integers(2, 8))
     pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}  # spanning tree
     extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                          max_size=6))
+                          max_size=8))
     pairs |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    for length in draw(st.lists(st.integers(1, 8), max_size=4)):
+        prev = draw(st.integers(0, n - 1))
+        for node in range(n, n + length):
+            pairs.add((prev, node))
+            prev = node
+        n += length
     ports = [0] * n
     links = []
     for a, b in sorted(pairs):
@@ -136,7 +172,7 @@ def _topologies_with_flows(draw):
     return topo, flows
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=100, derandomize=True, deadline=None)
 @given(_topologies_with_flows(), st.sampled_from(list(RouteMetric)))
 def test_flow_table_property_on_random_topologies(case, metric):
     topo, flows = case
