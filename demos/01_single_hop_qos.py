@@ -9,7 +9,7 @@ from dsnetsim.kernel import run_sequential
 from dsnetsim.model import build_model
 from dsnetsim.routing import compute_routes
 from dsnetsim.topology import Link, NodeTier, Topology
-from dsnetsim.traffic import Flow, TrafficSpec
+from dsnetsim.traffic import Flow, TrafficSpec, resolve_flows
 
 
 def main():
@@ -23,7 +23,7 @@ def main():
     ]
     topo = Topology(nodes, links)
     spec = TrafficSpec(pattern="explicit", flows=(Flow(0, 2, 100_000),))
-    model = build_model(topo, compute_routes(topo), spec,
+    model = build_model(topo, compute_routes(topo), spec, resolve_flows(spec, topo),
                         end_time_ns=2_000_000, seed=1)
     report = run_sequential(model)
 

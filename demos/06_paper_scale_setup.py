@@ -2,14 +2,16 @@
 
 The paper's digital twin covers a 5,000-router metro network. This script
 builds synthetic three-tier scenarios of that order (80 % access, 16 % mixed,
-4 % kernel nodes, a 20 us horizon) and prints, per size, the topology,
-routing and model build times, the time of a k=4 no-weights partition plan
-(``build_plan``, which computes its own routes), build + plan, the (node,
-destination) route pairs the per-node route rows hold, the peak RSS after
-the build and the plan, and the events/s of one sequential run. Routes are
-computed only along the flows' paths, and each destination's pass stops
-once it has reached that destination's flow sources, so the rows hold far
-fewer than n^2 pairs.
+4 % kernel nodes, a 20 us horizon) and prints, per size and per routing
+metric (latency, then hop count), the topology, routing and model build
+times, the time of a k=4 no-weights partition plan (``build_plan``, which
+computes its own routes), build + plan, and the (node, destination) route
+pairs the per-node route rows hold; then the peak RSS after the set-ups and
+the events/s of one sequential run on the hop-count model. Routes are
+computed only along the flows' paths, on the graph left once the access
+leaves (which are never transit) are peeled off, and each destination's
+pass stops once it has reached that destination's flow sources, so the rows
+hold far fewer than n^2 pairs.
 
     python3 demos/06_paper_scale_setup.py              # 1,000, 2,500, 5,000 nodes
     python3 demos/06_paper_scale_setup.py --nodes 1000
@@ -43,13 +45,16 @@ def peak_rss_mib() -> float:
     return float("nan")
 
 
-def measure(nodes: int) -> None:
+def set_up(nodes: int, metric: RouteMetric):
+    """Build and plan one scenario on ``metric``, print its times, and
+    return its model."""
     n_kernel = nodes * 4 // 100
     n_mixed = nodes * 16 // 100
     cfg = load_scenario(None, {
         "name": f"scale-{nodes}",
         "topology": {"synthetic": {"n_access": nodes - n_mixed - n_kernel,
                                    "n_mixed": n_mixed, "n_kernel": n_kernel, "seed": 1}},
+        "routing": {"metric": metric.value},
         "run": {"end_ns": END_NS, "partitions": {"k": 4, "strategy": "no-weights"}},
     })
     t0 = time.perf_counter()
@@ -57,23 +62,32 @@ def measure(nodes: int) -> None:
     t1 = time.perf_counter()
     spec = build_traffic_spec(cfg)
     flows = resolve_flows(spec, topo)
-    routes = compute_routes(topo, RouteMetric(cfg["routing"]["metric"]), flows)
+    routes = compute_routes(topo, metric, flows)
     t2 = time.perf_counter()
-    model = build_model(topo, routes, spec, END_NS, cfg["run"]["seed"],
+    model = build_model(topo, routes, spec, flows, END_NS, cfg["run"]["seed"],
                         profiles=build_profiles(cfg), scenario_id=scenario_identity(cfg))
     t3 = time.perf_counter()
     build_plan(cfg, topo)
     t4 = time.perf_counter()
-    rss = peak_rss_mib()
     pairs = sum(len(row) for row in routes.values())
-    report = run_sequential(model)
-    t5 = time.perf_counter()
-    print(f"{nodes:>6} nodes: topology {t1 - t0:6.2f} s, routing {t2 - t1:6.2f} s "
-          f"({len({f.dst for f in flows})} destinations), model {t3 - t2:6.2f} s, "
-          f"build {t3 - t0:6.2f} s, plan k=4 {t4 - t3:6.2f} s, "
+    print(f"{nodes:>6} nodes, {metric.value:>7}: topology {t1 - t0:6.2f} s, "
+          f"routing {t2 - t1:6.2f} s ({len({f.dst for f in flows})} destinations), "
+          f"model {t3 - t2:6.2f} s, build {t3 - t0:6.2f} s, plan k=4 {t4 - t3:6.2f} s, "
           f"build + plan {t4 - t0:6.2f} s | {pairs:,} route pairs of "
-          f"{nodes * (nodes - 1):,} | peak RSS {rss:5.1f} MiB | sequential "
-          f"{report.committed_events / (t5 - t4):,.0f} events/s", flush=True)
+          f"{nodes * (nodes - 1):,}", flush=True)
+    return model
+
+
+def measure(nodes: int) -> None:
+    # the latency model is dropped at once, so the peak RSS is one model's
+    set_up(nodes, RouteMetric.LATENCY)
+    model = set_up(nodes, RouteMetric.HOP_COUNT)
+    rss = peak_rss_mib()
+    t0 = time.perf_counter()
+    report = run_sequential(model)
+    t1 = time.perf_counter()
+    print(f"{nodes:>6} nodes: peak RSS {rss:5.1f} MiB | sequential "
+          f"{report.committed_events / (t1 - t0):,.0f} events/s", flush=True)
 
 
 def main() -> None:

@@ -16,7 +16,7 @@ from . import events
 from .qos import QosProfile
 from .router import RouterLp, EgressPipeline, Effects
 from .topology import Topology, NodeTier
-from .traffic import TrafficSpec, DsSampler, build_sources
+from .traffic import Flow, TrafficSpec, DsSampler, build_sources
 
 
 class ModelError(Exception):
@@ -62,6 +62,7 @@ def build_model(
     topo: Topology,
     routes: dict[int, dict[int, int]],
     traffic: TrafficSpec,
+    flows: list[Flow],
     end_time_ns: int,
     seed: int,
     profiles: dict[NodeTier, QosProfile] | None = None,
@@ -69,7 +70,9 @@ def build_model(
     scenario_id: str = "scenario",
 ) -> Model:
     """``routes`` are :func:`routing.compute_routes`'s per-node rows; each
-    LP holds its own. ``token_interval_ns`` is the shaper mode: 0 refills
+    LP holds its own. ``flows`` are ``traffic``'s flows,
+    :func:`traffic.resolve_flows`, resolved once by the caller, which
+    routes along them too. ``token_interval_ns`` is the shaper mode: 0 refills
     lazily, and a positive value schedules one REFILL chain per port at
     that interval. A packet larger than the shaper burst of a tier the
     topology uses could never leave, so it is a :class:`ModelError`."""
@@ -99,7 +102,7 @@ def build_model(
             pipelines.append(EgressPipeline(port, link, tier))
         lps[nid] = RouterLp(nid, pipelines, routes[nid], seed)
 
-    sources = build_sources(traffic, topo)
+    sources = build_sources(flows)
     for nid, flows in sources.items():
         if flows and topo.port_counts[nid] == 0:
             raise ModelError(f"source node {nid} has no ports")

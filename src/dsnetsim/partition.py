@@ -133,18 +133,17 @@ def derive_edge_throughput_weights(flows, routes: dict[int, dict[int, int]],
 
 
 def _farthest_point_seeds(topo: Topology, k: int) -> list[int]:
+    """Node 0, then, k - 1 times, the node farthest in hops from every seed
+    so far (ties: lowest id). ``near`` keeps each node's distance to its
+    nearest seed, so each new seed costs one pass."""
     seeds = [0]
-    dists = [topo.hop_distances(0)]
+    near = [math.inf] * topo.num_nodes
     while len(seeds) < k:
-        best = None
-        for n in topo.node_ids():
-            if n in seeds:
-                continue
-            d = min(dd[n] for dd in dists)
-            if best is None or (d, -n) > (best[0], -best[1]):
-                best = (d, n)
-        seeds.append(best[1])
-        dists.append(topo.hop_distances(best[1]))
+        for n, d in topo.hop_distances(seeds[-1]).items():
+            if d < near[n]:
+                near[n] = d
+        # seeds are at 0 and every other node at least 1, so a seed never wins
+        seeds.append(max(range(len(near)), key=near.__getitem__))
     return seeds
 
 
@@ -162,13 +161,19 @@ def _rebalance(topo: Topology, assignment: dict[int, int], k: int,
         improved = False
         heaviest = max(range(k), key=lambda p: (acc[p], p))
         lightest = min(range(k), key=lambda p: (acc[p], p))
+        members = [n for n, pid in assignment.items() if pid == heaviest]
+        # a move of weight w helps only if 0 < w < the heaviest's lead over
+        # the partition it goes to, at most its lead over the lightest; the
+        # first move of a pass is from this heaviest, so without one such
+        # member the pass moves nothing
+        gap = acc[heaviest] - acc[lightest]
+        if not any(0 < _node_weight(weights, n) < gap for n in members):
+            break
         # prefer nodes with few same-partition neighbours: moving them hurts
         # locality the least, and interior nodes become movable once the
         # boundary-only candidates run out
-        members = sorted(
-            (n for n, pid in assignment.items() if pid == heaviest),
-            key=lambda n: (sum(1 for v in topo.neighbors(n)
-                               if assignment[v] == heaviest), n))
+        members.sort(key=lambda n: (sum(1 for v in topo.neighbors(n)
+                                        if assignment[v] == heaviest), n))
         for n in members:
             if assignment[n] != heaviest or sizes[heaviest] <= 1:
                 continue
@@ -217,7 +222,7 @@ def _balanced_assignment(topo: Topology, k: int, weights: dict[int, int] | None,
     for front in frontiers:
         heapq.heapify(front)
     for _ in range(n - k):
-        for pid in sorted(range(k), key=lambda p: (acc[p], p)):
+        for pid in sorted(range(k), key=acc.__getitem__):  # stable: ties by index
             front = frontiers[pid]
             while front and front[0] in assignment:
                 heapq.heappop(front)

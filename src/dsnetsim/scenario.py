@@ -171,11 +171,16 @@ def _defaults(table: dict) -> dict:
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
+    """A new dict: ``base`` with ``override`` merged in, block by block.
+    Each value either input gives is copied once, and neither changes."""
+    out = {}
+    for key, val in base.items():
+        if key in override and isinstance(val, dict) and isinstance(override[key], dict):
+            out[key] = _deep_merge(val, override[key])
         else:
+            out[key] = copy.deepcopy(override.get(key, val))
+    for key, val in override.items():
+        if key not in out:
             out[key] = copy.deepcopy(val)
     return out
 
@@ -355,12 +360,13 @@ def build_scenario_model(cfg: dict, mode: str | None = None) -> Model:
     state, so build a new one per run."""
     topo = build_topology(cfg)
     spec = build_traffic_spec(cfg)
-    routes = compute_routes(topo, _route_metric(cfg), traffic_mod.resolve_flows(spec, topo))
-    return _assemble_model(cfg, topo, routes, spec, mode or cfg["run"]["mode"],
+    flows = traffic_mod.resolve_flows(spec, topo)
+    routes = compute_routes(topo, _route_metric(cfg), flows)
+    return _assemble_model(cfg, topo, routes, spec, flows, mode or cfg["run"]["mode"],
                            scenario_identity(cfg))
 
 
-def _assemble_model(cfg: dict, topo: Topology, routes, spec: TrafficSpec, mode: str,
+def _assemble_model(cfg: dict, topo: Topology, routes, spec: TrafficSpec, flows, mode: str,
                     scenario_id: str) -> Model:
     # 0 is the lazy shaper; only the baseline refills periodically
     interval = cfg["run"]["token_interval_ns"] if mode == MODE_BASELINE else 0
@@ -368,7 +374,7 @@ def _assemble_model(cfg: dict, topo: Topology, routes, spec: TrafficSpec, mode: 
         raise ScenarioError("run.token_interval_ns: baseline mode requires "
                             f"token_interval_ns > 0, got {interval}")
     return build_model(
-        topo, routes, spec,
+        topo, routes, spec, flows,
         end_time_ns=cfg["run"]["end_ns"],
         seed=cfg["run"]["seed"],
         profiles=build_profiles(cfg),
@@ -392,7 +398,7 @@ def build_plan(cfg: dict, topo: Topology) -> partition_mod.PartitionPlan:
         # needs a profiling trace: run the same scenario sequentially, on
         # this topology and these routes
         profiling = run_sequential(_assemble_model(
-            cfg, topo, routes, spec, MODE_SEQUENTIAL, f"{cfg['name']}-profile"))
+            cfg, topo, routes, spec, flows, MODE_SEQUENTIAL, f"{cfg['name']}-profile"))
         weights = partition_mod.derive_vertex_event_weights(profiling)
     elif strategy in (WeightModel.VERTEX_THROUGHPUT, WeightModel.VERTEX_PLUS_EDGE):
         weights = partition_mod.derive_vertex_throughput_weights(flows, routes, topo)

@@ -108,12 +108,13 @@ def resolve_flows(spec: TrafficSpec, topo: Topology) -> list[Flow]:
     return flows
 
 
-def build_sources(spec: TrafficSpec, topo: Topology) -> dict[int, list[FlowGen]]:
-    """Per-node generator states, keyed by source LP. A generator holds only
-    its flow's own facts; the spec-wide ``packet_size`` and ``poisson`` go
-    into the run's :class:`model.ModelContext`."""
+def build_sources(flows) -> dict[int, list[FlowGen]]:
+    """Per-node generator states of the run's resolved ``flows``, keyed by
+    source LP. A generator holds only its flow's own facts; the spec-wide
+    ``packet_size`` and ``poisson`` go into the run's
+    :class:`model.ModelContext`."""
     sources: dict[int, list[FlowGen]] = {}
-    for idx, flow in enumerate(resolve_flows(spec, topo)):
+    for idx, flow in enumerate(flows):
         gen = FlowGen(
             dst=flow.dst,
             interarrival_ns=interarrival_ns(flow.rate_pps),

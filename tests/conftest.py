@@ -5,7 +5,7 @@ import pytest
 from dsnetsim.qos import QosProfile
 from dsnetsim.routing import compute_routes
 from dsnetsim.topology import Link, NodeTier, Topology, generate_synthetic_topology
-from dsnetsim.traffic import TrafficSpec, Flow
+from dsnetsim.traffic import Flow, TrafficSpec, resolve_flows
 from dsnetsim.model import build_model
 
 # ids of the two speculation regimes: the default lookahead window, and
@@ -50,8 +50,8 @@ def single_flow_model(topo, src, dst, rate_pps=1_000_000, end_ns=100_000,
                        flows=(Flow(src, dst, rate_pps, ds),),
                        packet_size=size)
     routes = compute_routes(topo)
-    return build_model(topo, routes, spec, end_time_ns=end_ns, seed=seed,
-                       profiles=profiles, **kwargs)
+    return build_model(topo, routes, spec, resolve_flows(spec, topo), end_time_ns=end_ns,
+                       seed=seed, profiles=profiles, **kwargs)
 
 
 def tier_profiles(**kwargs):

@@ -37,8 +37,13 @@ def test_fast_demo_runs(path, tmp_path, monkeypatch, capsys):
 
 def test_paper_scale_setup_measures_a_small_size(capsys):
     # one size of 06_paper_scale_setup, in this process: its set-up path
-    # (topology, route rows, model build, a k=4 plan) and one sequential run
+    # (topology, route rows, model build, a k=4 plan) on each routing
+    # metric, and one sequential run
     _load(next(p for p in DEMOS if p.stem == "06_paper_scale_setup")).measure(100)
-    out = capsys.readouterr().out
-    assert out.startswith("   100 nodes:") and "route pairs of 9,900" in out
-    assert "plan k=4" in out and "build + plan" in out
+    latency, hop, run = capsys.readouterr().out.splitlines()
+    assert hop.startswith("   100 nodes,     hop:")
+    assert latency.startswith("   100 nodes, latency:")
+    for line in (hop, latency):
+        assert "route pairs of 9,900" in line
+        assert "plan k=4" in line and "build + plan" in line
+    assert run.startswith("   100 nodes: peak RSS") and "events/s" in run

@@ -16,7 +16,7 @@ from dsnetsim.partition import PartitionPlan, WeightModel
 from dsnetsim.qos import QosProfile
 from dsnetsim.routing import compute_routes
 from dsnetsim.topology import NodeTier, Topology, generate_synthetic_topology
-from dsnetsim.traffic import Flow, TrafficSpec
+from dsnetsim.traffic import Flow, TrafficSpec, resolve_flows
 
 END_NS = 100_000
 # a shaper this tight blocks under a few flows, so lazy runs take SEND events
@@ -68,7 +68,7 @@ def _model(topo, flows, traffic, profiles, token_interval_ns):
     size, poisson = traffic
     spec = TrafficSpec(pattern="explicit", flows=tuple(flows), packet_size=size,
                        poisson=poisson)
-    return build_model(topo, compute_routes(topo), spec, END_NS, seed=42,
+    return build_model(topo, compute_routes(topo), spec, resolve_flows(spec, topo), END_NS, seed=42,
                        profiles=profiles, token_interval_ns=token_interval_ns)
 
 

@@ -17,14 +17,14 @@ from dsnetsim.routing import compute_routes
 from dsnetsim.model import build_model, lookahead_ns
 from dsnetsim.qos import QosProfile, SrtcmParams
 from dsnetsim.topology import NodeTier, Topology, generate_synthetic_topology
-from dsnetsim.traffic import Flow, TrafficSpec
+from dsnetsim.traffic import Flow, TrafficSpec, resolve_flows
 from conftest import WINDOWS, bidirectional, line_topology, single_flow_model, tight_shaper_profiles
 
 
 def _fresh_model(end_ns=1_000_000, seed=42, **model_kwargs):
     topo = generate_synthetic_topology(10, 3, 2, seed=1)
     spec = TrafficSpec(rate_pps=100_000, seed=5)
-    return build_model(topo, compute_routes(topo), spec, end_ns, seed,
+    return build_model(topo, compute_routes(topo), spec, resolve_flows(spec, topo), end_ns, seed,
                        **model_kwargs), topo
 
 
@@ -342,7 +342,8 @@ def _two_way_line_model():
         (NodeTier.ACCESS, None), (NodeTier.MIXED, {0: 1}), (NodeTier.KERNEL, {0: 0}))}
     spec = TrafficSpec(pattern="explicit", packet_size=1400, flows=(
         Flow(0, 3, 1_000_000, 0), Flow(3, 0, 1_000_000, 0)))
-    return build_model(topo, compute_routes(topo), spec, end_time_ns=50_000, seed=42,
+    return build_model(topo, compute_routes(topo), spec, resolve_flows(spec, topo),
+                       end_time_ns=50_000, seed=42,
                        profiles=profiles)
 
 
@@ -421,7 +422,7 @@ def test_spare_ports_hold_no_pipeline_and_no_audit_row():
     def model():
         spec = TrafficSpec(pattern="explicit",
                            flows=(Flow(0, 2, 1_000_000), Flow(2, 0, 500_000)))
-        return build_model(topo, compute_routes(topo), spec, 200_000, 42,
+        return build_model(topo, compute_routes(topo), spec, resolve_flows(spec, topo), 200_000, 42,
                            profiles=tight_shaper_profiles())
 
     assert [None if p is None else p.port for p in model().lps[1].pipelines] == [0, None, 2]
@@ -483,7 +484,7 @@ def test_lookahead_window_stops_one_ns_short_of_the_lookahead():
     def model():
         spec = TrafficSpec(pattern="explicit", packet_size=1,
                            flows=(Flow(0, 1, 1_000_000), Flow(1, 0, 1_000_000)))
-        return build_model(topo, compute_routes(topo), spec, 20_000, 42)
+        return build_model(topo, compute_routes(topo), spec, resolve_flows(spec, topo), 20_000, 42)
 
     seq = run_sequential(model())
     rep = run_optimistic(model(), PartitionPlan(2, {0: 1, 1: 0}, WeightModel.NO_WEIGHTS), Knobs())
@@ -504,7 +505,7 @@ def test_zero_delay_cut_link_gives_window_zero():
     def model():
         spec = TrafficSpec(pattern="explicit", packet_size=1400,
                            flows=(Flow(0, 3, 200_000), Flow(3, 0, 150_000), Flow(2, 1, 100_000)))
-        return build_model(topo, compute_routes(topo), spec, 200_000, 42,
+        return build_model(topo, compute_routes(topo), spec, resolve_flows(spec, topo), 200_000, 42,
                            profiles=tight_shaper_profiles())
 
     seq = run_sequential(model())

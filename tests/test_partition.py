@@ -1,9 +1,12 @@
 """Partition planning: weight derivation, balance, cut, plan files."""
 
 import hashlib
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dsnetsim import partition
 from dsnetsim.kernel import run_sequential
 from dsnetsim.model import build_model
 from dsnetsim.partition import (
@@ -25,7 +28,8 @@ from conftest import bidirectional, line_topology
 def test_vertex_event_weights_are_committed_event_counts():
     topo = line_topology(3)
     spec = TrafficSpec(pattern="explicit", flows=(Flow(0, 2, 100_000),))
-    model = build_model(topo, compute_routes(topo), spec, 500_000, seed=1)
+    model = build_model(topo, compute_routes(topo), spec, resolve_flows(spec, topo), 500_000,
+                        seed=1)
     rep = run_sequential(model)
     w = derive_vertex_event_weights(rep)
     assert sum(w.values()) == rep.committed_events
@@ -143,6 +147,109 @@ def test_plans_at_1000_nodes_are_pinned(scenario1000, strategy, k):
     text = "".join(f"{plan.assignment[n]}\n" for n in topo.node_ids())
     assert (hashlib.sha256(text.encode()).hexdigest(), plan.cut_weight) == \
         PLANS_1000[(strategy, k)]
+
+
+# --------------------------------------------------------------------------
+# the balanced planner's steps against their plain forms: every seed's
+# distance to every node, and a rebalance that sorts before every pass
+
+
+def _seeds_oracle(topo, k):
+    seeds = [0]
+    dists = [topo.hop_distances(0)]
+    while len(seeds) < k:
+        best = None
+        for n in topo.node_ids():
+            if n in seeds:
+                continue
+            d = min(dd[n] for dd in dists)
+            if best is None or (d, -n) > (best[0], -best[1]):
+                best = (d, n)
+        seeds.append(best[1])
+        dists.append(topo.hop_distances(best[1]))
+    return seeds
+
+
+def _rebalance_oracle(topo, assignment, k, weights, eps):
+    w_of = lambda n: 1 if not weights else weights.get(n, 0)
+    acc = [0] * k
+    sizes = [0] * k
+    for n, pid in assignment.items():
+        acc[pid] += w_of(n)
+        sizes[pid] += 1
+    for _ in range(32):
+        improved = False
+        heaviest = max(range(k), key=lambda p: (acc[p], p))
+        lightest = min(range(k), key=lambda p: (acc[p], p))
+        members = sorted(
+            (n for n, pid in assignment.items() if pid == heaviest),
+            key=lambda n: (sum(1 for v in topo.neighbors(n)
+                               if assignment[v] == heaviest), n))
+        for n in members:
+            if assignment[n] != heaviest or sizes[heaviest] <= 1:
+                continue
+            w = w_of(n)
+            candidates = sorted({assignment[v] for v in topo.neighbors(n)} - {heaviest})
+            if lightest not in candidates and lightest != heaviest:
+                candidates.append(lightest)
+            for pid in candidates:
+                if max(acc[heaviest] - w, acc[pid] + w) < acc[heaviest]:
+                    assignment[n] = pid
+                    acc[heaviest] -= w
+                    acc[pid] += w
+                    sizes[heaviest] -= 1
+                    sizes[pid] += 1
+                    improved = True
+                    heaviest = max(range(k), key=lambda p: (acc[p], p))
+                    lightest = min(range(k), key=lambda p: (acc[p], p))
+                    break
+        if not improved or partition._imbalance(acc) <= 1.0 + eps:
+            break
+
+
+@st.composite
+def _planner_inputs(draw):
+    """A small synthetic topology, k, eps, weights (None, or drawn from a
+    few small values, 0 included, so that a member's weight often equals
+    the gap between the heaviest and the lightest partition) and a drawn
+    assignment."""
+    topo = generate_synthetic_topology(draw(st.integers(1, 30)), draw(st.integers(1, 6)),
+                                       draw(st.integers(1, 4)), draw(st.integers(0, 9)))
+    k = draw(st.integers(1, min(8, topo.num_nodes)))
+    weights = draw(st.none() | st.fixed_dictionaries(
+        {n: st.sampled_from([0, 1, 2, 3, 5]) for n in topo.node_ids()}))
+    assignment = {n: draw(st.integers(0, k - 1)) for n in topo.node_ids()}
+    return topo, k, draw(st.sampled_from([0.0, 0.1, 0.3])), weights, assignment
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_planner_inputs())
+def test_seeds_and_rebalance_match_their_plain_forms(case):
+    topo, k, eps, weights, assignment = case
+    assert partition._farthest_point_seeds(topo, k) == _seeds_oracle(topo, k)
+    fast, plain = dict(assignment), dict(assignment)
+    partition._rebalance(topo, fast, k, weights, eps)
+    _rebalance_oracle(topo, plain, k, weights, eps)
+    assert fast == plain
+    # and so the whole planner
+    planned = partition._balanced_assignment(topo, k, weights, eps)
+    with mock.patch.object(partition, "_farthest_point_seeds", _seeds_oracle), \
+            mock.patch.object(partition, "_rebalance", _rebalance_oracle):
+        assert partition._balanced_assignment(topo, k, weights, eps) == planned
+
+
+@pytest.mark.parametrize("weights", [
+    {0: 3, 1: 0, 2: 1, 3: 1},  # heaviest 3 + 0 against 2: gap 1, no 0 < w < 1
+    {0: 2, 1: 1, 2: 1, 3: 1},  # heaviest 2 + 1 against 2: a member's w equals the gap
+    {0: 4, 1: 1, 2: 1, 3: 1},  # gap 3 and w = 1 fits: a pass moves node 1
+])
+def test_rebalance_stops_only_when_no_move_helps(weights):
+    topo = line_topology(4)
+    fast, plain = {0: 0, 1: 0, 2: 1, 3: 1}, {0: 0, 1: 0, 2: 1, 3: 1}
+    partition._rebalance(topo, fast, 2, weights, 0.0)
+    _rebalance_oracle(topo, plain, 2, weights, 0.0)
+    assert fast == plain
+    assert (fast == {0: 0, 1: 0, 2: 1, 3: 1}) == (weights[0] != 4)
 
 
 # --------------------------------------------------------------------------

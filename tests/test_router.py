@@ -16,7 +16,7 @@ from dsnetsim.qos import (
     TOKEN_SCALE, ClassQueue, Color, QosProfile, RedParams, RedState, SrtcmMeter, TokenBucket,
 )
 from dsnetsim.topology import NodeTier, generate_synthetic_topology
-from dsnetsim.traffic import TrafficSpec, Flow
+from dsnetsim.traffic import Flow, TrafficSpec, resolve_flows
 from conftest import line_topology, single_flow_model, tier_profiles, tight_shaper_profiles
 
 
@@ -295,12 +295,12 @@ def test_refill_tick_count_doubles_when_interval_halves():
     routes = compute_routes(topo)
 
     def events_at(interval):
-        model = build_model(topo, routes, spec, end_time_ns=1_000_000, seed=1,
-                            token_interval_ns=interval)
+        model = build_model(topo, routes, spec, resolve_flows(spec, topo),
+                            end_time_ns=1_000_000, seed=1, token_interval_ns=interval)
         return run_sequential(model).committed_events
 
     lazy_events = run_sequential(
-        build_model(topo, routes, spec, end_time_ns=1_000_000, seed=1)
+        build_model(topo, routes, spec, resolve_flows(spec, topo), end_time_ns=1_000_000, seed=1)
     ).committed_events
     # 4 connected directed ports in a 3-node line
     ticks = lambda interval: 4 * (1_000_000 // interval)
@@ -322,7 +322,8 @@ def test_packet_larger_than_a_used_tiers_burst_is_a_model_error(token_interval_n
     spec = TrafficSpec(packet_size=20_000)
     with pytest.raises(ModelError, match="packet_size 20000 B exceeds the access tier's "
                                          "shaper burst of 16384 B"):
-        build_model(topo, compute_routes(topo), spec, end_time_ns=200_000, seed=1,
+        build_model(topo, compute_routes(topo), spec, resolve_flows(spec, topo),
+                    end_time_ns=200_000, seed=1,
                     token_interval_ns=token_interval_ns)
     # a tier no node of the topology has is not checked
     profiles = {**tier_profiles(), NodeTier.KERNEL: QosProfile(shaper_burst_bytes=1_000)}
@@ -359,8 +360,8 @@ def test_event_changes_only_its_touched_port_and_restore_undoes_it(model_kwargs)
     pipeline but the port ``dispatch`` saved alone and shares no live object
     with its save, and restoring the save gives back the whole LP state."""
     topo = generate_synthetic_topology(10, 3, 2, seed=1)
-    model = build_model(topo, compute_routes(topo),
-                        TrafficSpec(rate_pps=100_000, seed=5),
+    spec = TrafficSpec(rate_pps=100_000, seed=5)
+    model = build_model(topo, compute_routes(topo), spec, resolve_flows(spec, topo),
                         end_time_ns=300_000, seed=42,
                         profiles=tight_shaper_profiles(), **model_kwargs)
     heap = [(ev.key, ev) for ev in model.bootstrap]

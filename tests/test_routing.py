@@ -1,5 +1,10 @@
 """Route rows against hand examples, an independent all-pairs oracle, and
-the full rows for rows built along the flows' paths."""
+the full rows for rows built along the flows' paths; the peel that strips
+hanging trees before the passes; and the flow rows at 1,000 nodes, pinned."""
+
+import dataclasses
+import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -7,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from dsnetsim import routing
 from dsnetsim.routing import _INF, RouteMetric, compute_routes, walk_route
-from dsnetsim.topology import NodeTier, Topology, TopologyError
+from dsnetsim.topology import NodeTier, Topology, TopologyError, generate_synthetic_topology
 from dsnetsim.traffic import Flow, TrafficSpec, resolve_flows
 from conftest import bidirectional, line_topology, square_topology
 
@@ -120,11 +125,13 @@ def test_a_pass_stops_once_its_sources_are_reached(synthetic50, monkeypatch):
     """One flow from a neighbour of its destination: the pass leaves the
     far nodes unreached, and the flow's rows are still the full table's."""
     passes = []
+    linked = []  # the nodes each pass's out-lists link to
 
     def recorded(real):
         def run(out, dst, sources):
             dist = real(out, dst, sources)
             passes.append(dist)
+            linked.append({v for links in out for _, v, _ in links})
             return dist
         return run
 
@@ -134,34 +141,51 @@ def test_a_pass_stops_once_its_sources_are_reached(synthetic50, monkeypatch):
     flows = [Flow(synthetic50.neighbors(dst)[0], dst, 1)]
     for metric in RouteMetric:
         passes.clear()
+        linked.clear()
         _check_flow_table(synthetic50, metric, flows)
         # the full table's passes, one per node, then the flow's
         *full, flow = passes
         assert len(full) == synthetic50.num_nodes
         assert not any(_INF in dist for dist in full)
         assert flow.count(_INF) > synthetic50.num_nodes // 2, metric
+        # with every node a destination nothing is peeled; the flow's pass
+        # runs without the access leaves, its destination's excepted
+        assert linked[0] == set(synthetic50.node_ids())
+        access = set(synthetic50.nodes_in_tier(NodeTier.ACCESS))
+        assert dst in access and linked[-1] & access == {dst}
 
 
 @st.composite
 def _topologies_with_flows(draw):
-    """Connected graphs of up to about 30 nodes: a small core with cycles
-    (so equal-cost ties) and leaf chains hanging off it (so a pass that
-    stops at its flows' sources leaves much of the graph unreached), and a
-    few flows."""
+    """Connected graphs of up to about 40 nodes: a small core with cycles
+    (so equal-cost ties) and hanging trees off it, chains and branching
+    ones (so the peel strips them, and a pass that stops at its flows'
+    sources leaves much of the graph unreached), a few parallel links, and
+    a few flows, some into a hanging tree (whose destination the peel must
+    keep)."""
     n = draw(st.integers(2, 8))
     pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}  # spanning tree
     extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=8))
     pairs |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
-    for length in draw(st.lists(st.integers(1, 8), max_size=4)):
-        prev = draw(st.integers(0, n - 1))
+    hanging = []
+    for length, branching in draw(st.lists(st.tuples(st.integers(1, 8), st.booleans()),
+                                           max_size=4)):
+        tree = [draw(st.integers(0, n - 1))]
         for node in range(n, n + length):
-            pairs.add((prev, node))
-            prev = node
+            # a chain hangs each node off the last; a branching tree off any
+            # node of the tree so far, its root included
+            parent = draw(st.sampled_from(tree)) if branching else tree[-1]
+            pairs.add((parent, node))
+            tree.append(node)
+        hanging += tree[1:]
         n += length
     ports = [0] * n
     links = []
-    for a, b in sorted(pairs):
+    # now and then a parallel link, so a node can have two links to one
+    # neighbour and not be a leaf
+    for a, b in sorted(pairs) + sorted(draw(st.sets(st.sampled_from(sorted(pairs)),
+                                                    max_size=2))):
         delay = draw(st.sampled_from([0, 1_000, 2_000]))
         links.append(bidirectional(a, b, ports[a], ports[b], delay=delay))
         ports[a] += 1
@@ -169,6 +193,9 @@ def _topologies_with_flows(draw):
     topo = Topology([(i, NodeTier.ACCESS, ports[i]) for i in range(n)], links)
     ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
     flows = [Flow(s, d, 1) for s, d in draw(st.lists(ends, min_size=1, max_size=5))]
+    if hanging:
+        dst = draw(st.sampled_from(hanging))
+        flows.append(Flow(draw(st.integers(0, n - 1).filter(lambda s: s != dst)), dst, 1))
     return topo, flows
 
 
@@ -177,3 +204,56 @@ def _topologies_with_flows(draw):
 def test_flow_table_property_on_random_topologies(case, metric):
     topo, flows = case
     _check_flow_table(topo, metric, flows)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_topologies_with_flows())
+def test_the_peel_strips_exactly_the_hanging_trees_without_a_destination(case):
+    topo, flows = case
+    dsts = {f.dst for f in flows}
+    up = routing._peel(topo, dsts)
+    assert not dsts & set(up)
+    for node, (port, nxt) in up.items():
+        assert topo.port_link[(node, port)].dst == nxt
+        # the uplink is a stripped node's one link out of its tree: every
+        # other link leads to a stripped node whose uplink leads back
+        for l in topo.out_links[node]:
+            assert l.src_port == port or up.get(l.dst, (None, None))[1] == node
+        seen = {node}
+        while node in up:
+            node = up[node][1]
+            assert node not in seen
+            seen.add(node)
+    # what is left is a 2-core but for the destinations: nothing more peels
+    for node in topo.node_ids():
+        if node not in up and node not in dsts:
+            assert sum(v not in up for v in topo.neighbors(node)) >= 2
+
+
+# sha256 of the flow route rows, one "node dst port" line per entry in node
+# then dst order, at 1,000 synthetic nodes (800 / 160 / 40, seed 1) with the
+# default traffic, on each metric; "latency-drawn" redraws each link's delay
+# (seed 1), since the generator's links all have the same delay. Taken
+# before the passes ran on the peeled graph.
+ROWS_1000 = {
+    "hop": "95b14f3f2a077ed69147db4a0b0edd50cb7f1963e15a1744f4bbf156c1f58684",
+    "latency": "95b14f3f2a077ed69147db4a0b0edd50cb7f1963e15a1744f4bbf156c1f58684",
+    "latency-drawn": "70cc9144c332bdee61702e350a54fd46e8fba1ca849235dbb9d45391fc4d3832",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROWS_1000))
+def test_flow_rows_at_1000_nodes_are_pinned(case):
+    topo = generate_synthetic_topology(800, 160, 40, seed=1)
+    flows = resolve_flows(TrafficSpec(seed=0), topo)
+    if case == "latency-drawn":
+        rnd = random.Random(1)
+        edges = [dataclasses.replace(e, delay_ns=rnd.choice([500, 1_000, 2_000, 4_000]))
+                 for e in topo.edges]
+        topo = Topology([(n, topo.tiers[n], topo.port_counts[n]) for n in topo.node_ids()],
+                        edges)
+    metric = RouteMetric.HOP_COUNT if case == "hop" else RouteMetric.LATENCY
+    rows = compute_routes(topo, metric, flows)
+    text = "".join(f"{node} {dst} {port}\n" for node in sorted(rows)
+                   for dst, port in sorted(rows[node].items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == ROWS_1000[case]

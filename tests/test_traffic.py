@@ -61,7 +61,7 @@ def test_generated_count_formula_matches_run():
     topo = generate_synthetic_topology(4, 2, 1, seed=0)
     spec = TrafficSpec(rate_pps=25_000, seed=5)
     end = 1_000_000
-    model = build_model(topo, compute_routes(topo), spec, end, seed=1)
+    model = build_model(topo, compute_routes(topo), spec, resolve_flows(spec, topo), end, seed=1)
     report = run_sequential(model)
     # one packet at t=0 plus one per full interarrival
     assert report.generated == expected_generated(spec, topo, end)
@@ -76,7 +76,7 @@ def test_expected_generated_rejects_poisson():
 
 def test_build_sources_groups_by_node():
     topo = generate_synthetic_topology(3, 1, 1, seed=0)
-    sources = build_sources(TrafficSpec(seed=2), topo)
+    sources = build_sources(resolve_flows(TrafficSpec(seed=2), topo))
     assert sorted(sources) == topo.nodes_in_tier(NodeTier.ACCESS)
     for gens in sources.values():
         assert len(gens) == 1
@@ -89,7 +89,8 @@ def test_packet_size_and_gap_draw_are_the_runs(poisson):
     model's context, and every generated packet takes that size."""
     topo = generate_synthetic_topology(3, 1, 1, seed=0)
     spec = TrafficSpec(seed=2, packet_size=512, poisson=poisson)
-    model = build_model(topo, compute_routes(topo), spec, 1_000_000, seed=1)
+    model = build_model(topo, compute_routes(topo), spec, resolve_flows(spec, topo), 1_000_000,
+                        seed=1)
     assert (model.ctx.packet_size, model.ctx.poisson) == (512, poisson)
     gen = next(ev for ev in model.bootstrap if ev.kind == events.GENERATE)
     fx = dispatch(model.lps[gen.target], gen, model.ctx)
@@ -141,4 +142,5 @@ def test_zero_rate_flow_fails_before_the_run():
             TrafficSpec(rate_pps=rate)
         spec = TrafficSpec(pattern="explicit", flows=(Flow(3, 1, 100), Flow(4, 0, rate)))
         with pytest.raises(TrafficError, match=r"flows\[1\]: rate_pps"):
-            build_model(topo, compute_routes(topo), spec, 100_000, seed=1)
+            build_model(topo, compute_routes(topo), spec, resolve_flows(spec, topo), 100_000,
+                        seed=1)
