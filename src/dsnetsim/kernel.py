@@ -4,8 +4,8 @@ anti-messages, global virtual time, fossil collection).
 
 Correctness contract: for a fixed seed the optimistic engine commits
 exactly the per-packet records the sequential scheduler produces, for any
-partitioning. Events are totally ordered by their key ``(recv_time,
-target, sender, seq)``, which is also their identity: an anti-message
+partitioning. Events are totally ordered by their key ``(time, target,
+sender, seq)``, which is also their identity: an anti-message
 carries the key of the event it cancels. The sender sequence counter is
 part of each LP's saved state so a rolled-back LP re-emits byte-identical
 events.
@@ -64,10 +64,16 @@ every processed key. Hence a local emission, always later than the event
 that makes it, is never a straggler; a cancelled key at or below the last
 processed key is a processed event, any other a pending one; and fossil
 collection commits one prefix of the history. Each partition's pending
-set is one heap of ``(key, Event)`` whose keys are unique: a cancellation
-takes its victim out of the heap, and outboxes are FIFO, so an
-anti-message reaches its positive before a re-sent event with the same
-key does.
+set is one heap whose keys are unique: a cancellation takes its victim out
+of the heap, and outboxes are FIFO, so an anti-message reaches its
+positive before a re-sent event with the same key does.
+
+Every pending heap, the sequential one included, holds flat entries
+``(time, target, sender, seq, Event)``. Their first four fields are the
+key's fields, so they pop in key order, and as pending keys are unique two
+entries always differ before the Event, which defines no order, is
+reached. The entry is flat because a nested key tuple would be walked
+twice per heap comparison, once to test equality and once to order it.
 """
 
 from __future__ import annotations
@@ -136,7 +142,7 @@ def run_sequential(model: Model) -> RunReport:
     ctx = model.ctx
     end = ctx.end_time_ns
     t0 = _time.perf_counter()
-    heap = [(ev.key, ev) for ev in model.bootstrap]
+    heap = [(ev.time, ev.target, ev.sender, ev.seq, ev) for ev in model.bootstrap]
     heapq.heapify(heap)
     heappop = heapq.heappop
     heappush = heapq.heappush
@@ -145,7 +151,7 @@ def run_sequential(model: Model) -> RunReport:
     fx = Effects()  # the whole run's: its records, and each event's emissions
     emitted = fx.emitted
     while heap:
-        ev = heap[0][1]
+        ev = heap[0][4]
         if ev.time > end:
             break
         heappop(heap)
@@ -154,7 +160,7 @@ def run_sequential(model: Model) -> RunReport:
         per_lp[target] += 1
         for em in emitted:
             assert em.time >= ev.time, f"event scheduled in the past: {em} from {ev}"
-            heappush(heap, (em.key, em))
+            heappush(heap, (em.time, em.target, em.sender, em.seq, em))
         emitted.clear()
     return finalize(model.scenario_id, fx.records, _generated(model), {
         "committed_events": sum(per_lp.values()),
@@ -198,7 +204,7 @@ class Partition:
         self.ctx = ctx
         self.window = window  # run no event later than gvt + window
 
-        self.pending: list = []  # heap of (key, Event); keys are unique
+        self.pending: list = []  # heap of (time, target, sender, seq, Event)
         self.history: list[Effects] = []  # of the processed events, in key order
         # per destination partition, the FIFO channel toward it
         self.outboxes = [deque() for _ in range(k)]
@@ -226,7 +232,7 @@ class Partition:
             raise CausalityError(f"positive event below GVT {self.gvt}: {ev}")
         if self.history and self.history[-1].event.key > ev.key:
             self._rollback(ev.key)
-        heapq.heappush(self.pending, (ev.key, ev))
+        heapq.heappush(self.pending, (ev.time, ev.target, ev.sender, ev.seq, ev))
 
     def _cancel(self, anti):
         """Annihilate the event with the key of ``anti``: a processed one
@@ -236,9 +242,12 @@ class Partition:
         if self.history and key <= self.history[-1].event.key:
             self._rollback(key, annihilate=True)
             return
+        time = key[0]
         pending = self.pending
         for i, entry in enumerate(pending):
-            if entry[0] == key:
+            # the time field first: most entries differ there, and it needs
+            # no attribute load
+            if entry[0] == time and entry[4].key == key:
                 # move the entries above it down one slot each, over it;
                 # the slots below the root stay in heap order, and heappop
                 # drops the root's stale copy
@@ -278,14 +287,14 @@ class Partition:
         pending = self.pending
         for entry in undone:
             ev = entry.event
-            pending.append((ev.key, ev))
+            pending.append((ev.time, ev.target, ev.sender, ev.seq, ev))
             for em in entry.emitted:
                 tgt = self.lp_pid[em.target]
                 if tgt == self.pid:
                     drop.add(em.key)
                 else:
                     self.outboxes[tgt].append(em.as_anti())
-        pending[:] = [entry for entry in pending if entry[0] not in drop]
+        pending[:] = [entry for entry in pending if entry[4].key not in drop]
         heapq.heapify(pending)
 
     # -- forward progress --------------------------------------------------
@@ -305,7 +314,7 @@ class Partition:
         done = 0
         limit = min(ctx.end_time_ns, self.gvt + self.window)
         while done < max_events and pending:
-            ev = pending[0][1]
+            ev = pending[0][4]
             if ev.time > limit:
                 break
             heappop(pending)
@@ -316,14 +325,14 @@ class Partition:
                 tgt = lp_pid[em.target]
                 if tgt == pid:
                     # later than ev, so above every processed key
-                    heappush(pending, (em.key, em))
+                    heappush(pending, (em.time, em.target, em.sender, em.seq, em))
                 else:
                     outboxes[tgt].append(em)
             done += 1
         return done
 
     def min_pending_time(self) -> float:
-        return self.pending[0][1].time if self.pending else INF
+        return self.pending[0][0] if self.pending else INF
 
     # -- commitment ----------------------------------------------------------
 
@@ -356,7 +365,7 @@ def _make_partitions(model: Model, assignment: dict[int, int], k: int,
         lps = {n: lp for n, lp in model.lps.items() if assignment[n] == pid}
         parts.append(Partition(pid, lps, assignment, k, model.ctx, window))
     for ev in model.bootstrap:
-        parts[assignment[ev.target]].pending.append((ev.key, ev))
+        parts[assignment[ev.target]].pending.append((ev.time, ev.target, ev.sender, ev.seq, ev))
     for p in parts:
         heapq.heapify(p.pending)
     return parts

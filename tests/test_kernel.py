@@ -1,18 +1,20 @@
 """Kernel behaviour: sequential gold standard, rollback mechanics,
 anti-message annihilation, GVT/fossil bookkeeping, serial equivalence."""
 
+import heapq
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsnetsim import events, kernel, scenario
 from dsnetsim.kernel import (
     INF, KernelError, Knobs, Partition, _compute_gvt, run_optimistic,
     run_sequential,
 )
-from dsnetsim.metrics import compare_reports
+from dsnetsim.metrics import compare_reports, write_records_csv
 from dsnetsim.partition import PartitionPlan, WeightModel, partition_balanced
-from dsnetsim.router import Packet
+from dsnetsim.router import Effects, Packet, dispatch
 from dsnetsim.routing import compute_routes
 from dsnetsim.model import build_model, lookahead_ns
 from dsnetsim.qos import QosProfile, SrtcmParams
@@ -63,6 +65,68 @@ def test_every_record_is_delivered_or_dropped():
     assert rep.delivered + rep.dropped <= rep.generated
     in_flight = rep.generated - rep.delivered - rep.dropped
     assert in_flight < rep.generated * 0.05
+
+
+def _flat(ev):
+    """A pending heap entry, as both kernels build it."""
+    return (ev.time, ev.target, ev.sender, ev.seq, ev)
+
+
+# few distinct values per field, so most keys tie on time, target and sender
+_KEYS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2),
+                           st.integers(0, 40)), unique=True, max_size=60)
+
+
+@given(keys=_KEYS, split=st.integers(0, 60))
+@settings(max_examples=200, deadline=None)
+def test_flat_heap_entries_pop_in_event_key_order(keys, split):
+    """Flat entries, some heapified and the rest pushed one by one, pop in
+    ``Event.key`` order; unique keys mean the Event itself is never
+    compared."""
+    evs = [events.Event(t, tgt, events.REFILL, None, snd, seq) for t, tgt, snd, seq in keys]
+    heap = [_flat(ev) for ev in evs[:split]]
+    heapq.heapify(heap)
+    for ev in evs[split:]:
+        heapq.heappush(heap, _flat(ev))
+    popped = [heapq.heappop(heap)[-1] for _ in range(len(evs))]
+    assert popped == sorted(evs, key=lambda ev: ev.key)
+
+
+def test_sequential_records_match_a_key_ordered_reference_loop(synthetic50, tmp_path):
+    """At a 1 us refill interval every port's REFILL chain ties with the
+    others on each tick, and run_sequential still commits the records of a
+    loop whose heap orders ``(ev.key, ev)``, in the same order and byte for
+    byte in records.csv."""
+    def model():
+        spec = TrafficSpec(rate_pps=100_000, seed=5)
+        return build_model(synthetic50, compute_routes(synthetic50), spec,
+                           resolve_flows(spec, synthetic50), 100_000, 42,
+                           token_interval_ns=1_000)
+
+    ref = model()
+    heap = [(ev.key, ev) for ev in ref.bootstrap]
+    heapq.heapify(heap)
+    fx = Effects()
+    refills = {}
+    processed = 0
+    while heap and heap[0][0][0] <= ref.ctx.end_time_ns:
+        _, ev = heapq.heappop(heap)
+        if ev.kind == events.REFILL:
+            refills[ev.time] = refills.get(ev.time, 0) + 1
+        dispatch(ref.lps[ev.target], ev, ref.ctx, False, fx)
+        processed += 1
+        for em in fx.emitted:
+            heapq.heappush(heap, (em.key, em))
+        fx.emitted.clear()
+    assert max(refills.values()) >= 100
+
+    rep = run_sequential(model())
+    assert rep.committed_events == processed
+    assert rep.records == fx.records
+    paths = tmp_path / "kernel.csv", tmp_path / "reference.csv"
+    write_records_csv(str(paths[0]), rep.records)
+    write_records_csv(str(paths[1]), fx.records)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 # --------------------------------------------------------------------------
@@ -144,7 +208,7 @@ def test_anti_for_pending_event_below_the_top_removes_it_and_a_resend_runs_once(
     for ev in sent:
         part.receive_remote(ev)
     part.receive_remote(sent[1].as_anti())
-    assert sent[1].key not in [key for key, _ in part.pending]
+    assert sent[1].key not in [entry[-1].key for entry in part.pending]
     # the sender re-executes and sends an event with the same key
     part.receive_remote(_arrive_at_1(2_000, seq=1, pid=1))
     assert part.step(10) == 3
@@ -312,7 +376,7 @@ def test_every_pending_key_stays_above_every_processed_key(monkeypatch):
 
     def check(part):
         if part.history and part.pending:
-            assert part.history[-1].event.key < min(key for key, _ in part.pending)
+            assert part.history[-1].event.key < min(entry[-1].key for entry in part.pending)
             checked.append(part.pid)
 
     for name in ("step", "receive_remote"):
