@@ -18,10 +18,10 @@ ANTI = 1
 class Event:
     """One timestamped message. Its ``key``, ``(time, target, sender,
     seq)``, is both its identity, which an anti-message shares, and its place
-    in a deterministic total order over simultaneous events. The kernels'
-    heaps order the flat entry ``(time, target, sender, seq, event)``, the
-    same order; an Event defines none itself, as no two pending events share
-    a key."""
+    in a deterministic total order over simultaneous events. The sequential
+    loop sorts each time's bucket by ``key``; the partitions' heaps order
+    the flat entry ``(time, target, sender, seq, event)``, the same order.
+    An Event defines none itself, as no two pending events share a key."""
 
     __slots__ = ("time", "target", "kind", "payload", "sender", "seq", "sign", "key")
 

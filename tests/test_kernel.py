@@ -1,6 +1,7 @@
 """Kernel behaviour: sequential gold standard, rollback mechanics,
 anti-message annihilation, GVT/fossil bookkeeping, serial equivalence."""
 
+import collections
 import heapq
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from dsnetsim import events, kernel, scenario
 from dsnetsim.kernel import (
-    INF, KernelError, Knobs, Partition, _compute_gvt, run_optimistic,
+    INF, CausalityError, KernelError, Knobs, Partition, _compute_gvt, run_optimistic,
     run_sequential,
 )
 from dsnetsim.metrics import compare_reports, write_records_csv
@@ -18,6 +19,7 @@ from dsnetsim.router import Effects, Packet, dispatch
 from dsnetsim.routing import compute_routes
 from dsnetsim.model import build_model, lookahead_ns
 from dsnetsim.qos import QosProfile, SrtcmParams
+from dsnetsim.rng import PURPOSE_RED, CursorRng
 from dsnetsim.topology import NodeTier, Topology, generate_synthetic_topology
 from dsnetsim.traffic import Flow, TrafficSpec, resolve_flows
 from conftest import WINDOWS, bidirectional, line_topology, single_flow_model, tight_shaper_profiles
@@ -92,41 +94,92 @@ def test_flat_heap_entries_pop_in_event_key_order(keys, split):
     assert popped == sorted(evs, key=lambda ev: ev.key)
 
 
-def test_sequential_records_match_a_key_ordered_reference_loop(synthetic50, tmp_path):
-    """At a 1 us refill interval every port's REFILL chain ties with the
-    others on each tick, and run_sequential still commits the records of a
-    loop whose heap orders ``(ev.key, ev)``, in the same order and byte for
-    byte in records.csv."""
-    def model():
-        spec = TrafficSpec(rate_pps=100_000, seed=5)
-        return build_model(synthetic50, compute_routes(synthetic50), spec,
-                           resolve_flows(spec, synthetic50), 100_000, 42,
-                           token_interval_ns=1_000)
+def _share_tied(per_time):
+    return sum(n for n in per_time.values() if n > 1) / sum(per_time.values())
 
+
+# (traffic, model keywords, horizon, what the regime must show): the event
+# regimes the sequential loop's pending set sees, from every event tied on
+# its time to almost none
+_REGIMES = {
+    # each port's REFILL chain ties with the others' on every tick
+    "refill-1us": ({}, {"token_interval_ns": 1_000}, 100_000,
+                   lambda kinds, per_time, draws: max(per_time.values()) >= 100),
+    # lazy shaper: ARRIVEs and GENERATEs tie on the lattice of equal links
+    "lazy": ({}, {}, 100_000,
+             lambda kinds, per_time, draws: _share_tied(per_time) > 0.9),
+    # the shaper blocks: queueing, SEND retries, and RED's probabilistic draw
+    "tight-shaper": ({"rate_pps": 1_000_000}, {"profiles": tight_shaper_profiles()}, 1_000_000,
+                     lambda kinds, per_time, draws: kinds[events.SEND] > 100
+                     and draws[PURPOSE_RED] > 100),
+    # Poisson gaps: almost nothing ties
+    "poisson": ({"poisson": True}, {}, 1_000_000,
+                lambda kinds, per_time, draws: _share_tied(per_time) < 0.05),
+}
+
+
+@pytest.mark.parametrize("regime", list(_REGIMES))
+def test_sequential_records_match_a_key_ordered_reference_loop(regime, synthetic50, tmp_path,
+                                                               monkeypatch):
+    """In every regime, from all events tied on their time to almost none,
+    run_sequential commits the records of an independent loop whose heap
+    orders ``(ev.key, ev)``, in the same order and byte for byte in
+    records.csv, after the same number of events."""
+    traffic, model_kwargs, end_ns, shows = _REGIMES[regime]
+
+    def model():
+        spec = TrafficSpec(**{"rate_pps": 100_000, "seed": 5, **traffic})
+        return build_model(synthetic50, compute_routes(synthetic50), spec,
+                           resolve_flows(spec, synthetic50), end_ns, 42, **model_kwargs)
+
+    draws = collections.Counter()
+    uniform_at = CursorRng.uniform_at
+
+    def counted(rng, purpose, cursor):
+        draws[purpose] += 1
+        return uniform_at(rng, purpose, cursor)
+
+    monkeypatch.setattr(CursorRng, "uniform_at", counted)
     ref = model()
     heap = [(ev.key, ev) for ev in ref.bootstrap]
     heapq.heapify(heap)
     fx = Effects()
-    refills = {}
-    processed = 0
+    kinds = collections.Counter()
+    per_time = collections.Counter()
     while heap and heap[0][0][0] <= ref.ctx.end_time_ns:
         _, ev = heapq.heappop(heap)
-        if ev.kind == events.REFILL:
-            refills[ev.time] = refills.get(ev.time, 0) + 1
+        kinds[ev.kind] += 1
+        per_time[ev.time] += 1
         dispatch(ref.lps[ev.target], ev, ref.ctx, False, fx)
-        processed += 1
         for em in fx.emitted:
             heapq.heappush(heap, (em.key, em))
         fx.emitted.clear()
-    assert max(refills.values()) >= 100
+    assert shows(kinds, per_time, draws)
 
     rep = run_sequential(model())
-    assert rep.committed_events == processed
+    assert rep.committed_events == sum(kinds.values())
     assert rep.records == fx.records
     paths = tmp_path / "kernel.csv", tmp_path / "reference.csv"
     write_records_csv(str(paths[0]), rep.records)
     write_records_csv(str(paths[1]), fx.records)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_an_emission_not_later_than_its_cause_is_a_causality_error(monkeypatch):
+    """An event emitted at its cause's own time could not join the bucket
+    already being dispatched, so the loop refuses it, also under
+    ``python -O``."""
+    echoed = []
+
+    def echo(lp, ev, ctx, save, fx):
+        # one echo, so a loop that let it through would still end
+        if not echoed:
+            echoed.append(events.Event(ev.time, ev.target, ev.kind, None, ev.target, 10**6))
+            fx.emitted.extend(echoed)
+
+    monkeypatch.setattr(kernel, "dispatch", echo)
+    with pytest.raises(CausalityError, match="not later than its cause"):
+        run_sequential(_fresh_model()[0])
 
 
 # --------------------------------------------------------------------------
@@ -229,7 +282,6 @@ def test_anti_for_processed_event_rolls_back_and_discards_it():
 
 
 def test_unmatched_anti_is_a_causality_error():
-    from dsnetsim.kernel import CausalityError
     part, _ = _middle_partition()
     pos = _arrive_at_1(1_000, seq=0)
     with pytest.raises(CausalityError, match="matches no pending or processed event"):
@@ -251,7 +303,6 @@ def test_fossil_collect_commits_and_reclaims():
 
 
 def test_rollback_below_gvt_is_a_causality_error():
-    from dsnetsim.kernel import CausalityError
     part, _ = _middle_partition()
     part.receive_remote(_arrive_at_1(1_000, seq=0))
     part.step(10)
