@@ -11,7 +11,7 @@ part of each LP's saved state so a rolled-back LP re-emits byte-identical
 events.
 
 The sequential scheduler keeps no history: it passes one ``router.Effects``
-to every ``dispatch`` of the run (``fx=``), whose ``records`` collect the
+to every ``dispatch`` of the run (its ``fx``), whose ``records`` collect the
 run's records and whose ``emitted`` it moves into its pending set and
 empties after each event, and it counts each LP's events in a dict keyed
 by every LP, dropping the LPs that ran none at the end. Its pending set is
@@ -28,10 +28,10 @@ deficit above 0. The loop checks this itself and raises
 :class:`CausalityError` on an emission at or before its bucket's time.
 
 Before each event the engine saves only what that event can change:
-``dispatch(lp, ev, ctx, True)`` resolves the one port the event touches
-and saves its pipeline, as a copy of its flat state list and of its
-per-class packet lists, plus the RNG cursors, ``seq`` and the flows'
-``pkt_seq`` (``RouterLp.clone``). The ``router.Effects`` that ``dispatch``
+``dispatch(lp, ev, ctx)``, given no ``Effects``, resolves the one port the
+event touches and saves its pipeline, as a copy of its flat state list and
+of its per-class packet lists, plus the RNG cursors, ``seq`` and the
+flows' ``pkt_seq`` (``RouterLp.clone``). The ``router.Effects`` that ``dispatch``
 returns for the event is its history entry: the event, that save, and what
 the event emitted and recorded. A rollback writes the undone events' saves
 back newest first (``RouterLp.restore``), so for every port the earliest
@@ -189,7 +189,7 @@ def run_sequential(model: Model) -> RunReport:
             bucket.sort(key=_event_key)
         for ev in bucket:
             target = ev.target
-            dispatch(lps[target], ev, ctx, False, fx)
+            dispatch(lps[target], ev, ctx, fx)
             per_lp[target] += 1
             for em in emitted:
                 t = em.time
@@ -358,7 +358,7 @@ class Partition:
             if ev.time > limit:
                 break
             heappop(pending)
-            fx = dispatch(lps[ev.target], ev, ctx, True)
+            fx = dispatch(lps[ev.target], ev, ctx)
             fx.event = ev
             history.append(fx)
             for em in fx.emitted:

@@ -1,4 +1,4 @@
-"""DiffServ traffic-conditioning elements: DSCP classifier, two-bucket
+"""DiffServ traffic-conditioning elements: DSCP class table, two-bucket
 three-color meter/marker, per-color early-drop (RED) state, byte-bounded
 class queues, strict-priority selection, and the egress token-bucket shaper.
 
@@ -13,9 +13,10 @@ Each stateful element (:class:`TokenBucket`, :class:`SrtcmMeter`,
 the offset ``i`` of its numbers. Its constructor appends its initial
 numbers to the list it is given, and its methods take the state list ``st``
 they act on (a queue's also take its packet list). So one element set, a
-tier's :class:`QosProfile`, serves every port of the tier: each port owns
-only its copy of the profile's initial numbers and one packet list per
-class (see ``router.EgressPipeline``).
+tier's :class:`QosProfile`, serves every port of the tier. Its ``initial``
+lays out every number a port holds from offset 0, the port's own first;
+each port owns only its copy of ``initial`` and one packet list per class
+(see ``router.EgressPipeline``).
 """
 
 from __future__ import annotations
@@ -218,10 +219,6 @@ class RedParams:
             raise QosConfigError("RED weight must be in (0, 1]")
 
 
-ENQUEUE = "enqueue"
-DROP = "drop"
-
-
 class RedState:
     """EWMA average and drop bookkeeping for one (class, color) dropper.
 
@@ -237,10 +234,11 @@ class RedState:
         st += (0.0, 0)
 
     def decide(self, st: list, queue: ClassQueue, fits: bool, now_ns: int,
-               rng, cursor: int) -> str:
+               rng, cursor: int) -> bool:
         """Early-drop decision for one arriving packet at ``queue``, whose
-        numbers are in the same ``st``; ``fits`` is ``queue.fits(st, size)``
-        of that packet, which the caller also needs.
+        numbers are in the same ``st``: True to enqueue it, False to drop
+        it. ``fits`` is ``queue.fits(st, size)`` of that packet, which the
+        caller also needs.
 
         The queue-full check overrides everything; otherwise the EWMA
         average (with idle-period decay while the queue sat empty) selects
@@ -258,7 +256,7 @@ class RedState:
         if not fits:
             # tail drop: the dropper cannot admit what the queue cannot hold
             st[i + 1] = 0
-            return DROP
+            return False
         qi = queue.i
         byte_length = st[qi]
         avg = st[i]
@@ -267,7 +265,7 @@ class RedState:
                 # idle shortcut: the decay and the EWMA both leave 0.0 at
                 # 0.0, which is below min_th, so the full path would enqueue
                 st[i + 1] = 0
-                return ENQUEUE
+                return True
             if now_ns > st[qi + 1]:
                 idle = now_ns - st[qi + 1]
                 m = idle / p.mean_pkt_time_ns
@@ -276,47 +274,29 @@ class RedState:
         st[i] = avg
         if avg < p.min_th_bytes:
             st[i + 1] = 0
-            return ENQUEUE
+            return True
         if avg >= p.max_th_bytes:
             st[i + 1] = 0
-            return DROP
+            return False
         p_b = p.max_p * (avg - p.min_th_bytes) / (p.max_th_bytes - p.min_th_bytes)
         denom = 1.0 - st[i + 1] * p_b
         p_a = 1.0 if denom <= 0.0 else min(1.0, p_b / denom)
         if rng.uniform_at(PURPOSE_RED, cursor) < p_a:
             st[i + 1] = 0
-            return DROP
+            return False
         st[i + 1] += 1
-        return ENQUEUE
-
-
-# --------------------------------------------------------------------------
-# classifier
-
-class Classifier:
-    """DS field (0..63) -> priority class below ``num_classes``, with a default class."""
-
-    __slots__ = ("mapping", "default_class")
-
-    def __init__(self, mapping: dict[int, int], default_class: int, num_classes: int):
-        for ds, cls in mapping.items():
-            if not 0 <= ds <= 63:
-                raise QosConfigError(f"DS value {ds} out of range")
-            if not 0 <= cls < num_classes:
-                raise QosConfigError(f"class {cls} out of range")
-        if not 0 <= default_class < num_classes:
-            raise QosConfigError("default class out of range")
-        self.mapping = dict(mapping)
-        self.default_class = default_class
-
-    def classify(self, ds: int) -> int:
-        return self.mapping.get(ds, self.default_class)
+        return True
 
 
 # --------------------------------------------------------------------------
 # per-tier QoS profile: the element set every port of a tier shares
 
 DEFAULT_QUEUE_CAPACITY = 64 * 1024
+
+# offsets of the port's own numbers, which open every profile's ``initial``
+# (the elements' numbers follow), and their initial values
+SEND_FLAG, ARRIVE_COUNT, SEND_COUNT, BLOCKED_EPISODES, STALE_SENDS, REDUNDANT_SENDS = range(6)
+PORT_INITIAL = (False, 0, 0, 0, 0, 0)
 
 # per-color dropper thresholds as fractions of the queue capacity
 RED_DEFAULTS = {
@@ -334,17 +314,18 @@ def default_red_params(queue_capacity: int, color: Color) -> RedParams:
 
 
 class QosProfile:
-    """One tier's QoS elements, which every port of the tier shares, and
-    ``initial``, the numbers a port of the tier starts from: the shaper's,
-    then per class the queue's, the meter's and each color's RED numbers,
-    each at its element's offset ``i``. Parameters are read through the
-    elements, such as ``shaper.capacity_bytes`` or ``srtcm[0].params``.
-    Pieces left out take defaults. The default class is the last one;
-    ``srtcm`` needs one entry per class; ``red`` maps a :class:`Color` to
-    its dropper in every class, and a color it leaves out takes
-    :data:`RED_DEFAULTS`."""
+    """One tier's QoS elements, which every port of the tier shares,
+    ``classes``, the class of each DS value 0..63, and ``initial``, every
+    number a port of the tier starts from: the port's own
+    (:data:`PORT_INITIAL`, at offsets 0..5), then the shaper's, then per
+    class the queue's, the meter's and each color's RED numbers, each at
+    its element's offset ``i``. Parameters are read through the elements,
+    such as ``shaper.capacity_bytes`` or ``srtcm[0].params``. Pieces left
+    out take defaults. The default class is the last one; ``srtcm`` needs
+    one entry per class; ``red`` maps a :class:`Color` to its dropper in
+    every class, and a color it leaves out takes :data:`RED_DEFAULTS`."""
 
-    __slots__ = ("classifier", "classify", "shaper", "queues", "srtcm", "red", "initial")
+    __slots__ = ("classes", "shaper", "queues", "srtcm", "red", "initial")
 
     def __init__(self, classifier_map: dict[int, int] | None = None,
                  default_class: int | None = None, num_classes: int = 3,
@@ -359,12 +340,18 @@ class QosProfile:
         red = red or {}
         if not set(red) <= set(Color):
             raise QosConfigError(f"red keys must be colors, got {list(red)}")
-        # EF-style -> 0, AF-style -> 1, best effort -> 2
-        self.classifier = Classifier(
-            {46: 0, 26: 1, 0: 2} if classifier_map is None else classifier_map,
-            num_classes - 1 if default_class is None else default_class, num_classes)
-        self.classify = self.classifier.classify  # DS value -> class
-        st = self.initial = []
+        if classifier_map is None:
+            classifier_map = {46: 0, 26: 1, 0: 2}  # EF-style, AF-style, best effort
+        default_class = num_classes - 1 if default_class is None else default_class
+        for ds, cls in classifier_map.items():
+            if not 0 <= ds <= 63:
+                raise QosConfigError(f"DS value {ds} out of range")
+            if not 0 <= cls < num_classes:
+                raise QosConfigError(f"class {cls} out of range")
+        if not 0 <= default_class < num_classes:
+            raise QosConfigError("default class out of range")
+        self.classes = tuple(classifier_map.get(ds, default_class) for ds in range(64))
+        st = self.initial = list(PORT_INITIAL)
         self.shaper = TokenBucket(shaper_burst_bytes, shaper_rate_Bps, st)
         self.queues = [ClassQueue(queue_capacity_bytes, st) for _ in range(num_classes)]
         self.srtcm = [SrtcmMeter(p, st) for p in srtcm]

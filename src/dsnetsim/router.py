@@ -19,9 +19,9 @@ packet that finds the flag set is queued for the pending try-to-send.
 That cut-through hop is the path nearly every routed packet takes, so
 :func:`handle_arrive` emits its ARRIVE in place, with the arithmetic of
 :func:`transmit` and :meth:`RouterLp.emit` written out, and classifies
-through the tier's bound ``classify``. RED costs little there too: a
-queue that has never held a byte enqueues without the EWMA arithmetic
-(:meth:`qos.RedState.decide`).
+through the tier's table (``QosProfile.classes``). RED costs little there
+too: a queue that has never held a byte enqueues without the EWMA
+arithmetic (:meth:`qos.RedState.decide`).
 
 All handler effects are appended to an :class:`Effects` value and all state
 mutation stays inside this LP; the optimistic kernel keeps one value per
@@ -30,10 +30,11 @@ value for the whole run. One event changes at most one egress pipeline,
 the event's port, plus the RNG cursors, the ``seq`` counter and a flow's
 ``pkt_seq``. :func:`dispatch` resolves that port once, from the packet's
 route for ARRIVE and GENERATE or the payload for SEND and REFILL, and
-hands it to the handler; asked to save, it first takes the save of exactly
-that state (:meth:`RouterLp.clone`). A pipeline's QoS elements are its
-tier's, shared and immutable (:class:`qos.QosProfile`); its mutable state is
-one flat list of numbers and one packet list per class (:class:`EgressPipeline`),
+hands it to the handler; given no :class:`Effects` of the caller's, it
+makes the event's own and first takes the save of exactly that state
+(:meth:`RouterLp.clone`). A pipeline's QoS elements are its tier's, shared
+and immutable (:class:`qos.QosProfile`); its mutable state is one flat
+list of numbers and one packet list per class (:class:`EgressPipeline`),
 so a save is a few list copies, and a rollback writes them back
 (:meth:`RouterLp.restore`).
 
@@ -55,7 +56,8 @@ import math
 
 from . import events, rng
 from .metrics import PacketRecord
-from .qos import QosProfile, strict_priority_select, ENQUEUE
+from .qos import (ARRIVE_COUNT, BLOCKED_EPISODES, REDUNDANT_SENDS, SEND_COUNT, SEND_FLAG,
+                  STALE_SENDS, QosProfile, strict_priority_select)
 
 PKT_ID_STRIDE = 10**7
 
@@ -87,23 +89,17 @@ class Packet:
 class Effects:
     """What event handlers produced: emissions and terminal packet records.
     The optimistic kernel gives each event its own and keeps it as the
-    event's history entry: it sets ``event``, and ``dispatch(...,
-    save=True)`` sets ``saved``, the LP's save from before the event
-    (:meth:`RouterLp.clone`), which undoes it. A sequential run passes one
-    to every ``dispatch``: ``records`` collects the run's records and
-    ``emitted`` is emptied after each event; it never sets the other two."""
+    event's history entry: ``dispatch`` without one makes it and sets
+    ``saved``, the LP's save from before the event (:meth:`RouterLp.clone`),
+    which undoes it, and the kernel sets ``event``. A sequential run passes
+    one to every ``dispatch``: ``records`` collects the run's records and
+    ``emitted`` is emptied after each event; nothing sets the other two."""
 
     __slots__ = ("event", "saved", "emitted", "records")
 
     def __init__(self):
         self.emitted: list[events.Event] = []
         self.records: list[PacketRecord] = []
-
-
-# offsets into EgressPipeline.st of the port's own numbers, which follow the
-# QoS elements' numbers, and their initial values
-SEND_FLAG, ARRIVE_COUNT, SEND_COUNT, BLOCKED_EPISODES, STALE_SENDS, REDUNDANT_SENDS = range(-6, 0)
-PORT_INITIAL = (False, 0, 0, 0, 0, 0)
 
 
 def st_field(offset: int, doc: str) -> property:
@@ -124,10 +120,11 @@ class EgressPipeline:
     The QoS elements are its ``tier``'s profile (:class:`qos.QosProfile`),
     shared with every other port of the tier, and hold only configuration.
     The port owns all its mutable state: ``st``, its copy of the tier's
-    initial numbers followed by the send flag and the five audit counters,
-    and ``pkts``, the packet list of each class queue. Every element method
-    takes ``st`` (a queue's also its packet list), so a copy of ``st`` and
-    of each list in ``pkts`` is a complete save of the pipeline.
+    ``initial`` (the send flag and the five audit counters at offsets 0..5,
+    then the elements' numbers), and ``pkts``, the packet list of each
+    class queue. Every element method takes ``st`` (a queue's also its
+    packet list), so a copy of ``st`` and of each list in ``pkts`` is a
+    complete save of the pipeline.
     """
 
     __slots__ = ("port", "link", "tier", "st", "pkts")
@@ -143,7 +140,7 @@ class EgressPipeline:
         self.port = port
         self.link = link
         self.tier = tier
-        self.st = [*tier.initial, *PORT_INITIAL]
+        self.st = tier.initial.copy()
         self.pkts = [[] for _ in tier.queues]
 
 
@@ -240,15 +237,15 @@ def handle_arrive(lp: RouterLp, pkt: Packet, port: int | None, now: int, fx: Eff
     st = pipe.st
     st[ARRIVE_COUNT] += 1
     size = pkt.size
-    cls = pkt.class_index = tier.classify(pkt.ds)
+    cls = pkt.class_index = tier.classes[pkt.ds]
     color = pkt.color = tier.srtcm[cls].mark(st, size, now)
     queue = tier.queues[cls]
     fits = queue.fits(st, size)
     # every routed arrival takes one RED cursor, but the value at it is
     # computed only if RED decides by chance
     lp_rng = lp.rng
-    if tier.red[cls][color].decide(st, queue, fits, now, lp_rng,
-                                   lp_rng.advance(rng.PURPOSE_RED)) != ENQUEUE:
+    if not tier.red[cls][color].decide(st, queue, fits, now, lp_rng,
+                                       lp_rng.advance(rng.PURPOSE_RED)):
         fx.records.append(PacketRecord(
             pkt.pid, pkt.src, pkt.dst, cls, color,
             pkt.created_ns, None, lp.node, DROP_RED if fits else DROP_QUEUE))
@@ -378,16 +375,16 @@ _HANDLERS = tuple({
 }[kind] for kind in range(4))
 
 
-def dispatch(lp: RouterLp, ev, ctx, save: bool = False, fx: Effects | None = None) -> Effects:
-    """Run the handler for one positive event; returns its effects, which
-    it appends to ``fx`` when given (a sequential run passes one for the
-    whole run), else to a new :class:`Effects`.
+def dispatch(lp: RouterLp, ev, ctx, fx: Effects | None = None) -> Effects:
+    """Run the handler for one positive event; returns its effects.
 
-    The event's port is the only pipeline it can change: the route of its
-    packet's destination for ARRIVE and GENERATE (None when the packet is
-    for this node or has no route), the payload for SEND and REFILL. With
-    ``save``, ``fx.saved`` is :meth:`RouterLp.clone` of that port, taken
-    before the handler runs."""
+    Given ``fx`` (a sequential run passes one for the whole run), it
+    appends to it and saves nothing. Without one, it makes the event's own
+    :class:`Effects`, whose ``saved`` is :meth:`RouterLp.clone` of the
+    event's port, taken before the handler runs. That port is the only
+    pipeline the event can change: the route of its packet's destination
+    for ARRIVE and GENERATE (None when the packet is for this node or has
+    no route), the payload for SEND and REFILL."""
     kind = ev.kind
     payload = ev.payload
     if kind == events.ARRIVE:
@@ -398,7 +395,6 @@ def dispatch(lp: RouterLp, ev, ctx, save: bool = False, fx: Effects | None = Non
         port = payload  # SEND and REFILL carry their port
     if fx is None:
         fx = Effects()
-    if save:
         fx.saved = lp.clone(port)
     _HANDLERS[kind](lp, payload, port, ev.time, fx, ctx)
     return fx

@@ -19,7 +19,7 @@ from .partition import WeightModel
 from .qos import Color, QosConfigError, QosProfile, RedParams, SrtcmParams
 from .routing import RouteMetric, compute_routes
 from .topology import NodeTier, Topology, generate_synthetic_topology, load_topology
-from .traffic import Flow, TrafficError, TrafficSpec
+from .traffic import Flow, TrafficError, TrafficSpec, is_ds
 
 MODE_SEQUENTIAL = "sequential"
 MODE_OPTIMISTIC = "optimistic"
@@ -61,10 +61,6 @@ def _or_null(check):
     return (lambda v: v is None or check[0](v)), f"{check[1]} or null"
 
 
-def _is_ds(v) -> bool:
-    return _is_int(v) and 0 <= v <= 63
-
-
 def _mapping(key_ok, val_ok, desc):
     return (lambda v: isinstance(v, dict)
             and all(key_ok(k) and val_ok(x) for k, x in v.items())), desc
@@ -87,7 +83,7 @@ _QOS_BLOCK = {
     "queue_capacity_bytes": (_ABSENT, _int(1)),
     "shaper_rate_Bps": (_ABSENT, _int(1)),
     "shaper_burst_bytes": (_ABSENT, _int(1)),
-    "classifier": (_ABSENT, _mapping(_is_ds, _int(0)[0], "a mapping DS 0..63 -> class")),
+    "classifier": (_ABSENT, _mapping(is_ds, _int(0)[0], "a mapping DS 0..63 -> class")),
     "srtcm": (_ABSENT, [{f.name: (_REQUIRED, _int(0)) for f in dataclasses.fields(SrtcmParams)}]),
     "red": (_ABSENT, {c.name.lower(): (_ABSENT, _RED) for c in Color}),
 }
@@ -107,12 +103,12 @@ _SCHEMA = {
         "packet_size": (_TRAFFIC.packet_size, _int(1)),
         "rate_pps": (_TRAFFIC.rate_pps, _RATE),
         "ds_probs": (_TRAFFIC.ds_probs, _mapping(
-            _is_ds, _NUM[0], "a mapping DS 0..63 -> probability")),
+            is_ds, _NUM[0], "a mapping DS 0..63 -> probability")),
         "seed": (7, _int()),
         "poisson": (_TRAFFIC.poisson, _BOOL),
         "flows": ([], [{"src": (_REQUIRED, _int(0)), "dst": (_REQUIRED, _int(0)),
                         "rate_pps": (_REQUIRED, _RATE),
-                        "ds": (_ABSENT, (_is_ds, "an integer in 0..63"))}]),
+                        "ds": (_ABSENT, (is_ds, "an integer in 0..63"))}]),
     },
     "qos": {"default": _QOS_BLOCK,
             "tiers": {t.value: (_ABSENT, _QOS_BLOCK) for t in NodeTier}},
@@ -170,13 +166,18 @@ def _defaults(table: dict) -> dict:
             if isinstance(spec, dict) or spec[0] not in (_ABSENT, _REQUIRED)}
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    """A new dict: ``base`` with ``override`` merged in, block by block.
-    Each value either input gives is copied once, and neither changes."""
+def _deep_merge(table: dict, base: dict, override: dict) -> dict:
+    """A new dict: ``base`` with ``override`` merged in, key by key where
+    ``table`` has a block (a dict, or a (default, sub-table) pair); any
+    other value replaces ``base``'s whole, mappings such as ``ds_probs``
+    included. Each value either input gives is copied once, and neither
+    changes."""
     out = {}
     for key, val in base.items():
-        if key in override and isinstance(val, dict) and isinstance(override[key], dict):
-            out[key] = _deep_merge(val, override[key])
+        sub = table.get(key)  # a block's table, a (default, check) pair or None
+        sub = sub[1] if isinstance(sub, tuple) else sub
+        if isinstance(sub, dict) and isinstance(val, dict) and isinstance(override.get(key), dict):
+            out[key] = _deep_merge(sub, val, override[key])
         else:
             out[key] = copy.deepcopy(override.get(key, val))
     for key, val in override.items():
@@ -217,10 +218,10 @@ def load_scenario(path: str | None = None, overrides: dict | None = None) -> dic
         # the file on its own, so that an override cannot fill a block the
         # file set to something else, such as null
         _walk(_SCHEMA, doc, "")
-        cfg = _deep_merge(cfg, doc)
+        cfg = _deep_merge(_SCHEMA, cfg, doc)
         given.append(doc)
     if overrides:
-        cfg = _deep_merge(cfg, overrides)
+        cfg = _deep_merge(_SCHEMA, cfg, overrides)
     _validate(cfg)
     for where, leaf, fixed, what in _INPUT_PATHS:
         block = _block(cfg, where)
@@ -336,9 +337,10 @@ def _profile_from(block: dict, where: str) -> QosProfile:
 
 
 def build_profiles(cfg: dict) -> dict[NodeTier, QosProfile]:
-    """Each tier's profile. A tier without its own block is exactly
-    qos.default, so all such tiers share one profile: the elements hold
-    only configuration."""
+    """Each tier's profile: qos.default with the tier's block merged in
+    (``red`` key by key; a ``classifier`` replaces the default's whole). A
+    tier without its own block is exactly qos.default, so all such tiers
+    share one profile: the elements hold only configuration."""
     qcfg = cfg["qos"]
     profiles = {}
     built: dict[str, QosProfile] = {}
@@ -346,7 +348,7 @@ def build_profiles(cfg: dict) -> dict[NodeTier, QosProfile]:
         block = qcfg["tiers"].get(tier.value, {})
         where = f"qos.tiers.{tier.value}" if block else "qos.default"
         if where not in built:
-            built[where] = _profile_from(_deep_merge(qcfg["default"], block), where)
+            built[where] = _profile_from(_deep_merge(_QOS_BLOCK, qcfg["default"], block), where)
         profiles[tier] = built[where]
     return profiles
 

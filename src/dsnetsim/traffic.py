@@ -47,6 +47,8 @@ class TrafficSpec:
     flows: tuple = ()  # Flow entries, explicit pattern
 
     def __post_init__(self):
+        for ds in self.ds_probs:
+            _check_ds(ds, "ds_probs")
         total = sum(self.ds_probs.values())
         if abs(total - 1.0) > 1e-9:
             raise TrafficError(f"ds_probs sum to {total}, expected 1")
@@ -56,6 +58,16 @@ class TrafficSpec:
             _check_rate(self.rate_pps, "rate_pps")
         if self.packet_size <= 0:
             raise TrafficError("packet_size must be positive")
+
+
+def is_ds(v) -> bool:
+    """A DS value: an integer in 0..63, an index of each tier's class table."""
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v <= 63
+
+
+def _check_ds(ds, where: str):
+    if not is_ds(ds):
+        raise TrafficError(f"{where}: DS value {ds!r} is not an integer in 0..63")
 
 
 def _check_rate(rate_pps: int, where: str):
@@ -93,6 +105,8 @@ def resolve_flows(spec: TrafficSpec, topo: Topology) -> list[Flow]:
             if f.src == f.dst:
                 raise TrafficError(f"flows[{i}]: {f} has src == dst")
             _check_rate(f.rate_pps, f"flows[{i}]: rate_pps")
+            if f.ds is not None:
+                _check_ds(f.ds, f"flows[{i}]: ds")
             for node in (f.src, f.dst):
                 if node not in topo.tiers:
                     raise TrafficError(f"flows[{i}]: node {node} is not in the topology")

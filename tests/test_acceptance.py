@@ -57,6 +57,24 @@ def _lazy_run():
     return _cache["lazy"]
 
 
+def _contended_cfg():
+    # the default scenario behind a deliberately tight shaper: ports block,
+    # packets queue, and their fates turn on the order of same-time events
+    return load_scenario(None, {
+        "name": "tight",
+        "qos": {"default": {"shaper_rate_Bps": 40_000_000,
+                            "shaper_burst_bytes": 4_096}},
+        "run": {"end_ns": 2_000_000},
+    })
+
+
+def _contended_run():
+    if "contended" not in _cache:
+        _cache["contended"] = run_sequential(
+            build_scenario_model(_contended_cfg(), mode=MODE_SEQUENTIAL))
+    return _cache["contended"]
+
+
 def _baseline_run(interval_ns):
     key = ("baseline", interval_ns)
     if key not in _cache:
@@ -116,17 +134,24 @@ def test_A3_event_economy_across_token_intervals():
         f"{ratio:.1f}x (tol >=10x)")
 
 
-@pytest.mark.parametrize("window", WINDOWS)
-def test_A4_serial_equivalence_byte_identical_records(tmp_path, window):
-    lazy, _ = _lazy_run()
+@pytest.mark.parametrize("window, contended", [
+    *(pytest.param(w, False, id=w) for w in WINDOWS),
+    # on the default scenario no packet's fate depends on the order of
+    # same-time events at a router; on the contended one it does, so a
+    # sequential loop that ran such events out of key order would show
+    *(pytest.param(w, True, id=f"{w}-contended") for w in WINDOWS),
+])
+def test_A4_serial_equivalence_byte_identical_records(tmp_path, window, contended):
+    cfg_of = _contended_cfg if contended else _scenario_cfg
+    seq = _contended_run() if contended else _lazy_run()[0]
     ref = tmp_path / "sequential.csv"
-    write_records_csv(str(ref), lazy.records)
-    topo = build_topology(_scenario_cfg())
+    write_records_csv(str(ref), seq.records)
+    topo = build_topology(cfg_of())
     results = []
     for k in (1, 2, 4, 8):
         plan = partition_balanced(topo, k)
         rep = run_optimistic(
-            build_scenario_model(_scenario_cfg(), mode=MODE_SEQUENTIAL), plan,
+            build_scenario_model(cfg_of(), mode=MODE_SEQUENTIAL), plan,
             Knobs(runtime="stepped", gvt_interval=256, batch_size=8,
                   watchdog_s=300), unbounded=window == "unbounded")
         path = tmp_path / f"optimistic-k{k}.csv"
@@ -135,7 +160,8 @@ def test_A4_serial_equivalence_byte_identical_records(tmp_path, window):
         results.append((k, identical, rep.rolled_back_events))
     ok = all(r[1] for r in results)
     _verdict(
-        f"A4 serial equivalence ({window} window)",
+        f"A4 serial equivalence ({window} window"
+        f"{', contended scenario' if contended else ''})",
         ok,
         "record files byte-identical to sequential for " +
         ", ".join(f"k={k} ({'yes' if ident else 'NO'}, rb={rb})"
@@ -288,7 +314,7 @@ def test_A6_qos_conformance_against_tick_oracle():
                 and 0 <= st[meter.i + 1] <= params.ebs_bytes * TOKEN_SCALE):
             cap_violations += 1
     # RED boundary behaviour, exhaustively over the random corpus
-    from dsnetsim.qos import ClassQueue, RedParams, RedState, DROP, ENQUEUE
+    from dsnetsim.qos import ClassQueue, RedParams, RedState
     red_violations = 0
     p = RedParams(2000, 8000, 0.1)
     for _ in range(2_000):
@@ -297,7 +323,7 @@ def test_A6_qos_conformance_against_tick_oracle():
         q = ClassQueue(64 * 1024, st)
         st[s.i] = rnd.uniform(0, 1999)
         u = rnd.random()
-        if s.decide(st, q, q.fits(st, 100), 1, StubRng(u), 0) != ENQUEUE:
+        if s.decide(st, q, q.fits(st, 100), 1, StubRng(u), 0) is not True:
             red_violations += 1
         st2 = []
         s2 = RedState(p, st2)
@@ -305,7 +331,7 @@ def test_A6_qos_conformance_against_tick_oracle():
         q2.push(st2, [], type("P", (), {"size": 8000})())
         st2[s2.i] = rnd.uniform(8100, 20000)
         u = rnd.random()
-        if s2.decide(st2, q2, q2.fits(st2, 100), 1, StubRng(u), 0) != DROP:
+        if s2.decide(st2, q2, q2.fits(st2, 100), 1, StubRng(u), 0) is not False:
             red_violations += 1
     ok = mismatches == 0 and cap_violations == 0 and red_violations == 0
     _verdict(
@@ -319,13 +345,7 @@ def test_A6_qos_conformance_against_tick_oracle():
 def test_A7_send_event_economy_audit():
     lazy, _ = _lazy_run()
     # a second scenario with a deliberately tight shaper so blocking occurs
-    tight = load_scenario(None, {
-        "name": "tight",
-        "qos": {"default": {"shaper_rate_Bps": 40_000_000,
-                            "shaper_burst_bytes": 4_096}},
-        "run": {"end_ns": 2_000_000},
-    })
-    tight_rep = run_sequential(build_scenario_model(tight, mode=MODE_SEQUENTIAL))
+    tight_rep = _contended_run()
     violations = 0
     redundant = 0
     blocked_total = 0

@@ -150,7 +150,7 @@ def test_sequential_records_match_a_key_ordered_reference_loop(regime, synthetic
         _, ev = heapq.heappop(heap)
         kinds[ev.kind] += 1
         per_time[ev.time] += 1
-        dispatch(ref.lps[ev.target], ev, ref.ctx, False, fx)
+        dispatch(ref.lps[ev.target], ev, ref.ctx, fx)
         for em in fx.emitted:
             heapq.heappush(heap, (em.key, em))
         fx.emitted.clear()
@@ -171,7 +171,7 @@ def test_an_emission_not_later_than_its_cause_is_a_causality_error(monkeypatch):
     ``python -O``."""
     echoed = []
 
-    def echo(lp, ev, ctx, save, fx):
+    def echo(lp, ev, ctx, fx):
         # one echo, so a loop that let it through would still end
         if not echoed:
             echoed.append(events.Event(ev.time, ev.target, ev.kind, None, ev.target, 10**6))

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from dsnetsim.qos import (
-    TOKEN_SCALE, Classifier, ClassQueue, Color, QosConfigError, RedParams,
-    RedState, SrtcmMeter, SrtcmParams, TokenBucket, DROP, ENQUEUE,
+    TOKEN_SCALE, ClassQueue, Color, QosConfigError, RedParams,
+    RedState, SrtcmMeter, SrtcmParams, TokenBucket,
     QosProfile, default_red_params, strict_priority_select,
 )
 from dsnetsim.rng import PURPOSE_RED
@@ -275,7 +275,7 @@ def test_red_below_min_always_enqueues():
     s = RedState(RedParams(5000, 15000, 0.1), st)
     q, _ = _queue_with_bytes(st, 100)
     for i in range(50):
-        assert s.decide(st, q, q.fits(st, 100), i + 1, StubRng(0.0), i) == ENQUEUE
+        assert s.decide(st, q, q.fits(st, 100), i + 1, StubRng(0.0), i) is True
     assert st[s.i + 1] == 0
 
 
@@ -285,7 +285,7 @@ def test_red_at_or_above_max_always_drops():
     st[s.i] = 20000.0
     q, _ = _queue_with_bytes(st, 20000, capacity=64 * 1024)
     for i in range(50):
-        assert s.decide(st, q, q.fits(st, 100), i + 1, StubRng(0.999), i) == DROP
+        assert s.decide(st, q, q.fits(st, 100), i + 1, StubRng(0.999), i) is False
 
 
 def test_red_worked_example_drops():
@@ -298,7 +298,7 @@ def test_red_worked_example_drops():
     st[s.i] = 10000.0
     q, _ = _queue_with_bytes(st, 10000)  # EWMA fixpoint keeps avg' = 10000
     rng = StubRng(0.04)
-    assert s.decide(st, q, q.fits(st, 100), 10, rng, 7) == DROP
+    assert s.decide(st, q, q.fits(st, 100), 10, rng, 7) is False
     assert rng.calls == [(PURPOSE_RED, 7)]  # the draw at the arrival's cursor
     assert st[s.i] == pytest.approx(10000.0)
     assert st[s.i + 1] == 0
@@ -308,7 +308,7 @@ def test_red_full_queue_forces_drop():
     st = []
     s = RedState(RedParams(5000, 15000, 0.1), st)
     q, _ = _queue_with_bytes(st, 900, capacity=1000)
-    assert s.decide(st, q, q.fits(st, 200), 1, StubRng(0.999), 0) == DROP
+    assert s.decide(st, q, q.fits(st, 200), 1, StubRng(0.999), 0) is False
 
 
 def test_red_count_raises_drop_probability():
@@ -325,7 +325,7 @@ def test_red_count_raises_drop_probability():
             t = RedState(p, st)
             st[t.i] = 10000.0
             st[t.i + 1] = count
-            if t.decide(st, q, q.fits(st, 100), 1, StubRng(mid), 0) == DROP:
+            if not t.decide(st, q, q.fits(st, 100), 1, StubRng(mid), 0):
                 lo = mid
             else:
                 hi = mid
@@ -351,29 +351,29 @@ def test_red_matches_formula_oracle():
         # independent reference computation
         byte_length, empty_since_ns = st[q.i], st[q.i + 1]
         if byte_length + size > q.capacity_bytes:
-            expect = DROP
+            expect = False
             count = 0
         else:
             if byte_length == 0 and now > empty_since_ns:
                 avg *= (1.0 - p.weight) ** ((now - empty_since_ns) / p.mean_pkt_time_ns)
             avg = (1.0 - p.weight) * avg + p.weight * byte_length
             if avg < p.min_th_bytes:
-                expect, count = ENQUEUE, 0
+                expect, count = True, 0
             elif avg >= p.max_th_bytes:
-                expect, count = DROP, 0
+                expect, count = False, 0
             else:
                 p_b = p.max_p * (avg - p.min_th_bytes) / (p.max_th_bytes - p.min_th_bytes)
                 denom = 1.0 - count * p_b
                 p_a = 1.0 if denom <= 0 else min(1.0, p_b / denom)
                 if rand < p_a:
-                    expect, count = DROP, 0
+                    expect, count = False, 0
                 else:
-                    expect, count = ENQUEUE, count + 1
+                    expect, count = True, count + 1
         got = s.decide(st, q, q.fits(st, size), now, StubRng(rand), 0)
-        assert got == expect
+        assert got is expect
         assert st[s.i] == pytest.approx(avg, abs=1e-9)
         assert st[s.i + 1] == count
-        if got == ENQUEUE:
+        if got:
             q.push(st, packets, _P(size))
         # random service keeps the queue moving
         while packets and rnd.random() < 0.5:
@@ -398,7 +398,7 @@ def test_red_idle_shortcut_leaves_what_the_full_path_leaves(idle_ns):
     assert avg == 0.0 and avg < p.min_th_bytes
     rng = StubRng()
     for _ in range(3):
-        assert s.decide(st, q, q.fits(st, 1400), now, rng, 0) == ENQUEUE
+        assert s.decide(st, q, q.fits(st, 1400), now, rng, 0) is True
         assert st[s.i] == avg and type(st[s.i]) is float
         assert st[s.i + 1] == 0
     assert rng.calls == []  # no random value is drawn
@@ -412,7 +412,7 @@ def test_red_with_min_th_zero_runs_the_full_path_on_an_idle_queue():
     q = ClassQueue(64 * 1024, st)
     rng = StubRng(0.5)
     for n in range(1, 4):
-        assert s.decide(st, q, q.fits(st, 1400), n * 1000, rng, n) == ENQUEUE
+        assert s.decide(st, q, q.fits(st, 1400), n * 1000, rng, n) is True
         assert st[s.i + 1] == n
     assert rng.calls == [(PURPOSE_RED, 1), (PURPOSE_RED, 2), (PURPOSE_RED, 3)]
     assert st[s.i] == 0.0
@@ -426,14 +426,14 @@ def test_red_on_a_drained_queue_takes_the_decay_path():
     packets = []
     q.push(st, packets, _P(1400))
     rng = StubRng()
-    assert s.decide(st, q, q.fits(st, 1400), 100, rng, 0) == ENQUEUE
+    assert s.decide(st, q, q.fits(st, 1400), 100, rng, 0) is True
     held = st[s.i]
     assert held == p.weight * 1400
     q.pop(st, packets, 200)  # the queue drains at 200 ns
     now = 5_200
     decayed = held * (1.0 - p.weight) ** ((now - 200) / p.mean_pkt_time_ns)
     expect = (1.0 - p.weight) * decayed + p.weight * 0
-    assert s.decide(st, q, q.fits(st, 1400), now, rng, 1) == ENQUEUE
+    assert s.decide(st, q, q.fits(st, 1400), now, rng, 1) is True
     assert st[s.i] == expect
     assert 0.0 < st[s.i] < (1.0 - p.weight) * held
     assert rng.calls == []  # no random value is drawn
@@ -449,27 +449,29 @@ def test_red_param_validation():
 
 
 # --------------------------------------------------------------------------
-# classifier
+# classifier: the profile's table of the class of each DS value
 
 def test_classifier_lookup_and_default():
-    c = Classifier({46: 0, 26: 1, 0: 2}, default_class=2, num_classes=3)
-    assert c.classify(46) == 0
-    assert c.classify(0) == 2
-    assert c.classify(33) == 2  # unmapped -> default
+    classes = QosProfile({46: 0, 26: 1, 0: 2}, default_class=2, num_classes=3).classes
+    assert classes[46] == 0
+    assert classes[26] == 1
+    assert classes[0] == 2
+    assert classes[33] == 2  # unmapped -> default
 
 
 def test_classifier_covers_all_ds_values():
-    c = Classifier({46: 0, 26: 1, 0: 2}, default_class=2, num_classes=3)
-    assert {c.classify(ds) for ds in range(64)} <= {0, 1, 2}
+    classes = QosProfile({46: 0, 26: 1, 0: 2}, default_class=2, num_classes=3).classes
+    assert len(classes) == 64
+    assert set(classes) <= {0, 1, 2}
 
 
 def test_classifier_validation():
-    with pytest.raises(QosConfigError):
-        Classifier({64: 0}, 0, 3)
-    with pytest.raises(QosConfigError):
-        Classifier({0: 3}, 0, 3)
-    with pytest.raises(QosConfigError):
-        Classifier({}, 5, 3)
+    with pytest.raises(QosConfigError, match="DS value 64 out of range"):
+        QosProfile({64: 0}, 0, 3)
+    with pytest.raises(QosConfigError, match="class 3 out of range"):
+        QosProfile({0: 3}, 0, 3)
+    with pytest.raises(QosConfigError, match="default class out of range"):
+        QosProfile({}, 5, 3)
 
 
 # --------------------------------------------------------------------------

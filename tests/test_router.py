@@ -8,12 +8,11 @@ import pytest
 from dsnetsim import events, rng
 from dsnetsim.kernel import run_sequential
 from dsnetsim.model import ModelError, build_model
-from dsnetsim.router import (
-    PORT_INITIAL, Effects, EgressPipeline, Packet, dispatch, transmission_ns,
-)
+from dsnetsim.router import Effects, EgressPipeline, Packet, dispatch, transmission_ns
 from dsnetsim.routing import compute_routes
 from dsnetsim.qos import (
-    TOKEN_SCALE, ClassQueue, Color, QosProfile, RedParams, RedState, SrtcmMeter, TokenBucket,
+    PORT_INITIAL, TOKEN_SCALE, ClassQueue, Color, QosProfile, RedParams, RedState, SrtcmMeter,
+    TokenBucket,
 )
 from dsnetsim.topology import NodeTier, generate_synthetic_topology
 from dsnetsim.traffic import Flow, TrafficSpec, resolve_flows
@@ -76,6 +75,21 @@ def test_dispatch_appends_into_the_effects_it_is_given():
     assert [r.pid for r in fx.records] == [7]
     assert [em.payload.pid for em in fx.emitted] == [8]
     assert not hasattr(fx, "event") and not hasattr(fx, "saved")
+
+
+def test_dispatch_without_effects_returns_the_event_s_own_with_its_save():
+    # the optimistic kernel passes none: the event's Effects is its history
+    # entry, and its save undoes the event
+    model = single_flow_model(line_topology(2), 0, 1)
+    lp = model.lps[0]
+    before = _state(lp)
+    fx = dispatch(lp, _arrive(Packet(8, 0, 1, 1400, 0, created_ns=0), 0, t=100), model.ctx)
+    assert [em.payload.pid for em in fx.emitted] == [8] and fx.records == []
+    assert fx.saved[0] == 0  # the event's port
+    assert _state(lp) != before
+    lp.restore(fx.saved)
+    assert _state(lp) == before
+    assert not hasattr(fx, "event")  # the kernel sets it
 
 
 def test_arrive_with_flag_set_queues_without_new_events():
@@ -374,7 +388,7 @@ def test_event_changes_only_its_touched_port_and_restore_undoes_it(model_kwargs)
         lp = model.lps[ev.target]
         before = _state(lp)
         pipes = {p.port: _state(p) for p in lp.pipelines if p is not None}
-        saved = dispatch(lp, ev, model.ctx, True).saved
+        saved = dispatch(lp, ev, model.ctx).saved
         port = saved[0]
         pipes.pop(port, None)
         assert pipes == {p.port: _state(p) for p in lp.pipelines
@@ -428,9 +442,9 @@ def test_pipeline_state_is_what_the_save_copies():
 
 def test_pipelines_of_one_tier_share_a_layout_but_no_state():
     """Every pipeline of a tier holds its tier's profile, the one element
-    set, and starts from a copy of the profile's initial numbers followed by
-    the port's own; it shares no mutable list with another pipeline or with
-    the profile."""
+    set, and starts from a copy of the profile's initial numbers, which lay
+    out the port's own at offsets 0..5 and the elements' after them; it
+    shares no mutable list with another pipeline or with the profile."""
     model = single_flow_model(line_topology(3), 0, 2)
     pipes = [p for lp in model.lps.values() for p in lp.pipelines]
     assert len({model.topology.tiers[n] for n in model.lps}) == 1 and len(pipes) == 4
@@ -439,7 +453,9 @@ def test_pipelines_of_one_tier_share_a_layout_but_no_state():
     assert [e.i for e in _elements(tier)] == [e.i for e in _elements(fresh)]
     for pipe in pipes:
         assert pipe.tier is tier
-        assert pipe.st == [*fresh.initial, *PORT_INITIAL] == [*tier.initial, *PORT_INITIAL]
+        assert pipe.st == fresh.initial == tier.initial
+        assert pipe.st[:6] == list(PORT_INITIAL)
+        assert min(e.i for e in _elements(tier)) == len(PORT_INITIAL)
         assert pipe.pkts == [[], [], []]
     lists = [id(tier.initial)] + [id(p.st) for p in pipes] + [id(q) for p in pipes for q in p.pkts]
     assert len(set(lists)) == len(lists)

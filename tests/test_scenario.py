@@ -13,7 +13,7 @@ from dsnetsim.partition import (
     WeightModel, derive_edge_throughput_weights, derive_vertex_throughput_weights,
     partition_balanced, partition_vertex_plus_edge,
 )
-from dsnetsim.qos import Color, QosProfile
+from dsnetsim.qos import Color, QosProfile, RedParams
 from dsnetsim.scenario import (
     MODE_BASELINE, MODE_OPTIMISTIC, MODE_SEQUENTIAL, ScenarioError,
     _SCHEMA, build_plan, build_profiles, build_scenario_model, build_topology,
@@ -146,7 +146,7 @@ def test_identity_follows_the_topology_file_content_not_its_path(tmp_path):
 
 @pytest.mark.parametrize("overrides", [
     {},
-    {**SMALL, "traffic": {"pattern": "explicit", "ds_probs": {46: 0.5, 26: 0.0},
+    {**SMALL, "traffic": {"pattern": "explicit", "ds_probs": {46: 0.5, 26: 0.0, 0: 0.5},
                           "flows": [{"src": 3, "dst": 0, "rate_pps": 20_000, "ds": 46},
                                     {"src": 4, "dst": 1, "rate_pps": 20_000}]}},
 ], ids=["defaults", "explicit-flows"])
@@ -171,9 +171,32 @@ def test_per_tier_qos_overrides():
     assert profiles[NodeTier.KERNEL].queues[0].capacity_bytes == 10_000
 
 
+def test_a_mapping_value_replaces_the_default_whole():
+    # ds_probs is one value, not a block: it does not merge into the default
+    cfg = load_scenario(None, {"traffic": {"ds_probs": {46: 1.0}}})
+    assert cfg["traffic"]["ds_probs"] == {46: 1.0}
+    # a tier's classifier replaces qos.default's, so DS 46 there falls to
+    # the default class
+    cfg = load_scenario(None, {"qos": {"tiers": {"kernel": {"classifier": {0: 0}}}}})
+    profiles = build_profiles(cfg)
+    assert profiles[NodeTier.KERNEL].classes[46] == 2
+    assert profiles[NodeTier.KERNEL].classes[0] == 0
+    assert profiles[NodeTier.ACCESS].classes[46] == 0
+
+
+def test_a_tier_red_block_merges_into_the_default_color_by_color():
+    cfg = load_scenario(None, {"qos": {
+        "default": {"red": {"green": [100, 200, 0.5]}},
+        "tiers": {"kernel": {"red": {"yellow": [300, 400, 0.25]}}},
+    }})
+    row = build_profiles(cfg)[NodeTier.KERNEL].red[0]
+    assert row[Color.GREEN].params == RedParams(100, 200, 0.5)
+    assert row[Color.YELLOW].params == RedParams(300, 400, 0.25)
+
+
 def _parameters(profile):
     """Every parameter of a profile, read through its elements."""
-    return (profile.classifier.mapping, profile.classifier.default_class,
+    return (profile.classes,
             (profile.shaper.capacity_bytes, profile.shaper.rate_Bps),
             [q.capacity_bytes for q in profile.queues], [m.params for m in profile.srtcm],
             [[r.params for r in row] for row in profile.red], profile.initial)
@@ -227,7 +250,7 @@ def test_run_scenario_writes_artifacts(tmp_path):
 def test_effective_config_loads_back_to_the_same_cfg(tmp_path):
     cfg = load_scenario(None, {
         **SMALL,
-        "traffic": {"pattern": "explicit", "ds_probs": {46: 0.5, 26: 0.0},
+        "traffic": {"pattern": "explicit", "ds_probs": {46: 0.5, 26: 0.0, 0: 0.5},
                     "flows": [{"src": 3, "dst": 0, "rate_pps": 20_000, "ds": 46},
                               {"src": 4, "dst": 1, "rate_pps": 20_000}]},
         "qos": {"default": {"queue_capacity_bytes": 30_000},

@@ -105,6 +105,21 @@ def test_ds_probs_must_sum_to_one():
         TrafficSpec(ds_probs={46: 0.5, 0: 0.6})
 
 
+def test_ds_probs_keys_must_be_ds_values():
+    # a DS value indexes each tier's class table, which holds 0..63
+    with pytest.raises(TrafficError, match=r"ds_probs: DS value 99 is not an integer in 0\.\.63"):
+        TrafficSpec(ds_probs={99: 1.0})
+
+
+def test_explicit_flow_ds_must_be_a_ds_value():
+    topo = generate_synthetic_topology(40, 8, 2, seed=1)
+    spec = TrafficSpec(pattern="explicit", flows=(Flow(10, 0, 25_000, ds=-5),))
+    with pytest.raises(TrafficError, match=r"flows\[0\]: ds: DS value -5 is not"):
+        resolve_flows(spec, topo)
+    ok = TrafficSpec(pattern="explicit", flows=(Flow(10, 0, 25_000), Flow(11, 0, 25_000, ds=63)))
+    assert [f.ds for f in resolve_flows(ok, topo)] == [None, 63]
+
+
 def test_ds_sampler_inverse_cdf():
     s = DsSampler({0: 0.5, 26: 0.3, 46: 0.2})
     # sorted ds order: 0 (cum .5), 26 (cum .8), 46 (cum 1.0)
