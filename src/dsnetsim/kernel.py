@@ -30,8 +30,8 @@ deficit above 0. The loop checks this itself and raises
 Before each event the engine saves only what that event can change:
 ``dispatch(lp, ev, ctx)``, given no ``Effects``, resolves the one port the
 event touches and saves its pipeline, as a copy of its flat state list and
-of its per-class packet lists, plus the RNG cursors, ``seq`` and the
-flows' ``pkt_seq`` (``RouterLp.clone``). The ``router.Effects`` that ``dispatch``
+of its per-class packet lists, plus a copy of the LP's own numbers
+(``RouterLp.st``; ``RouterLp.clone``). The ``router.Effects`` that ``dispatch``
 returns for the event is its history entry: the event, that save, and what
 the event emitted and recorded. A rollback writes the undone events' saves
 back newest first (``RouterLp.restore``), so for every port the earliest
@@ -106,7 +106,7 @@ from . import events
 from .metrics import RunReport, finalize
 from .model import Model, lookahead_ns
 from .partition import PartitionPlan
-from .router import Effects, dispatch
+from .router import FLOW_SEQS, Effects, dispatch
 
 INF = math.inf
 _event_key = attrgetter("key")
@@ -220,10 +220,10 @@ def _port_audit(lps: dict) -> dict:
 
 
 def _generated(model: Model) -> int:
-    """Packets generated: the flows' ``pkt_seq``, which is part of every
-    save (``RouterLp.clone``). At the end of a run every LP holds its
+    """Packets generated: the flows' counters in each ``RouterLp.st``, part
+    of every save (``RouterLp.clone``). At the end of a run every LP holds its
     committed state, so this counts exactly the committed GENERATE events."""
-    return sum(f.pkt_seq for lp in model.lps.values() for f in lp.flows)
+    return sum(sum(lp.st[FLOW_SEQS:]) for lp in model.lps.values())
 
 
 # --------------------------------------------------------------------------

@@ -89,6 +89,11 @@ def build_model(
                 "could pass the shaper")
     ctx = ModelContext(token_interval_ns, end_time_ns, traffic)
 
+    sources = build_sources(flows)
+    for nid in sources:
+        if topo.port_counts[nid] == 0:
+            raise ModelError(f"source node {nid} has no ports")
+
     lps: dict[int, RouterLp] = {}
     for nid in topo.node_ids():
         tier = profiles[topo.tiers[nid]]
@@ -100,13 +105,7 @@ def build_model(
             while len(pipelines) < port:
                 pipelines.append(None)  # placeholder, never routed to
             pipelines.append(EgressPipeline(port, link, tier))
-        lps[nid] = RouterLp(nid, pipelines, routes[nid], seed)
-
-    sources = build_sources(flows)
-    for nid, flows in sources.items():
-        if flows and topo.port_counts[nid] == 0:
-            raise ModelError(f"source node {nid} has no ports")
-        lps[nid].flows = flows
+        lps[nid] = RouterLp(nid, pipelines, routes[nid], seed, sources.get(nid, []))
 
     bootstrap: list[events.Event] = []
     fx = Effects()

@@ -321,7 +321,9 @@ class QosProfile:
     class the queue's, the meter's and each color's RED numbers, each at
     its element's offset ``i``. Parameters are read through the elements,
     such as ``shaper.capacity_bytes`` or ``srtcm[0].params``. Pieces left
-    out take defaults. The default class is the last one; ``srtcm`` needs
+    out take defaults. The default class is the last one, and the default
+    classifier sends DS 46 to class 0, DS 26 to class 1 and DS 0 to
+    class 2, each capped at the last class; ``srtcm`` needs
     one entry per class; ``red`` maps a :class:`Color` to its dropper in
     every class, and a color it leaves out takes :data:`RED_DEFAULTS`."""
 
@@ -341,13 +343,16 @@ class QosProfile:
         if not set(red) <= set(Color):
             raise QosConfigError(f"red keys must be colors, got {list(red)}")
         if classifier_map is None:
-            classifier_map = {46: 0, 26: 1, 0: 2}  # EF-style, AF-style, best effort
+            # EF-style, AF-style, best effort, each capped at the last class
+            classifier_map = {ds: min(cls, num_classes - 1)
+                              for ds, cls in {46: 0, 26: 1, 0: 2}.items()}
         default_class = num_classes - 1 if default_class is None else default_class
         for ds, cls in classifier_map.items():
             if not 0 <= ds <= 63:
                 raise QosConfigError(f"DS value {ds} out of range")
             if not 0 <= cls < num_classes:
-                raise QosConfigError(f"class {cls} out of range")
+                raise QosConfigError(f"DS value {ds}: class {cls} out of range, "
+                                     f"the classes are 0..{num_classes - 1}")
         if not 0 <= default_class < num_classes:
             raise QosConfigError("default class out of range")
         self.classes = tuple(classifier_map.get(ds, default_class) for ds in range(64))

@@ -1,8 +1,9 @@
 """Counter-based random numbers for rollback-safe simulation.
 
 Every draw is a pure function of (master seed, lp id, purpose, cursor), so an
-LP that is rolled back and re-executed consumes exactly the same stream as
-long as its cursors are part of the saved state.
+LP that is rolled back and re-executed consumes exactly the same stream:
+its cursors are among the LP's own numbers (``RouterLp.st``), which every
+save holds.
 """
 
 MASK64 = (1 << 64) - 1
@@ -38,25 +39,26 @@ def draw_uniform(seed: int, lp_id: int, purpose: int, cursor: int) -> float:
 
 
 class CursorRng:
-    """Per-LP view over the counter RNG; cursors live in LP state.
+    """Per-LP view over the counter RNG. ``cursors`` is the LP's own
+    numbers (``RouterLp.st``): each purpose's cursor is at its number.
 
     ``prefixes`` caches :func:`_prefix` per purpose, so a draw costs one
-    splitmix step. It is derived from the seed and the LP id, not state:
-    a save needs only the cursors.
+    splitmix step. It is derived from the seed and the LP id, not state.
     """
 
     __slots__ = ("seed", "lp_id", "cursors", "prefixes")
 
-    def __init__(self, seed: int, lp_id: int):
+    def __init__(self, seed: int, lp_id: int, cursors: list[int]):
         self.seed = seed
         self.lp_id = lp_id
-        self.cursors: dict[int, int] = {}
+        self.cursors = cursors
         self.prefixes: dict[int, int] = {}
 
     def advance(self, purpose: int) -> int:
         """The cursor of ``purpose``'s next draw; moves the cursor past it."""
-        c = self.cursors.get(purpose, 0)
-        self.cursors[purpose] = c + 1
+        cursors = self.cursors
+        c = cursors[purpose]
+        cursors[purpose] = c + 1
         return c
 
     def uniform_at(self, purpose: int, cursor: int) -> float:

@@ -27,11 +27,11 @@ All handler effects are appended to an :class:`Effects` value and all state
 mutation stays inside this LP; the optimistic kernel keeps one value per
 event as the event's history entry, and the sequential loop passes one
 value for the whole run. One event changes at most one egress pipeline,
-the event's port, plus the RNG cursors, the ``seq`` counter and a flow's
-``pkt_seq``. :func:`dispatch` resolves that port once, from the packet's
-route for ARRIVE and GENERATE or the payload for SEND and REFILL, and
-hands it to the handler; given no :class:`Effects` of the caller's, it
-makes the event's own and first takes the save of exactly that state
+the event's port, plus the LP's own numbers (``RouterLp.st``).
+:func:`dispatch` resolves that port once, from the packet's route for
+ARRIVE and GENERATE or the payload for SEND and REFILL, and hands it to
+the handler; given no :class:`Effects` of the caller's, it makes the
+event's own and first takes the save of exactly that state
 (:meth:`RouterLp.clone`). A pipeline's QoS elements are its tier's, shared
 and immutable (:class:`qos.QosProfile`); its mutable state is one flat
 list of numbers and one packet list per class (:class:`EgressPipeline`),
@@ -60,6 +60,12 @@ from .qos import (ARRIVE_COUNT, BLOCKED_EPISODES, REDUNDANT_SENDS, SEND_COUNT, S
                   STALE_SENDS, QosProfile, strict_priority_select)
 
 PKT_ID_STRIDE = 10**7
+
+# offsets of an LP's own numbers in ``RouterLp.st``: the sequence number of
+# its next emission, then its RNG cursors, each at its purpose number, then
+# each flow's count of generated packets
+SEQ = 0
+FLOW_SEQS = 1 + max(rng.PURPOSE_RED, rng.PURPOSE_DS, rng.PURPOSE_GEN)
 
 DROP_ROUTING = "routing"
 DROP_RED = "red"
@@ -145,55 +151,51 @@ class EgressPipeline:
 
 
 class FlowGen:
-    """Self-scheduling packet source for one flow rooted at this LP. The
-    packet size and the gap draw are the run's (``ctx.packet_size`` and
-    ``ctx.poisson``, see :class:`model.ModelContext`)."""
+    """Fixed settings of one flow's packet source at this LP; its packet
+    count is one of the LP's own numbers (``RouterLp.st``). The packet size
+    and the gap draw are the run's (:class:`model.ModelContext`)."""
 
-    __slots__ = ("dst", "interarrival_ns", "ds", "pkt_seq", "pid_base")
+    __slots__ = ("dst", "interarrival_ns", "ds", "pid_base")
 
     def __init__(self, dst, interarrival_ns, ds=None, pid_base=0):
         self.dst = dst
         self.interarrival_ns = interarrival_ns
         self.pid_base = pid_base
         self.ds = ds  # None -> draw from the scenario DS distribution
-        self.pkt_seq = 0
 
 
 class RouterLp:
-    """Full mutable state of one node: egress pipelines, routing row, RNG
-    cursors, event sequence counter, and any traffic sources."""
+    """One node: egress pipelines, routing row, traffic sources and the
+    LP's own numbers, ``st`` (laid out at :data:`SEQ` and :data:`FLOW_SEQS`,
+    the RNG cursors between), which ``rng`` draws through."""
 
-    __slots__ = ("node", "pipelines", "route_row", "rng", "seq", "flows")
+    __slots__ = ("node", "pipelines", "route_row", "flows", "st", "rng")
 
-    def __init__(self, node, pipelines, route_row, seed):
+    def __init__(self, node, pipelines, route_row, seed, flows):
         self.node = node
         self.pipelines: list[EgressPipeline] = pipelines
         self.route_row: dict[int, int] = route_row
-        self.rng = rng.CursorRng(seed, node)
-        self.seq = 0
-        self.flows: list[FlowGen] = []
+        self.flows: list[FlowGen] = flows
+        self.st = [0] * (FLOW_SEQS + len(flows))
+        self.rng = rng.CursorRng(seed, node, self.st)
 
     def clone(self, port: int | None) -> tuple:
         """Save the state one event can change: the pipeline of ``port``
         (the event's port, see :func:`dispatch`; None saves no pipeline) as a
         copy of its ``st`` and of its packet lists (None when every class
-        queue is empty, as nearly always), the RNG cursors, ``seq`` and
-        every flow's ``pkt_seq`` (an empty tuple when the LP has none)."""
+        queue is empty, as nearly always), and a copy of the LP's ``st``."""
         if port is None:
-            st = pkts = None
-        else:
-            pipe = self.pipelines[port]
-            st = pipe.st[:]
-            pkts = pipe.pkts
-            pkts = [packets[:] for packets in pkts] if any(pkts) else None
-        flows = self.flows
-        return (port, st, pkts, self.rng.cursors.copy(), self.seq,
-                [f.pkt_seq for f in flows] if flows else ())
+            return None, None, None, self.st[:]
+        pipe = self.pipelines[port]
+        pkts = pipe.pkts
+        return (port, pipe.st[:], [packets[:] for packets in pkts] if any(pkts) else None,
+                self.st[:])
 
     def restore(self, saved: tuple):
-        """Write a save from :meth:`clone` back into the live state. The
-        save itself is left as it was."""
-        port, st, pkts, cursors, seq, pkt_seqs = saved
+        """Write a save from :meth:`clone` back into the live state, in
+        place, since ``rng`` holds the LP's ``st``. The save itself is left
+        as it was."""
+        port, st, pkts, own = saved
         if port is not None:
             pipe = self.pipelines[port]
             pipe.st[:] = st
@@ -203,14 +205,13 @@ class RouterLp:
             else:
                 for packets, saved_packets in zip(pipe.pkts, pkts):
                     packets[:] = saved_packets
-        self.rng.cursors = cursors.copy()
-        self.seq = seq
-        for flow, pkt_seq in zip(self.flows, pkt_seqs):
-            flow.pkt_seq = pkt_seq
+        self.st[:] = own
 
     def emit(self, fx: Effects, time, target, kind, payload):
-        fx.emitted.append(events.Event(time, target, kind, payload, self.node, self.seq))
-        self.seq += 1
+        st = self.st
+        seq = st[SEQ]
+        st[SEQ] = seq + 1
+        fx.emitted.append(events.Event(time, target, kind, payload, self.node, seq))
 
 
 def transmission_ns(size_bytes: int, bandwidth_bps: int) -> int:
@@ -264,8 +265,9 @@ def handle_arrive(lp: RouterLp, pkt: Packet, port: int | None, now: int, fx: Eff
         # (transmission_ns) plus the link's delay
         st[queue.i + 1] = now
         link = pipe.link
-        seq = lp.seq
-        lp.seq = seq + 1
+        lp_st = lp.st
+        seq = lp_st[SEQ]
+        lp_st[SEQ] = seq + 1
         fx.emitted.append(events.Event(
             now + -(-size * 8_000_000_000 // link.bandwidth_bps) + link.delay_ns,
             link.dst, events.ARRIVE, pkt, lp.node, seq))
@@ -348,8 +350,10 @@ def handle_refill(lp: RouterLp, _payload, port: int, now: int, fx: Effects, ctx)
 def handle_generate(lp: RouterLp, flow_idx: int, port: int | None, now: int,
                     fx: Effects, ctx):
     flow = lp.flows[flow_idx]
-    pid = flow.pid_base + flow.pkt_seq
-    flow.pkt_seq += 1
+    st = lp.st
+    pkt_seq = st[FLOW_SEQS + flow_idx]
+    st[FLOW_SEQS + flow_idx] = pkt_seq + 1
+    pid = flow.pid_base + pkt_seq
     if flow.ds is not None:
         ds = flow.ds
     else:

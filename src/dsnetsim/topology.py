@@ -172,8 +172,36 @@ def _entry_lists(path: str, doc: dict, keys) -> list[list[dict]]:
     return sections
 
 
+_TIERS = tuple(t.value for t in NodeTier)
+_NODE_KEYS = ("id", "tier", "ports")
+_LINK_KEYS = ("src", "dst", "src_port", "dst_port", "bandwidth_bps", "delay_ns")
+
+
+def _fields(where: str, entry: dict, keys) -> list:
+    """``entry``'s values in the order of ``keys``: integers, but a node's
+    tier. A key outside ``keys``, a missing key or a value of another kind
+    is an error that names the entry, ``where``, and the key."""
+    for key in entry:
+        if key not in keys:
+            raise TopologyError(f"{where}: {key}: unknown key")
+    values = []
+    for key in keys:
+        if key not in entry:
+            raise TopologyError(f"{where}: {key}: missing")
+        value = entry[key]
+        if key == "tier" and value not in _TIERS:
+            raise TopologyError(f"{where}: {key}: expected one of {', '.join(_TIERS)}, "
+                                f"got {value!r}")
+        if key != "tier" and type(value) is not int:  # not a float, a string or a bool
+            raise TopologyError(f"{where}: {key}: expected an integer, got {value!r}")
+        values.append(value)
+    return values
+
+
 def load_topology(path: str) -> Topology:
-    """Load and validate a topology file."""
+    """Load and validate a topology file. Every key of an entry must be one
+    of the format's, and every number an integer; only ``delay_ns`` may be
+    left out (:data:`DEFAULT_DELAY_NS`)."""
     try:
         with open(path) as fh:
             doc = yaml.safe_load(fh)
@@ -184,18 +212,11 @@ def load_topology(path: str) -> Topology:
     raw_nodes, raw_links = _entry_lists(path, doc, ("nodes", "links"))
     nodes = []
     for i, n in enumerate(raw_nodes):
-        try:
-            nodes.append((int(n["id"]), NodeTier(n["tier"]), int(n["ports"])))
-        except (KeyError, TypeError, ValueError) as e:
-            raise TopologyError(f"{path}: nodes[{i}]: bad node entry {n}: {e}") from e
-    edges = []
-    for i, entry in enumerate(raw_links):
-        try:
-            edges.append(Link(int(entry["src"]), int(entry["dst"]), int(entry["src_port"]),
-                              int(entry["dst_port"]), int(entry["bandwidth_bps"]),
-                              int(entry.get("delay_ns", DEFAULT_DELAY_NS))))
-        except (KeyError, TypeError, ValueError) as e:
-            raise TopologyError(f"{path}: links[{i}]: bad link entry {entry}: {e}") from e
+        nid, tier, ports = _fields(f"{path}: nodes[{i}]: bad node entry", n, _NODE_KEYS)
+        nodes.append((nid, NodeTier(tier), ports))
+    edges = [Link(*_fields(f"{path}: links[{i}]: bad link entry",
+                           {"delay_ns": DEFAULT_DELAY_NS, **entry}, _LINK_KEYS))
+             for i, entry in enumerate(raw_links)]
     return Topology(nodes, edges)
 
 

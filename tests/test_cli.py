@@ -508,6 +508,15 @@ def test_broken_yaml_is_a_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def _two_nodes(node=(), link=()):
+    """A valid two-node topology document with ``node`` merged into its
+    first node entry and ``link`` into its link entry."""
+    return {"nodes": [{"id": 0, "tier": "access", "ports": 1, **dict(node)},
+                      {"id": 1, "tier": "access", "ports": 1}],
+            "links": [{"src": 0, "dst": 1, "src_port": 0, "dst_port": 0,
+                       "bandwidth_bps": 1_000_000_000, **dict(link)}]}
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"nodes": [0, 1], "links": []}, "nodes[0] must be a mapping"),
     ({"nodes": [{"id": 0, "tier": "access", "ports": 1}], "links": [7]},
@@ -518,8 +527,19 @@ def test_broken_yaml_is_a_config_error(tmp_path, capsys, command):
     ({"nodes": [{"id": 0, "tier": "access", "ports": 1}],
       "links": [{"src": 0, "dst": [1], "src_port": 0, "dst_port": 0, "bandwidth_bps": 1}]},
      "links[0]: bad link entry"),
+    (_two_nodes(link={"delay": 20_000}), "links[0]: bad link entry: delay: unknown key"),
+    (_two_nodes(node={"colour": "red"}), "nodes[0]: bad node entry: colour: unknown key"),
+    (_two_nodes(node={"tier": "core"}),
+     "nodes[0]: bad node entry: tier: expected one of access, mixed, kernel, got 'core'"),
+    (_two_nodes(link={"delay_ns": 10.7}),
+     "links[0]: bad link entry: delay_ns: expected an integer, got 10.7"),
+    (_two_nodes(link={"delay_ns": "2000"}),
+     "links[0]: bad link entry: delay_ns: expected an integer, got '2000'"),
+    (_two_nodes(link={"bandwidth_bps": True}),
+     "links[0]: bad link entry: bandwidth_bps: expected an integer, got True"),
 ], ids=["non-mapping-node", "non-mapping-link", "non-list-section", "node-missing-key",
-        "non-integer-endpoint"])
+        "non-integer-endpoint", "unknown-link-key", "unknown-node-key", "unknown-tier",
+        "float-delay", "string-delay", "boolean-bandwidth"])
 def test_run_rejects_an_invalid_topology_file(tmp_path, capsys, doc, message):
     topo = tmp_path / "topo.yaml"
     topo.write_text(yaml.safe_dump(doc))

@@ -474,6 +474,26 @@ def test_classifier_validation():
         QosProfile({}, 5, 3)
 
 
+@pytest.mark.parametrize("num_classes, ef, other", [(1, 0, 0), (2, 0, 1)])
+def test_default_classifier_fits_one_or_two_classes(num_classes, ef, other):
+    """The default map is capped at the last class: one class takes every DS
+    value, and two send DS 46 to class 0 and the rest to class 1."""
+    classes = QosProfile(num_classes=num_classes).classes
+    assert classes[46] == ef
+    assert set(classes[:46] + classes[47:]) == {other}
+
+
+def test_default_classifier_of_three_classes_is_unchanged():
+    classes = QosProfile(num_classes=3).classes
+    assert (classes[46], classes[26], classes[0], classes[33]) == (0, 1, 2, 2)
+
+
+def test_a_classifier_class_out_of_range_names_the_ds_value_and_the_classes():
+    with pytest.raises(QosConfigError,
+                       match=r"^DS value 26: class 2 out of range, the classes are 0\.\.1$"):
+        QosProfile({46: 0, 26: 2}, num_classes=2)
+
+
 # --------------------------------------------------------------------------
 # profile
 

@@ -25,12 +25,16 @@ def test_uniform_in_unit_interval():
 
 
 def test_cursor_rng_advances_per_purpose():
-    r = rng.CursorRng(5, 11)
+    cursors = [0] * 4
+    r = rng.CursorRng(5, 11, cursors)
     first = r.uniform(rng.PURPOSE_RED)
     second = r.uniform(rng.PURPOSE_RED)
     other = r.uniform(rng.PURPOSE_DS)
     assert first != second
-    assert r.cursors == {rng.PURPOSE_RED: 2, rng.PURPOSE_DS: 1}
+    assert r.cursors is cursors
+    assert cursors[rng.PURPOSE_RED] == 2
+    assert cursors[rng.PURPOSE_DS] == 1
+    assert cursors[rng.PURPOSE_GEN] == 0
     # the draw at a cursor is reproducible from scratch
     assert first == rng.draw_uniform(5, 11, rng.PURPOSE_RED, 0)
     assert other == rng.draw_uniform(5, 11, rng.PURPOSE_DS, 0)
@@ -39,11 +43,12 @@ def test_cursor_rng_advances_per_purpose():
 def test_clone_isolates_cursor_state():
     # the cursors are saved and restored with the LP: after a restore the
     # next draw repeats the one consumed after the save
-    lp = RouterLp(11, [], {}, 5)
+    lp = RouterLp(11, [], {}, 5, [])
     lp.rng.uniform(rng.PURPOSE_RED)
     saved = lp.clone(None)
     ahead = lp.rng.uniform(rng.PURPOSE_RED)
     for _ in range(2):  # later draws leave the save as it was
         lp.restore(saved)
         assert lp.rng.uniform(rng.PURPOSE_RED) == ahead
-        assert lp.rng.cursors == {rng.PURPOSE_RED: 2}
+        assert lp.rng.cursors[rng.PURPOSE_RED] == 2
+        assert lp.rng.cursors[rng.PURPOSE_DS] == 0

@@ -8,8 +8,11 @@ import pytest
 from dsnetsim import events, rng
 from dsnetsim.kernel import run_sequential
 from dsnetsim.model import ModelError, build_model
-from dsnetsim.router import Effects, EgressPipeline, Packet, dispatch, transmission_ns
+from dsnetsim.router import (
+    FLOW_SEQS, SEQ, Effects, EgressPipeline, Packet, dispatch, transmission_ns,
+)
 from dsnetsim.routing import compute_routes
+from dsnetsim.scenario import MODE_SEQUENTIAL, build_scenario_model, load_scenario
 from dsnetsim.qos import (
     PORT_INITIAL, TOKEN_SCALE, ClassQueue, Color, QosProfile, RedParams, RedState, SrtcmMeter,
     TokenBucket,
@@ -283,7 +286,7 @@ def test_generate_chains_and_stamps_packet_ids():
     lp = model.lps[0]
     gen = events.Event(0, 0, events.GENERATE, 0, 0, 0)
     fx = dispatch(lp, gen, model.ctx)
-    assert lp.flows[0].pkt_seq == 1
+    assert lp.st[FLOW_SEQS] == 1
     kinds = sorted(em.kind for em in fx.emitted)
     assert kinds == [events.ARRIVE, events.GENERATE]
     nxt = [em for em in fx.emitted if em.kind == events.GENERATE][0]
@@ -501,9 +504,60 @@ def test_save_of_an_lp_without_flows_restores_its_counters():
     for lp in (relay, source):
         saved = lp.clone(None)
         before = _state(lp)
-        lp.seq += 3
+        lp.st[SEQ] += 3
         lp.rng.uniform(rng.PURPOSE_RED)
-        for flow in lp.flows:
-            flow.pkt_seq += 5
+        for i in range(len(lp.flows)):
+            lp.st[FLOW_SEQS + i] += 5
         lp.restore(saved)
         assert _state(lp) == before
+
+
+# what a run may change in place: an LP's own numbers (also its RNG's
+# cursors), a pipeline's numbers and packet lists, and the RNG's prefix cache
+_CHANGES_IN_PLACE = {"st", "pkts", "cursors", "prefixes"}
+
+
+def _shallow(value):
+    """A value with every slotted object in it replaced by its identity."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_shallow(x) for x in value)
+    if isinstance(value, dict):
+        return {k: _shallow(x) for k, x in value.items()}
+    if hasattr(type(value), "__slots__"):
+        return ("object", id(value))
+    return value
+
+
+def _attributes(lp):
+    """Identity, and value unless it may change in place, of every attribute
+    of the LP, its pipelines, its flows and its RNG."""
+    objects = [lp, *(p for p in lp.pipelines if p is not None), *lp.flows, lp.rng]
+    return [{name: (id(getattr(obj, name)),
+                    None if name in _CHANGES_IN_PLACE else _shallow(getattr(obj, name)))
+             for name in type(obj).__slots__} for obj in objects]
+
+
+def test_an_lp_s_numbers_are_its_whole_state():
+    """A run changes an LP only inside its own numbers (``RouterLp.st``) and
+    its pipelines' numbers and packet lists, which is why a save of those
+    lists is complete; a restore writes the LP's numbers in place, so its
+    RNG keeps drawing through them."""
+    cfg = load_scenario(None, {
+        "name": "tight",
+        "qos": {"default": {"shaper_rate_Bps": 40_000_000, "shaper_burst_bytes": 4_096}},
+        "traffic": {"poisson": True},
+        "run": {"end_ns": 2_000_000},
+    })
+    model = build_scenario_model(cfg, mode=MODE_SEQUENTIAL)
+    lps = model.lps.values()
+    before = [_attributes(lp) for lp in lps]
+    rep = run_sequential(model)
+    for lp in lps:
+        lp.restore(lp.clone(None))
+    assert [_attributes(lp) for lp in lps] == before
+    assert all(lp.rng.cursors is lp.st for lp in lps)
+    # the run queued packets, sent SENDs and moved every RNG cursor
+    assert sum(audit["blocked"] for audit in rep.port_audit.values()) > 0
+    assert sum(audit["send"] for audit in rep.port_audit.values()) > 0
+    for purpose in (rng.PURPOSE_RED, rng.PURPOSE_DS, rng.PURPOSE_GEN):
+        assert sum(lp.st[purpose] for lp in lps) > 0

@@ -184,6 +184,14 @@ def test_a_mapping_value_replaces_the_default_whole():
     assert profiles[NodeTier.ACCESS].classes[46] == 0
 
 
+@pytest.mark.parametrize("num_classes", [1, 2])
+def test_a_tier_of_one_or_two_classes_loads_with_the_default_classifier(num_classes):
+    cfg = load_scenario(None, {"qos": {"default": {"num_classes": num_classes}}})
+    profiles = build_profiles(cfg)
+    assert all(p.num_classes == num_classes for p in profiles.values())
+    assert profiles[NodeTier.ACCESS].classes[0] == num_classes - 1
+
+
 def test_a_tier_red_block_merges_into_the_default_color_by_color():
     cfg = load_scenario(None, {"qos": {
         "default": {"red": {"green": [100, 200, 0.5]}},

@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from dsnetsim.topology import (
-    Link, NodeTier, Topology, TopologyError, convert_external_topology,
+    DEFAULT_DELAY_NS, Link, NodeTier, Topology, TopologyError, convert_external_topology,
     generate_synthetic_topology, load_topology, save_topology,
 )
 from conftest import bidirectional, line_topology
@@ -111,6 +111,18 @@ def test_load_rejects_dangling_reference(tmp_path):
     path.write_text(yaml.safe_dump(doc))
     with pytest.raises(TopologyError):
         load_topology(str(path))
+
+
+def test_load_takes_the_default_delay_when_delay_ns_is_left_out(tmp_path):
+    doc = {
+        "nodes": [{"id": 0, "tier": "access", "ports": 1},
+                  {"id": 1, "tier": "kernel", "ports": 1}],
+        "links": [{"src": 0, "src_port": 0, "dst": 1, "dst_port": 0,
+                   "bandwidth_bps": 1000}],
+    }
+    path = tmp_path / "topo.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert load_topology(str(path)).edges == [Link(0, 1, 0, 0, 1000, DEFAULT_DELAY_NS)]
 
 
 def test_synthetic_is_deterministic():
