@@ -7,6 +7,9 @@ with integer rates in bytes/second and integer timestamps in nanoseconds,
 ``rate * dt_ns`` is exact, so lazy on-demand refill matches a brute-force
 1 ns ticking bucket bit for bit. That exactness is what makes parallel and
 sequential runs byte-identical. Byte rates carry the suffix ``_Bps``.
+Bucket sizes are scaled once, in the constructors, and the refills cap a
+bucket with a comparison rather than ``min()``: they run on every routed
+packet, where the builtin call costs more than the arithmetic.
 
 Each stateful element (:class:`TokenBucket`, :class:`SrtcmMeter`,
 :class:`ClassQueue`, :class:`RedState`) holds only its configuration and
@@ -52,18 +55,20 @@ class TokenBucket:
     """Bucket with capacity C bytes, fill rate r bytes/second, lazy refill.
 
     State: ``st[i]`` tokens (scaled, units of 1e-9 byte), ``st[i + 1]``
-    time of the last refill.
+    time of the last refill. ``capacity_scaled`` is the capacity in those
+    units.
     """
 
-    __slots__ = ("capacity_bytes", "rate_Bps", "i")
+    __slots__ = ("capacity_bytes", "capacity_scaled", "rate_Bps", "i")
 
     def __init__(self, capacity_bytes: int, rate_Bps: int, st: list, start_full: bool = True):
         if capacity_bytes <= 0 or rate_Bps <= 0:
             raise QosConfigError("bucket capacity and rate must be positive")
         self.capacity_bytes = capacity_bytes
+        self.capacity_scaled = capacity_bytes * TOKEN_SCALE
         self.rate_Bps = rate_Bps
         self.i = len(st)
-        st += (capacity_bytes * TOKEN_SCALE if start_full else 0, 0)
+        st += (self.capacity_scaled if start_full else 0, 0)
 
     def refill(self, st: list, now_ns: int):
         """Lazy refill to ``now_ns``; overflow is discarded."""
@@ -71,13 +76,17 @@ class TokenBucket:
         dt = now_ns - st[i + 1]
         assert dt >= 0, f"time regression in bucket refill ({now_ns} < {st[i + 1]})"
         if dt:
-            st[i] = min(self.capacity_bytes * TOKEN_SCALE, st[i] + self.rate_Bps * dt)
+            tokens = st[i] + self.rate_Bps * dt
+            cap = self.capacity_scaled
+            st[i] = tokens if tokens < cap else cap
             st[i + 1] = now_ns
 
     def add_scaled(self, st: list, amount_scaled: int):
         """Periodic-tick refill path: add a fixed quantum, cap at capacity."""
         i = self.i
-        st[i] = min(self.capacity_bytes * TOKEN_SCALE, st[i] + amount_scaled)
+        tokens = st[i] + amount_scaled
+        cap = self.capacity_scaled
+        st[i] = tokens if tokens < cap else cap
 
     def take(self, st: list, size_bytes: int) -> bool:
         i = self.i
@@ -115,17 +124,21 @@ class SrtcmMeter:
     One rate feeds the committed bucket first; overflow spills into the
     excess bucket. Both buckets start full. State: ``st[i]`` committed
     tokens, ``st[i + 1]`` excess tokens (both scaled), ``st[i + 2]`` time
-    of the last refill.
+    of the last refill. ``cir_Bps`` is the rate of ``params``, and
+    ``cbs_scaled`` and ``ebs_scaled`` its bucket sizes in scaled units.
     """
 
-    __slots__ = ("params", "i")
+    __slots__ = ("params", "cir_Bps", "cbs_scaled", "ebs_scaled", "i")
 
     def __init__(self, params: SrtcmParams, st: list):
         if params.cbs_bytes <= 0 and params.ebs_bytes <= 0:
             raise QosConfigError("srTCM needs cbs > 0 or ebs > 0")
         self.params = params
+        self.cir_Bps = params.cir_Bps
+        self.cbs_scaled = params.cbs_bytes * TOKEN_SCALE
+        self.ebs_scaled = params.ebs_bytes * TOKEN_SCALE
         self.i = len(st)
-        st += (params.cbs_bytes * TOKEN_SCALE, params.ebs_bytes * TOKEN_SCALE, 0)
+        st += (self.cbs_scaled, self.ebs_scaled, 0)
 
     def mark(self, st: list, size_bytes: int, now_ns: int) -> int:
         """Refill both buckets to ``now_ns``, then color a packet of
@@ -135,12 +148,17 @@ class SrtcmMeter:
         dt = now_ns - st[i + 2]
         assert dt >= 0, "time regression in srTCM refill"
         if dt:
-            p = self.params
-            added = p.cir_Bps * dt
+            added = self.cir_Bps * dt
             tc = st[i]
-            new_tc = min(p.cbs_bytes * TOKEN_SCALE, tc + added)
+            new_tc = tc + added
+            cap = self.cbs_scaled
+            if new_tc > cap:
+                new_tc = cap
             st[i] = new_tc
-            st[i + 1] = min(p.ebs_bytes * TOKEN_SCALE, st[i + 1] + added - (new_tc - tc))
+            # the excess bucket takes what the committed one could not hold
+            te = st[i + 1] + added - (new_tc - tc)
+            cap = self.ebs_scaled
+            st[i + 1] = te if te < cap else cap
             st[i + 2] = now_ns
         need = size_bytes * TOKEN_SCALE
         if st[i] >= need:

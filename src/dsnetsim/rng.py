@@ -3,7 +3,8 @@
 Every draw is a pure function of (master seed, lp id, purpose, cursor), so an
 LP that is rolled back and re-executed consumes exactly the same stream:
 its cursors are among the LP's own numbers (``RouterLp.st``), which every
-save holds.
+save holds. A caller that needs a cursor without its draw (RED's, see
+``router.handle_arrive``) moves it in that list itself.
 """
 
 MASK64 = (1 << 64) - 1
@@ -40,7 +41,9 @@ def draw_uniform(seed: int, lp_id: int, purpose: int, cursor: int) -> float:
 
 class CursorRng:
     """Per-LP view over the counter RNG. ``cursors`` is the LP's own
-    numbers (``RouterLp.st``): each purpose's cursor is at its number.
+    numbers (``RouterLp.st``): each purpose's cursor is at its number. It
+    has no method that moves a cursor without drawing: a caller that takes
+    a cursor for a later :meth:`uniform_at` advances it in ``cursors``.
 
     ``prefixes`` caches :func:`_prefix` per purpose, so a draw costs one
     splitmix step. It is derived from the seed and the LP id, not state.
@@ -54,13 +57,6 @@ class CursorRng:
         self.cursors = cursors
         self.prefixes: dict[int, int] = {}
 
-    def advance(self, purpose: int) -> int:
-        """The cursor of ``purpose``'s next draw; moves the cursor past it."""
-        cursors = self.cursors
-        c = cursors[purpose]
-        cursors[purpose] = c + 1
-        return c
-
     def uniform_at(self, purpose: int, cursor: int) -> float:
         """The draw at ``cursor``, equal to ``draw_uniform``; moves no
         cursor."""
@@ -71,5 +67,17 @@ class CursorRng:
         return (_splitmix64(x ^ (cursor & MASK64)) >> 11) * (1.0 / (1 << 53))
 
     def uniform(self, purpose: int) -> float:
-        """The draw at ``purpose``'s cursor; advances the cursor."""
-        return self.uniform_at(purpose, self.advance(purpose))
+        """The draw at ``purpose``'s cursor, equal to :meth:`uniform_at`
+        there; advances the cursor. It runs on every drawn event, so it
+        does :func:`_splitmix64`'s step itself."""
+        cursors = self.cursors
+        c = cursors[purpose]
+        cursors[purpose] = c + 1
+        try:
+            x = self.prefixes[purpose]
+        except KeyError:
+            x = self.prefixes[purpose] = _prefix(self.seed, self.lp_id, purpose)
+        x = ((x ^ (c & MASK64)) + 0x9E3779B97F4A7C15) & MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+        return ((x ^ (x >> 31)) >> 11) * (1.0 / (1 << 53))

@@ -19,9 +19,13 @@ packet that finds the flag set is queued for the pending try-to-send.
 That cut-through hop is the path nearly every routed packet takes, so
 :func:`handle_arrive` emits its ARRIVE in place, with the arithmetic of
 :func:`transmit` and :meth:`RouterLp.emit` written out, and classifies
-through the tier's table (``QosProfile.classes``). RED costs little there
-too: a queue that has never held a byte enqueues without the EWMA
-arithmetic (:meth:`qos.RedState.decide`).
+through the tier's table (``QosProfile.classes``). :func:`handle_generate`
+and :func:`handle_refill` emit their next GENERATE or REFILL in place the
+same way. RED costs little there too: the arrival's RED cursor is advanced
+in place in ``RouterLp.st``, and a queue that has never held a byte
+enqueues without the EWMA arithmetic or the draw at that cursor
+(:meth:`qos.RedState.decide`). Records are built with ``tuple.__new__``,
+which skips the named tuple's Python constructor.
 
 All handler effects are appended to an :class:`Effects` value and all state
 mutation stays inside this LP; the optimistic kernel keeps one value per
@@ -224,14 +228,14 @@ def transmission_ns(size_bytes: int, bandwidth_bps: int) -> int:
 
 def handle_arrive(lp: RouterLp, pkt: Packet, port: int | None, now: int, fx: Effects, ctx):
     if pkt.dst == lp.node:
-        fx.records.append(PacketRecord(
+        fx.records.append(tuple.__new__(PacketRecord, (
             pkt.pid, pkt.src, pkt.dst, pkt.class_index, pkt.color,
-            pkt.created_ns, now, None, None))
+            pkt.created_ns, now, None, None)))
         return
     if port is None:
-        fx.records.append(PacketRecord(
+        fx.records.append(tuple.__new__(PacketRecord, (
             pkt.pid, pkt.src, pkt.dst, pkt.class_index, pkt.color,
-            pkt.created_ns, None, lp.node, DROP_ROUTING))
+            pkt.created_ns, None, lp.node, DROP_ROUTING)))
         return
     pipe = lp.pipelines[port]
     tier = pipe.tier
@@ -244,12 +248,13 @@ def handle_arrive(lp: RouterLp, pkt: Packet, port: int | None, now: int, fx: Eff
     fits = queue.fits(st, size)
     # every routed arrival takes one RED cursor, but the value at it is
     # computed only if RED decides by chance
-    lp_rng = lp.rng
-    if not tier.red[cls][color].decide(st, queue, fits, now, lp_rng,
-                                       lp_rng.advance(rng.PURPOSE_RED)):
-        fx.records.append(PacketRecord(
+    lp_st = lp.st
+    cursor = lp_st[rng.PURPOSE_RED]
+    lp_st[rng.PURPOSE_RED] = cursor + 1
+    if not tier.red[cls][color].decide(st, queue, fits, now, lp.rng, cursor):
+        fx.records.append(tuple.__new__(PacketRecord, (
             pkt.pid, pkt.src, pkt.dst, cls, color,
-            pkt.created_ns, None, lp.node, DROP_RED if fits else DROP_QUEUE))
+            pkt.created_ns, None, lp.node, DROP_RED if fits else DROP_QUEUE)))
         return
     if st[SEND_FLAG]:
         queue.push(st, pipe.pkts[cls], pkt)  # the pending try-to-send reaches it
@@ -265,7 +270,6 @@ def handle_arrive(lp: RouterLp, pkt: Packet, port: int | None, now: int, fx: Eff
         # (transmission_ns) plus the link's delay
         st[queue.i + 1] = now
         link = pipe.link
-        lp_st = lp.st
         seq = lp_st[SEQ]
         lp_st[SEQ] = seq + 1
         fx.emitted.append(events.Event(
@@ -342,7 +346,11 @@ def handle_refill(lp: RouterLp, _payload, port: int, now: int, fx: Effects, ctx)
     shaper.add_scaled(pipe.st, shaper.rate_Bps * ctx.token_interval_ns)
     nxt = now + ctx.token_interval_ns
     if nxt <= ctx.end_time_ns:
-        lp.emit(fx, nxt, lp.node, events.REFILL, port)
+        # the next tick, emitted in place as the cut-through hop emits
+        st = lp.st
+        seq = st[SEQ]
+        st[SEQ] = seq + 1
+        fx.emitted.append(events.Event(nxt, lp.node, events.REFILL, port, lp.node, seq))
     if pipe.st[SEND_FLAG]:
         try_to_send(lp, pipe, strict_priority_select(pipe.pkts), now, fx, ctx)
 
@@ -359,8 +367,8 @@ def handle_generate(lp: RouterLp, flow_idx: int, port: int | None, now: int,
     else:
         u = lp.rng.uniform(rng.PURPOSE_DS)
         ds = ctx.sample_ds(u)
-    pkt = Packet(pid, lp.node, flow.dst, ctx.packet_size, ds, created_ns=now)
-    handle_arrive(lp, pkt, port, now, fx, ctx)
+    handle_arrive(lp, Packet(pid, lp.node, flow.dst, ctx.packet_size, ds, now),
+                  port, now, fx, ctx)
     if ctx.poisson:
         u = lp.rng.uniform(rng.PURPOSE_GEN)
         gap = max(1, round(-math.log(1.0 - u) * flow.interarrival_ns))
@@ -368,7 +376,12 @@ def handle_generate(lp: RouterLp, flow_idx: int, port: int | None, now: int,
         gap = flow.interarrival_ns
     nxt = now + gap
     if nxt <= ctx.end_time_ns:
-        lp.emit(fx, nxt, lp.node, events.GENERATE, flow_idx)
+        # the flow's next packet, emitted in place as the cut-through hop
+        # emits; ``st[SEQ]`` is read after handle_arrive, whose hop may
+        # have taken a number
+        seq = st[SEQ]
+        st[SEQ] = seq + 1
+        fx.emitted.append(events.Event(nxt, lp.node, events.GENERATE, flow_idx, lp.node, seq))
 
 
 # the handler of each event kind, indexed by the kind; built from a mapping

@@ -286,14 +286,18 @@ def convert_external_topology(in_path: str, out_path: str):
     raw_nodes, raw_links = _entry_lists(in_path, doc, ("nodes", links_key))
 
     def pick(where, d, *names, default=None):
-        """The integer under the first of ``names`` that ``d`` has."""
+        """The integer under the first of ``names`` that ``d`` has; a float
+        or a bool there is an error, not rounded to an integer."""
         for name in names:
             if name in d:
-                try:
-                    return int(d[name])
-                except (TypeError, ValueError):
-                    raise TopologyError(f"{in_path}: {where}.{name}: expected an integer, "
-                                        f"got {d[name]!r}") from None
+                value = d[name]
+                if not isinstance(value, (bool, float)):
+                    try:
+                        return int(value)
+                    except (TypeError, ValueError):
+                        pass
+                raise TopologyError(f"{in_path}: {where}.{name}: expected an integer, "
+                                    f"got {value!r}")
         if default is not None:
             return default
         raise TopologyError(f"{in_path}: {where}: missing one of {names}")

@@ -484,8 +484,15 @@ def test_packet_larger_than_shaper_burst_is_a_config_error(tmp_path, capsys, qos
      "nodes[1].id: expected an integer, got 'r1'"),
     ({"nodes": [{"id": 0}, {"id": 1}], "links": [{"src": 0, "dst": 1, "bw": "fast"}]},
      "links[0].bw: expected an integer"),
+    ({"nodes": [{"id": 0}, {"id": 1}], "links": [{"src": 0, "dst": 1, "delay_ns": 10.7}]},
+     "links[0].delay_ns: expected an integer, got 10.7"),
+    ({"nodes": [{"id": 0}, {"id": 1}], "links": [{"src": 0, "dst": 1, "bandwidth_bps": True}]},
+     "links[0].bandwidth_bps: expected an integer, got True"),
+    ({"nodes": [{"id": 0}, {"node_id": 1.0}], "links": [{"src": 0, "dst": 1}]},
+     "nodes[1].node_id: expected an integer, got 1.0"),
 ], ids=["self-loop", "unconnected-node", "unknown-node", "duplicate-id", "non-mapping-node",
-        "non-mapping-link", "non-list-section", "named-node-id", "non-integer-bandwidth"])
+        "non-mapping-link", "non-list-section", "named-node-id", "non-integer-bandwidth",
+        "float-delay", "bool-bandwidth", "float-node-id"])
 def test_topo_convert_rejects_an_invalid_topology(tmp_path, capsys, doc, message):
     dump = tmp_path / "dump.json"
     dump.write_text(json.dumps(doc))

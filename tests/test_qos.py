@@ -63,6 +63,21 @@ def test_earliest_ready_boundary_is_now():
     assert b.earliest_ready_ns(st, 500, now_ns=42) == 42
 
 
+def test_earliest_ready_rounds_a_partial_nanosecond_up():
+    # a 1-byte deficit at 3 B/s takes 333,333,333.3 ns: the bucket holds
+    # the packet's tokens only from the next whole nanosecond on
+    st = []
+    b = TokenBucket(1000, 3, st, start_full=False)
+    st[b.i], st[b.i + 1] = 499 * TOKEN_SCALE, 10  # refilled at t = 10
+    ready = b.earliest_ready_ns(st, 500, now_ns=10)
+    assert ready == 10 + 333_333_334
+    early = st.copy()
+    b.refill(early, ready - 1)
+    assert not b.take(early, 500)
+    b.refill(st, ready)
+    assert b.take(st, 500)
+
+
 def test_oversized_request_is_config_error():
     st = []
     b = TokenBucket(1000, 1000, st)
@@ -161,6 +176,20 @@ def test_srtcm_red_leaves_buckets_unchanged():
     st[m.i + 1] = 0
     st[m.i + 2] = 5
     assert m.mark(st, 1, 5) == Color.RED
+    assert st[m.i] == 0 and st[m.i + 1] == 0
+
+
+def test_srtcm_colors_at_the_exact_token_boundary():
+    """RFC 2697: a packet is GREEN when the committed tokens are at least its
+    size, else YELLOW when the excess tokens are. Refills bring each bucket
+    to exactly the packet's size: 700 B of tokens fill the 200 B committed
+    bucket and spill 500 B into the excess one."""
+    st = []
+    m = SrtcmMeter(SrtcmParams(100, 200, 1000), st)
+    st[m.i] = st[m.i + 1] = 0
+    assert m.mark(st, 500, 7 * 10**9) == Color.YELLOW
+    assert st[m.i] == 200 * TOKEN_SCALE and st[m.i + 1] == 0
+    assert m.mark(st, 200, 7 * 10**9) == Color.GREEN
     assert st[m.i] == 0 and st[m.i + 1] == 0
 
 

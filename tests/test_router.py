@@ -426,7 +426,8 @@ def test_pipeline_state_is_what_the_save_copies():
     numbers in the pipeline's st, so a new mutable field cannot escape the
     save."""
     assert set(EgressPipeline.__slots__) == PIPELINE_CONFIG | PIPELINE_SAVED
-    config = {"params", "capacity_bytes", "rate_Bps"}
+    config = {"params", "capacity_bytes", "rate_Bps",
+              "capacity_scaled", "cir_Bps", "cbs_scaled", "ebs_scaled"}
     for cls in (TokenBucket, SrtcmMeter, ClassQueue, RedState):
         # no st and no packets: those are each port's own
         assert "i" in cls.__slots__ and set(cls.__slots__) <= config | {"i"}, cls
@@ -441,6 +442,14 @@ def test_pipeline_state_is_what_the_save_copies():
     # with every class queue empty the save holds None for the packet lists
     pipe.tier.queues[1].pop(pipe.st, pipe.pkts[1], 0)
     assert lp.clone(0)[2] is None
+
+
+def test_port_audit_counts_every_routed_arrival():
+    """The sending port's ``arrive`` counts each generated packet once, the
+    audit's side of a packet's conservation."""
+    rep = run_sequential(single_flow_model(line_topology(2), 0, 1))
+    assert rep.generated > 0
+    assert rep.port_audit[(0, 0)]["arrive"] == rep.generated
 
 
 def test_pipelines_of_one_tier_share_a_layout_but_no_state():
