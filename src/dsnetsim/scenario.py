@@ -8,6 +8,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import hashlib
+import json
 import os
 
 import yaml
@@ -267,16 +268,19 @@ def _validate(cfg: dict):
 _DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
 
 
-def dump_yaml(data, stream=None, sort_keys: bool = True):
-    """``yaml.safe_dump(data, stream, sort_keys=sort_keys)``, through
-    libyaml where PyYAML was built with it."""
-    return yaml.dump(data, stream, Dumper=_DUMPER, sort_keys=sort_keys)
+def dump_yaml(data, stream=None):
+    """``yaml.safe_dump(data, stream, sort_keys=False)``, through libyaml
+    where PyYAML was built with it."""
+    return yaml.dump(data, stream, Dumper=_DUMPER, sort_keys=False)
 
 
 def scenario_identity(cfg: dict) -> str:
     """Stable identity over everything that defines the simulated system —
     mode and partitioning are execution choices, not scenario identity. A
-    topology file counts by its content, not by where it lies."""
+    topology file counts by its content, not by where it lies. The hash is
+    over the fields' canonical JSON (keys sorted, no spaces): key order does
+    not count, but a value's type does (``1`` is not ``1.0``), and so does
+    the order of a list such as ``traffic.flows``."""
     topology = cfg["topology"]
     if "path" in topology:
         with open(topology["path"], "rb") as fh:
@@ -290,7 +294,7 @@ def scenario_identity(cfg: dict) -> str:
         "end_ns": cfg["run"]["end_ns"],
         "seed": cfg["run"]["seed"],
     }
-    blob = dump_yaml(ident, sort_keys=True).encode()
+    blob = json.dumps(ident, sort_keys=True, separators=(",", ":")).encode()
     return f"{cfg['name']}-{hashlib.sha256(blob).hexdigest()[:12]}"
 
 
@@ -433,7 +437,7 @@ def run_scenario(cfg: dict, output_dir: str | None = None) -> metrics.RunReport:
 def write_outputs(cfg: dict, report: metrics.RunReport, out_dir: str):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "effective_config.yaml"), "w") as fh:
-        dump_yaml(cfg, fh, sort_keys=False)
+        dump_yaml(cfg, fh)
     metrics.write_records_csv(os.path.join(out_dir, "records.csv"), report.records)
     metrics.write_summary(os.path.join(out_dir, "summary.txt"), report)
     metrics.write_port_audit_csv(os.path.join(out_dir, "port_audit.csv"), report)

@@ -271,6 +271,10 @@ def generate_synthetic_topology(
 def convert_external_topology(in_path: str, out_path: str):
     """Convert a published topology dump (JSON/YAML with ``nodes`` and
     ``links``/``edges`` lists, flexible key names) to the native format.
+    Its numbers follow :func:`load_topology`'s rule: an id, a bandwidth or
+    a delay must be an integer, not a float, a string or a bool. A node's
+    ``tier``, ``type`` or ``role``, in any case, must name a
+    :class:`NodeTier`; a node with none of those keys is an access node.
     Ports are numbered in link order; a dump that is not a valid
     :class:`Topology` raises :class:`TopologyError` and writes nothing."""
     with open(in_path) as fh:
@@ -286,18 +290,14 @@ def convert_external_topology(in_path: str, out_path: str):
     raw_nodes, raw_links = _entry_lists(in_path, doc, ("nodes", links_key))
 
     def pick(where, d, *names, default=None):
-        """The integer under the first of ``names`` that ``d`` has; a float
-        or a bool there is an error, not rounded to an integer."""
+        """The integer under the first of ``names`` that ``d`` has."""
         for name in names:
             if name in d:
                 value = d[name]
-                if not isinstance(value, (bool, float)):
-                    try:
-                        return int(value)
-                    except (TypeError, ValueError):
-                        pass
-                raise TopologyError(f"{in_path}: {where}.{name}: expected an integer, "
-                                    f"got {value!r}")
+                if type(value) is not int:  # not a float, a string or a bool
+                    raise TopologyError(f"{in_path}: {where}.{name}: expected an integer, "
+                                        f"got {value!r}")
+                return value
         if default is not None:
             return default
         raise TopologyError(f"{in_path}: {where}: missing one of {names}")
@@ -305,10 +305,14 @@ def convert_external_topology(in_path: str, out_path: str):
     ids = [pick(f"nodes[{i}]", n, "id", "node_id", "name") for i, n in enumerate(raw_nodes)]
     remap = {old: new for new, old in enumerate(sorted(ids))}
     tiers = []
-    for old, n in zip(ids, raw_nodes):
-        name = str(next((n[k] for k in ("tier", "type", "role") if k in n), "access")).lower()
-        tier = NodeTier(name) if name in {t.value for t in NodeTier} else NodeTier.ACCESS
-        tiers.append((remap[old], tier))
+    for i, (old, n) in enumerate(zip(ids, raw_nodes)):
+        key = next((k for k in ("tier", "type", "role") if k in n), None)
+        value = "access" if key is None else n[key]
+        name = value.lower() if isinstance(value, str) else value
+        if name not in _TIERS:
+            raise TopologyError(f"{in_path}: nodes[{i}].{key}: expected one of "
+                                f"{', '.join(_TIERS)}, got {value!r}")
+        tiers.append((remap[old], NodeTier(name)))
 
     def node(where, e, *names):
         old = pick(where, e, *names)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TESTS = [f"tests/test_{name}.py" for name in
-         ("rng", "qos", "router", "kernel", "equivalence_property", "acceptance")]
+         ("rng", "qos", "router", "scenario", "kernel", "equivalence_property", "acceptance")]
 # the core tests take about 30 s when nothing fails
 TIMEOUT_S = 300
 # left out of each copy: version control and what runs leave behind
@@ -47,6 +47,7 @@ class Mutant(NamedTuple):
 
 KERNEL, MODEL = "src/dsnetsim/kernel.py", "src/dsnetsim/model.py"
 ROUTER, QOS, RNG = "src/dsnetsim/router.py", "src/dsnetsim/qos.py", "src/dsnetsim/rng.py"
+SCENARIO = "src/dsnetsim/scenario.py"
 
 MUTANTS = [
     Mutant("lookahead-plus-2", MODEL,
@@ -91,6 +92,8 @@ MUTANTS = [
     Mutant("cbs-scaled-from-ebs", QOS,
            "self.cbs_scaled = params.cbs_bytes * TOKEN_SCALE",
            "self.cbs_scaled = params.ebs_bytes * TOKEN_SCALE"),
+    Mutant("identity-unsorted-keys", SCENARIO,
+           "json.dumps(ident, sort_keys=True", "json.dumps(ident, sort_keys=False"),
 ]
 
 

@@ -490,9 +490,13 @@ def test_packet_larger_than_shaper_burst_is_a_config_error(tmp_path, capsys, qos
      "links[0].bandwidth_bps: expected an integer, got True"),
     ({"nodes": [{"id": 0}, {"node_id": 1.0}], "links": [{"src": 0, "dst": 1}]},
      "nodes[1].node_id: expected an integer, got 1.0"),
+    ({"nodes": [{"id": 0}, {"id": 1}], "links": [{"src": 0, "dst": 1, "delay_ns": "2000"}]},
+     "links[0].delay_ns: expected an integer, got '2000'"),
+    ({"nodes": [{"id": 0}, {"id": 1, "type": "core"}], "links": [{"src": 0, "dst": 1}]},
+     "nodes[1].type: expected one of access, mixed, kernel, got 'core'"),
 ], ids=["self-loop", "unconnected-node", "unknown-node", "duplicate-id", "non-mapping-node",
         "non-mapping-link", "non-list-section", "named-node-id", "non-integer-bandwidth",
-        "float-delay", "bool-bandwidth", "float-node-id"])
+        "float-delay", "bool-bandwidth", "float-node-id", "string-delay", "unknown-tier"])
 def test_topo_convert_rejects_an_invalid_topology(tmp_path, capsys, doc, message):
     dump = tmp_path / "dump.json"
     dump.write_text(json.dumps(doc))

@@ -152,6 +152,9 @@ def test_sequential_records_match_a_key_ordered_reference_loop(regime, synthetic
         per_time[ev.time] += 1
         dispatch(ref.lps[ev.target], ev, ref.ctx, fx)
         for em in fx.emitted:
+            # as in run_sequential: an emission at its cause's time would
+            # keep this loop at one time for ever
+            assert em.time > ev.time, f"{em} is not later than its cause {ev}"
             heapq.heappush(heap, (em.key, em))
         fx.emitted.clear()
     assert shows(kinds, per_time, draws)

@@ -144,17 +144,56 @@ def test_identity_follows_the_topology_file_content_not_its_path(tmp_path):
     assert identity_in("c") != first
 
 
+def _reversed_keys(doc):
+    """``doc`` with the keys of every mapping in it in reverse order."""
+    if isinstance(doc, dict):
+        return {k: _reversed_keys(doc[k]) for k in reversed(doc)}
+    if isinstance(doc, list):
+        return [_reversed_keys(x) for x in doc]
+    return doc
+
+
+_EXPLICIT = {"pattern": "explicit", "ds_probs": {46: 0.5, 0: 0.5},
+             "flows": [{"src": 3, "dst": 0, "rate_pps": 20_000, "ds": 46},
+                       {"src": 4, "dst": 1, "rate_pps": 20_000}]}
+
+
+def test_identity_ignores_the_key_order_of_the_scenario_file(tmp_path):
+    doc = {**SMALL, "traffic": _EXPLICIT,
+           "qos": {"default": {"queue_capacity_bytes": 30_000, "shaper_rate_Bps": 10**8},
+                   "tiers": {"kernel": {"num_classes": 4}, "access": {"default_class": 1}}}}
+
+    def load(where, body):
+        (tmp_path / where).write_text(yaml.safe_dump(body, sort_keys=False))
+        return load_scenario(str(tmp_path / where))
+
+    cfg, shuffled = load("a.yaml", doc), load("b.yaml", _reversed_keys(doc))
+    assert dump_yaml(cfg) != dump_yaml(shuffled)  # the order reaches the loaded config
+    assert scenario_identity(cfg) == scenario_identity(shuffled)
+
+
+def test_identity_follows_value_types_and_flow_order():
+    def ident(traffic):
+        return scenario_identity(load_scenario(None, {**SMALL, "traffic": traffic}))
+
+    assert ident({"ds_probs": {0: 1}}) != ident({"ds_probs": {0: 1.0}})
+    assert ident(_EXPLICIT) != ident({**_EXPLICIT, "flows": _EXPLICIT["flows"][::-1]})
+
+
+def test_identity_is_the_name_and_twelve_hex_digits():
+    assert re.fullmatch(r"small-[0-9a-f]{12}", scenario_identity(load_scenario(None, SMALL)))
+
+
 @pytest.mark.parametrize("overrides", [
     {},
     {**SMALL, "traffic": {"pattern": "explicit", "ds_probs": {46: 0.5, 26: 0.0, 0: 0.5},
                           "flows": [{"src": 3, "dst": 0, "rate_pps": 20_000, "ds": 46},
                                     {"src": 4, "dst": 1, "rate_pps": 20_000}]}},
 ], ids=["defaults", "explicit-flows"])
-@pytest.mark.parametrize("sort_keys", [True, False])
-def test_dump_yaml_writes_what_safe_dump_writes(overrides, sort_keys):
-    """The identity hash and effective_config.yaml depend on these bytes."""
+def test_dump_yaml_writes_what_safe_dump_writes(overrides):
+    """effective_config.yaml depends on these bytes."""
     cfg = load_scenario(None, overrides)
-    assert dump_yaml(cfg, sort_keys=sort_keys) == yaml.safe_dump(cfg, sort_keys=sort_keys)
+    assert dump_yaml(cfg) == yaml.safe_dump(cfg, sort_keys=False)
 
 
 def test_per_tier_qos_overrides():
