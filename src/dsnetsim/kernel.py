@@ -13,11 +13,10 @@ events.
 The sequential scheduler keeps no history: it passes one ``router.Effects``
 to every ``dispatch`` of the run (its ``fx``), whose ``records`` collect the
 run's records and whose ``emitted`` it moves into its pending set and
-empties after each event, and it counts each LP's events in a dict keyed
-by every LP, dropping the LPs that ran none at the end. Its pending set is
-one bucket per time, a list of that time's events, and a heap of the
-distinct bucket times: it opens the earliest bucket, sorts it once by
-``Event.key`` and dispatches it in that order. Events tie on time in bulk
+empties after each event. Its pending set is one bucket per time, a list
+of that time's events, and a heap of the distinct bucket times: it opens
+the earliest bucket, sorts it once by ``Event.key`` and dispatches it in
+that order. Events tie on time in bulk
 (equal link delays, bandwidths and packet sizes, CBR flows that start
 together, REFILL chains on one interval), so one sort per time replaces a
 heap sift per event. A bucket is complete when it is opened because every
@@ -37,8 +36,9 @@ the event emitted and recorded. A rollback writes the undone events' saves
 back newest first (``RouterLp.restore``), so for every port the earliest
 save wins and the LP is back where it was before the first undone event.
 The LP objects are the model's own, restored in place, so the model's LPs
-hold the run's final state. Both drivers read the generated-packet count
-from that state (:func:`_generated`), not from the history.
+hold the run's final state. Both drivers read every count that state
+holds through :func:`_report`: packets generated, each LP's events
+(``router.EVENTS``) and each port's audit counters.
 
 One driver runs the partitions: a deterministic single-thread stepper.
 Each partition keeps one FIFO outbox per destination partition, and that
@@ -103,10 +103,11 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from . import events
-from .metrics import RunReport, finalize
+from .metrics import PORT_AUDIT_HEADER, RunReport, finalize
 from .model import Model, lookahead_ns
 from .partition import PartitionPlan
-from .router import FLOW_SEQS, Effects, dispatch
+from .qos import ARRIVE_COUNT, REDUNDANT_SENDS
+from .router import EVENTS, FLOW_SEQS, Effects, dispatch
 
 INF = math.inf
 _event_key = attrgetter("key")
@@ -177,7 +178,6 @@ def run_sequential(model: Model) -> RunReport:
     heappop = heapq.heappop
     heappush = heapq.heappush
     lps = model.lps
-    per_lp = dict.fromkeys(lps, 0)
     fx = Effects()  # the whole run's: its records, and each event's emissions
     emitted = fx.emitted
     while times:
@@ -188,9 +188,7 @@ def run_sequential(model: Model) -> RunReport:
         if len(bucket) > 1:
             bucket.sort(key=_event_key)
         for ev in bucket:
-            target = ev.target
-            dispatch(lps[target], ev, ctx, fx)
-            per_lp[target] += 1
+            dispatch(lps[ev.target], ev, ctx, fx)
             for em in emitted:
                 t = em.time
                 if t <= now:
@@ -202,28 +200,32 @@ def run_sequential(model: Model) -> RunReport:
                 else:
                     later.append(em)
             emitted.clear()
-    return finalize(model.scenario_id, fx.records, _generated(model), {
+    return _report(model, fx.records, {}, _time.perf_counter() - t0)
+
+
+def _report(model: Model, records: list, counts: dict, wall_clock_s: float) -> RunReport:
+    """The report of an ended run from its ``records``, the driver's own
+    ``counts`` and the model's final state, which is committed: each LP's
+    events (``router.EVENTS``) and flows' packet counters, and each port's
+    audit counters, named as in :data:`metrics.PORT_AUDIT_HEADER`."""
+    per_lp = {}
+    generated = 0
+    port_audit = {}
+    for n, lp in sorted(model.lps.items()):
+        st = lp.st
+        if st[EVENTS]:
+            per_lp[n] = st[EVENTS]
+        generated += sum(st[FLOW_SEQS:])
+        for pipe in lp.pipelines:
+            if pipe is not None:
+                port_audit[n, pipe.port] = dict(zip(
+                    PORT_AUDIT_HEADER[2:], pipe.st[ARRIVE_COUNT:REDUNDANT_SENDS + 1]))
+    return finalize(model.scenario_id, records, generated, {
         "committed_events": sum(per_lp.values()),
-        "per_lp_events": {n: count for n, count in per_lp.items() if count},
-        "port_audit": _port_audit(model.lps),
-    }, _time.perf_counter() - t0)
-
-
-def _port_audit(lps: dict) -> dict:
-    return {(nid, pipe.port): {
-        "arrive": pipe.arrive_count,
-        "send": pipe.send_count,
-        "blocked": pipe.blocked_episodes,
-        "stale": pipe.stale_sends,
-        "redundant": pipe.redundant_sends,
-    } for nid, lp in sorted(lps.items()) for pipe in lp.pipelines if pipe is not None}
-
-
-def _generated(model: Model) -> int:
-    """Packets generated: the flows' counters in each ``RouterLp.st``, part
-    of every save (``RouterLp.clone``). At the end of a run every LP holds its
-    committed state, so this counts exactly the committed GENERATE events."""
-    return sum(sum(lp.st[FLOW_SEQS:]) for lp in model.lps.values())
+        "per_lp_events": per_lp,
+        "port_audit": port_audit,
+        **counts,
+    }, wall_clock_s)
 
 
 # --------------------------------------------------------------------------
@@ -234,7 +236,8 @@ class Partition:
     """One worker's share of the model: its LPs, its pending heap, one
     history of its processed events, and outboxes toward other partitions.
     The partition is the rollback unit: every pending key is above every
-    processed key (module docstring)."""
+    processed key (module docstring). Its LPs count their own events; it
+    counts its committed ones only for the GVT series."""
 
     def __init__(self, pid: int, lps: dict, lp_pid: dict[int, int], k: int, ctx,
                  window: float = INF):
@@ -256,7 +259,6 @@ class Partition:
         self.rolled_back = 0
         self.committed_events = 0
         self.committed_records: list = []
-        self.per_lp_committed = dict.fromkeys(lps, 0)
 
     @property
     def peak_history(self) -> int:
@@ -382,9 +384,7 @@ class Partition:
         history = self.history
         i = bisect.bisect_left(history, gvt, key=lambda entry: entry.event.time)
         records = self.committed_records
-        per_lp = self.per_lp_committed
         for entry in history[:i]:
-            per_lp[entry.event.target] += 1
             if entry.records:
                 records.extend(entry.records)
         del history[:i]
@@ -414,18 +414,13 @@ def _make_partitions(model: Model, assignment: dict[int, int], k: int,
 def _merge_reports(model: Model, parts: list[Partition], messages: int,
                    gvt_series: list, wall_clock_s: float) -> RunReport:
     records = []
-    per_lp: dict[int, int] = {}
     for p in parts:
         records.extend(p.committed_records)
-        per_lp.update((n, count) for n, count in p.per_lp_committed.items() if count)
-    return finalize(model.scenario_id, records, _generated(model), {
-        "committed_events": sum(p.committed_events for p in parts),
+    return _report(model, records, {
         "rolled_back_events": sum(p.rolled_back for p in parts),
         "inter_partition_messages": messages,
         "gvt_rounds": len(gvt_series),
         "peak_history_entries": sum(p.peak_history for p in parts),
-        "per_lp_events": per_lp,
-        "port_audit": _port_audit(model.lps),
         "gvt_series": gvt_series,
     }, wall_clock_s)
 

@@ -45,14 +45,16 @@ class RunReport:
     delivered: int
     dropped: int
     wall_clock_s: float
-    # the kernel's counts; a sequential run has no rollback, message or cut
+    # the run's counts; committed_events, per_lp_events and port_audit
+    # ((node, port) -> PORT_AUDIT_HEADER's counters by name) come from the
+    # model's final state, and a sequential run has no rollback, message or cut
     committed_events: int = 0
     rolled_back_events: int = 0
     inter_partition_messages: int = 0
     gvt_rounds: int = 0
     peak_history_entries: int = 0
     per_lp_events: dict[int, int] = field(default_factory=dict)
-    port_audit: dict = field(default_factory=dict)  # (node, port) -> counter dict
+    port_audit: dict = field(default_factory=dict)
     gvt_series: list = field(default_factory=list)  # per-round counter snapshots
 
     @property

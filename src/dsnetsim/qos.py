@@ -56,19 +56,19 @@ class TokenBucket:
 
     State: ``st[i]`` tokens (scaled, units of 1e-9 byte), ``st[i + 1]``
     time of the last refill. ``capacity_scaled`` is the capacity in those
-    units.
+    units. The bucket starts full.
     """
 
     __slots__ = ("capacity_bytes", "capacity_scaled", "rate_Bps", "i")
 
-    def __init__(self, capacity_bytes: int, rate_Bps: int, st: list, start_full: bool = True):
+    def __init__(self, capacity_bytes: int, rate_Bps: int, st: list):
         if capacity_bytes <= 0 or rate_Bps <= 0:
             raise QosConfigError("bucket capacity and rate must be positive")
         self.capacity_bytes = capacity_bytes
         self.capacity_scaled = capacity_bytes * TOKEN_SCALE
         self.rate_Bps = rate_Bps
         self.i = len(st)
-        st += (self.capacity_scaled if start_full else 0, 0)
+        st += (self.capacity_scaled, 0)
 
     def refill(self, st: list, now_ns: int):
         """Lazy refill to ``now_ns``; overflow is discarded."""
@@ -218,15 +218,15 @@ def strict_priority_select(pkts: list[list]) -> int | None:
 # --------------------------------------------------------------------------
 # early-drop (RED)
 
+RED_MEAN_PKT_TIME_NS = 1_000  # mean service time of one packet, for the idle decay
+
+
 @dataclass(frozen=True)
 class RedParams:
     min_th_bytes: int
     max_th_bytes: int
     max_p: float
     weight: float = 0.002
-    # mean service time of one packet, used for the idle-period decay of the
-    # average queue length
-    mean_pkt_time_ns: int = 1_000
 
     def __post_init__(self):
         if not self.min_th_bytes < self.max_th_bytes:
@@ -286,7 +286,7 @@ class RedState:
                 return True
             if now_ns > st[qi + 1]:
                 idle = now_ns - st[qi + 1]
-                m = idle / p.mean_pkt_time_ns
+                m = idle / RED_MEAN_PKT_TIME_NS
                 avg *= (1.0 - p.weight) ** m
         avg = (1.0 - p.weight) * avg + p.weight * byte_length
         st[i] = avg

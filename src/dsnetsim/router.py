@@ -67,9 +67,10 @@ PKT_ID_STRIDE = 10**7
 
 # offsets of an LP's own numbers in ``RouterLp.st``: the sequence number of
 # its next emission, then its RNG cursors, each at its purpose number, then
-# each flow's count of generated packets
+# its count of dispatched events, then each flow's count of generated packets
 SEQ = 0
-FLOW_SEQS = 1 + max(rng.PURPOSE_RED, rng.PURPOSE_DS, rng.PURPOSE_GEN)
+EVENTS = 1 + max(rng.PURPOSE_RED, rng.PURPOSE_DS, rng.PURPOSE_GEN)
+FLOW_SEQS = EVENTS + 1
 
 DROP_ROUTING = "routing"
 DROP_RED = "red"
@@ -112,18 +113,6 @@ class Effects:
         self.records: list[PacketRecord] = []
 
 
-def st_field(offset: int, doc: str) -> property:
-    """Read/write view of the number at ``st[offset]`` of a pipeline."""
-
-    def get(self):
-        return self.st[offset]
-
-    def set(self, value):
-        self.st[offset] = value
-
-    return property(get, set, doc=doc)
-
-
 class EgressPipeline:
     """QoS pipeline and shaper of one egress port, plus audit counters.
 
@@ -134,17 +123,11 @@ class EgressPipeline:
     then the elements' numbers), and ``pkts``, the packet list of each
     class queue. Every element method takes ``st`` (a queue's also its
     packet list), so a copy of ``st`` and of each list in ``pkts`` is a
-    complete save of the pipeline.
+    complete save of the pipeline. The port's own numbers are read and
+    written at their :mod:`qos` offsets (``st[SEND_FLAG]`` and so on).
     """
 
     __slots__ = ("port", "link", "tier", "st", "pkts")
-
-    send_flag = st_field(SEND_FLAG, "a try-to-send is pending or in progress")
-    arrive_count = st_field(ARRIVE_COUNT, "packets routed to this port")
-    send_count = st_field(SEND_COUNT, "SEND events acted on")
-    blocked_episodes = st_field(BLOCKED_EPISODES, "shaper shortfalls that scheduled a retry")
-    stale_sends = st_field(STALE_SENDS, "SEND events found with the flag clear")
-    redundant_sends = st_field(REDUNDANT_SENDS, "SEND events found with empty queues")
 
     def __init__(self, port: int, link, tier: QosProfile):
         self.port = port
@@ -170,8 +153,10 @@ class FlowGen:
 
 class RouterLp:
     """One node: egress pipelines, routing row, traffic sources and the
-    LP's own numbers, ``st`` (laid out at :data:`SEQ` and :data:`FLOW_SEQS`,
-    the RNG cursors between), which ``rng`` draws through."""
+    LP's own numbers, ``st`` (laid out at :data:`SEQ`, :data:`EVENTS` and
+    :data:`FLOW_SEQS`, the RNG cursors after ``SEQ``), which ``rng`` draws
+    through. Every save holds them, so at the end of a run they count the
+    LP's committed events and GENERATE events."""
 
     __slots__ = ("node", "pipelines", "route_row", "flows", "st", "rng")
 
@@ -401,7 +386,8 @@ def dispatch(lp: RouterLp, ev, ctx, fx: Effects | None = None) -> Effects:
     event's port, taken before the handler runs. That port is the only
     pipeline the event can change: the route of its packet's destination
     for ARRIVE and GENERATE (None when the packet is for this node or has
-    no route), the payload for SEND and REFILL."""
+    no route), the payload for SEND and REFILL. Either way it counts the
+    event, after the save, in ``lp.st[EVENTS]``, which nothing else changes."""
     kind = ev.kind
     payload = ev.payload
     if kind == events.ARRIVE:
@@ -413,5 +399,6 @@ def dispatch(lp: RouterLp, ev, ctx, fx: Effects | None = None) -> Effects:
     if fx is None:
         fx = Effects()
         fx.saved = lp.clone(port)
+    lp.st[EVENTS] += 1
     _HANDLERS[kind](lp, payload, port, ev.time, fx, ctx)
     return fx

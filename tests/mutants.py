@@ -94,6 +94,21 @@ MUTANTS = [
            "self.cbs_scaled = params.ebs_bytes * TOKEN_SCALE"),
     Mutant("identity-unsorted-keys", SCENARIO,
            "json.dumps(ident, sort_keys=True", "json.dumps(ident, sort_keys=False"),
+    Mutant("events-counted-only-with-a-save", ROUTER,
+           "        fx.saved = lp.clone(port)\n    lp.st[EVENTS] += 1",
+           "        fx.saved = lp.clone(port)\n        lp.st[EVENTS] += 1"),
+    Mutant("events-at-the-red-cursor", ROUTER,
+           "EVENTS = 1 + max(rng.PURPOSE_RED, rng.PURPOSE_DS, rng.PURPOSE_GEN)",
+           "EVENTS = rng.PURPOSE_RED"),
+    Mutant("events-at-the-gen-cursor", ROUTER,
+           "EVENTS = 1 + max(rng.PURPOSE_RED, rng.PURPOSE_DS, rng.PURPOSE_GEN)",
+           "EVENTS = rng.PURPOSE_GEN"),
+    Mutant("events-counted-before-the-save", ROUTER,
+           "        fx.saved = lp.clone(port)\n    lp.st[EVENTS] += 1\n",
+           "        lp.st[EVENTS] += 1\n        fx.saved = lp.clone(port)\n"),
+    Mutant("audit-read-one-offset-low", KERNEL,
+           "pipe.st[ARRIVE_COUNT:REDUNDANT_SENDS + 1]",
+           "pipe.st[ARRIVE_COUNT - 1:REDUNDANT_SENDS]"),
 ]
 
 

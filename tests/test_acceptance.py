@@ -6,18 +6,23 @@ module scope. The whole file is sized to finish in well under 30 minutes on
 8 cores.
 """
 
+import collections
 import random
 import time
 
 import pytest
 
+from dsnetsim import events, kernel
 from dsnetsim.kernel import Knobs, run_optimistic, run_sequential
 from dsnetsim.metrics import compare_reports, write_records_csv
 from dsnetsim.partition import (
     WeightModel, derive_edge_throughput_weights, derive_vertex_event_weights,
     partition_balanced, partition_vertex_plus_edge,
 )
-from dsnetsim.qos import TOKEN_SCALE, SrtcmMeter, SrtcmParams, TokenBucket
+from dsnetsim.qos import (
+    REDUNDANT_SENDS, SEND_FLAG, STALE_SENDS, TOKEN_SCALE, SrtcmMeter, SrtcmParams, TokenBucket,
+)
+from dsnetsim.router import DROP_QUEUE, DROP_RED
 from dsnetsim.routing import compute_routes
 from dsnetsim.scenario import (
     MODE_BASELINE, MODE_SEQUENTIAL, build_plan, build_scenario_model, build_topology,
@@ -292,7 +297,8 @@ def test_A6_qos_conformance_against_tick_oracle():
     st = []
     meter = SrtcmMeter(params, st)
     oracle = TickSrtcm(params)
-    bucket = TokenBucket(5000, 450, st, start_full=False)
+    bucket = TokenBucket(5000, 450, st)
+    st[bucket.i] = 0
     bucket_oracle = TickBucket(5000, 450, start_full=False)
     now = 0
     mismatches = 0
@@ -362,6 +368,91 @@ def test_A7_send_event_economy_audit():
         f"SEND<=ARRIVE+blocked violations: {violations} (tol 0); redundant "
         f"SENDs outside rollback replay: {redundant} (tol 0); blocked "
         f"episodes exercised: {blocked_total} (>0 required)")
+
+
+def _observed_contended_run(token_interval_ns: int = 0):
+    """A sequential run of A7's contended scenario, lazy or refilling every
+    ``token_interval_ns``, with ``kernel.dispatch`` wrapped to count from
+    what each event does rather than from the model's counters: the events
+    dispatched per target, the ARRIVEs each port put on its link, and per
+    SEND whether its port's flag was set with a packet queued, the ARRIVEs
+    it emitted and what it added to the port's stale and redundant counts.
+    Returns (report, model, dispatched, sent, sends)."""
+    key = ("observed", token_interval_ns)
+    if key in _cache:
+        return _cache[key]
+    cfg = _contended_cfg()
+    if token_interval_ns:
+        cfg = load_scenario(None, {**cfg, "run": {
+            **cfg["run"], "mode": MODE_BASELINE, "token_interval_ns": token_interval_ns}})
+    model = build_scenario_model(cfg, mode=None if token_interval_ns else MODE_SEQUENTIAL)
+    assert model.ctx.token_interval_ns == token_interval_ns
+    dispatched = collections.Counter()
+    sent = collections.Counter()  # (node, port) -> ARRIVEs put on its link
+    sends = []  # (flag set and a packet queued, ARRIVEs emitted, stale + redundant added)
+    real = kernel.dispatch
+
+    def observed(lp, ev, ctx, fx=None):
+        dispatched[ev.target] += 1
+        if ev.kind == events.SEND:
+            pipe = lp.pipelines[ev.payload]
+            st = pipe.st
+            armed = bool(st[SEND_FLAG]) and any(pipe.pkts)
+            ignored = st[STALE_SENDS] + st[REDUNDANT_SENDS]
+        out = real(lp, ev, ctx, fx)  # the loop empties out.emitted after each event
+        arrives = [em for em in out.emitted if em.kind == events.ARRIVE]
+        for em in arrives:
+            sent[lp.node, lp.route_row[em.payload.dst]] += 1
+        if ev.kind == events.SEND:
+            sends.append((armed, len(arrives), st[STALE_SENDS] + st[REDUNDANT_SENDS] - ignored))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "dispatch", observed)
+        report = run_sequential(model)
+    _cache[key] = report, model, dispatched, sent, sends
+    return _cache[key]
+
+
+def test_per_lp_events_count_the_dispatched_events():
+    """Each LP's count (``router.EVENTS``, kept in its own numbers) is the
+    number of events the loop dispatched to it, LPs that ran none left out."""
+    report, _, dispatched, _, _ = _observed_contended_run()
+    assert report.per_lp_events == dict(dispatched)
+    assert report.committed_events == sum(dispatched.values())
+    assert sum(report.port_audit[p]["blocked"] for p in report.port_audit) > 0
+
+
+@pytest.mark.parametrize("token_interval_ns", [0, 1_000], ids=["lazy", "periodic"])
+def test_port_audit_conserves_every_routed_packet(token_interval_ns):
+    """At every port, the packets routed to it (``arrive``) are those it put
+    on its link, counted from the emitted ARRIVEs, plus those RED or a full
+    queue dropped there, plus those still queued at the end."""
+    report, model, _, sent, _ = _observed_contended_run(token_interval_ns)
+    dropped = collections.Counter(
+        (r.drop_node, model.lps[r.drop_node].route_row[r.dst]) for r in report.records
+        if r.drop_stage in (DROP_RED, DROP_QUEUE))
+    queued_total = 0
+    for (node, port), audit in report.port_audit.items():
+        queued = sum(map(len, model.lps[node].pipelines[port].pkts))
+        queued_total += queued
+        assert audit["arrive"] == sent[node, port] + dropped[node, port] + queued, (node, port)
+    # the check covers all three fates
+    assert sum(sent.values()) and sum(dropped.values()) and queued_total
+
+
+def test_lazy_send_acted_on_puts_a_packet_on_the_wire():
+    """In lazy mode a SEND is scheduled for the time the shaper holds the
+    head packet's tokens, and every packet has one size, so a SEND that
+    finds its port's flag set and a packet queued puts at least one packet
+    on the link; every other SEND is counted as stale or redundant."""
+    _, _, _, _, sends = _observed_contended_run()
+    assert any(armed for armed, _, _ in sends)
+    for armed, arrives, ignored in sends:
+        if armed:
+            assert arrives >= 1 and ignored == 0
+        else:
+            assert arrives == 0 and ignored == 1
 
 
 def test_A8_gvt_and_fossil_safety_fuzz():

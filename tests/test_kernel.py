@@ -743,6 +743,9 @@ def test_commit_counts_match_sequential(k, window):
     assert rep.per_lp_events == seq.per_lp_events
     assert rep.generated == seq.generated
     assert rep.committed_events == seq.committed_events
+    # the LPs' counts, read from their final state, against the events the
+    # partitions' fossil collection committed, the last GVT row's count
+    assert rep.gvt_series[-1][2] == rep.committed_events
 
 
 @pytest.mark.parametrize("window", WINDOWS)

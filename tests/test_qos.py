@@ -5,7 +5,7 @@ import random
 import pytest
 
 from dsnetsim.qos import (
-    TOKEN_SCALE, ClassQueue, Color, QosConfigError, RedParams,
+    RED_MEAN_PKT_TIME_NS, TOKEN_SCALE, ClassQueue, Color, QosConfigError, RedParams,
     RedState, SrtcmMeter, SrtcmParams, TokenBucket,
     QosProfile, default_red_params, strict_priority_select,
 )
@@ -18,7 +18,7 @@ from dsnetsim.rng import PURPOSE_RED
 def test_refill_caps_at_capacity():
     # tokens=200, C=700, r=100 B/s, dt=5 s -> 200+500 then cap at 700
     st = []
-    b = TokenBucket(700, 100, st, start_full=False)
+    b = TokenBucket(700, 100, st)
     st[b.i] = 200 * TOKEN_SCALE
     b.refill(st, 5 * 10**9)
     assert st[b.i] == 700 * TOKEN_SCALE
@@ -51,14 +51,15 @@ def test_take_success_and_shortfall():
 def test_earliest_ready_arithmetic():
     # tokens=0, r=1000 B/s, needed=500 -> now + 5*10^8 ns
     st = []
-    b = TokenBucket(1000, 1000, st, start_full=False)
+    b = TokenBucket(1000, 1000, st)
+    st[b.i] = 0
     assert b.earliest_ready_ns(st, 500, now_ns=0) == 5 * 10**8
     assert b.earliest_ready_ns(st, 500, now_ns=7) == 7 + 5 * 10**8
 
 
 def test_earliest_ready_boundary_is_now():
     st = []
-    b = TokenBucket(1000, 1000, st, start_full=False)
+    b = TokenBucket(1000, 1000, st)
     st[b.i] = 500 * TOKEN_SCALE
     assert b.earliest_ready_ns(st, 500, now_ns=42) == 42
 
@@ -67,7 +68,7 @@ def test_earliest_ready_rounds_a_partial_nanosecond_up():
     # a 1-byte deficit at 3 B/s takes 333,333,333.3 ns: the bucket holds
     # the packet's tokens only from the next whole nanosecond on
     st = []
-    b = TokenBucket(1000, 3, st, start_full=False)
+    b = TokenBucket(1000, 3, st)
     st[b.i], st[b.i + 1] = 499 * TOKEN_SCALE, 10  # refilled at t = 10
     ready = b.earliest_ready_ns(st, 500, now_ns=10)
     assert ready == 10 + 333_333_334
@@ -88,7 +89,8 @@ def test_oversized_request_is_config_error():
 def test_periodic_refill_amount():
     # tokens=0, r=10^9 B/s, interval=10^3 ns -> 1000 bytes
     st = []
-    b = TokenBucket(10**6, 10**9, st, start_full=False)
+    b = TokenBucket(10**6, 10**9, st)
+    st[b.i] = 0
     b.add_scaled(st, 10**9 * 10**3)
     assert st[b.i] == 1000 * TOKEN_SCALE
 
@@ -136,7 +138,8 @@ class TickBucket:
 def test_lazy_refill_matches_tick_oracle_bit_for_bit():
     rnd = random.Random(1234)
     st = []
-    lazy = TokenBucket(4000, 777, st, start_full=False)
+    lazy = TokenBucket(4000, 777, st)
+    st[lazy.i] = 0
     oracle = TickBucket(4000, 777, start_full=False)
     now = 0
     for _ in range(3000):
@@ -364,7 +367,7 @@ def test_red_count_raises_drop_probability():
 
 def test_red_matches_formula_oracle():
     rnd = random.Random(5)
-    p = RedParams(2000, 8000, 0.2, weight=0.01, mean_pkt_time_ns=100)
+    p = RedParams(2000, 8000, 0.2, weight=0.01)
     st = []
     s = RedState(p, st)
     q = ClassQueue(16 * 1024, st)
@@ -384,7 +387,7 @@ def test_red_matches_formula_oracle():
             count = 0
         else:
             if byte_length == 0 and now > empty_since_ns:
-                avg *= (1.0 - p.weight) ** ((now - empty_since_ns) / p.mean_pkt_time_ns)
+                avg *= (1.0 - p.weight) ** ((now - empty_since_ns) / RED_MEAN_PKT_TIME_NS)
             avg = (1.0 - p.weight) * avg + p.weight * byte_length
             if avg < p.min_th_bytes:
                 expect, count = True, 0
@@ -414,7 +417,7 @@ def test_red_idle_shortcut_leaves_what_the_full_path_leaves(idle_ns):
     # a queue that has never held a byte: the average is 0.0, and the decay
     # and the EWMA, computed here as decide's full path computes them,
     # leave it at 0.0, below min_th, so the packet is enqueued
-    p = RedParams(1, 15000, 0.1, weight=0.002, mean_pkt_time_ns=1000)
+    p = RedParams(1, 15000, 0.1, weight=0.002)
     st = []
     s = RedState(p, st)
     q = ClassQueue(64 * 1024, st)
@@ -422,7 +425,7 @@ def test_red_idle_shortcut_leaves_what_the_full_path_leaves(idle_ns):
     now = 500 + idle_ns
     avg = st[s.i]
     if now > st[q.i + 1]:
-        avg *= (1.0 - p.weight) ** (idle_ns / p.mean_pkt_time_ns)
+        avg *= (1.0 - p.weight) ** (idle_ns / RED_MEAN_PKT_TIME_NS)
     avg = (1.0 - p.weight) * avg + p.weight * st[q.i]
     assert avg == 0.0 and avg < p.min_th_bytes
     rng = StubRng()
@@ -448,7 +451,7 @@ def test_red_with_min_th_zero_runs_the_full_path_on_an_idle_queue():
 
 
 def test_red_on_a_drained_queue_takes_the_decay_path():
-    p = RedParams(5000, 15000, 0.1, weight=0.002, mean_pkt_time_ns=1000)
+    p = RedParams(5000, 15000, 0.1, weight=0.002)
     st = []
     s = RedState(p, st)
     q = ClassQueue(64 * 1024, st)
@@ -460,7 +463,7 @@ def test_red_on_a_drained_queue_takes_the_decay_path():
     assert held == p.weight * 1400
     q.pop(st, packets, 200)  # the queue drains at 200 ns
     now = 5_200
-    decayed = held * (1.0 - p.weight) ** ((now - 200) / p.mean_pkt_time_ns)
+    decayed = held * (1.0 - p.weight) ** ((now - 200) / RED_MEAN_PKT_TIME_NS)
     expect = (1.0 - p.weight) * decayed + p.weight * 0
     assert s.decide(st, q, q.fits(st, 1400), now, rng, 1) is True
     assert st[s.i] == expect

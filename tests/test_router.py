@@ -14,8 +14,8 @@ from dsnetsim.router import (
 from dsnetsim.routing import compute_routes
 from dsnetsim.scenario import MODE_SEQUENTIAL, build_scenario_model, load_scenario
 from dsnetsim.qos import (
-    PORT_INITIAL, TOKEN_SCALE, ClassQueue, Color, QosProfile, RedParams, RedState, SrtcmMeter,
-    TokenBucket,
+    BLOCKED_EPISODES, PORT_INITIAL, REDUNDANT_SENDS, SEND_COUNT, SEND_FLAG, STALE_SENDS,
+    TOKEN_SCALE, ClassQueue, Color, QosProfile, RedParams, RedState, SrtcmMeter, TokenBucket,
 )
 from dsnetsim.topology import NodeTier, generate_synthetic_topology
 from dsnetsim.traffic import Flow, TrafficSpec, resolve_flows
@@ -64,7 +64,7 @@ def test_forward_on_idle_port_schedules_neighbor_arrival(token_interval_ns):
     queue = pipe.tier.queues[2]
     assert pipe.st[queue.i] == 0 and pipe.pkts[2] == []
     assert pipe.st[queue.i + 1] == 100
-    assert not pipe.send_flag
+    assert not pipe.st[SEND_FLAG]
 
 
 def test_dispatch_appends_into_the_effects_it_is_given():
@@ -99,7 +99,7 @@ def test_arrive_with_flag_set_queues_without_new_events():
     model = single_flow_model(line_topology(2), 0, 1)
     lp = model.lps[0]
     pipe = lp.pipelines[0]
-    pipe.send_flag = True  # a try-to-send is already pending
+    pipe.st[SEND_FLAG] = True  # a try-to-send is already pending
     pkt = Packet(7, 0, 1, 1400, 0, created_ns=0)
     fx = dispatch(lp, _arrive(pkt, 0, t=100), model.ctx)
     assert fx.emitted == []
@@ -121,7 +121,7 @@ def test_drop_stage_tells_a_full_queue_from_red():
                               profiles=tier_profiles(queue_capacity_bytes=2_000))
     lp = model.lps[0]
     pipe = lp.pipelines[0]
-    pipe.send_flag = True  # keep arrivals queued
+    pipe.st[SEND_FLAG] = True  # keep arrivals queued
     stages = []
     for pid, size in enumerate((1400, 1400, 500)):
         if pid == 2:  # the 500 B packet fits, but RED's average is far above max_th
@@ -156,7 +156,7 @@ def test_red_decides_on_the_draw_at_its_arrivals_cursor(nudge):
     assert all(pipe.st[r.i] < red.min_th_bytes for row in pipe.tier.red for r in row)
     assert lp.rng.cursors[rng.PURPOSE_RED] == n
     pipe.tier.queues[2].push(pipe.st, pipe.pkts[2], Packet(99, 0, 1, 2_000, 0, created_ns=0))
-    pipe.send_flag = True
+    pipe.st[SEND_FLAG] = True
     saved = lp.clone(0)
     for _ in range(2):
         fx = dispatch(lp, _arrive(Packet(n, 0, 1, 1400, 0, created_ns=0), 0, t=200),
@@ -176,12 +176,12 @@ def test_one_send_drains_multiple_packets():
         q = pipe.tier.queues[2]
         pkt = Packet(i, 0, 1, 1400, 0, created_ns=0, class_index=2, color=0)
         q.push(pipe.st, pipe.pkts[2], pkt)
-    pipe.send_flag = True
+    pipe.st[SEND_FLAG] = True
     fx = dispatch(lp, _send(0, 0, t=500), model.ctx)
     kinds = [em.kind for em in fx.emitted]
     assert kinds == [events.ARRIVE] * 3
-    assert not pipe.send_flag
-    assert pipe.send_count == 1
+    assert not pipe.st[SEND_FLAG]
+    assert pipe.st[SEND_COUNT] == 1
 
 
 @pytest.mark.parametrize("token_interval_ns", [0, 1_000], ids=["lazy", "periodic"])
@@ -210,7 +210,7 @@ def test_tokens_for_first_packet_only_blocks_with_retry(cause, token_interval_ns
         for i in range(2):
             pkt = Packet(i, 0, 1, 1400, 0, created_ns=0, class_index=2, color=0)
             pipe.tier.queues[2].push(st, pipe.pkts[2], pkt)
-        pipe.send_flag = True
+        pipe.st[SEND_FLAG] = True
         st[shaper.i] = 1400 * TOKEN_SCALE
         fx = dispatch(lp, _send(0, 0, t=500), model.ctx)
         sent = [events.ARRIVE]
@@ -224,16 +224,16 @@ def test_tokens_for_first_packet_only_blocks_with_retry(cause, token_interval_ns
         assert calls == {"refill": 0 if token_interval_ns else 1, "take": 1}
     assert [p.pid for p in pipe.pkts[2]] == [1 if cause == "send" else 0]
     assert st[pipe.tier.queues[2].i] == 1400
-    assert pipe.send_flag  # stays set while the packet waits for tokens
+    assert pipe.st[SEND_FLAG]  # stays set while the packet waits for tokens
     if token_interval_ns:
         assert kinds == sent
-        assert pipe.blocked_episodes == 0
+        assert pipe.st[BLOCKED_EPISODES] == 0
         return
     assert kinds == sent + [events.SEND]
     retry = fx.emitted[-1]
     assert retry.target == 0 and retry.payload == 0
     assert retry.time == shaper.earliest_ready_ns(st, 1400, 500)
-    assert pipe.blocked_episodes == 1
+    assert pipe.st[BLOCKED_EPISODES] == 1
 
 
 def test_stale_send_is_ignored_and_counted():
@@ -242,8 +242,8 @@ def test_stale_send_is_ignored_and_counted():
     pipe = lp.pipelines[0]
     fx = dispatch(lp, _send(0, 0, t=500), model.ctx)
     assert fx.emitted == [] and fx.records == []
-    assert pipe.stale_sends == 1
-    assert pipe.send_count == 0
+    assert pipe.st[STALE_SENDS] == 1
+    assert pipe.st[SEND_COUNT] == 0
 
 
 def test_late_high_priority_packet_jumps_the_retry():
@@ -254,7 +254,7 @@ def test_late_high_priority_packet_jumps_the_retry():
     low = Packet(1, 0, 1, 1400, 0, created_ns=0, class_index=2, color=0)
     st, shaper = pipe.st, pipe.tier.shaper
     pipe.tier.queues[2].push(st, pipe.pkts[2], low)
-    pipe.send_flag = True
+    pipe.st[SEND_FLAG] = True
     st[shaper.i] = 0
     st[shaper.i + 1] = 100
     # an EF packet arrives while the retry is outstanding: queued, no events
@@ -273,11 +273,11 @@ def test_empty_queue_send_clears_flag():
     model = single_flow_model(line_topology(2), 0, 1)
     lp = model.lps[0]
     pipe = lp.pipelines[0]
-    pipe.send_flag = True
+    pipe.st[SEND_FLAG] = True
     fx = dispatch(lp, _send(0, 0, t=500), model.ctx)
     assert fx.emitted == []
-    assert not pipe.send_flag
-    assert pipe.redundant_sends == 1
+    assert not pipe.st[SEND_FLAG]
+    assert pipe.st[REDUNDANT_SENDS] == 1
 
 
 def test_generate_chains_and_stamps_packet_ids():
@@ -479,7 +479,7 @@ def test_restore_empties_queues_that_were_empty_at_the_save():
     pipe = lp.pipelines[0]
     saved = lp.clone(0)
     before = _state(lp)
-    pipe.send_flag = True  # so the arrival is queued
+    pipe.st[SEND_FLAG] = True  # so the arrival is queued
     dispatch(lp, _arrive(Packet(7, 0, 1, 1400, 0, created_ns=0), 0, t=100), model.ctx)
     assert any(pipe.pkts)
     lp.restore(saved)
@@ -492,7 +492,7 @@ def test_restore_gives_back_the_packets_queued_at_the_save():
     model = single_flow_model(line_topology(2), 0, 1)
     lp = model.lps[0]
     pipe = lp.pipelines[0]
-    pipe.send_flag = True
+    pipe.st[SEND_FLAG] = True
     ctx = model.ctx
     dispatch(lp, _arrive(Packet(7, 0, 1, 1400, 0, created_ns=0), 0, t=100), ctx)
     queued = [list(p) for p in pipe.pkts]
