@@ -59,7 +59,7 @@ def main():
 
     def run(plan, unbounded):
         return run_optimistic(build_scenario_model(cfg, mode=MODE_SEQUENTIAL), plan,
-                              Knobs(runtime="stepped", schedule_seed=None, jitter=0,
+                              Knobs(runtime="stepped", schedule_seed=None,
                                     gvt_interval=256), unbounded=unbounded)
 
     for name, plan in plans.items():

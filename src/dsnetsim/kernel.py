@@ -63,9 +63,9 @@ history when no link is cut), and the round ends in a cut. The per-event
 saves, rollback and fossil collection run unchanged, so a wrong lookahead
 costs rollbacks, never records. ``run_optimistic(..., unbounded=True)``
 lifts the window, so that every partition runs as far ahead as its pending
-events go, one ``batch_size`` batch per round in an optionally shuffled
-order with seeded transport jitter; the tests and demos use it to exercise
-rollback and anti-messages.
+events go, one ``batch_size`` batch per round, perturbed by
+``Knobs.schedule_seed`` alone (no RNG is unseeded, so every run replays);
+the tests and demos use it to exercise rollback and anti-messages.
 
 The partition, not the LP, is the rollback unit, as a kernel process is
 in ROSS: it keeps one history of its processed events in key order, and a
@@ -112,6 +112,8 @@ from .router import EVENTS, FLOW_SEQS, Effects, dispatch
 INF = math.inf
 _event_key = attrgetter("key")
 RUNTIMES = ("stepped",)  # valid values of Knobs.runtime
+STALL = 0.7  # seeded unbounded runs: the chance an outbox's head waits a delivery
+WATCHDOG_S = 60.0  # wall-clock budget for GVT progress
 
 
 class KernelError(Exception):
@@ -124,7 +126,7 @@ class CausalityError(KernelError):
 
 
 class WatchdogError(KernelError):
-    """No GVT progress within the configured wall-clock budget."""
+    """No GVT progress within :data:`WATCHDOG_S` of wall-clock time."""
 
 
 @dataclass
@@ -132,20 +134,16 @@ class Knobs:
     """Runtime tuning for the optimistic engine."""
 
     gvt_interval: int = 1024  # processed events per partition between cuts
-    # batch_size, schedule_seed and jitter act only on unbounded runs: under
-    # the window every round ends in a cut that drains every outbox
+    # batch_size and schedule_seed act only on unbounded runs: under the
+    # window every round ends in a cut that drains every outbox
     batch_size: int = 16  # events per scheduling quantum
     runtime: str = "stepped"  # one of RUNTIMES
-    schedule_seed: int | None = None  # shuffle the partition order per round
-    jitter: int = 0  # max delivery calls a message waits at its outbox's head
-    watchdog_s: float = 60.0
+    schedule_seed: int | None = None  # shuffles and stalls (STALL); None: neither
 
     def __post_init__(self):
         for name, bad, need in (
                 ("gvt_interval", self.gvt_interval < 1, ">= 1"),
                 ("batch_size", self.batch_size < 1, ">= 1"),
-                ("jitter", self.jitter < 0, ">= 0"),
-                ("watchdog_s", self.watchdog_s <= 0, "> 0"),
                 ("runtime", self.runtime not in RUNTIMES, f"one of {RUNTIMES}")):
             if bad:
                 raise KernelError(f"Knobs.{name}: {getattr(self, name)!r} is not {need}")
@@ -439,46 +437,44 @@ def run_optimistic(model: Model, plan: PartitionPlan, knobs: Knobs | None = None
     :func:`model.lookahead_ns`), so each round steps every partition once,
     up to that limit or ``gvt_interval`` events, and ends in a GVT cut.
     ``unbounded`` lifts that limit, so partitions speculate and roll back:
-    each receives what the outboxes hold for it, then runs one batch, in
-    (optionally shuffled) order; with ``jitter`` each outbox's head waits a
-    seeded number of deliveries, and what is behind it waits too, so FIFO
-    order holds. A cut follows every ``gvt_interval`` events per partition
-    or a round in which nothing moved."""
+    each receives what the outboxes hold for it, then runs one batch. A
+    ``schedule_seed`` shuffles their order each round and, with chance
+    :data:`STALL` at each delivery, stalls an outbox's head and what is
+    behind it, so FIFO order holds; with none, the order is the index order
+    and every outbox is delivered whole. A cut follows every
+    ``gvt_interval`` events per partition or a round in which nothing moved."""
     knobs = knobs or Knobs()
     assignment, k = plan.assignment, plan.k
     missing = set(model.lps) - set(assignment)
     if missing:
         raise KernelError(f"partition plan misses LPs {sorted(missing)[:5]}")
+    for n, pid in assignment.items():
+        if not 0 <= pid < k:
+            raise KernelError(f"partition plan puts node {n} in partition {pid}, "
+                              f"outside 0..{k - 1}")
     t0 = _time.perf_counter()
     window = INF if unbounded else lookahead_ns(model.topology, assignment) - 1
     parts = _make_partitions(model, assignment, k, window)
     quantum = knobs.batch_size if unbounded else knobs.gvt_interval
-    rnd = random.Random(knobs.schedule_seed)
-    holds = [[None] * k for _ in range(k)]  # [src][dst]: the head's wait left
+    seeded = unbounded and knobs.schedule_seed is not None
+    rnd = random.Random(knobs.schedule_seed) if seeded else None
     messages = 0
     gvt = 0
     gvt_series: list = []  # (round, gvt, committed, rolled back, messages)
     since_gvt = 0
     last_progress = _time.perf_counter()
 
-    def deliver(p: Partition, held: bool) -> int:
+    def deliver(p: Partition, stall: bool) -> int:
         """Pop every outbox toward ``p`` into it, in FIFO order; when
-        ``held``, each outbox's head first waits out its jitter."""
+        ``stall``, each head first stalls its outbox with chance STALL."""
         nonlocal messages
         dst = p.pid
         got = 0
         for src in parts:
             box = src.outboxes[dst]
-            waits = holds[src.pid]
             while box:
-                if held and knobs.jitter:
-                    wait = waits[dst]
-                    if wait is None:
-                        wait = rnd.randint(0, knobs.jitter)
-                    if wait:
-                        waits[dst] = wait - 1
-                        break
-                waits[dst] = None
+                if stall and rnd.random() < STALL:
+                    break
                 p.receive_remote(box.popleft())
                 got += 1
         messages += got
@@ -486,14 +482,14 @@ def run_optimistic(model: Model, plan: PartitionPlan, knobs: Knobs | None = None
 
     while True:
         order = parts
-        if unbounded and knobs.schedule_seed is not None:
+        if seeded:
             order = parts.copy()
             rnd.shuffle(order)
         moved = False
         for p in order:
             # under the window whatever a partition receives in an epoch is
             # at GVT + L or later, past its limit: it waits for the cut
-            got = unbounded and deliver(p, True)
+            got = unbounded and deliver(p, seeded)
             n = p.step(quantum)
             since_gvt += n
             moved = moved or n or got
@@ -524,8 +520,7 @@ def run_optimistic(model: Model, plan: PartitionPlan, knobs: Knobs | None = None
         ))
         if done:
             break
-        if _time.perf_counter() - last_progress > knobs.watchdog_s:
-            raise WatchdogError(
-                f"no GVT progress past {gvt} ns for {knobs.watchdog_s}s")
+        if _time.perf_counter() - last_progress > WATCHDOG_S:
+            raise WatchdogError(f"no GVT progress past {gvt} ns for {WATCHDOG_S}s")
     return _merge_reports(model, parts, messages, gvt_series,
                           _time.perf_counter() - t0)

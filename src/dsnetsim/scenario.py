@@ -125,9 +125,9 @@ _SCHEMA = {
             "eps": (0.10, _NUM),
         },
         # every knob left out takes its Knobs default. Scenarios run only
-        # windowed: GVT cannot stall there, and batch_size, schedule_seed and
-        # jitter act only on unbounded runs. batch_size and runtime (one
-        # value) stay keys only because the benchmark's scenarios set them
+        # windowed, and batch_size and schedule_seed act only on unbounded
+        # runs. batch_size and runtime (one value) stay keys only because
+        # the benchmark's scenarios set them
         "knobs": {
             "gvt_interval": (_ABSENT, _int(1)),
             "batch_size": (_ABSENT, _int(1)),

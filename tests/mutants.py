@@ -9,6 +9,8 @@ printed, *timed out* when the tests run past :data:`TIMEOUT_S`, with the
 test that was running (a hang is noticed too), and *survives* when every
 test passes; a survivor marks behaviour no test pins. The mutants run one
 at a time, never in parallel, and the checkout itself is never edited.
+SIGTERM ends the script as an exception would, so the temporary copy is
+removed and the running pytest is killed.
 
 Run from the repository root, for every mutant or the named ones::
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -109,6 +112,14 @@ MUTANTS = [
     Mutant("audit-read-one-offset-low", KERNEL,
            "pipe.st[ARRIVE_COUNT:REDUNDANT_SENDS + 1]",
            "pipe.st[ARRIVE_COUNT - 1:REDUNDANT_SENDS]"),
+    Mutant("arrive-blocked-without-retry", ROUTER,
+           "    st[SEND_FLAG] = True\n    _blocked(lp, pipe, size, now, fx, ctx)\n",
+           "    st[SEND_FLAG] = True\n"),
+    Mutant("stall-drops-the-head", KERNEL,
+           "if stall and rnd.random() < STALL:\n                    break",
+           "if stall and rnd.random() < STALL:\n                    box.popleft()\n"
+           "                    break"),
+    Mutant("shuffle-without-seed", KERNEL, "rnd.shuffle(order)", "random.shuffle(order)"),
 ]
 
 
@@ -169,7 +180,14 @@ def run(mutant: Mutant) -> tuple[str, str]:
     return "error", first_failure(output)
 
 
+def _terminated(signum, _frame):
+    sys.exit(128 + signum)
+
+
 def main(argv: list[str]) -> int:
+    # unwinds run(): subprocess.run kills pytest, and the temporary
+    # directory removes itself
+    signal.signal(signal.SIGTERM, _terminated)
     by_name = {m.name: m for m in MUTANTS}
     unknown = [name for name in argv if name not in by_name]
     if unknown:

@@ -294,7 +294,7 @@ def test_bad_qos_block_is_a_config_error(tmp_path, capsys, block, key):
     ("gvt_interval", 0),
     ("batch_size", 0),
     ("batch_size", 2.5),
-    # no longer a scenario key, so every value is refused
+    # no Knobs field, so every value is refused
     ("watchdog_s", "60"),
     ("watchdog_s", -1),
     ("watchdog_s", 0),
@@ -332,10 +332,10 @@ def test_bad_partition_strategy_is_a_config_error(tmp_path, capsys):
     ({"routing": {"metrc": "latency"}}, "routing.metrc"),
     ({"qos": {"defualt": {}}}, "qos.defualt"),
     ({"run": {**SMALL["run"], "knobs": {"debug_audit": True}}}, "run.knobs.debug_audit"),
-    # Knobs fields that act only on unbounded runs, which no scenario makes
+    # schedule_seed acts only on unbounded runs, which no scenario makes;
+    # jitter and watchdog_s are no Knobs fields at all
     ({"run": {**SMALL["run"], "knobs": {"jitter": 2}}}, "run.knobs.jitter"),
     ({"run": {**SMALL["run"], "knobs": {"schedule_seed": 3}}}, "run.knobs.schedule_seed"),
-    # a windowed run cannot stall, so no scenario sets the watchdog
     ({"run": {**SMALL["run"], "knobs": {"watchdog_s": 60}}}, "run.knobs.watchdog_s"),
     # byte rates are named *_Bps; bits/s keep *_bps (bandwidth_bps)
     ({"qos": {"default": {"shaper_rate_bps": 1000}}}, "qos.default.shaper_rate_bps"),

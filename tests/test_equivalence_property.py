@@ -58,7 +58,6 @@ def cases(draw):
     poisson = draw(st.booleans())
     knobs = Knobs(batch_size=draw(st.integers(1, 16)),
                   gvt_interval=draw(st.integers(1, 256)),
-                  jitter=draw(st.integers(0, 4)),
                   schedule_seed=draw(st.one_of(st.none(), st.integers(0, 1_000))))
     return (topo, flows, (size, poisson), profiles, token_interval_ns, plan, knobs,
             draw(st.booleans()))

@@ -356,7 +356,7 @@ def test_serial_equivalence_small(k, runtime, window):
     _, topo = _fresh_model()
     plan = partition_balanced(topo, k)
     knobs = Knobs(runtime=runtime, gvt_interval=128, batch_size=8,
-                  schedule_seed=3, jitter=2, watchdog_s=60)
+                  schedule_seed=3)
     rep = run_optimistic(_fresh_model()[0], plan, knobs, unbounded=window == "unbounded")
     assert compare_reports(seq, rep)["record_diff_count"] == 0
     # committed event counts are identical across partition counts
@@ -378,8 +378,7 @@ def test_serial_equivalence_with_send_and_refill(scenario, k):
     kwargs = SHAPER_SCENARIOS[scenario]
     seq = run_sequential(_fresh_model(**kwargs)[0])
     model, topo = _fresh_model(**kwargs)
-    knobs = Knobs(gvt_interval=128, batch_size=8, schedule_seed=3, jitter=2,
-                  watchdog_s=60)
+    knobs = Knobs(gvt_interval=128, batch_size=8, schedule_seed=3)
     rep = run_optimistic(model, partition_balanced(topo, k), knobs, unbounded=True)
     assert compare_reports(seq, rep)["record_diff_count"] == 0
     assert rep.committed_events == seq.committed_events
@@ -400,8 +399,8 @@ def _count_antis(monkeypatch) -> list:
     return antis
 
 
-@pytest.mark.parametrize("jitter, schedule_seed", [(0, None), (5, 3)])
-def test_an_anti_reaches_its_positive_before_a_resent_one(jitter, schedule_seed, monkeypatch):
+@pytest.mark.parametrize("schedule_seed", [None, 3])
+def test_an_anti_reaches_its_positive_before_a_resent_one(schedule_seed, monkeypatch):
     # Partition._cancel relies on it: per key, the receiver sees +, -, +, ...
     log = []
     receive = Partition.receive_remote
@@ -412,7 +411,7 @@ def test_an_anti_reaches_its_positive_before_a_resent_one(jitter, schedule_seed,
 
     monkeypatch.setattr(Partition, "receive_remote", logging)
     model, topo = _fresh_model()
-    knobs = Knobs(gvt_interval=128, batch_size=8, schedule_seed=schedule_seed, jitter=jitter)
+    knobs = Knobs(gvt_interval=128, batch_size=8, schedule_seed=schedule_seed)
     run_optimistic(model, partition_balanced(topo, 4), knobs, unbounded=True)
     signs: dict = {}
     for key, sign in log:
@@ -420,6 +419,22 @@ def test_an_anti_reaches_its_positive_before_a_resent_one(jitter, schedule_seed,
     assert all(set(seq[::2]) == {events.POSITIVE} and set(seq[1::2]) <= {events.ANTI}
                for seq in signs.values())
     assert any(seq.count(events.POSITIVE) > 1 for seq in signs.values())
+
+
+def test_a_seeded_unbounded_run_replays():
+    """The seed is all that perturbs an unbounded run, so a second run with
+    it repeats the first's schedule, not only its records."""
+    _, topo = _fresh_model()
+    plan = partition_balanced(topo, 4)
+    counts = []
+    for _ in range(2):
+        rep = run_optimistic(_fresh_model()[0], plan,
+                             Knobs(gvt_interval=128, batch_size=8, schedule_seed=11),
+                             unbounded=True)
+        counts.append((rep.rolled_back_events, rep.inter_partition_messages,
+                       rep.gvt_rounds, rep.peak_history_entries))
+    assert counts[0] == counts[1]
+    assert counts[0][0] > 0
 
 
 def test_every_pending_key_stays_above_every_processed_key(monkeypatch):
@@ -440,7 +455,7 @@ def test_every_pending_key_stays_above_every_processed_key(monkeypatch):
             return out
         monkeypatch.setattr(Partition, name, wrapped)
     model, topo = _fresh_model()
-    knobs = Knobs(gvt_interval=128, batch_size=8, schedule_seed=3, jitter=2)
+    knobs = Knobs(gvt_interval=128, batch_size=8, schedule_seed=3)
     rep = run_optimistic(model, partition_balanced(topo, 4), knobs, unbounded=True)
     assert rep.rolled_back_events > 0
     assert set(checked) == {0, 1, 2, 3}
@@ -482,7 +497,7 @@ def test_a_hop_rerun_after_the_next_hop_ran_on_the_same_packet(monkeypatch):
     monkeypatch.setattr(kernel, "dispatch", logging)
     plan = PartitionPlan(4, {n: n for n in range(4)}, WeightModel.NO_WEIGHTS)
     rep = run_optimistic(_two_way_line_model(), plan,
-                         Knobs(gvt_interval=64, batch_size=4, schedule_seed=3, jitter=2),
+                         Knobs(gvt_interval=64, batch_size=4, schedule_seed=3),
                          unbounded=True)
     monkeypatch.undo()
     visits: dict = {}  # packet object -> the nodes that ran it, in order
@@ -524,7 +539,7 @@ def test_lookahead_window_never_rolls_back(scenario, k, monkeypatch):
     model, topo = _fresh_model(**kwargs)
     antis = _count_antis(monkeypatch)
     rep = run_optimistic(model, partition_balanced(topo, k),
-                         Knobs(gvt_interval=128, batch_size=8, schedule_seed=3, jitter=2))
+                         Knobs(gvt_interval=128, batch_size=8, schedule_seed=3))
     assert compare_reports(seq, rep)["record_diff_count"] == 0
     assert rep.rolled_back_events == 0
     assert antis == []
@@ -563,7 +578,7 @@ def test_port_audit_file_is_the_same_for_every_run_of_a_model(tmp_path):
     cfg = scenario.load_scenario(None)
     model, topo = _fresh_model(profiles=tight_shaper_profiles())
     reports = {"sequential": run_sequential(model)}
-    knobs = Knobs(gvt_interval=128, batch_size=8, schedule_seed=3, jitter=2, watchdog_s=60)
+    knobs = Knobs(gvt_interval=128, batch_size=8, schedule_seed=3)
     for window in WINDOWS:
         reports[window] = run_optimistic(_fresh_model(profiles=tight_shaper_profiles())[0],
                                          partition_balanced(topo, 4), knobs,
@@ -628,7 +643,7 @@ def test_zero_delay_cut_link_gives_window_zero():
 
     seq = run_sequential(model())
     rep = run_optimistic(model(), PartitionPlan(2, assignment, WeightModel.NO_WEIGHTS),
-                         Knobs(batch_size=4, schedule_seed=1, jitter=1))
+                         Knobs(batch_size=4, schedule_seed=1))
     assert seq.delivered > 0
     assert compare_reports(seq, rep)["record_diff_count"] == 0
     assert rep.committed_events == seq.committed_events
@@ -639,11 +654,12 @@ def test_records_invariant_under_transport_jitter():
     _, topo = _fresh_model()
     plan = partition_balanced(topo, 4)
     base = None
-    # unbounded, the heavy jitter makes stragglers and reorders anti-messages
+    # unbounded, a seed's shuffles and stalled outboxes make stragglers and
+    # reorder anti-messages
     for window in WINDOWS:
-        for schedule_seed, jitter in ((0, 0), (1, 3), (7, 9)):
+        for schedule_seed in (None, 1, 7):
             knobs = Knobs(runtime="stepped", gvt_interval=128, batch_size=4,
-                          schedule_seed=schedule_seed, jitter=jitter, watchdog_s=60)
+                          schedule_seed=schedule_seed)
             rep = run_optimistic(_fresh_model()[0], plan, knobs,
                                  unbounded=window == "unbounded")
             rec = sorted(rep.records, key=lambda r: r.pid)
@@ -658,11 +674,11 @@ def test_fossil_collection_bounds_history_memory():
     plan = partition_balanced(topo, 2)
     frequent = run_optimistic(
         _fresh_model()[0], plan,
-        Knobs(runtime="stepped", gvt_interval=32, batch_size=8, watchdog_s=60),
+        Knobs(runtime="stepped", gvt_interval=32, batch_size=8),
         unbounded=True)
     rare = run_optimistic(
         _fresh_model()[0], plan,
-        Knobs(runtime="stepped", gvt_interval=100_000, batch_size=8, watchdog_s=60),
+        Knobs(runtime="stepped", gvt_interval=100_000, batch_size=8),
         unbounded=True)
     assert frequent.peak_history_entries < rare.peak_history_entries
     assert sorted(frequent.records, key=lambda r: r.pid) == \
@@ -675,7 +691,7 @@ def test_gvt_series_is_monotone():
     for window in WINDOWS:
         rep = run_optimistic(
             _fresh_model()[0], plan,
-            Knobs(runtime="stepped", gvt_interval=64, batch_size=8, watchdog_s=60),
+            Knobs(runtime="stepped", gvt_interval=64, batch_size=8),
             unbounded=window == "unbounded")
         gvts = [row[1] for row in rep.gvt_series if row[1] >= 0]
         assert gvts == sorted(gvts)
@@ -793,8 +809,6 @@ def test_unbounded_speculation_counts_are_pinned(seed):
 @pytest.mark.parametrize("field, value", [
     ("gvt_interval", 0),
     ("batch_size", 0),
-    ("jitter", -1),
-    ("watchdog_s", 0),
     ("runtime", "fibers"),
 ])
 def test_bad_knob_is_rejected_by_name(field, value):
@@ -808,3 +822,11 @@ def test_incomplete_plan_rejected():
     assignment.pop(3)
     with pytest.raises(KernelError, match="misses"):
         run_optimistic(model, PartitionPlan(1, assignment, WeightModel.NO_WEIGHTS), Knobs())
+
+
+def test_plan_naming_a_partition_outside_k_rejected():
+    model, topo = _fresh_model()
+    assignment = {n: n % 2 for n in topo.node_ids()}
+    assignment[3] = 5
+    with pytest.raises(KernelError, match=r"node 3 in partition 5, outside 0\.\.1"):
+        run_optimistic(model, PartitionPlan(2, assignment, WeightModel.NO_WEIGHTS), Knobs())

@@ -97,11 +97,9 @@ def test_every_leaf_rejects_a_wrong_type(path, check):
 
 
 def test_schema_knobs_are_the_knobs_fields():
-    # schedule_seed and jitter act only on unbounded runs, which no scenario
-    # makes, and a windowed run cannot stall, so it needs no watchdog_s
+    # schedule_seed acts only on unbounded runs, which no scenario makes
     assert list(_SCHEMA["run"]["knobs"]) == [
-        f.name for f in dataclasses.fields(Knobs)
-        if f.name not in ("schedule_seed", "jitter", "watchdog_s")]
+        f.name for f in dataclasses.fields(Knobs) if f.name != "schedule_seed"]
 
 
 def test_unknown_routing_metric_is_rejected():
